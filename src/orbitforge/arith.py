@@ -156,7 +156,7 @@ def squarefree_part(q, timeout=30.0):
     return out
 
 
-def is_rational_square(q, timeout=30.0):
+def is_rational_square(q):
     q = Fraction(q)
     if q < 0:
         return False

@@ -1,12 +1,19 @@
 """Orbit counting: finite-field censuses, local counts, real counts.
 
 Three independent counting routes live here.  finite_census enumerates
-actual operators over F_p and partitions them into orbits under the full
-(also enumerated) isometry group, so it depends on no closed formula.
-orbit_count_local evaluates the closed-form count at a good odd prime
-from the factorization type of the invariant polynomial.  orbit_count_real
-evaluates the archimedean count, which only applies when the relevant
-polynomial has the maximal number of real roots.
+actual operators over F_p and partitions them into orbits with one
+engine: every census is the isometry group acting linearly on the free
+coordinates of its space, so each verified generator becomes a matrix
+mod p on encoded element indices, and an orbit is the breadth-first
+closure of one index under those matrices.  Generation is never assumed:
+each orbit whose stabilizer is measured directly (over the enumerated
+group in dimension three, over the commutant in dimension five) must
+satisfy orbit size times stabilizer order equals the group order, so the
+census depends on no closed formula.  orbit_count_local evaluates the
+closed-form count at a good odd prime from the factorization type of the
+invariant polynomial.  orbit_count_real evaluates the archimedean count,
+which only applies when the relevant polynomial has the maximal number
+of real roots.
 
 numpy appears in this module only, for the bulk mod-p linear algebra of
 the enumeration censuses.  Everything is integer arithmetic throughout;
@@ -15,7 +22,6 @@ floats never enter.
 
 from fractions import Fraction
 from math import comb
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -23,7 +29,7 @@ from .arith import is_prime, rng_for
 from .errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
                      MaximalRankHypothesisFails, NonSeparableModP)
 from .matrix import Mat
-from .orbits import (ADJOINT, STANDARD, SYM2, _check_rep, _check_tensor_rep,
+from .orbits import (STANDARD, SYM2, _check_rep, _check_tensor_rep,
                      _validate_charpoly, construct_representative)
 from .poly import (Poly, count_real_roots, discriminant, fp_count_factors,
                    fp_from_poly)
@@ -166,28 +172,16 @@ def _fp_det(rows, p):
     return det % p
 
 
-def _fp_inv_mat(rows, p):
-    d = len(rows)
-    a = [[int(x) % p for x in row] + [int(i == j) for j in range(d)]
-         for i, row in enumerate(rows)]
-    for col in range(d):
-        piv = next(r for r in range(col, d) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], -1, p)
-        a[col] = [x * inv % p for x in a[col]]
-        for r in range(d):
-            if r != col and a[r][col]:
-                c = a[r][col]
-                a[r] = [(x - c * y) % p for x, y in zip(a[r], a[col])]
-    return np.array([row[d:] for row in a], dtype=np.int64)
+def _powers(width, p):
+    """Place values of base-p digit rows, most significant first."""
+    return p ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
 
 def _digits_array(count, width, p):
     """(count, width) array: row i holds the base-p digits of i, most
     significant first, so consecutive leading digits give contiguous rows."""
     idx = np.arange(count, dtype=np.int64)[:, None]
-    powers = p ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return (idx // powers) % p
+    return (idx // _powers(width, p)) % p
 
 
 # ---------------------------------------------------------------------------
@@ -220,42 +214,6 @@ def _so3_elements(p):
     return np.stack(out)
 
 
-# ---------------------------------------------------------------------------
-# element enumeration per representation, dimension three
-
-
-_SYM2_FREE3 = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
-_ADJ_FREE3 = ((0, 0), (0, 1), (1, 0))
-
-
-def _free_positions3(rep):
-    return _SYM2_FREE3 if rep == SYM2 else _ADJ_FREE3
-
-
-def _ops3_from_digits(digits, rep, p):
-    """Assemble 3x3 operators from free-entry digit rows.
-
-    A self-adjoint operator equals its reflection across the anti-diagonal;
-    a skew-adjoint one is minus that reflection, which kills the
-    anti-diagonal entries.
-    """
-    m = len(digits)
-    T = np.zeros((m, 3, 3), dtype=np.int64)
-    for k, (i, j) in enumerate(_free_positions3(rep)):
-        T[:, i, j] = digits[:, k]
-        if i + j != 2:
-            mirror = digits[:, k] if rep == SYM2 else (p - digits[:, k]) % p
-            T[:, 2 - j, 2 - i] = mirror
-    return T
-
-
-def _encode_ops(T, positions, p):
-    k = np.zeros(len(T), dtype=np.int64)
-    for (i, j) in positions:
-        k = k * p + T[:, i, j]
-    return k
-
-
 def _charpoly3(T, p):
     """Coefficients (c0, c1, c2) of det(xI - T) = x^3 + c2 x^2 + c1 x + c0,
     vectorized mod p."""
@@ -267,77 +225,6 @@ def _charpoly3(T, p):
            - T[:, 0, 1] * (T[:, 1, 0] * T[:, 2, 2] - T[:, 1, 2] * T[:, 2, 0])
            + T[:, 0, 2] * (T[:, 1, 0] * T[:, 2, 1] - T[:, 1, 1] * T[:, 2, 0])) % p
     return (-det) % p, e2, (-tr) % p
-
-
-def _cubic_disc(c0, c1, c2, p):
-    """disc(x^3 + c2 x^2 + c1 x + c0) mod p, vectorized."""
-    return (18 * c2 * c1 * c0 - 4 * c2 ** 3 * c0 + c2 ** 2 * c1 ** 2
-            - 4 * c1 ** 3 - 27 * c0 ** 2) % p
-
-
-def _canon_ops_range(p, rep, lo, hi):
-    """Canonical orbit keys for the operators with enumeration index in
-    [lo, hi): the minimum encoded value over the whole conjugation group.
-
-    Because the minimum runs over every group element, equal keys mean
-    equal orbits exactly; no generating-set closure argument is needed.
-    """
-    width = len(_free_positions3(rep))
-    digits = _digits_array(p ** width, width, p)[lo:hi]
-    T = _ops3_from_digits(digits, rep, p)
-    G = _so3_elements(p)
-    pos = _free_positions3(rep)
-    canon = _encode_ops(T, pos, p)
-    for g in G:
-        gi = _fp_inv_mat(g.tolist(), p)
-        C = np.matmul(np.matmul(g, T), gi) % p
-        canon = np.minimum(canon, _encode_ops(C, pos, p))
-    return canon
-
-
-def _canon_vecs_range(p, lo, hi):
-    """Canonical orbit keys for vectors with index in [lo, hi)."""
-    V = _digits_array(p ** 3, 3, p)[lo:hi]
-    G = _so3_elements(p)
-
-    def enc(M):
-        return (M[:, 0] * p + M[:, 1]) * p + M[:, 2]
-
-    canon = enc(V)
-    for g in G:
-        canon = np.minimum(canon, enc(V @ g.T % p))
-    return canon
-
-
-def _census3_worker(args):
-    p, rep, lo, hi = args
-    if rep == STANDARD:
-        return _canon_vecs_range(p, lo, hi)
-    return _canon_ops_range(p, rep, lo, hi)
-
-
-def _partitioned_canon(p, rep, jobs):
-    """Canonical keys for the whole element space, split by leading digit.
-
-    The per-element canonical key does not depend on the partition, so any
-    job count merges to the identical report; jobs > 1 just fans the slices
-    out to worker processes.
-    """
-    width = 3 if rep == STANDARD else len(_free_positions3(rep))
-    total = p ** width
-    block = p ** (width - 1)
-    jobs = max(1, min(int(jobs), p))
-    cuts = [round(i * p / jobs) * block for i in range(jobs + 1)]
-    tasks = [(p, rep, cuts[i], cuts[i + 1]) for i in range(jobs)
-             if cuts[i] < cuts[i + 1]]
-    if len(tasks) <= 1:
-        parts = [_census3_worker(t) for t in tasks]
-    else:
-        with get_context("fork").Pool(processes=len(tasks)) as pool:
-            parts = pool.map(_census3_worker, tasks)
-    canon = np.concatenate(parts)
-    assert len(canon) == total
-    return canon
 
 
 # ---------------------------------------------------------------------------
@@ -436,89 +323,69 @@ def charpoly_key(f, p):
 
 
 # ---------------------------------------------------------------------------
-# dimension three censuses
+# the representation spaces and the linear group action on them
 
 
-def _census3(p, rep, polys, jobs):
-    G_order = len(_so3_elements(p))
-    canon = _partitioned_canon(p, rep, jobs)
-    rows = []
+def _free_positions(d, rep):
+    """The coordinates that determine an element: every entry of a vector,
+    or the operator entries above the anti-diagonal, plus the anti-diagonal
+    itself for self-adjoint operators.  An element's encoded index reads
+    these entries, in this order, as base-p digits."""
     if rep == STANDARD:
-        V = _digits_array(p ** 3, 3, p)
-        qv = (2 * V[:, 0] * V[:, 2] + V[:, 1] ** 2) % p
-        labels = qv * pow(2, -1, p) % p
-        for d in range(p):
-            mask = labels == d
-            sizes = np.unique(canon[mask], return_counts=True)[1]
-            sizes = sorted(int(s) for s in sizes)
-            stabs = []
-            for s in sizes:
-                assert G_order % s == 0
-                stabs.append(G_order // s)
-            rows.append(CensusRow(d, None, int(mask.sum()), sizes, stabs, True))
-    else:
-        width = len(_free_positions3(rep))
-        digits = _digits_array(p ** width, width, p)
-        T = _ops3_from_digits(digits, rep, p)
-        c0, c1, c2 = _charpoly3(T, p)
-        cp = (c2 * p + c1) * p + c0
-        wanted = None
-        if polys is not None:
-            wanted = set()
-            for f in polys:
-                k = charpoly_key(f, p)
-                if len(k) != 4:
-                    raise ValueError("need monic cubics for a dimension-three census")
-                wanted.add((k[2] * p + k[1]) * p + k[0])
-        for key in np.unique(cp):
-            if wanted is not None and int(key) not in wanted:
-                continue
-            mask = cp == key
-            kc0 = int(key) % p
-            kc1 = (int(key) // p) % p
-            kc2 = int(key) // (p * p)
-            sep = _cubic_disc(kc0, kc1, kc2, p) != 0
-            sizes = np.unique(canon[mask], return_counts=True)[1]
-            sizes = sorted(int(s) for s in sizes)
-            stabs = []
-            for s in sizes:
-                assert G_order % s == 0
-                stabs.append(G_order // s)
-            row = CensusRow((kc0, kc1, kc2, 1), bool(sep), int(mask.sum()),
-                            sizes, stabs, True)
-            assert sum(row.orbit_sizes) == row.operator_count
-            rows.append(row)
-    space = p ** (3 if rep == STANDARD else len(_free_positions3(rep)))
-    report = FiniteCensusReport(p, 1, rep, "full", G_order, space, rows)
-    if polys is None:
-        assert sum(r.operator_count for r in report.rows) == space
-    return report
+        return tuple(range(d))
+    last = d - 1 if rep == SYM2 else d - 2
+    return tuple((i, j) for i in range(d) for j in range(d) if i + j <= last)
 
 
-# ---------------------------------------------------------------------------
-# dimension five: generators, orbit closure, direct stabilizers
+def _ops_from_digits(digits, d, rep, p):
+    """Assemble d x d operators from free-entry digit rows.
 
-
-def _so5_generators(p):
-    """A generating set for the proper isometries of the split form in
-    dimension five, every element verified against the form.
-
-    Unipotent maps x -> x + B(x,v) u - B(x,u) v - (q(v)/2) B(x,u) u for
-    isotropic basis vectors u and random v orthogonal to u, plus one
-    hyperbolic scaling by a non-square (which the unipotents alone never
-    reach).
+    A self-adjoint operator equals its reflection across the anti-diagonal;
+    a skew-adjoint one is minus that reflection, which kills the
+    anti-diagonal entries.
     """
-    rng = rng_for("so5-generators")
-    J = _gram_np(5)
+    T = np.zeros((len(digits), d, d), dtype=np.int64)
+    for k, (i, j) in enumerate(_free_positions(d, rep)):
+        T[:, i, j] = digits[:, k]
+        if i + j != d - 1:
+            mirror = digits[:, k] if rep == SYM2 else (p - digits[:, k]) % p
+            T[:, d - 1 - j, d - 1 - i] = mirror
+    return T
+
+
+def _op_digits(T, d, rep):
+    """Free-entry digits of operators, along a new last axis: the inverse
+    of _ops_from_digits on reduced entries."""
+    rows, cols = zip(*_free_positions(d, rep))
+    return T[..., list(rows), list(cols)]
+
+
+def _so_generators(d, p):
+    """A generating set for the proper isometries of the split form in
+    dimension d, as a (k, d, d) array, every element verified against the
+    form.
+
+    Unipotent maps x -> x + B(x,v) u - B(x,u) v - (q(v)/2) B(x,u) u for the
+    isotropic basis vectors u and random v orthogonal to u (four per u, or
+    all p^(d-2) - 1 of them when there are fewer), plus one hyperbolic
+    scaling by a non-square (which the unipotents alone never reach).
+    Generation is not assumed: the censuses check orbits against
+    orbit-stabilizer.
+    """
+    rng = rng_for("so%d-generators" % d)
+    J = _gram_np(d)
     inv2 = pow(2, -1, p)
-    eye = np.eye(5, dtype=np.int64)
+    eye = np.eye(d, dtype=np.int64)
+    per_vector = min(4, p ** (d - 2) - 1)
     gens = []
     seen = set()
-    for ui in (0, 1, 3, 4):
+    for ui in range(d):
+        if ui == d // 2:
+            continue
         u = eye[ui]
         got = 0
-        while got < 4:
-            v = np.array([rng.randrange(p) for _ in range(5)], dtype=np.int64)
+        while got < per_vector:
+            v = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
             if int(u @ J @ v) % p != 0:
                 continue
             qv2 = int(v @ J @ v) * inv2 % p
@@ -537,30 +404,50 @@ def _so5_generators(p):
         c += 1
     h = eye.copy()
     h[0, 0] = c
-    h[4, 4] = pow(c, -1, p)
+    h[d - 1, d - 1] = pow(c, -1, p)
     assert np.array_equal(h.T @ J @ h % p, J)
     assert _fp_det(h.tolist(), p) == 1
     gens.append(h)
-    return gens
+    return np.stack(gens)
 
 
-_SKEW_FREE5 = tuple((i, j) for i in range(5) for j in range(5) if i + j < 4)
-_SELF_FREE5 = tuple((i, j) for i in range(5) for j in range(5) if i + j <= 4)
+def _actions(gs, d, rep, p):
+    """The (k, w, w) matrices of the isometries gs on digit rows: a row x
+    of w free coordinates maps to x @ M % p.
+
+    Vectors transform by g, so M = g^T.  Operators transform by
+    T -> g T g^-1, linear in T; row k of M holds the digits of the k-th
+    basis operator conjugated, with g^-1 = J g^T J for an isometry.
+    """
+    if rep == STANDARD:
+        return gs.transpose(0, 2, 1)
+    J = _gram_np(d)
+    w = len(_free_positions(d, rep))
+    basis = _ops_from_digits(np.eye(w, dtype=np.int64), d, rep, p)
+    ginv = J @ gs.transpose(0, 2, 1) @ J
+    conj = gs[:, None] @ basis[None] % p @ ginv[:, None] % p
+    return _op_digits(conj, d, rep)
 
 
-def _skew5_from_digits(digits, p):
-    T = np.zeros((len(digits), 5, 5), dtype=np.int64)
-    for k, (i, j) in enumerate(_SKEW_FREE5):
-        T[:, i, j] = digits[:, k]
-        T[:, 4 - j, 4 - i] = (p - digits[:, k]) % p
-    return T
+def _closure(start, mats, visited, p):
+    """Orbit of the element with encoded index start under the digit-row
+    maps mats, by breadth-first closure.  Marks the orbit in visited, a
+    bool array over every encoded index, and returns its size."""
+    pows = _powers(mats.shape[1], p)
+    frontier = np.array([start], dtype=np.int64)
+    visited[start] = True
+    size = 0
+    while len(frontier):
+        size += len(frontier)
+        digits = frontier[:, None] // pows % p
+        images = np.unique(digits @ mats % p @ pows)
+        frontier = images[~visited[images]]
+        visited[frontier] = True
+    return size
 
 
-def _encode_skew5(C, p):
-    k = np.zeros(len(C), dtype=np.int64)
-    for (i, j) in _SKEW_FREE5:
-        k = k * p + C[:, i, j]
-    return k
+# ---------------------------------------------------------------------------
+# dimension five: characteristic polynomials, direct stabilizers, samples
 
 
 def _charpoly5_skew(T, p):
@@ -581,54 +468,6 @@ def _charpoly5_exact(T, p):
     """Full mod-p characteristic polynomial via an exact rational lift."""
     m = Mat([[Fraction(int(x)) for x in row] for row in T])
     return tuple(int(a) % p for a in m.charpoly().c)
-
-
-def _conj_batch(gens, ginvs, F, p):
-    return [np.matmul(np.matmul(g, F), gi) % p
-            for g, gi in zip(gens, ginvs)]
-
-
-def _orbit_closure_skew5(start_idx, visited, digits_pow, gens, ginvs, p):
-    """BFS orbit of one skew operator, marking visited by encoded index."""
-    frontier_idx = np.array([start_idx], dtype=np.int64)
-    visited[start_idx] = True
-    size = 0
-    while len(frontier_idx):
-        size += len(frontier_idx)
-        dg = (frontier_idx[:, None] // digits_pow) % p
-        F = _skew5_from_digits(dg, p)
-        nxt = []
-        for C in _conj_batch(gens, ginvs, F, p):
-            idx = _encode_skew5(C, p)
-            idx = np.unique(idx)
-            fresh = idx[~visited[idx]]
-            visited[fresh] = True
-            nxt.append(fresh)
-        frontier_idx = np.concatenate(nxt) if nxt else frontier_idx[:0]
-        frontier_idx = np.unique(frontier_idx)
-    return size
-
-
-def _orbit_closure_bytes(T0, gens, ginvs, p, budget=10 ** 6):
-    """BFS orbit of one operator, keyed by matrix bytes (no global index)."""
-    seen = {T0.tobytes()}
-    frontier = T0[None]
-    size = 1
-    while len(frontier):
-        allc = np.concatenate(_conj_batch(gens, ginvs, frontier, p))
-        flat = allc.reshape(len(allc), -1)
-        uniq = np.unique(flat, axis=0).reshape(-1, 5, 5)
-        fresh = []
-        for M in uniq:
-            key = M.tobytes()
-            if key not in seen:
-                seen.add(key)
-                fresh.append(M)
-        size += len(fresh)
-        if size > budget:
-            raise BudgetExceeded("orbit closure passed %d elements" % budget)
-        frontier = np.stack(fresh) if fresh else frontier[:0]
-    return size
 
 
 def _stab_order5(T, p):
@@ -670,9 +509,10 @@ def _find_selfadj5(f, p, fc):
     rng = rng_for("census5-search")
     want_e1 = (-fc[4]) % p
     want_tr2 = (fc[4] * fc[4] - 2 * fc[3]) % p
+    free = _free_positions(5, SYM2)
     for _ in range(500000):
         T = np.zeros((5, 5), dtype=np.int64)
-        for (i, j) in _SELF_FREE5:
+        for (i, j) in free:
             v = rng.randrange(p)
             T[i, j] = v
             if i + j < 4:
@@ -686,77 +526,16 @@ def _find_selfadj5(f, p, fc):
     raise BudgetExceeded("no operator with the requested polynomial found")
 
 
-def _census5_adjoint(p, polys):
-    """Full census of skew-adjoint operators in dimension five (p^10 of
-    them), with orbit closure under a generating set and directly measured
-    stabilizers on separable classes."""
-    gens = _so5_generators(p)
-    ginvs = [_fp_inv_mat(g.tolist(), p) for g in gens]
-    count = p ** len(_SKEW_FREE5)
-    digits = _digits_array(count, len(_SKEW_FREE5), p)
-    T = _skew5_from_digits(digits, p)
-    e4, e2 = _charpoly5_skew(T, p)
-    cp = e2 * p + e4
-    digits_pow = p ** np.arange(len(_SKEW_FREE5) - 1, -1, -1, dtype=np.int64)
-    wanted = None
-    if polys is not None:
-        wanted = set()
-        for f in polys:
-            k = charpoly_key(f, p)
-            if len(k) != 6 or k[0] != 0 or k[2] != 0 or k[4] != 0:
-                raise ValueError("skew census rows need odd monic quintics")
-            wanted.add(k[3] * p + k[1])
-    visited = np.zeros(count, dtype=bool)
-    rows = []
-    for key in np.unique(cp):
-        in_class = np.flatnonzero(cp == key)
-        ke4 = int(key) % p
-        ke2 = int(key) // p
-        fbar = [0, ke4, 0, ke2, 0, 1]
-        try:
-            fp_count_factors(fbar, p)
-            sep = True
-        except NonSeparableModP:
-            sep = False
-        if wanted is not None and int(key) not in wanted:
-            visited[in_class] = True
-            continue
-        sizes = []
-        stabs = []
-        for idx in in_class:
-            if visited[idx]:
-                continue
-            s = _orbit_closure_skew5(int(idx), visited, digits_pow,
-                                     gens, ginvs, p)
-            sizes.append(s)
-            if sep:
-                dg = (np.array([idx]) [:, None] // digits_pow) % p
-                stabs.append(_stab_order5(_skew5_from_digits(dg, p)[0], p))
-            else:
-                stabs.append(None)
-        order = np.argsort(sizes, kind="stable")
-        sizes = [sizes[i] for i in order]
-        stabs = [stabs[i] for i in order]
-        row = CensusRow((0, ke4, 0, ke2, 0, 1), sep, len(in_class),
-                        sizes, stabs, True)
-        assert sum(row.orbit_sizes) == row.operator_count
-        rows.append(row)
-    report = FiniteCensusReport(p, 2, ADJOINT, "full", None, count, rows)
-    if polys is None:
-        assert sum(r.operator_count for r in report.rows) == count
-    return report
-
-
 def _census5_sym2(p, polys):
     """Orbit-sample census for self-adjoint operators in dimension five:
-    one orbit per requested polynomial, closed under the generating set,
-    with a directly measured stabilizer."""
+    one orbit per requested polynomial, closed under the generating set
+    and certified by orbit-stabilizer with a directly measured stabilizer."""
     if polys is None:
         raise BudgetExceeded(
             "enumerating p^15 self-adjoint operators is out of budget; "
             "pass explicit polynomials for orbit generation")
-    gens = _so5_generators(p)
-    ginvs = [_fp_inv_mat(g.tolist(), p) for g in gens]
+    width = len(_free_positions(5, SYM2))
+    mats = _actions(_so_generators(5, p), 5, SYM2, p)
     rows = []
     for f in polys:
         fc = charpoly_key(f, p)
@@ -764,48 +543,103 @@ def _census5_sym2(p, polys):
             raise ValueError("dimension-five rows need monic quintics")
         fp_count_factors(list(fc), p)
         T0 = _find_selfadj5(f, p, fc)
-        size = _orbit_closure_bytes(T0, gens, ginvs, p)
+        start = int(_op_digits(T0, 5, SYM2) @ _powers(width, p))
+        size = _closure(start, mats, np.zeros(p ** width, dtype=bool), p)
         stab = _stab_order5(T0, p)
+        assert size * stab == so_order(2, p)
         rows.append(CensusRow(tuple(fc), True, None, [size], [stab], False))
     return FiniteCensusReport(p, 2, SYM2, "orbit-sample", None,
-                              p ** len(_SELF_FREE5), rows)
+                              p ** width, rows)
 
 
-def _census5_standard(p):
-    """Full vector census in dimension five by orbit closure (p^5 vectors)."""
-    gens = _so5_generators(p)
-    V = _digits_array(p ** 5, 5, p)
-    J = _gram_np(5)
-    qv = np.einsum("ni,ij,nj->n", V, J, V) % p
-    labels = qv * pow(2, -1, p) % p
-    enc_pow = p ** np.arange(4, -1, -1, dtype=np.int64)
-    visited = np.zeros(p ** 5, dtype=bool)
-    sizes_by_label = {d: [] for d in range(p)}
-    for start in range(p ** 5):
-        if visited[start]:
-            continue
-        visited[start] = True
-        frontier = V[start][None]
-        size = 1
-        while len(frontier):
-            nxt = []
-            for g in gens:
-                W = frontier @ g.T % p
-                idx = np.unique(W @ enc_pow)
-                fresh = idx[~visited[idx]]
-                visited[fresh] = True
-                nxt.append(fresh)
-            idx = np.unique(np.concatenate(nxt))
-            size += len(idx)
-            frontier = (idx[:, None] // enc_pow) % p if len(idx) else frontier[:0]
-        sizes_by_label[int(labels[start])].append(size)
+# ---------------------------------------------------------------------------
+# full censuses
+
+
+def _separable(fc, p):
+    try:
+        fp_count_factors(list(fc), p)
+    except NonSeparableModP:
+        return False
+    return True
+
+
+def _full_census(p, n, rep, polys):
+    """Every element of the space, partitioned class by class into orbits
+    closed under verified generators.
+
+    Classes are the vector labels q(v)/2 or the characteristic polynomials
+    mod p; orbits never cross them.  Every orbit whose stabilizer is
+    measured directly is certified: size times stabilizer must equal the
+    group order.  Dimension three measures each stabilizer over the
+    enumerated group; dimension five measures those of separable operator
+    classes over the commutant and leaves the rest None.
+    """
+    d = 2 * n + 1
+    width = len(_free_positions(d, rep))
+    digits = _digits_array(p ** width, width, p)
+    mats = _actions(_so_generators(d, p), d, rep, p)
+    if n == 1:
+        acts = _actions(_so3_elements(p), d, rep, p)
+        group_order = order = len(acts)
+    else:
+        group_order, order = None, so_order(n, p)
+    wanted = None
+    if rep == STANDARD:
+        qv = np.einsum("ni,ij,nj->n", digits, _gram_np(d), digits) % p
+        keys = qv * pow(2, -1, p) % p
+    else:
+        T = _ops_from_digits(digits, d, rep, p)
+        if n == 1:
+            c0, c1, c2 = _charpoly3(T, p)
+            keys = (c2 * p + c1) * p + c0
+        else:
+            e4, e2 = _charpoly5_skew(T, p)
+            keys = (e2 * p * p + e4) * p
+        if polys is not None:
+            wanted = set()
+            for f in polys:
+                k = charpoly_key(f, p)
+                if n == 1 and len(k) != 4:
+                    raise ValueError(
+                        "need monic cubics for a dimension-three census")
+                if n == 2 and (len(k) != 6 or k[0] or k[2] or k[4]):
+                    raise ValueError("skew census rows need odd monic quintics")
+                wanted.add(sum(c * p ** i for i, c in enumerate(k[:-1])))
+    visited = np.zeros(len(digits), dtype=bool)
     rows = []
-    for d in range(p):
-        sizes = sorted(sizes_by_label[d])
-        rows.append(CensusRow(d, None, sum(sizes), sizes,
-                              [None] * len(sizes), True))
-    report = FiniteCensusReport(p, 2, STANDARD, "full", None, p ** 5, rows)
-    assert sum(r.operator_count for r in report.rows) == p ** 5
+    for key in np.unique(keys).tolist():
+        if wanted is not None and key not in wanted:
+            continue
+        members = np.flatnonzero(keys == key)
+        if rep == STANDARD:
+            row_key, sep = key, None
+        else:
+            row_key = tuple(key // p ** i % p for i in range(d)) + (1,)
+            sep = _separable(row_key, p)
+        orbits = []
+        for idx in members.tolist():
+            if visited[idx]:
+                continue
+            size = _closure(idx, mats, visited, p)
+            x = digits[idx]
+            if n == 1:
+                stab = int(np.all(x @ acts % p == x, axis=1).sum())
+            elif sep:
+                stab = _stab_order5(_ops_from_digits(x[None], d, rep, p)[0], p)
+            else:
+                stab = None
+            assert stab is None or size * stab == order
+            orbits.append((size, stab))
+        orbits.sort(key=lambda o: o[0])
+        row = CensusRow(row_key, sep, len(members), [s for s, _ in orbits],
+                        [t for _, t in orbits], True)
+        assert sum(row.orbit_sizes) == row.operator_count
+        rows.append(row)
+    report = FiniteCensusReport(p, n, rep, "full", group_order, len(digits),
+                                rows)
+    if wanted is None:
+        assert sum(r.operator_count for r in report.rows) == len(digits)
     return report
 
 
@@ -813,16 +647,21 @@ def _census5_standard(p):
 # entry point
 
 
-def finite_census(p, n, rep, polys=None, jobs=1, budget=DEFAULT_BUDGET):
+def finite_census(p, n, rep, polys=None, budget=DEFAULT_BUDGET):
     """Census of the representation space over F_p with orbit partition.
 
-    Dimension three (n = 1) is a full enumeration: every operator (or
-    vector), the whole isometry group, and exact orbits from canonical
-    minima over the group, partitionable across jobs by leading digit.
+    One engine serves every census.  Each element is a row of w free
+    coordinates with an encoded index below p^w, and each verified
+    generator of the isometry group acts on those rows as a w x w matrix
+    mod p; an orbit is the breadth-first closure of one index under these
+    matrices.  Dimension three (n = 1) enumerates every operator (or
+    vector) and the whole group, and certifies every orbit by
+    orbit-stabilizer against a stabilizer counted over the group.
     Dimension five (n = 2) runs at p = 3 only: skew-adjoint and vector
-    spaces are still enumerated in full with orbits closed under a
-    verified generating set, while the self-adjoint space is sampled one
-    orbit per requested polynomial.  polys, when given, restricts rows.
+    spaces are enumerated in full, with separable operator orbits
+    certified against a stabilizer measured over the commutant, while the
+    self-adjoint space is sampled one certified orbit per requested
+    polynomial.  polys, when given, restricts rows.
 
     Raises EvenPrime at p = 2, BadPrime for composite p, BudgetExceeded
     when the estimated conjugation work passes `budget`.
@@ -833,17 +672,15 @@ def finite_census(p, n, rep, polys=None, jobs=1, budget=DEFAULT_BUDGET):
     if not is_prime(p):
         raise BadPrime("%d is not prime" % p)
     if n == 1:
-        width = 3 if rep == STANDARD else len(_free_positions3(rep))
+        width = len(_free_positions(3, rep))
         if p ** width * so_order(1, p) > budget:
             raise BudgetExceeded("about %d conjugations needed"
                                  % (p ** width * so_order(1, p)))
-        return _census3(p, rep, polys, jobs)
+        return _full_census(p, n, rep, polys)
     if n == 2:
         if p != 3:
             raise BudgetExceeded("dimension five runs at p = 3 only")
-        if rep == STANDARD:
-            return _census5_standard(p)
-        if rep == ADJOINT:
-            return _census5_adjoint(p, polys)
-        return _census5_sym2(p, polys)
+        if rep == SYM2:
+            return _census5_sym2(p, polys)
+        return _full_census(p, n, rep, polys)
     raise BudgetExceeded("no census mode for n = %d" % n)

@@ -396,8 +396,7 @@ def _census_row_payload(row):
     return {"key": key, "separable": row.separable,
             "operator_count": row.operator_count,
             "orbit_sizes": list(row.orbit_sizes),
-            "stabilizer_orders": None if row.stabilizer_orders is None
-            else list(row.stabilizer_orders),
+            "stabilizer_orders": list(row.stabilizer_orders),
             "orbit_count": row.orbit_count,
             "complete": row.complete}
 
@@ -406,8 +405,7 @@ def _cmd_census(args):
     polys = None
     if args.poly:
         polys = [parse_poly(t) for t in args.poly]
-    rep = finite_census(args.p, args.n, args.rep, polys=polys,
-                        jobs=args.jobs)
+    rep = finite_census(args.p, args.n, args.rep, polys=polys)
     result = {"p": rep.p, "n": rep.n, "rep": rep.rep, "mode": rep.mode,
               "group_order": rep.group_order, "space_size": rep.space_size,
               "rows": [_census_row_payload(r) for r in rep.rows]}
@@ -419,12 +417,9 @@ def _cmd_census(args):
         human.append("  key %s  separable=%s  operators=%s  sizes=%s"
                      "  stabilizers=%s"
                      % (r.key, r.separable, r.operator_count,
-                        tuple(r.orbit_sizes),
-                        None if r.stabilizer_orders is None
-                        else tuple(r.stabilizer_orders)))
+                        tuple(r.orbit_sizes), tuple(r.stabilizer_orders)))
     return _emit(args, "census",
                  {"p": args.p, "n": args.n, "rep": args.rep,
-                  "jobs": args.jobs,
                   "polys": polys},
                  result, {}, human)
 
@@ -621,7 +616,6 @@ def _parser():
                     required=True)
     sp.add_argument("--poly", action="append",
                     help="restrict to this charpoly (repeatable)")
-    sp.add_argument("--jobs", type=int, default=1)
     _add_json(sp)
     sp.set_defaults(func=_cmd_census)
 

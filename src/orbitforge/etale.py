@@ -22,7 +22,6 @@ from .arith import (
     is_rational_square,
     rational_reconstruction,
     rng_for,
-    squarefree_part,
 )
 from .errors import (
     NonSeparable,
@@ -373,7 +372,7 @@ def is_square(a, precision=40):
             "false", certificate="constant %s is not a rational square" % c
         )
     n = a.norm()
-    if squarefree_part(n) != 1:
+    if not is_rational_square(n):
         return SquareDecision(
             "false", certificate="norm %s is not a rational square" % n
         )

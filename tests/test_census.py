@@ -1,5 +1,6 @@
 """Tests for finite censuses and local/real orbit counts."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from orbitforge.census import (CensusRow, charpoly_key, count_factors_fp,
                                finite_census, orbit_count_local,
                                orbit_count_real, so_order, _charpoly3,
-                               _charpoly5_exact, _digits_array, _gram_np,
-                               _ops3_from_digits, _so3_elements)
+                               _charpoly5_exact, _charpoly5_skew,
+                               _digits_array, _gram_np, _ops_from_digits,
+                               _so3_elements)
 from orbitforge.errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
                                MaximalRankHypothesisFails, NonSeparableModP)
 from orbitforge.matrix import Mat
@@ -110,7 +112,7 @@ def test_count_factors_errors():
 def test_charpoly3_matches_exact_lift():
     p = 5
     digits = _digits_array(p ** 6, 6, p)[23::9341]
-    T = _ops3_from_digits(digits, SYM2, p)
+    T = _ops_from_digits(digits, 3, SYM2, p)
     c0, c1, c2 = _charpoly3(T, p)
     for i in range(len(T)):
         m = Mat([[Fraction(int(x)) for x in row] for row in T[i]])
@@ -198,11 +200,44 @@ def test_census_polys_filter(census3_sym2):
     assert r.rows[0] == census3_sym2.row((0, 2, 0, 1))
 
 
-def test_census_jobs_merge_identically(census3_sym2):
-    assert finite_census(3, 1, SYM2, jobs=2) == census3_sym2
-    assert finite_census(3, 1, SYM2, jobs=7) == census3_sym2
-    base = finite_census(5, 1, ADJOINT)
-    assert finite_census(5, 1, ADJOINT, jobs=3) == base
+# sha256 prefixes of repr((header, row tuples)), recorded from the
+# exhaustive canonical-minimum partition that the closure engine replaced
+FINGERPRINTS = {
+    (3, 1, SYM2): '37560b49ee9fbc1c',
+    (5, 1, SYM2): '6b3c5e9934ae9929',
+    (7, 1, SYM2): 'a3fd4250e96b7bd5',
+    (3, 1, ADJOINT): 'c6f50713a2d678ab',
+    (5, 1, ADJOINT): '4ccd7c2e38ecdc38',
+    (7, 1, ADJOINT): '4d4726948c9dcbce',
+    (3, 1, STANDARD): 'bda0fd35a34e80ca',
+    (5, 1, STANDARD): 'e74e232e14bc16fe',
+    (7, 1, STANDARD): '9fdf041c3abe6917',
+    (13, 1, ADJOINT): '5fd32861cb188780',
+    (13, 1, STANDARD): 'e42cd5e7e3f73e38',
+    (3, 2, STANDARD): 'b5139cc10018b48e',
+    (3, 2, ADJOINT): '0ca44f8f9f606a97',
+}
+
+
+def _fingerprint(r):
+    head = (r.p, r.n, r.rep, r.mode, r.group_order, r.space_size)
+    rows = [row._tup() for row in r.rows]
+    return hashlib.sha256(repr((head, rows)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed", [None, "7"])
+def test_census_fingerprints_pinned(seed, monkeypatch):
+    # another seed draws other generators; the partition must not move
+    if seed is None:
+        monkeypatch.delenv("ORBITFORGE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("ORBITFORGE_SEED", seed)
+    for (p, n, rep), want in FINGERPRINTS.items():
+        assert _fingerprint(finite_census(p, n, rep)) == want, (p, n, rep)
+    r = finite_census(3, 2, SYM2, polys=[X5_MINUS_X])
+    assert _fingerprint(r) == '29f0d8f6f1f01175'
+    assert [row._tup() for row in r.rows] == [
+        ((0, 2, 0, 0, 0, 1), True, None, (6480,), (8,), False)]
 
 
 def test_census_error_paths():
@@ -218,6 +253,22 @@ def test_census_error_paths():
         finite_census(3, 3, SYM2)
     with pytest.raises(BudgetExceeded):
         finite_census(3, 2, SYM2)   # self-adjoint mode needs explicit polys
+
+
+@pytest.mark.parametrize("n, rep, keep", [(1, SYM2, -1), (2, ADJOINT, 4),
+                                           (2, SYM2, 4)])
+def test_census_certificate_refuses_too_few_generators(n, rep, keep,
+                                                       monkeypatch):
+    # dimension three without the non-square scaling, dimension five with
+    # the unipotents of one basis vector only: both generate a proper
+    # subgroup, and orbit-stabilizer must refuse the too-small orbits
+    from orbitforge import census
+    full = census._so_generators
+    monkeypatch.setattr(census, "_so_generators",
+                        lambda d, p: full(d, p)[:keep])
+    polys = [X5_MINUS_X] if (n, rep) == (2, SYM2) else None
+    with pytest.raises(AssertionError):
+        finite_census(5 if n == 1 else 3, n, rep, polys=polys)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +319,8 @@ def test_census5_standard_rows():
 
 
 def test_charpoly5_skew_matches_exact(census5dim_adj):
-    import numpy as np
-    from orbitforge.census import _skew5_from_digits, _charpoly5_skew
     digits = _digits_array(3 ** 10, 10, 3)[17::5003]
-    T = _skew5_from_digits(digits, 3)
+    T = _ops_from_digits(digits, 5, ADJOINT, 3)
     e4, e2 = _charpoly5_skew(T, 3)
     for i in range(len(T)):
         assert _charpoly5_exact(T[i], 3) == (0, int(e4[i]), 0, int(e2[i]), 0, 1)

@@ -103,6 +103,26 @@ def test_is_square_norm_certificate():
     assert "norm" in d.certificate
 
 
+def test_is_square_hard_norm_needs_no_factoring():
+    # w = (c1 - x)(c2 - x) has norm f(c1) f(c2), a product of two 70-bit
+    # primes: deciding whether that norm is a square must not factor it
+    import time
+    from orbitforge.arith import is_prime
+    f = Poly([1, -3, 0, 2, 0, 0, 0, 1])  # x^7 + 2x^3 - 3x + 1
+    c1, c2 = 936, 959
+    for c in (c1, c2):
+        v = int(f(c))
+        assert is_prime(v) and v.bit_length() == 70
+    L = EtaleAlgebra(f)
+    w = L.element([c1 * c2, -(c1 + c2), 1])
+    a = w * w
+    start = time.perf_counter()
+    d = is_square(a)
+    assert time.perf_counter() - start < 2.0
+    assert d.is_true()
+    assert d.witness * d.witness == a
+
+
 def test_is_square_real_certificate():
     # (1, 4, -9) at the roots (0, 1, -1) of x^3 - x: norm -36... adjust to
     # make the norm a square but a real value negative: (1, -4, -9),
