@@ -243,27 +243,3 @@ def crt(residues, moduli):
         x = (x + m * t) % lcm
         m = lcm
     return x, m
-
-
-def rational_reconstruction(r, m):
-    """The unique fraction a/b = r mod m with |a|, b <= sqrt(m/2), or None.
-
-    Standard half-extended Euclid: stop when the remainder drops below
-    the bound, then check the cofactor.
-    """
-    bound = math.isqrt(m // 2)
-    if bound == 0:
-        return None
-    if r % m == 0:
-        return Fraction(0)
-    a0, a1 = m, r % m
-    b0, b1 = 0, 1
-    while a1 > bound:
-        q = a0 // a1
-        a0, a1 = a1, a0 - q * a1
-        b0, b1 = b1, b0 - q * b1
-    if a1 == 0 or abs(b1) > bound or math.gcd(a1, abs(b1)) != 1:
-        return None
-    if b1 < 0:
-        a1, b1 = -a1, -b1
-    return Fraction(a1, b1)

@@ -27,7 +27,8 @@ import numpy as np
 
 from .arith import is_prime, rng_for
 from .errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
-                     MaximalRankHypothesisFails, NonSeparableModP)
+                     MaximalRankHypothesisFails, NonSeparableModP,
+                     NotOddPolynomial, WrongDegree)
 from .matrix import Mat
 from .orbits import (STANDARD, SYM2, _check_rep, _check_tensor_rep,
                      _validate_charpoly, construct_representative)
@@ -540,7 +541,7 @@ def _census5_sym2(p, polys):
     for f in polys:
         fc = charpoly_key(f, p)
         if len(fc) != 6:
-            raise ValueError("dimension-five rows need monic quintics")
+            raise WrongDegree("dimension-five rows need monic quintics")
         fp_count_factors(list(fc), p)
         T0 = _find_selfadj5(f, p, fc)
         start = int(_op_digits(T0, 5, SYM2) @ _powers(width, p))
@@ -600,11 +601,10 @@ def _full_census(p, n, rep, polys):
             wanted = set()
             for f in polys:
                 k = charpoly_key(f, p)
-                if n == 1 and len(k) != 4:
-                    raise ValueError(
-                        "need monic cubics for a dimension-three census")
-                if n == 2 and (len(k) != 6 or k[0] or k[2] or k[4]):
-                    raise ValueError("skew census rows need odd monic quintics")
+                if len(k) != d + 1:
+                    raise WrongDegree("census rows need degree %d" % d)
+                if n == 2 and (k[0] or k[2] or k[4]):
+                    raise NotOddPolynomial("skew rows need odd quintics")
                 wanted.add(sum(c * p ** i for i, c in enumerate(k[:-1])))
     visited = np.zeros(len(digits), dtype=bool)
     rows = []

@@ -2,9 +2,9 @@
 
 Elements are coefficient vectors over Fraction, always kept reduced mod f.
 Norms and traces go through the multiplication matrix. Squareness in L* is
-a semi-decision: certified True (exact witness), certified False (norm,
-real-embedding, or mod-p certificate), or Unknown when the p-adic lift
-does not reconstruct within the precision budget.
+decided: True carries an exactly verified witness, False a norm,
+real-embedding or mod-p certificate, or the bound certificate of one
+p-adic lift to a modulus computed from the input.
 
 When f(-x) = -f(x), the algebra carries tau (x -> -x), splits as
 Q x E with E = Q[x]/(g(x^2)), and K = Q[y]/(g) sits inside E as the
@@ -20,7 +20,6 @@ from . import poly as P
 from .arith import (
     is_prime,
     is_rational_square,
-    rational_reconstruction,
     rng_for,
 )
 from .errors import (
@@ -212,7 +211,7 @@ def is_tau_fixed(a):
 
 
 class SquareDecision:
-    """Outcome of is_square: status 'true'/'false'/'unknown'.
+    """Outcome of is_square: status 'true' or 'false'.
 
     True carries a witness with witness^2 = a (verified before return);
     False carries a human-readable certificate string.
@@ -231,58 +230,22 @@ class SquareDecision:
     def is_false(self):
         return self.status == "false"
 
-    def is_unknown(self):
-        return self.status == "unknown"
-
     def __repr__(self):
         if self.status == "true":
             return "SquareDecision(true, witness=%r)" % (self.witness,)
-        if self.status == "false":
-            return "SquareDecision(false, %s)" % (self.certificate,)
-        return "SquareDecision(unknown)"
+        return "SquareDecision(false, %s)" % (self.certificate,)
 
 
-def _good_prime(f, avoid, start=3):
-    """Smallest odd prime keeping f separable and `avoid` a unit."""
-    fI, cf = f.integer_cleared()
-    disc_num = P.discriminant(f)
-    bad = 2 * cf * disc_num.numerator * disc_num.denominator * avoid
-    p = max(start, 3)
-    if p % 2 == 0:
-        p += 1
-    while True:
+def _good_primes(f, avoid, count):
+    """First `count` odd primes keeping f separable and `avoid` a unit."""
+    disc = P.discriminant(f)
+    cf = f.integer_cleared()[1]
+    bad = 2 * cf * disc.numerator * disc.denominator * avoid
+    out, p = [], 3
+    while len(out) < count:
         if is_prime(p) and bad % p != 0:
-            return p
+            out.append(p)
         p += 2
-
-
-def _zm_mul(a, b, fI, m):
-    """Product of integer coefficient lists modulo (f, m), f monic integer."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    d = len(fI) - 1
-    for k in range(len(out) - 1, d - 1, -1):
-        t = out[k]
-        if t:
-            out[k] = 0
-            for i in range(d):
-                out[k - d + i] = (out[k - d + i] - t * fI[i]) % m
-    out = out[:d]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zm_sub(a, b, m):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
     return out
 
 
@@ -303,58 +266,33 @@ def _local_roots(A_int, fI, p, rng_tag):
     return factors, roots
 
 
-def _sqrt_lift_candidates(A_int, fI, p, exponent, rng_tag):
-    """All p-adic square roots of A mod (p^exponent-ish, f), by CRT branch.
+def _mulmod(a, b, F, m):
+    return P.fp_mod(P.fp_mul(a, b, m), F, m)
 
-    A_int: integer coefficient list of a p-unit square candidate.
-    Yields (coeff list, modulus) pairs, one per sign branch (up to the
-    global sign, which is folded out).
+
+def _hensel_sqrt(r, A, F, p, m):
+    """Lift a square root r of A mod (p, F) to one mod (m, F), m = p^(2^j).
+
+    F is monic with integer coefficients, so reduction mod (m, F) is
+    exact. Each Newton step squares the modulus; the inverse of 2r is lifted
+    alongside.
     """
-    factors, roots = _local_roots(A_int, fI, p, rng_tag)
-    if factors is None:
-        return None, roots
-    # CRT basis: u_i = 1 mod h_i, 0 mod h_j (j != i), computed mod (p, f)
-    fbar = [x % p for x in fI]
-    crt_units = []
-    for h in factors:
-        rest = P.fp_divmod(fbar, h, p)[0]
-        inv = P.fp_invmod(rest, h, p)
-        crt_units.append(P.fp_mod(P.fp_mul(rest, inv, p), fbar, p))
-    # target precision: chain 1 -> 2 -> 4 ... >= exponent
-    chain = [1]
-    while chain[-1] < exponent:
-        chain.append(chain[-1] * 2)
-    m_final = p ** chain[-1]
-    out = []
-    signs_pool = [(1,) + s for s in itertools.product((1, -1), repeat=len(factors) - 1)]
-    for signs in signs_pool:
-        r0 = []
-        for s, r, u in zip(signs, roots, crt_units):
-            term = P.fp_mul([x * s % p for x in r], u, p)
-            r0 = P.fp_add(r0, term, p)
-        r0 = P.fp_mod(r0, fbar, p)
-        # Newton lift with coupled inverse of 2r
-        s0 = P.fp_invmod([2 * x % p for x in r0], fbar, p)
-        r_cur = [x % p for x in r0]
-        s_cur = [x % p for x in s0]
-        for k in chain[1:]:
-            m = p**k
-            r2 = _zm_mul(r_cur, r_cur, fI, m)
-            diff = _zm_sub(r2, [x % m for x in A_int], m)
-            corr = _zm_mul(diff, s_cur, fI, m)
-            r_cur = _zm_sub(r_cur, corr, m)
-            two_r = [2 * x % m for x in r_cur]
-            ts = _zm_mul(two_r, s_cur, fI, m)
-            s_cur = _zm_sub([2 * x % m for x in s_cur], _zm_mul(s_cur, ts, fI, m), m)
-        out.append((r_cur, m_final))
-    return out, None
+    s = P.fp_invmod([2 * x for x in r], F, p)
+    q = p
+    while q < m:
+        q *= q
+        err = P.fp_sub(_mulmod(r, r, F, q), A, q)
+        r = P.fp_sub(r, _mulmod(err, s, F, q), q)
+        ts = _mulmod([2 * x for x in r], s, F, q)
+        s = P.fp_sub([2 * x for x in s], _mulmod(s, ts, F, q), q)
+    return r
 
 
-def is_square(a, precision=40):
-    """Semi-decide whether a is a square in L*.
+def is_square(a):
+    """Decide whether a is a square in L*.
 
-    Returns a SquareDecision. A 'true' answer always carries an exactly
-    verified witness; a 'false' answer carries a certificate string.
+    Returns a SquareDecision: 'true' with an exactly verified witness, or
+    'false' with a certificate string.
     """
     if not isinstance(a, EtaleElement):
         raise TypeError("is_square expects an EtaleElement")
@@ -384,58 +322,93 @@ def is_square(a, precision=40):
                 "false",
                 certificate="negative at the real root of f in (%s, %s]" % iv,
             )
-    # p-adic lift + rational reconstruction
-    t = 1
-    for v in a.c:
-        t = t * v.denominator // math.gcd(t, v.denominator)
-    A = a * (t * t)  # integral now; witness scales back by 1/t
+    t = a.lift().integer_cleared()[1]
+    A = a * (t * t)  # integer coefficients, for the probes
     A_int = [v.numerator for v in A.lift().c]
-    nA = A.norm()
     fI = [x.numerator for x in alg.f.integer_cleared()[0].c]
     tag = "is_square:%s:%s" % (alg.f.c, a.c)
     # probe a run of good primes: one non-residue component anywhere is a
     # sound certificate, since the witness would reduce mod p there
-    probes = []
-    start = 3
-    while len(probes) < 10:
-        q = _good_prime(alg.f, abs(nA.numerator), start=start)
-        probes.append(q)
-        start = q + 1
-    for q in probes:
-        factors, bad = _local_roots(A_int, fI, q, tag)
+    first = None
+    for q in _good_primes(alg.f, abs(A.norm().numerator), 10):
+        factors, roots = _local_roots(A_int, fI, q, tag)
         if factors is None:
             return SquareDecision(
                 "false",
                 certificate="non-residue in the factor %s mod %d"
-                % (Poly(bad).pretty(), q),
+                % (Poly(roots).pretty(), q),
             )
-    p = probes[0]
-    exponent = precision
-    for _attempt in range(3):
-        cands, bad_factor = _sqrt_lift_candidates(A_int, fI, p, exponent, tag)
-        if cands is None:
-            return SquareDecision(
-                "false",
-                certificate="non-residue in the factor %s mod %d"
-                % (Poly(bad_factor).pretty(), p),
-            )
-        for r_coeffs, m in cands:
-            rec = []
-            ok = True
-            for i in range(alg.deg):
-                x = r_coeffs[i] if i < len(r_coeffs) else 0
-                v = rational_reconstruction(x, m)
-                if v is None:
-                    ok = False
-                    break
-                rec.append(v)
-            if not ok:
-                continue
-            w = alg.element(rec)
-            if w * w == A:
-                return SquareDecision("true", witness=w / t)
-        exponent *= 2
-    return SquareDecision("unknown")
+        first = first or (q, factors, roots)
+    return _lift_decision(a, t, fI, *first)
+
+
+def _lift_decision(a, t, fI, p, factors, roots):
+    """Decide a, a square at every probe, by one p-adic lift from the
+    first probe p, where `roots` are the square roots of t^2 a (theta
+    basis) in the factors of f mod p.
+
+    Integral model: with c the lcm of the denominators of f, the monic
+    integral F(x) = c^d f(x/c) has the root theta' = c theta, and a has
+    coefficients a_k / c^k in the theta' basis; with t2 the lcm of their
+    denominators, A = t2^2 a is integral.
+
+    Bound: a square root w of A is integral and F'(theta') O_L lies in
+    Z[theta'], so g = F'(theta') w has integer coefficients. By Lagrange,
+    g = sum_i w(theta_i) prod_{j != i} (x - theta_j) over the roots of F.
+    Every |theta_i| <= R = 1 + max|F_k| (Cauchy), so |w(theta_i)|^2 =
+    |A(theta_i)| <= S = sum |A_k| R^k, and every coefficient of g is at
+    most G = d (1 + R)^(d - 1) (isqrt(S) + 1).
+
+    Lift: p is odd, prime to disc(F), and A is a p-unit, so Z_p[theta']
+    is the maximal order, split along the factors of F mod p, and in each
+    factor A has exactly the two square roots lifting +-r_i. Each sign
+    branch (global sign folded out) is Newton-lifted once to p^k > 2G.
+    A square root w lies on one branch up to sign, so the symmetric
+    residues of F'(theta') r mod (p^k, F) are +-g exactly, and w = g /
+    F'(theta') passes the check w^2 == A. No branch passing certifies
+    that a is not a square.
+    """
+    alg, d = a.alg, a.alg.deg
+    c = alg.f.integer_cleared()[1]
+    M = alg if c == 1 else EtaleAlgebra(
+        Poly([v * c ** (d - i) for i, v in enumerate(alg.f.c)]))
+    F = [v.numerator for v in M.f.c]
+    a2 = Poly([v / c ** i for i, v in enumerate(a.c)])
+    t2 = a2.integer_cleared()[1]
+    A = M.from_poly(a2 * (t2 * t2))
+    A_int = [v.numerator for v in A.c]
+    R = int(P.root_bound(M.f))
+    S = sum(abs(x) * R ** i for i, x in enumerate(A_int))
+    G = d * (1 + R) ** (d - 1) * (math.isqrt(S) + 1)
+    k = 1
+    while p ** k <= 2 * G:
+        k *= 2
+    m = p ** k
+    dF = [v.numerator for v in M.f.derivative().c]
+    dF_inv = M.element(dF).inverse()
+    # CRT basis: u_i = 1 mod h_i, 0 mod h_j (j != i), computed mod (p, f)
+    fbar = [x % p for x in fI]
+    crt_units = []
+    for h in factors:
+        rest = P.fp_divmod(fbar, h, p)[0]
+        crt_units.append(P.fp_mul(rest, P.fp_invmod(rest, h, p), p))
+    for signs in itertools.product((1, -1), repeat=len(factors) - 1):
+        r0 = []
+        for s, r, u in zip((1,) + signs, roots, crt_units):
+            r0 = P.fp_add(r0, P.fp_mul([s * x for x in r], u, p), p)
+        # into the theta' basis, as a root of A = (t2 / t)^2 t^2 a
+        r0 = [t2 * x * pow(t * c ** i, -1, p) % p
+              for i, x in enumerate(P.fp_mod(r0, fbar, p))]
+        g = _mulmod(_hensel_sqrt(r0, A_int, F, p, m), dF, F, m)
+        w = M.element([x - m if 2 * x > m else x for x in g]) * dF_inv
+        if w * w == A:
+            witness = alg.element([v * c ** i / t2 for i, v in enumerate(w.c)])
+            assert witness * witness == a
+            return SquareDecision("true", witness=witness)
+    return SquareDecision(
+        "false",
+        certificate="no square root of height <= %d modulo %d^%d" % (G, p, k),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +504,7 @@ class TauNormOutcome:
         return "TauNormOutcome(%s)" % self.status
 
 
-def solve_tau_norm(skew, pi, height=3, precision=40):
+def solve_tau_norm(skew, pi, height=3):
     """Bounded search for r in L* with r * tau(r) = pi (pi tau-fixed).
 
     Decomposes the equation: the k-part needs pi(0) to be a rational
@@ -576,7 +549,7 @@ def solve_tau_norm(skew, pi, height=3, precision=40):
         rhs = piK + y * c * c
         if not rhs.is_unit():
             continue
-        dec = is_square(rhs, precision=precision)
+        dec = is_square(rhs)
         if dec.is_true():
             aK = dec.witness
             # r = a(beta^2) + beta*c(beta^2) on E, sqrt(pk) on k

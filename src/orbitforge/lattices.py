@@ -78,27 +78,14 @@ class ZLattice:
 
 
 def _row_kernel(r):
-    """Integer basis of {v : r . v = 0} for an integer row r of content 1.
+    """Hermite basis of {v : r . v = 0} for an integer row r of content 1.
 
-    Column-reduces the identity alongside r until one entry carries the
-    gcd; the remaining columns are then a saturated kernel basis.
+    The Hermite form of the graph columns (r_j, e_j) puts the gcd 1 in the
+    first column; the rest, minus their first entry, span the kernel.
     """
     m = len(r)
-    cols = [[int(i == j) for i in range(m)] for j in range(m)]
-    s = list(r)
-    while True:
-        nz = [j for j in range(m) if s[j] != 0]
-        if len(nz) <= 1:
-            break
-        j0 = min(nz, key=lambda j: abs(s[j]))
-        for j in nz:
-            if j == j0:
-                continue
-            q = s[j] // s[j0]
-            if q:
-                s[j] -= q * s[j0]
-                cols[j] = [x - q * y for x, y in zip(cols[j], cols[j0])]
-    return [cols[j] for j in range(m) if s[j] == 0]
+    graph = [[r[j]] + [int(i == j) for i in range(m)] for j in range(m)]
+    return [c[1:] for c in hnf_columns(graph)[1:]]
 
 
 def complement_lattice(w, n):
@@ -121,7 +108,7 @@ def complement_lattice(w, n):
     qw = sum(wi[i] * wi[d - 1 - i] for i in range(d))
     if qw == 0:
         raise NullVector("vector pairs to zero with itself")
-    basis = hnf_columns(_row_kernel(wi[::-1]))
+    basis = _row_kernel(wi[::-1])
     assert len(basis) == d - 1
     gram = [[Fraction(sum(basis[a][i] * basis[b][d - 1 - i] for i in range(d)))
              for b in range(d - 1)] for a in range(d - 1)]

@@ -149,17 +149,8 @@ class Mat:
             raise NotSquare("inverse of a non-square matrix")
         n = self.nrows
         a = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(self.rows)]
-        for j in range(n):
-            piv = next((i for i in range(j, n) if a[i][j] != 0), None)
-            if piv is None:
-                raise Inconsistent("matrix is singular")
-            a[j], a[piv] = a[piv], a[j]
-            inv = 1 / a[j][j]
-            a[j] = [x * inv for x in a[j]]
-            for i in range(n):
-                if i != j and a[i][j]:
-                    t = a[i][j]
-                    a[i] = [x - t * y for x, y in zip(a[i], a[j])]
+        if len(_rref(a, n)) < n:
+            raise Inconsistent("matrix is singular")
         return Mat([r[n:] for r in a])
 
     def charpoly(self):
@@ -201,15 +192,14 @@ class Mat:
         return "Mat(%r)" % ([[str(x) for x in r] for r in self.rows],)
 
 
-def solve(M, b):
-    """One exact solution x of M x = b (raises Inconsistent if none)."""
-    n, m = M.nrows, M.ncols
-    if len(b) != n:
-        raise DimensionMismatch("right-hand side length mismatch")
-    a = [list(r) + [Fraction(b[i])] for i, r in enumerate(M.rows)]
+def _rref(a, ncols):
+    """Gauss-Jordan on the rows a (lists, changed in place) over the first
+    ncols columns; returns the pivot columns. Pivot rows come first,
+    scaled to pivot 1, with their pivot columns cleared elsewhere."""
+    n = len(a)
     pivots = []
-    row = 0
-    for j in range(m):
+    for j in range(ncols):
+        row = len(pivots)
         piv = next((i for i in range(row, n) if a[i][j] != 0), None)
         if piv is None:
             continue
@@ -221,10 +211,19 @@ def solve(M, b):
                 t = a[i][j]
                 a[i] = [x - t * y for x, y in zip(a[i], a[row])]
         pivots.append(j)
-        row += 1
-        if row == n:
+        if len(pivots) == n:
             break
-    for i in range(row, n):
+    return pivots
+
+
+def solve(M, b):
+    """One exact solution x of M x = b (raises Inconsistent if none)."""
+    n, m = M.nrows, M.ncols
+    if len(b) != n:
+        raise DimensionMismatch("right-hand side length mismatch")
+    a = [list(r) + [Fraction(b[i])] for i, r in enumerate(M.rows)]
+    pivots = _rref(a, m)
+    for i in range(len(pivots), n):
         if a[i][m] != 0:
             raise Inconsistent("linear system has no solution")
     x = [Fraction(0)] * m
@@ -235,25 +234,9 @@ def solve(M, b):
 
 def kernel(M):
     """Basis of the right null space of M, as a list of tuples."""
-    n, m = M.nrows, M.ncols
+    m = M.ncols
     a = [list(r) for r in M.rows]
-    pivots = []
-    row = 0
-    for j in range(m):
-        piv = next((i for i in range(row, n) if a[i][j] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][j]
-        a[row] = [x * inv for x in a[row]]
-        for i in range(n):
-            if i != row and a[i][j]:
-                t = a[i][j]
-                a[i] = [x - t * y for x, y in zip(a[i], a[row])]
-        pivots.append(j)
-        row += 1
-        if row == n:
-            break
+    pivots = _rref(a, m)
     free = [j for j in range(m) if j not in pivots]
     basis = []
     for j in free:

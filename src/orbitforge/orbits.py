@@ -329,7 +329,7 @@ class OrbitComparison:
 
     status 'equal' (with a witness element when available), 'distinct'
     (with the reason: differing charpoly or a local/real certificate),
-    or 'unknown' when the bounded search was exhausted.
+    or 'unknown' when the bounded twisted-norm search was exhausted.
     """
 
     __slots__ = ("status", "witness", "reason")
@@ -353,14 +353,16 @@ class OrbitComparison:
         return "OrbitComparison(%s)" % self.status
 
 
-def same_orbit(o1, o2, precision=40):
+def same_orbit(o1, o2):
     """Decide whether two operators lie in one rational orbit.
 
     Differing characteristic polynomials settle it at once.  Otherwise
     the recovered units multiply to a class that must be trivial: a
     square for the symmetric pairing, a twisted norm c*tau(c) for the
     skew one.  Certificates from the square / norm-equation tests are
-    passed through; Unknown is an honest answer, never a guess.
+    passed through.  The square test always decides; only the bounded
+    twisted-norm search can answer Unknown, an honest answer, never a
+    guess.
     """
     if o1.rep != o2.rep:
         raise RingMismatch("cannot compare %s against %s" % (o1.rep, o2.rep))
@@ -374,15 +376,12 @@ def same_orbit(o1, o2, precision=40):
     a2 = recover_alpha(o2)
     prod = a1 * a2
     if o1.rep == SYM2:
-        dec = is_square(prod, precision=precision)
+        dec = is_square(prod)
         if dec.is_true():
             return OrbitComparison("equal", witness=dec.witness)
-        if dec.is_false():
-            return OrbitComparison("distinct", reason=dec.certificate)
-        return OrbitComparison("unknown",
-                               reason="square test inconclusive")
+        return OrbitComparison("distinct", reason=dec.certificate)
     sk = skew_data(EtaleAlgebra(o1.f))
-    out = solve_tau_norm(sk, prod, precision=precision)
+    out = solve_tau_norm(sk, prod)
     if out.status == "solved":
         return OrbitComparison("equal", witness=out.witness)
     if out.status == "obstructed":

@@ -33,10 +33,6 @@ class Poly:
         return cls([0, 1])
 
     @classmethod
-    def monomial(cls, k, a=1):
-        return cls([0] * k + [a])
-
-    @classmethod
     def from_roots(cls, roots):
         out = cls([1])
         for r in roots:
@@ -513,11 +509,34 @@ def fp_is_separable(f, p):
     return len(f) >= 2 and len(fp_gcd(f, fp_derivative(f, p), p)) == 1
 
 
-def fp_eval(a, x, p):
-    out = 0
-    for c in reversed(a):
-        out = (out * x + c) % p
-    return out
+def _fp_distinct_degree(f, p):
+    """(monic f, pieces) for squarefree f mod p: each piece (d, g) is the
+    product of the irreducible factors of degree d.
+
+    Raises NonSeparableModP when f is not separable mod p.
+    """
+    f = fp_normalize(f, p)
+    if not fp_is_separable(f, p):
+        raise NonSeparableModP("polynomial not separable mod %d" % p)
+    inv = pow(f[-1], -1, p)
+    f = [x * inv % p for x in f]
+    pieces = []
+    h = [0, 1]
+    d = 0
+    work = f
+    while len(work) - 1 > 0:
+        d += 1
+        if 2 * d > len(work) - 1:
+            pieces.append((len(work) - 1, work))
+            break
+        h = fp_powmod(h, p, work, p)
+        g = fp_gcd(fp_sub(h, [0, 1], p), work, p)
+        if len(g) > 1:
+            pieces.append((d, g))
+            work, r = fp_divmod(work, g, p)
+            assert not r
+            h = fp_mod(h, work, p)
+    return f, pieces
 
 
 def fp_factor_degrees(f, p):
@@ -526,26 +545,9 @@ def fp_factor_degrees(f, p):
     Distinct-degree splitting only; no equal-degree factorization.
     Raises NonSeparableModP when f is not separable mod p.
     """
-    f = fp_normalize(f, p)
-    if not fp_is_separable(f, p):
-        raise NonSeparableModP("polynomial not separable mod %d" % p)
-    inv = pow(f[-1], -1, p)
-    f = [x * inv % p for x in f]
     out = []
-    h = [0, 1]
-    d = 0
-    while len(f) - 1 > 0:
-        d += 1
-        if 2 * d > len(f) - 1:
-            out.append(len(f) - 1)
-            break
-        h = fp_powmod(h, p, f, p)
-        g = fp_gcd(fp_sub(h, [0, 1], p), f, p)
-        if len(g) > 1:
-            out.extend([d] * ((len(g) - 1) // d))
-            f, r = fp_divmod(f, g, p)
-            assert not r
-            h = fp_mod(h, f, p)
+    for d, g in _fp_distinct_degree(f, p)[1]:
+        out.extend([d] * ((len(g) - 1) // d))
     return sorted(out)
 
 
@@ -641,28 +643,8 @@ def fp_factor(f, p, tag="fp_factor"):
 
     Returns a list of coefficient lists, sorted by (degree, coeffs).
     """
-    f = fp_normalize(f, p)
-    if not fp_is_separable(f, p):
-        raise NonSeparableModP("polynomial not separable mod %d" % p)
-    inv = pow(f[-1], -1, p)
-    f = [x * inv % p for x in f]
+    f, pieces = _fp_distinct_degree(f, p)
     rng = rng_for("%s:%d:%s" % (tag, p, tuple(f)))
-    pieces = []
-    h = [0, 1]
-    d = 0
-    work = f
-    while len(work) - 1 > 0:
-        d += 1
-        if 2 * d > len(work) - 1:
-            pieces.append((len(work) - 1, work))
-            break
-        h = fp_powmod(h, p, work, p)
-        g = fp_gcd(fp_sub(h, [0, 1], p), work, p)
-        if len(g) > 1:
-            pieces.append((d, g))
-            work, r = fp_divmod(work, g, p)
-            assert not r
-            h = fp_mod(h, work, p)
     out = []
     for d, piece in pieces:
         stack = [piece]

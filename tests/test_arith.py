@@ -98,19 +98,6 @@ def test_crt_basic():
         arith.crt([0, 1], [2, 4])
 
 
-def test_rational_reconstruction_roundtrip():
-    m = 10**12 + 39
-    for frac in (Fraction(3, 7), Fraction(-22, 113), Fraction(1000, 1)):
-        r = frac.numerator * pow(frac.denominator, -1, m) % m
-        assert arith.rational_reconstruction(r, m) == frac
-
-
-def test_rational_reconstruction_failure():
-    # oracle: exhaustive cover check shows 23 mod 1009 has no a/b
-    # with |a|, b <= isqrt(1009 // 2) = 22
-    assert arith.rational_reconstruction(23, 1009) is None
-
-
 def test_rng_deterministic():
     a = arith.rng_for("tag").random()
     b = arith.rng_for("tag").random()

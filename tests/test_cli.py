@@ -225,6 +225,17 @@ def test_census_poly_filter(capsys):
     assert obj["result"]["rows"][0]["operator_count"] == 6
 
 
+def test_census_poly_of_wrong_shape_is_domain_error(capsys):
+    for argv, name in (
+            (["--p", "3", "--n", "2", "--rep", "adjoint", "--poly", "x^5+1"],
+             "NotOddPolynomial"),
+            (["--p", "5", "--rep", "sym2", "--poly", "x^2+1"], "WrongDegree"),
+            (["--p", "3", "--n", "2", "--rep", "sym2", "--poly", "x^3+1"],
+             "WrongDegree")):
+        assert run(["census"] + argv) == 1
+        assert capsys.readouterr().err.startswith("error: %s: " % name)
+
+
 def test_local_count_command(capsys):
     obj = run_json(capsys, ["local-count", "--rep", "sym2",
                             "--poly", "x^3 - x", "--p", "5"])

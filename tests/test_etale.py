@@ -231,3 +231,80 @@ def test_solve_tau_norm_nontrivial():
     assert out.status == "solved"
     r = out.witness
     assert r * apply_tau(r) == pi
+
+
+# ---------------------------------------------------------------------------
+# regression corpus: is_square always decides
+
+
+def _interpolate(roots, values):
+    out = Poly()
+    for i, r in enumerate(roots):
+        term = Poly([values[i]])
+        for j, s in enumerate(roots):
+            if j != i:
+                term = term * Poly([-s, 1]) * Fraction(1, r - s)
+        out = out + term
+    return out
+
+
+def _square_corpus():
+    import random
+    rng = random.Random(20121)
+    cases = []
+    for deg in (3, 5, 7):
+        while True:
+            f = Poly([rng.randint(-3, 3) for _ in range(deg)] + [1])
+            try:
+                L = EtaleAlgebra(f)
+                break
+            except NonSeparable:
+                continue
+        for height in (10, 10**6, 10**12, 10**40):
+            for _ in range(2):
+                w = L.random_element(rng, height)
+                if w.is_unit():
+                    cases.append((w * w, True))
+                # u * N(u) has the square norm N(u)^(deg + 1)
+                u = L.random_element(rng, height)
+                if u.is_unit():
+                    cases.append((u * u.norm(), None))
+    L = EtaleAlgebra(Poly([Fraction(1, 3), Fraction(1, 2), 0, 1]))
+    for _ in range(4):
+        w = L.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                       for _ in range(3)])
+        if w.is_unit():
+            cases.append((w * w, True))
+    return cases
+
+
+def _locally_square_nonsquares():
+    # values (q, q, 1, ...) at the roots: a square mod every probed prime,
+    # with a square norm and positive at every real root, but q is not a
+    # rational square
+    out = []
+    for roots in ((0, 1, -1), (0, 1, -1, 2, -2)):
+        L = EtaleAlgebra(Poly.from_roots(roots))
+        for q in (644869, 1234531, 1365079):
+            values = [q, q] + [1] * (len(roots) - 2)
+            out.append(L.from_poly(_interpolate(roots, values)))
+    return out
+
+
+def test_is_square_corpus_always_decides():
+    cases = _square_corpus()
+    assert len(cases) >= 40
+    for a, square in cases:
+        d = is_square(a)
+        assert d.status in ("true", "false")
+        if square:
+            assert d.is_true()
+        if d.is_true():
+            assert d.witness * d.witness == a
+
+
+def test_is_square_locally_square_nonsquares_are_false():
+    for a in _locally_square_nonsquares():
+        d = is_square(a)
+        assert d.is_false()
+        assert d.certificate.startswith("no square root of height <= ")
