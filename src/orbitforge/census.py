@@ -28,7 +28,7 @@ import numpy as np
 from .arith import is_prime, rng_for
 from .errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
                      MaximalRankHypothesisFails, NonSeparableModP,
-                     NotOddPolynomial, WrongDegree)
+                     NotMonic, NotOddPolynomial, WrongDegree)
 from .matrix import Mat
 from .orbits import (STANDARD, SYM2, _check_rep, _check_tensor_rep,
                      _validate_charpoly, construct_representative)
@@ -313,7 +313,14 @@ class FiniteCensusReport:
 
 
 def charpoly_key(f, p):
-    """Ascending coefficient tuple of monic f mod p, for row lookup."""
+    """Ascending coefficient tuple of monic f mod p, for row lookup.
+
+    Raises NotMonic for a non-monic f: rows are keyed without the leading
+    coefficient, so any other one would silently select the monic row.
+    """
+    if not f.is_monic():
+        raise NotMonic("census rows need monic polynomials, got %s"
+                       % f.pretty())
     try:
         fc = fp_from_poly(f, p)
     except ZeroDivisionError:

@@ -1,10 +1,14 @@
 """The algebra L = Q[x]/(f) for separable monic f, with involution support.
 
 Elements are coefficient vectors over Fraction, always kept reduced mod f.
-Norms and traces go through the multiplication matrix. Squareness in L* is
-decided: True carries an exactly verified witness, False a norm,
-real-embedding or mod-p certificate, or the bound certificate of one
-p-adic lift to a modulus computed from the input.
+The norm of a is the resultant Res(f, a), computed fraction-free, and a is
+a unit exactly when that norm is nonzero (f is separable); traces go
+through the multiplication matrix. Squareness in L* is decided: True
+carries an exactly verified witness, False a norm, real-embedding or mod-p
+certificate, or the bound certificate of one p-adic lift to a modulus
+computed from the input. The real-embedding test runs one integer Sturm
+chain per polynomial, and the mod-p probes test each residue field by the
+quadratic character of a norm to F_p.
 
 When f(-x) = -f(x), the algebra carries tau (x -> -x), splits as
 Q x E with E = Q[x]/(g(x^2)), and K = Q[y]/(g) sits inside E as the
@@ -20,11 +24,13 @@ from . import poly as P
 from .arith import (
     is_prime,
     is_rational_square,
+    legendre,
     rng_for,
 )
 from .errors import (
     NonSeparable,
     NonUnit,
+    NotMonic,
     NotOddPolynomial,
     NotTauFixed,
     ZeroDivisor,
@@ -41,7 +47,7 @@ class EtaleAlgebra:
 
     def __init__(self, f):
         if not f.is_monic():
-            raise NonSeparable("modulus must be monic")
+            raise NotMonic("modulus must be monic")
         if f.degree < 1:
             raise NonSeparable("modulus must have degree >= 1")
         d = P.discriminant(f)
@@ -156,7 +162,8 @@ class EtaleElement:
         return out
 
     def is_unit(self):
-        return self.lift().gcd(self.alg.f).degree == 0 if self else False
+        """a is a unit iff gcd(a, f) = 1 iff N(a) = Res(f, a) != 0."""
+        return self.norm() != 0
 
     def inverse(self):
         """Inverse in L; ZeroDivisor if gcd(lift, f) is nontrivial."""
@@ -183,7 +190,8 @@ class EtaleElement:
         return Mat.from_cols(cols)
 
     def norm(self):
-        return self.mult_matrix().det()
+        """N(a) = Res(f, a), since f is monic."""
+        return P.resultant(self.alg.f, self.lift())
 
     def trace(self):
         return self.mult_matrix().trace()
@@ -236,10 +244,10 @@ class SquareDecision:
         return "SquareDecision(false, %s)" % (self.certificate,)
 
 
-def _good_primes(f, avoid, count):
+def _good_primes(alg, avoid, count):
     """First `count` odd primes keeping f separable and `avoid` a unit."""
-    disc = P.discriminant(f)
-    cf = f.integer_cleared()[1]
+    disc = alg.disc
+    cf = alg.f.integer_cleared()[1]
     bad = 2 * cf * disc.numerator * disc.denominator * avoid
     out, p = [], 3
     while len(out) < count:
@@ -247,23 +255,6 @@ def _good_primes(f, avoid, count):
             out.append(p)
         p += 2
     return out
-
-
-def _local_roots(A_int, fI, p, rng_tag):
-    """Square roots of A in each factor of L mod a good prime p.
-
-    Returns (factors, roots), or (None, bad_factor) when some component
-    of A is a non-residue, which certifies A is not a square in L.
-    """
-    factors = P.fp_factor([x % p for x in fI], p, tag=rng_tag)
-    roots = []
-    rng = rng_for(rng_tag + ":ts")
-    for h in factors:
-        r = P.fpx_sqrt([x % p for x in A_int], h, p, rng)
-        if r is None:
-            return None, h
-        roots.append(r)
-    return factors, roots
 
 
 def _mulmod(a, b, F, m):
@@ -296,7 +287,8 @@ def is_square(a):
     """
     if not isinstance(a, EtaleElement):
         raise TypeError("is_square expects an EtaleElement")
-    if not a.is_unit():
+    n = a.norm()
+    if n == 0:
         raise NonUnit("is_square needs a unit of L")
     alg = a.alg
     # constants in an odd-degree algebra: square iff a rational square
@@ -309,37 +301,41 @@ def is_square(a):
         return SquareDecision(
             "false", certificate="constant %s is not a rational square" % c
         )
-    n = a.norm()
     if not is_rational_square(n):
         return SquareDecision(
             "false", certificate="norm %s is not a rational square" % n
         )
     # real-embedding certificates: a must be nonnegative at every real root
-    lift = a.lift()
-    for iv in P.isolate_real_roots(alg.f):
-        if P.sign_at_root(lift, alg.f, iv) < 0:
+    for iv, sign in P.signs_at_roots(a.lift(), alg.f):
+        if sign < 0:
             return SquareDecision(
                 "false",
                 certificate="negative at the real root of f in (%s, %s]" % iv,
             )
     t = a.lift().integer_cleared()[1]
-    A = a * (t * t)  # integer coefficients, for the probes
-    A_int = [v.numerator for v in A.lift().c]
+    A_int = [(v * t * t).numerator for v in a.c]  # t^2 a, for the probes
     fI = [x.numerator for x in alg.f.integer_cleared()[0].c]
     tag = "is_square:%s:%s" % (alg.f.c, a.c)
     # probe a run of good primes: one non-residue component anywhere is a
-    # sound certificate, since the witness would reduce mod p there
+    # sound certificate, since the witness would reduce mod p there.  A
+    # component in F_p[x]/(h) is a square iff its norm to F_p is, because
+    # b^((p^e - 1)/2) = N(b)^((p - 1)/2); that norm is Res(h, A) mod p.
+    probes = _good_primes(alg, (n * t ** (2 * alg.deg)).numerator, 10)
     first = None
-    for q in _good_primes(alg.f, abs(A.norm().numerator), 10):
-        factors, roots = _local_roots(A_int, fI, q, tag)
-        if factors is None:
-            return SquareDecision(
-                "false",
-                certificate="non-residue in the factor %s mod %d"
-                % (Poly(roots).pretty(), q),
-            )
-        first = first or (q, factors, roots)
-    return _lift_decision(a, t, fI, *first)
+    for q in probes:
+        factors = P.fp_factor([x % q for x in fI], q, tag=tag)
+        for h in factors:
+            if legendre(P.fp_resultant(h, A_int, q), q) == -1:
+                return SquareDecision(
+                    "false",
+                    certificate="non-residue in the factor %s mod %d"
+                    % (Poly(h).pretty(), q),
+                )
+        first = first or factors
+    p = probes[0]
+    rng = rng_for(tag + ":ts")
+    roots = [P.fpx_sqrt([x % p for x in A_int], h, p, rng) for h in first]
+    return _lift_decision(a, t, fI, p, first, roots)
 
 
 def _lift_decision(a, t, fI, p, factors, roots):
@@ -526,35 +522,39 @@ def solve_tau_norm(skew, pi, height=3):
         )
     piK = K_component(skew, pi)
     gg = skew.g
-    for iv in P.isolate_real_roots(gg):
-        if P.sign_at_root(Poly([0, 1]), gg, iv) < 0:
-            # negative root y0: E is complex over this real place of K,
-            # so norms are positive there
-            if P.sign_at_root(piK.lift(), gg, iv) < 0:
-                return TauNormOutcome(
-                    "obstructed",
-                    certificate="negative at a real root of g in (%s, %s] "
-                    "where the quadratic extension is complex" % iv,
-                )
+    for (iv, y0), (_, s) in zip(P.signs_at_roots(Poly([0, 1]), gg),
+                                P.signs_at_roots(piK.lift(), gg)):
+        # negative root y0: E is complex over this real place of K,
+        # so norms are positive there
+        if y0 < 0 and s < 0:
+            return TauNormOutcome(
+                "obstructed",
+                certificate="negative at a real root of g in (%s, %s] "
+                "where the quadratic extension is complex" % iv,
+            )
     rk = Fraction(math.isqrt(pk.numerator), math.isqrt(pk.denominator))
-    y = skew.K.beta()
+    X = Poly([0, 1])
+    piK_lift = piK.lift()
     # c = 0 first (tau-fixed square root), then small c by height
     n = skew.K.deg
-    candidates = [skew.K.zero()]
+    candidates = [Poly()]
     for h in range(1, height + 1):
         for coeffs in itertools.product(range(-h, h + 1), repeat=n):
             if max((abs(x) for x in coeffs), default=0) == h:
-                candidates.append(skew.K.element(list(coeffs)))
+                candidates.append(Poly(coeffs))
     for c in candidates:
-        rhs = piK + y * c * c
-        if not rhs.is_unit():
+        rhs = piK_lift + X * c * c
+        # is_square answers "false" unless N(rhs) = Res(g, rhs) is a
+        # nonzero square; the resultant needs no reduction mod g
+        nr = P.resultant(gg, rhs)
+        if nr == 0 or not is_rational_square(nr):
             continue
-        dec = is_square(rhs)
+        dec = is_square(skew.K.from_poly(rhs))
         if dec.is_true():
             aK = dec.witness
             # r = a(beta^2) + beta*c(beta^2) on E, sqrt(pk) on k
             a_L = aK.lift().compose(Poly([0, 0, 1]))
-            c_L = Poly([0, 1]) * c.lift().compose(Poly([0, 0, 1]))
+            c_L = X * c.compose(Poly([0, 0, 1]))
             rE = skew.E.from_poly(a_L + c_L)
             r = assemble(skew, rk, rE)
             if r * apply_tau(r) == pi:

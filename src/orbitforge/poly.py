@@ -3,9 +3,12 @@
 Poly holds an ascending tuple of Fractions. Resultants run fraction-free
 on integer-cleared inputs (subresultant pseudo-remainder sequence) so the
 intermediate coefficients stay integral. Real-root work is Sturm-based and
-fully exact: isolating intervals have rational endpoints and signs of one
-polynomial at a root of another are decided by interval refinement, never
-by floating point.
+fully exact: a Sturm chain is a list of integer coefficient lists, each a
+positive multiple of the rational Sturm polynomial (primitive
+pseudo-remainders with the sign fixed), evaluated by integer Horner at
+rational points; isolating intervals have rational endpoints and signs of
+one polynomial at the roots of another are decided by interval refinement,
+never by floating point.
 """
 
 import math
@@ -19,7 +22,7 @@ class Poly:
     __slots__ = ("c",)
 
     def __init__(self, coeffs=()):
-        c = [Fraction(x) for x in coeffs]
+        c = [x if type(x) is Fraction else Fraction(x) for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self.c = tuple(c)
@@ -121,7 +124,7 @@ class Poly:
             if len(r) - 1 < d:
                 break
             k = len(r) - 1 - d
-            t = r[-1] / lb
+            t = r[-1] if lb == 1 else r[-1] / lb
             q[k] = t
             for i, b in enumerate(other.c):
                 r[i + k] -= t * b
@@ -165,10 +168,8 @@ class Poly:
 
     def integer_cleared(self):
         """(F, c) with F integer-coefficient and F = c * self, c > 0."""
-        c = 1
-        for a in self.c:
-            c = c * a.denominator // math.gcd(c, a.denominator)
-        return Poly([a * c for a in self.c]), c
+        F, c = _cleared(self)
+        return Poly(F), c
 
     def pretty(self, var="x"):
         if not self.c:
@@ -202,8 +203,13 @@ class Poly:
 # resultant / discriminant (fraction-free subresultant PRS)
 
 
-def _int_coeffs(f):
-    return [a.numerator for a in f.c]
+def _cleared(f):
+    """(F, c): the integer coefficient list F = c * f, c > 0 the lcm of
+    the denominators."""
+    c = 1
+    for a in f.c:
+        c = c * a.denominator // math.gcd(c, a.denominator)
+    return [a.numerator * (c // a.denominator) for a in f.c], c
 
 
 def _content(c):
@@ -278,9 +284,9 @@ def resultant(f, g):
     """Res(f, g) over Q; 0 when either argument is 0 or they share a root."""
     if f.is_zero() or g.is_zero():
         return Fraction(0)
-    F, cf = f.integer_cleared()
-    G, cg = g.integer_cleared()
-    r = _int_resultant(_int_coeffs(F), _int_coeffs(G))
+    F, cf = _cleared(f)
+    G, cg = _cleared(g)
+    r = _int_resultant(F, G)
     return Fraction(r) / (Fraction(cf) ** g.degree * Fraction(cg) ** f.degree)
 
 
@@ -303,26 +309,48 @@ def is_separable(f):
 # Sturm chains and exact real-root isolation
 
 
-def sturm_chain(f):
-    """Sturm sequence of the squarefree part of f."""
-    fs = f if is_separable(f) else f // f.gcd(f.derivative())
-    chain = [fs, fs.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
+def _int_sturm(A):
+    """Sturm sequence of the integer list A, each entry made primitive;
+    -rem(P, Q) is the pseudo-remainder negated unless lc(Q)^e < 0."""
+    chain = [A]
+    dA = [i * a for i, a in enumerate(A)][1:]
+    if dA:
+        chain.append(dA)
+    while _deg(chain[-1]) > 0:
+        B = chain[-1]
+        R = _prem(chain[-2], B)
+        if not R:
+            break
+        if B[-1] > 0 or (_deg(chain[-2]) - _deg(B)) % 2 == 1:
+            R = [-x for x in R]
+        c = _content(R)
+        chain.append([x // c for x in R])
     return chain
 
 
-def _sign_at(p, x):
-    """Sign of p at x, where x is a Fraction or +-math.inf."""
-    if p.is_zero():
+def sturm_chain(f):
+    """Sturm sequence of the squarefree part of f, as integer coefficient
+    lists, each a positive multiple of the rational Sturm polynomial."""
+    chain = _int_sturm(_cleared(f)[0])
+    if _deg(chain[-1]) > 0:  # gcd(f, f') is not constant: repeated roots
+        fs = f // f.gcd(f.derivative())
+        chain = _int_sturm(_cleared(fs)[0])
+    return chain
+
+
+def _sign_at(c, x):
+    """Sign at x (a Fraction or +-math.inf) of the integer list c."""
+    if not c:
         return 0
-    if x == math.inf:
-        return 1 if p.lc() > 0 else -1
-    if x == -math.inf:
-        s = 1 if p.lc() > 0 else -1
-        return s if p.degree % 2 == 0 else -s
-    v = p(x)
+    if isinstance(x, float):  # +-math.inf
+        s = 1 if c[-1] > 0 else -1
+        return s if x > 0 or len(c) % 2 == 1 else -s
+    # den^deg * c(num / den) by Horner, all in integers
+    n, d = x.numerator, x.denominator
+    v, dk = c[-1], 1
+    for a in reversed(c[:-1]):
+        dk *= d
+        v = v * n + a * dk
     return (v > 0) - (v < 0)
 
 
@@ -352,11 +380,7 @@ def root_bound(f):
     return 1 + m / lb
 
 
-def isolate_real_roots(f):
-    """Disjoint rational intervals (lo, hi], one distinct real root each."""
-    if f.degree <= 0:
-        return []
-    chain = sturm_chain(f)
+def _isolate(f, chain):
     B = root_bound(f)
     total = count_real_roots(f, -B, B, chain)
     out = []
@@ -376,6 +400,13 @@ def isolate_real_roots(f):
     return out
 
 
+def isolate_real_roots(f):
+    """Disjoint rational intervals (lo, hi], one distinct real root each."""
+    if f.degree <= 0:
+        return []
+    return _isolate(f, sturm_chain(f))
+
+
 def refine_interval(f, interval, times=1):
     """Halve an isolating interval of f, keeping the root inside."""
     lo, hi = interval
@@ -389,26 +420,51 @@ def refine_interval(f, interval, times=1):
     return lo, hi
 
 
+def _root_signs(g, f, fchain, intervals):
+    """Signs of g at the roots of f isolated by `intervals`.
+
+    A root shared with f (through gcd(f, g)) has sign 0; otherwise the
+    interval shrinks until g has no root inside it, and g is evaluated at
+    its right end.
+    """
+    h = f.gcd(g)
+    hchain = sturm_chain(h) if h.degree >= 1 else None
+    gchain = sturm_chain(g)
+    G = _cleared(g)[0]
+    out = []
+    for lo, hi in intervals:
+        if hchain and count_real_roots(h, lo, hi, hchain) > 0:
+            out.append(0)
+            continue
+        while count_real_roots(g, lo, hi, gchain) > 0:
+            mid = (lo + hi) / 2
+            if count_real_roots(f, lo, mid, fchain) == 1:
+                hi = mid
+            else:
+                lo = mid
+        out.append(_sign_at(G, hi))
+    return out
+
+
 def sign_at_root(g, f, interval):
     """Exact sign of g at the unique root of f inside (lo, hi].
 
     Returns -1, 0, or 1. Decided by shrinking the interval until g has
     no root inside it, unless g shares the root with f (gcd check).
     """
-    lo, hi = interval
-    h = f.gcd(g)
-    if h.degree >= 1 and count_real_roots(h, lo, hi) > 0:
-        return 0
-    gchain = sturm_chain(g)
+    return _root_signs(g, f, sturm_chain(f), [interval])[0]
+
+
+def signs_at_roots(g, f):
+    """[(interval, sign of g at the root of f inside it)] over the real
+    roots of f in increasing order, the intervals as isolate_real_roots
+    returns them.  One Sturm chain of f, one of g and one gcd(f, g)
+    serve every root."""
+    if f.degree <= 0:
+        return []
     fchain = sturm_chain(f)
-    while count_real_roots(g, lo, hi, gchain) > 0:
-        mid = (lo + hi) / 2
-        if count_real_roots(f, lo, mid, fchain) == 1:
-            lo, hi = lo, mid
-        else:
-            lo, hi = mid, hi
-    v = g(hi)
-    return (v > 0) - (v < 0)
+    intervals = _isolate(f, fchain)
+    return list(zip(intervals, _root_signs(g, f, fchain, intervals)))
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +622,28 @@ def fp_is_irreducible(f, p):
     if not fp_is_separable(f, p):
         return False
     return fp_factor_degrees(f, p) == [n]
+
+
+def fp_resultant(a, b, p):
+    """Res(a, b) mod p by the Euclidean algorithm over F_p.
+
+    For monic a irreducible mod p this is the norm of b mod a from
+    F_p[x]/(a) to F_p.
+    """
+    a, b = fp_normalize(a, p), fp_normalize(b, p)
+    if not a or not b:
+        return 0
+    out = 1
+    while len(b) > 1:
+        # Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)
+        r = fp_mod(a, b, p)
+        if not r:
+            return 0
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            out = -out
+        out = out * pow(b[-1], len(a) - len(r), p) % p
+        a, b = b, r
+    return out * pow(b[0], len(a) - 1, p) % p
 
 
 def fp_invmod(a, f, p):

@@ -163,6 +163,11 @@ def test_kernel_rejects_inseparable_modulus(capsys):
     assert "NonSeparable" in err
 
 
+def test_kernel_rejects_non_monic_modulus(capsys):
+    assert run(["kernel", "--poly", "2*x^3+x", "--alpha", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: NotMonic: ")
+
+
 def test_same_orbit_equal_and_distinct(capsys):
     obj = run_json(capsys, ["same-orbit", "--rep", "sym2",
                             "--poly", "x^3 - x", "--alpha", "crt:1,1,4"])
@@ -234,6 +239,15 @@ def test_census_poly_of_wrong_shape_is_domain_error(capsys):
              "WrongDegree")):
         assert run(["census"] + argv) == 1
         assert capsys.readouterr().err.startswith("error: %s: " % name)
+
+
+def test_census_poly_must_be_monic(capsys):
+    # the leading coefficient must not be dropped to select the monic row
+    for n, rep, poly in (("1", "adjoint", "2*x^3 + x"),
+                         ("2", "sym2", "2*x^5 + x")):
+        assert run(["census", "--p", "3", "--n", n, "--rep", rep,
+                    "--poly", poly]) == 1
+        assert capsys.readouterr().err.startswith("error: NotMonic: ")
 
 
 def test_local_count_command(capsys):

@@ -7,6 +7,7 @@ from orbitforge import etale
 from orbitforge.errors import (
     NonSeparable,
     NonUnit,
+    NotMonic,
     NotOddPolynomial,
     NotTauFixed,
     ZeroDivisor,
@@ -23,7 +24,7 @@ LP = EtaleAlgebra(Poly([0, 1, 0, 1]))  # Q[x]/(x^3 + x)
 def test_modulus_validation():
     with pytest.raises(NonSeparable):
         EtaleAlgebra(Poly([0, 0, 0, 1]))  # x^3, repeated root
-    with pytest.raises(NonSeparable):
+    with pytest.raises(NotMonic):
         EtaleAlgebra(Poly([1, 0, 2]))  # not monic
 
 
@@ -308,3 +309,182 @@ def test_is_square_locally_square_nonsquares_are_false():
         d = is_square(a)
         assert d.is_false()
         assert d.certificate.startswith("no square root of height <= ")
+
+
+# ---------------------------------------------------------------------------
+# pinned outcomes: verdicts, certificates and witnesses must not move
+
+
+def _random_modulus(rng, deg, odd=False):
+    while True:
+        c = [rng.randint(-3, 3) for _ in range(deg)] + [1]
+        if odd:
+            c = [0 if k % 2 == 0 else v for k, v in enumerate(c)]
+        try:
+            return EtaleAlgebra(Poly(c))
+        except NonSeparable:
+            continue
+
+
+def _random_unit(rng, L, height):
+    while True:
+        u = L.random_element(rng, height)
+        if u.is_unit():
+            return u
+
+
+def _pinned_square_inputs():
+    """Seeded is_square inputs: squares, random units (norm certificates),
+    square-norm non-squares (non-residue and bound certificates) and
+    sign-obstructed values, in degrees 3, 5 and 7."""
+    import random
+    rng = random.Random(40117)
+    out = []
+    for deg in (3, 5, 7):
+        L = _random_modulus(rng, deg)
+        for height in (10, 10**3, 10**6):
+            w = _random_unit(rng, L, height)
+            out.append(w * w)
+            u = _random_unit(rng, L, height)
+            out.append(u)
+            out.append(u * u.norm())
+            u = _random_unit(rng, L, height)
+            out.append(u * u.norm())
+        roots = list(range(-(deg // 2), deg // 2 + 1))
+        S = EtaleAlgebra(Poly.from_roots(roots))
+        signs = S.from_poly(_interpolate(roots, [-1, -1] + [1] * (deg - 2)))
+        w = _random_unit(rng, S, 10)
+        out.append(signs * w * w)
+        out.append(w * w)
+    L = EtaleAlgebra(Poly([Fraction(1, 3), Fraction(1, 2), 0, 1]))
+    for _ in range(3):
+        w = _random_unit(rng, L, 9) * Fraction(1, rng.randint(1, 6))
+        out.append(w * w)
+        out.append(w)
+    return out + _locally_square_nonsquares()
+
+
+def _pinned_tau_inputs():
+    """Seeded solve_tau_norm inputs: norms r tau(r), pi with a non-square
+    k-part, pi on a g with negative roots (complex places) and random
+    tau-fixed pi, in degrees 3, 5 and 7."""
+    import random
+    rng = random.Random(40118)
+    out = []
+    for deg in (3, 5, 7):
+        L = _random_modulus(rng, deg, odd=True)
+        sk = skew_data(L)
+        r = _random_unit(rng, L, 2)
+        out.append((sk, r * apply_tau(r)))
+        kappa = _random_unit(rng, sk.K, 5)
+        out.append((sk, etale.embed_pair(sk, kappa, c_k=2)))
+        for _ in range(2):
+            kappa = _random_unit(rng, sk.K, 5)
+            out.append((sk, etale.embed_pair(sk, kappa, c_k=4)))
+        ys = [-1, -2, 3][:deg // 2]
+        g = Poly.from_roots(ys)
+        C = EtaleAlgebra(g.compose(Poly([0, 0, 1])) * Poly([0, 1]))
+        skc = skew_data(C)
+        for _ in range(2):
+            kappa = _random_unit(rng, skc.K, 5)
+            out.append((skc, etale.embed_pair(skc, kappa, c_k=1)))
+    return out
+
+
+def _outcome_hash(status, certificate, witness):
+    import hashlib
+    key = (status, certificate, None if witness is None else witness.c)
+    return hashlib.sha256(repr(key).encode()).hexdigest()[:12]
+
+
+# sha256 prefixes of repr((status, certificate, witness coefficients)),
+# recorded from the Fraction kernels (determinant norms, gcd unit tests,
+# Fraction Sturm evaluation, Tonelli-Shanks at every probe)
+PINNED_SQUARE = [
+    'd612e00fbc1f', 'c3009687bae1', '533e7b1013e8', '6ee69ef2735a', '9408baad729e',
+    'cbfa55295c32', '533e7b1013e8', '6ee69ef2735a', 'a485cdd7a7d8', '9e6f51f17e0e',
+    '533e7b1013e8', '6ee69ef2735a', '238daf7793de', 'd9b6edc79613', 'b19ec7d24d87',
+    'a0148c499d13', '6bac1fe9d1fa', '2a36efb85dc9', '3d5b573bc529', '787c618588df',
+    'c870de495d46', '6bac1fe9d1fa', 'f8fa207e05e7', '81c27c4ed9f3', '9ca889567f3e',
+    '5656835a2786', '120017458ccb', 'bff94879c328', '23847b1c2c4d', '547795d87fb9',
+    '94ad8525960f', '94ad8525960f', 'd8eb1dc7cb7e', '3a17bec6b89e', '4d21b2cd8f66',
+    '4d21b2cd8f66', '32a607a14d36', '21bf45dbbf74', '2c61389c69c9', '01924dcf0368',
+    '28e5951a86cd', 'eb3e0e63ca9a', '7695e8aa7bcc', '15c739b115ed', 'faf96702f621',
+    'b0eeb10ce358', 'f434d4e77629', '0e905d37607d', '9e1862e47cac', '970aad715a2f',
+    'c8a30292dd9f', '6f83ecb01ac3', 'e01d1cdc323f', 'ad1f3c384f92',
+]
+PINNED_TAU = [
+    '34d30acf5482', 'dcf2e5d99508', '5c5d837ec4ee', '5c5d837ec4ee', '982cdabc9ae3',
+    '4e87f401fe1f', 'ad3ef7f44dcb', 'dcf2e5d99508', '6062675bff0f', '6062675bff0f',
+    'c76c9463ca7b', '6062675bff0f', '08de6a62f632', 'dcf2e5d99508', 'c4be3803cc68',
+    '63305f220845', 'c4be3803cc68', '19e86fb8d2b3',
+]
+
+
+def test_square_outcomes_pinned():
+    got = []
+    for a in _pinned_square_inputs():
+        d = is_square(a)
+        got.append(_outcome_hash(d.status, d.certificate, d.witness))
+    assert got == PINNED_SQUARE
+
+
+def test_tau_norm_outcomes_pinned():
+    got = []
+    for sk, pi in _pinned_tau_inputs():
+        out = etale.solve_tau_norm(sk, pi)
+        got.append(_outcome_hash(out.status, out.certificate, out.witness))
+    assert got == PINNED_TAU
+
+
+# ---------------------------------------------------------------------------
+# resultant norms and nonzero-norm units against the definitions they replace
+
+
+def _random_rational_algebras(rng):
+    """(L, factor) pairs: separable moduli with rational coefficients, the
+    first x^3 + x/2 + 1/3; factor is a proper monic factor of the modulus
+    when it was built reducible (so that zero divisors exist), else None."""
+    out = [(EtaleAlgebra(Poly([Fraction(1, 3), Fraction(1, 2), 0, 1])), None)]
+    while len(out) < 12:
+        deg = rng.randint(1, 6)
+        c = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5)))
+             for _ in range(deg)]
+        factor = None
+        if rng.random() < 0.5 and deg >= 2:
+            k = rng.randint(1, deg - 1)
+            factor = Poly(c[:k] + [1])
+            f = factor * Poly(c[k:] + [1])
+        else:
+            f = Poly(c + [1])
+        try:
+            out.append((EtaleAlgebra(f), factor))
+        except NonSeparable:
+            continue
+    return out
+
+
+def test_norm_is_the_multiplication_matrix_determinant():
+    import random
+    rng = random.Random(4105)
+    for L, _ in _random_rational_algebras(rng):
+        for _ in range(8):
+            a = L.element([Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+                           for _ in range(L.deg)])
+            assert a.norm() == a.mult_matrix().det()
+
+
+def test_is_unit_is_the_gcd_test():
+    import random
+    rng = random.Random(4106)
+    seen = set()
+    for L, factor in _random_rational_algebras(rng):
+        for _ in range(8):
+            a = L.element([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                           for _ in range(L.deg)])
+            if factor is not None and rng.random() < 0.5:
+                a = L.from_poly(a.lift() * factor)
+            want = a.lift().gcd(L.f).degree == 0 if a else False
+            assert a.is_unit() == want
+            seen.add(want)
+    assert seen == {True, False}

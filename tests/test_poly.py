@@ -192,3 +192,102 @@ def test_fp_powmod():
     assert x9 == [0, 1]  # Frobenius squared is identity on F_9
     x3 = poly.fp_powmod([0, 1], 3, f, 3)
     assert x3 == [0, 2]  # conjugate -x
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against the Fraction definitions they replace
+
+
+def _rational_poly(rng, deg, den=1):
+    c = [Fraction(rng.randint(-9, 9), rng.randint(1, den)) for _ in range(deg)]
+    return Poly(c + [Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
+                              rng.randint(1, den))])
+
+
+def _fraction_sturm(f):
+    """The rational Sturm sequence of the squarefree part of f."""
+    fs = f if poly.is_separable(f) else f // f.gcd(f.derivative())
+    chain = [fs, fs.derivative()]
+    while not chain[-1].is_zero():
+        chain.append(-(chain[-2] % chain[-1]))
+    chain.pop()
+    return chain
+
+
+def test_integer_sturm_chain_is_a_positive_rescaling():
+    import random
+    rng = random.Random(4101)
+    for _ in range(60):
+        f = _rational_poly(rng, rng.randint(1, 7), den=4)
+        if rng.random() < 0.3:
+            f = f * _rational_poly(rng, 1) ** 2  # a repeated root
+        want = _fraction_sturm(f)
+        got = poly.sturm_chain(f)
+        assert len(got) == len(want)
+        for ints, q in zip(got, want):
+            assert len(ints) == len(q.c)
+            ratios = {Fraction(a) / b for a, b in zip(ints, q.c) if b}
+            assert len(ratios) == 1 and ratios.pop() > 0
+            assert all(a == 0 for a, b in zip(ints, q.c) if not b)
+
+
+def test_integer_sign_at_matches_fraction_evaluation():
+    import math
+    import random
+    rng = random.Random(4102)
+    for _ in range(300):
+        f = _rational_poly(rng, rng.randint(0, 6), den=5)
+        ints = [a.numerator for a in f.integer_cleared()[0].c]
+        x = Fraction(rng.randint(-50, 50), rng.randint(1, 16))
+        v = f(x)
+        assert poly._sign_at(ints, x) == (v > 0) - (v < 0)
+        assert poly._sign_at(ints, math.inf) == (1 if f.lc() > 0 else -1)
+        far = Fraction(10**6)
+        v = f(-far)
+        assert poly._sign_at(ints, -math.inf) == (v > 0) - (v < 0)
+
+
+def test_signs_at_roots_match_sign_at_root_and_rational_roots():
+    import random
+    rng = random.Random(4103)
+    for _ in range(40):
+        roots = sorted({Fraction(rng.randint(-12, 12), rng.randint(1, 3))
+                        for _ in range(rng.randint(1, 5))})
+        f = Poly.from_roots(roots) * P(rng.randint(1, 4), 0, 1)
+        g = _rational_poly(rng, rng.randint(0, 5), den=3)
+        if rng.random() < 0.3:
+            g = g * P(-roots[0], 1)  # g vanishes at a root of f
+        got = poly.signs_at_roots(g, f)
+        assert [iv for iv, _ in got] == poly.isolate_real_roots(f)
+        for (iv, s), r in zip(got, roots):
+            v = g(r)
+            assert iv[0] < r <= iv[1]
+            assert s == (v > 0) - (v < 0) == poly.sign_at_root(g, f, iv)
+    for _ in range(40):
+        f = _rational_poly(rng, rng.randint(1, 7), den=4)
+        g = _rational_poly(rng, rng.randint(0, 6), den=4)
+        got = poly.signs_at_roots(g, f)
+        assert [s for _, s in got] == [poly.sign_at_root(g, f, iv)
+                                       for iv in poly.isolate_real_roots(f)]
+
+
+def test_fp_resultant_residuosity_matches_fpx_sqrt():
+    import random
+    from orbitforge.arith import legendre
+    rng = random.Random(4104)
+    for _ in range(80):
+        p = rng.choice((3, 5, 7, 11, 13, 31))
+        a = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1]
+        b = [rng.randrange(-50, 50) for _ in range(rng.randint(1, 7))]
+        # the mod-p resultant is the reduction of the rational one
+        assert poly.fp_resultant(a, b, p) == \
+            poly.resultant(Poly(a), Poly(b)) % p
+        if not poly.fp_is_separable(a, p):
+            continue
+        for h in poly.fp_factor(a, p):
+            if not poly.fp_mod(b, h, p):
+                assert poly.fp_resultant(h, b, p) == 0
+                continue
+            residue = legendre(poly.fp_resultant(h, b, p), p) == 1
+            root = poly.fpx_sqrt(b, h, p, rng)
+            assert residue == (root is not None)
