@@ -3,17 +3,23 @@
 Three independent counting routes live here.  finite_census enumerates
 actual operators over F_p and partitions them into orbits with one
 engine: every census is the isometry group acting linearly on the free
-coordinates of its space, so each verified generator becomes a matrix
-mod p on encoded element indices, and an orbit is the breadth-first
-closure of one index under those matrices.  Generation is never assumed:
-each orbit whose stabilizer is measured directly (over the enumerated
-group in dimension three, over the commutant in dimension five) must
-satisfy orbit size times stabilizer order equals the group order, so the
-census depends on no closed formula.  orbit_count_local evaluates the
-closed-form count at a good odd prime from the factorization type of the
-invariant polynomial.  orbit_count_real evaluates the archimedean count,
-which only applies when the relevant polynomial has the maximal number
-of real roots.
+coordinates of its space, so each verified generator permutes the
+encoded element indices.  Two small digit tables per generator, one for
+the high and one for the low half of the digits, give the image of any
+index in O(w) work, and of the whole space as one outer sum.  Orbits are
+then labelled in a few whole-array passes: every element takes the
+smallest label along its images, pointers are jumped until stable, and
+each orbit ends labelled by its smallest index.  The dimension-five
+self-adjoint space is too large to label whole; it is sampled one orbit
+at a time by breadth-first closure over the same tables.  Generation is
+never assumed: each orbit whose stabilizer is measured directly (over the
+enumerated group in dimension three, over the commutant in dimension
+five) must satisfy orbit size times stabilizer order equals the group
+order, so the census depends on no closed formula.  orbit_count_local
+evaluates the closed-form count at a good odd prime from the
+factorization type of the invariant polynomial.  orbit_count_real
+evaluates the archimedean count, which only applies when the relevant
+polynomial has the maximal number of real roots.
 
 numpy appears in this module only, for the bulk mod-p linear algebra of
 the enumeration censuses.  Everything is integer arithmetic throughout;
@@ -28,7 +34,8 @@ import numpy as np
 from .arith import is_prime, rng_for
 from .errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
                      MaximalRankHypothesisFails, NonSeparableModP,
-                     NotMonic, NotOddPolynomial, WrongDegree)
+                     NotMonic, NotOddPolynomial, NotOperatorRep,
+                     WrongDegree)
 from .matrix import Mat
 from .orbits import (STANDARD, SYM2, _check_rep, _check_tensor_rep,
                      _validate_charpoly, construct_representative)
@@ -189,30 +196,44 @@ def _digits_array(count, width, p):
 # the three-dimensional group, fully enumerated
 
 
+def _det3(T):
+    """Integer determinants of a stack of 3 x 3 matrices."""
+    return (T[:, 0, 0] * (T[:, 1, 1] * T[:, 2, 2] - T[:, 1, 2] * T[:, 2, 1])
+            - T[:, 0, 1] * (T[:, 1, 0] * T[:, 2, 2] - T[:, 1, 2] * T[:, 2, 0])
+            + T[:, 0, 2] * (T[:, 1, 0] * T[:, 2, 1] - T[:, 1, 1] * T[:, 2, 0]))
+
+
 def _so3_elements(p):
     """Every proper isometry of the split three-dimensional form over F_p,
     as an (N, 3, 3) array.
 
-    Columns are chosen left to right so each satisfies its pairing
-    conditions against the previous ones (first column isotropic, second
-    a unit vector orthogonal to it, third pairing to 1 with the first);
-    the determinant filter then keeps the proper half.
+    The columns (g1, g2, g3) of an isometry pair like the basis: g1 is
+    isotropic and nonzero, g2 is a unit vector orthogonal to g1, and g3
+    pairs to 1 with g1, to 0 with g2 and to 0 with itself.  Every such
+    (g1, g2) pair is taken at once; g3 is then unique: the conditions
+    B(g1, h) = 1, B(g2, h) = 0 cut out a line h + t g1, and the isotropic
+    point on it is g3 = h - B(h, h)/2 g1.  The determinant filter keeps the
+    proper half.  Elements come in the order of (g1, g2) as base-p digit
+    rows.
     """
     vecs = _digits_array(p ** 3, 3, p)
     qv = (2 * vecs[:, 0] * vecs[:, 2] + vecs[:, 1] ** 2) % p
-    nonzero = np.any(vecs != 0, axis=1)
-    iso = vecs[(qv == 0) & nonzero]
+    iso = vecs[(qv == 0) & np.any(vecs != 0, axis=1)]
     unit = vecs[qv == 1]
-    out = []
-    for g1 in iso:
-        b1 = vecs @ g1[::-1] % p
-        for g2 in unit[unit @ g1[::-1] % p == 0]:
-            b2 = vecs @ g2[::-1] % p
-            for g3 in vecs[(qv == 0) & (b1 == 1) & (b2 == 0)]:
-                m = np.stack([g1, g2, g3], axis=1)
-                if _fp_det(m.tolist(), p) == 1:
-                    out.append(m)
-    return np.stack(out)
+    i, j = np.nonzero(iso[:, ::-1] @ unit.T % p == 0)
+    g1, g2 = iso[i], unit[j]
+    # B(x, y) = (J x) . y.  With n = J g1 x J g2, nonzero as g1 and g2 are
+    # independent, h = (J g2 x e_k) / n_k for any k with n_k != 0 pairs to
+    # 0 with g2 and to 1 with g1.
+    n = np.cross(g1[:, ::-1], g2[:, ::-1]) % p
+    k = np.argmax(n != 0, axis=1)
+    inv = np.array([0] + [pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
+    scale = inv[n[np.arange(len(n)), k]]
+    h = np.cross(g2[:, ::-1], np.eye(3, dtype=np.int64)[k]) * scale[:, None] % p
+    qh = (2 * h[:, 0] * h[:, 2] + h[:, 1] ** 2) * inv[2] % p
+    g3 = (h - qh[:, None] * g1) % p
+    G = np.stack([g1, g2, g3], axis=2)
+    return G[_det3(G) % p == 1]
 
 
 def _charpoly3(T, p):
@@ -222,10 +243,7 @@ def _charpoly3(T, p):
     tr = (T[:, 0, 0] + T[:, 1, 1] + T[:, 2, 2]) % p
     tr2 = np.einsum("nij,nji->n", T, T) % p
     e2 = (tr * tr - tr2) % p * inv2 % p
-    det = (T[:, 0, 0] * (T[:, 1, 1] * T[:, 2, 2] - T[:, 1, 2] * T[:, 2, 1])
-           - T[:, 0, 1] * (T[:, 1, 0] * T[:, 2, 2] - T[:, 1, 2] * T[:, 2, 0])
-           + T[:, 0, 2] * (T[:, 1, 0] * T[:, 2, 1] - T[:, 1, 1] * T[:, 2, 0])) % p
-    return (-det) % p, e2, (-tr) % p
+    return (-_det3(T)) % p, e2, (-tr) % p
 
 
 # ---------------------------------------------------------------------------
@@ -437,19 +455,92 @@ def _actions(gs, d, rep, p):
     return _op_digits(conj, d, rep)
 
 
-def _closure(start, mats, visited, p):
-    """Orbit of the element with encoded index start under the digit-row
-    maps mats, by breadth-first closure.  Marks the orbit in visited, a
-    bool array over every encoded index, and returns its size."""
-    pows = _powers(mats.shape[1], p)
+def _digit_tables(mats, p):
+    """Per generator, the images of the high and the low digits of a row:
+    (hi, lo) of shapes (k, w, p^h) and (k, w, p^l), h = w // 2, l = w - h.
+
+    The action is linear, so the image of the index x = a p^l + b has the
+    digits (hi[:, :, a] + lo[:, :, b]) mod p: O(w) work per element in
+    place of a w x w product.  Entries are stored in the smallest type
+    that holds the sum of two of them.
+    """
+    k, w = mats.shape[:2]
+    small = np.min_scalar_type(2 * p - 2)
+
+    def table(rows):
+        t = np.zeros((k, w, 1), dtype=small)
+        for r in rows.transpose(1, 0, 2):
+            step = (r[:, :, None] * np.arange(p) % p).astype(small)
+            t = ((t[..., None] + step[:, :, None]) % p).reshape(k, w, -1)
+        return t
+    return table(mats[:, :w // 2]), table(mats[:, w // 2:])
+
+
+def _images(hi, lo, a, b, p):
+    """Encoded images, under every generator, of the indices a p^l + b.
+
+    a and b broadcast: 1-d arrays give the images of a list of indices;
+    a column of every high half against a row of every low half gives
+    the whole space as one outer sum, encoded a digit column at a time.
+    """
+    w = hi.shape[1]
+    shape = (len(hi),) + np.broadcast_shapes(np.shape(a), np.shape(b))
+    out = np.zeros(shape, dtype=np.int32 if p ** w < 2 ** 31 else np.int64)
+    col = np.empty(shape, dtype=hi.dtype)
+    for j in range(w):
+        np.add(hi[:, j, a], lo[:, j, b], out=col)
+        col %= p
+        out *= p
+        out += col
+    return out
+
+
+def _orbit_labels(images):
+    """The smallest member of each element's orbit under the permutations
+    images (k, m), by min-label propagation.
+
+    A label is always a member of its element's orbit and never grows.
+    For each generator, a pass lowers both an element's label and the
+    label of the element it names (which hooks that whole tree at once)
+    to the smaller of its own label and its image's label; pointers are
+    then jumped until every label is a fixed point.  A pass that moves
+    nothing leaves labels that cannot drop along any generator; the
+    generators have finite order, so labels are constant on orbits and
+    each is its orbit's minimum.  Propagation alone can need a pass per
+    element on one long cycle; hooking brings that to a few passes.
+    """
+    lab = np.arange(images.shape[1])
+    while True:
+        before = lab
+        for img in images:
+            there = lab[img]
+            low = np.minimum(lab, there)
+            hooked = low.copy()
+            np.minimum.at(hooked, lab, low)
+            np.minimum.at(hooked, there, low)
+            lab = hooked
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
+        if np.array_equal(lab, before):
+            return lab
+
+
+def _closure(start, hi, lo, visited, p):
+    """Orbit of the element with encoded index start under the generators
+    with digit tables (hi, lo), by breadth-first closure.  Marks the orbit
+    in visited, a bool array over every encoded index, and returns its
+    size."""
+    low = lo.shape[2]
     frontier = np.array([start], dtype=np.int64)
     visited[start] = True
     size = 0
     while len(frontier):
         size += len(frontier)
-        digits = frontier[:, None] // pows % p
-        images = np.unique(digits @ mats % p @ pows)
-        frontier = images[~visited[images]]
+        images = _images(hi, lo, frontier // low, frontier % low, p)
+        frontier = np.unique(images[~visited[images]])
         visited[frontier] = True
     return size
 
@@ -466,7 +557,7 @@ def _charpoly5_skew(T, p):
     """
     T2 = np.matmul(T, T) % p
     p2 = np.einsum("nii->n", T2) % p
-    p4 = np.einsum("nii->n", np.matmul(T2, T2) % p) % p
+    p4 = np.einsum("nij,nji->n", T2, T2) % p
     e2 = (-p2) % p * pow(2, -1, p) % p
     e4 = (-(p4 + e2 * p2)) % p * pow(4, -1, p) % p
     return e4, e2
@@ -543,7 +634,7 @@ def _census5_sym2(p, polys):
             "enumerating p^15 self-adjoint operators is out of budget; "
             "pass explicit polynomials for orbit generation")
     width = len(_free_positions(5, SYM2))
-    mats = _actions(_so_generators(5, p), 5, SYM2, p)
+    hi, lo = _digit_tables(_actions(_so_generators(5, p), 5, SYM2, p), p)
     rows = []
     for f in polys:
         fc = charpoly_key(f, p)
@@ -552,7 +643,7 @@ def _census5_sym2(p, polys):
         fp_count_factors(list(fc), p)
         T0 = _find_selfadj5(f, p, fc)
         start = int(_op_digits(T0, 5, SYM2) @ _powers(width, p))
-        size = _closure(start, mats, np.zeros(p ** width, dtype=bool), p)
+        size = _closure(start, hi, lo, np.zeros(p ** width, dtype=bool), p)
         stab = _stab_order5(T0, p)
         assert size * stab == so_order(2, p)
         rows.append(CensusRow(tuple(fc), True, None, [size], [stab], False))
@@ -573,26 +664,25 @@ def _separable(fc, p):
 
 
 def _full_census(p, n, rep, polys):
-    """Every element of the space, partitioned class by class into orbits
-    closed under verified generators.
+    """Every element of the space, partitioned class by class into the
+    orbits of verified generators.
 
     Classes are the vector labels q(v)/2 or the characteristic polynomials
-    mod p; orbits never cross them.  Every orbit whose stabilizer is
-    measured directly is certified: size times stabilizer must equal the
-    group order.  Dimension three measures each stabilizer over the
-    enumerated group; dimension five measures those of separable operator
-    classes over the commutant and leaves the rest None.
+    mod p; orbits never cross them, so a filtered census labels only the
+    members of the wanted classes.  Orbits are the labels of
+    _orbit_labels over the generator images of every member.  Every orbit
+    whose stabilizer is measured directly is certified: size times
+    stabilizer must equal the group order.  Dimension three measures all
+    stabilizers at once over the enumerated group; dimension five measures
+    those of separable operator classes over the commutant and leaves the
+    rest None.
     """
+    if rep == STANDARD and polys is not None:
+        raise NotOperatorRep("vector censuses have no polynomial classes")
     d = 2 * n + 1
     width = len(_free_positions(d, rep))
     digits = _digits_array(p ** width, width, p)
-    mats = _actions(_so_generators(d, p), d, rep, p)
-    if n == 1:
-        acts = _actions(_so3_elements(p), d, rep, p)
-        group_order = order = len(acts)
-    else:
-        group_order, order = None, so_order(n, p)
-    wanted = None
+    hi, lo = _digit_tables(_actions(_so_generators(d, p), d, rep, p), p)
     if rep == STANDARD:
         qv = np.einsum("ni,ij,nj->n", digits, _gram_np(d), digits) % p
         keys = qv * pow(2, -1, p) % p
@@ -604,49 +694,63 @@ def _full_census(p, n, rep, polys):
         else:
             e4, e2 = _charpoly5_skew(T, p)
             keys = (e2 * p * p + e4) * p
-        if polys is not None:
-            wanted = set()
-            for f in polys:
-                k = charpoly_key(f, p)
-                if len(k) != d + 1:
-                    raise WrongDegree("census rows need degree %d" % d)
-                if n == 2 and (k[0] or k[2] or k[4]):
-                    raise NotOddPolynomial("skew rows need odd quintics")
-                wanted.add(sum(c * p ** i for i, c in enumerate(k[:-1])))
-    visited = np.zeros(len(digits), dtype=bool)
+    low = lo.shape[2]
+    if polys is None:
+        images = _images(hi, lo, np.arange(hi.shape[2])[:, None],
+                         np.arange(low)[None], p).reshape(len(hi), -1)
+    else:
+        wanted = []
+        for f in polys:
+            k = charpoly_key(f, p)
+            if len(k) != d + 1:
+                raise WrongDegree("census rows need degree %d" % d)
+            if n == 2 and (k[0] or k[2] or k[4]):
+                raise NotOddPolynomial("skew rows need odd quintics")
+            wanted.append(sum(c * p ** i for i, c in enumerate(k[:-1])))
+        members = np.flatnonzero(np.isin(keys, wanted))
+        where = np.full(len(digits), -1)
+        where[members] = np.arange(len(members))
+        images = where[_images(hi, lo, members // low, members % low, p)]
+        assert np.all(images >= 0)
+        digits, keys = digits[members], keys[members]
+    lab = _orbit_labels(images)
+    assert np.array_equal(keys[lab], keys)
+    reps, sizes = np.unique(lab, return_counts=True)
+    if n == 1:
+        acts = _actions(_so3_elements(p), d, rep, p)
+        group_order = order = len(acts)
+        x = digits[reps]
+        stabs = np.all(x @ acts % p == x, axis=2).sum(axis=0).tolist()
+    else:
+        group_order, order = None, so_order(n, p)
+        stabs = [None] * len(reps)
+    order_by = np.lexsort((sizes, keys[reps]))
+    row_keys, starts = np.unique(keys[reps][order_by], return_index=True)
+    counts = np.unique(keys, return_counts=True)[1]
     rows = []
-    for key in np.unique(keys).tolist():
-        if wanted is not None and key not in wanted:
-            continue
-        members = np.flatnonzero(keys == key)
+    for key, first, last, count in zip(row_keys.tolist(), starts.tolist(),
+                                       starts[1:].tolist() + [len(reps)],
+                                       counts.tolist()):
         if rep == STANDARD:
             row_key, sep = key, None
         else:
             row_key = tuple(key // p ** i % p for i in range(d)) + (1,)
             sep = _separable(row_key, p)
-        orbits = []
-        for idx in members.tolist():
-            if visited[idx]:
-                continue
-            size = _closure(idx, mats, visited, p)
-            x = digits[idx]
-            if n == 1:
-                stab = int(np.all(x @ acts % p == x, axis=1).sum())
-            elif sep:
-                stab = _stab_order5(_ops_from_digits(x[None], d, rep, p)[0], p)
-            else:
-                stab = None
-            assert stab is None or size * stab == order
-            orbits.append((size, stab))
-        orbits.sort(key=lambda o: o[0])
-        row = CensusRow(row_key, sep, len(members), [s for s, _ in orbits],
-                        [t for _, t in orbits], True)
+        orbits = order_by[first:last].tolist()
+        if n == 2 and sep:
+            for o in orbits:
+                T0 = _ops_from_digits(digits[reps[o]][None], d, rep, p)[0]
+                stabs[o] = _stab_order5(T0, p)
+        row = CensusRow(row_key, sep, count, [int(sizes[o]) for o in orbits],
+                        [stabs[o] for o in orbits], True)
+        assert all(t is None or s * t == order
+                   for s, t in zip(row.orbit_sizes, row.stabilizer_orders))
         assert sum(row.orbit_sizes) == row.operator_count
         rows.append(row)
-    report = FiniteCensusReport(p, n, rep, "full", group_order, len(digits),
-                                rows)
-    if wanted is None:
-        assert sum(r.operator_count for r in report.rows) == len(digits)
+    report = FiniteCensusReport(p, n, rep, "full", group_order,
+                                p ** width, rows)
+    if polys is None:
+        assert sum(r.operator_count for r in report.rows) == p ** width
     return report
 
 
@@ -659,16 +763,19 @@ def finite_census(p, n, rep, polys=None, budget=DEFAULT_BUDGET):
 
     One engine serves every census.  Each element is a row of w free
     coordinates with an encoded index below p^w, and each verified
-    generator of the isometry group acts on those rows as a w x w matrix
-    mod p; an orbit is the breadth-first closure of one index under these
-    matrices.  Dimension three (n = 1) enumerates every operator (or
-    vector) and the whole group, and certifies every orbit by
-    orbit-stabilizer against a stabilizer counted over the group.
-    Dimension five (n = 2) runs at p = 3 only: skew-adjoint and vector
-    spaces are enumerated in full, with separable operator orbits
-    certified against a stabilizer measured over the commutant, while the
-    self-adjoint space is sampled one certified orbit per requested
-    polynomial.  polys, when given, restricts rows.
+    generator of the isometry group permutes those indices; its images
+    come from two digit tables of p^(w/2) rows.  An enumerated space is
+    partitioned by min-label propagation over the images of every
+    element, each orbit labelled by its smallest index.  Dimension three
+    (n = 1) enumerates every operator (or vector) and the whole group,
+    and certifies every orbit by orbit-stabilizer against a stabilizer
+    counted over the group.  Dimension five (n = 2) runs at p = 3 only:
+    skew-adjoint and vector spaces are enumerated in full, with separable
+    operator orbits certified against a stabilizer measured over the
+    commutant, while the self-adjoint space is sampled one certified
+    orbit per requested polynomial, by breadth-first closure.  polys,
+    when given, restricts the operator rows, and only their members are
+    labelled; vector censuses refuse it with NotOperatorRep.
 
     Raises EvenPrime at p = 2, BadPrime for composite p, BudgetExceeded
     when the estimated conjugation work passes `budget`.

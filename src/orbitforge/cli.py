@@ -404,6 +404,9 @@ def _census_row_payload(row):
 def _cmd_census(args):
     polys = None
     if args.poly:
+        if args.rep == STANDARD:
+            raise UsageError("--poly selects operator classes; the standard"
+                             " rep has none")
         polys = [parse_poly(t) for t in args.poly]
     rep = finite_census(args.p, args.n, args.rep, polys=polys)
     result = {"p": rep.p, "n": rep.n, "rep": rep.rep, "mode": rep.mode,

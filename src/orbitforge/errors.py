@@ -147,6 +147,10 @@ class MaximalRankHypothesisFails(DomainError):
     pass
 
 
+class NotOperatorRep(DomainError):
+    pass
+
+
 # integral lattices / binary quadratic forms
 class NotPrimitive(DomainError):
     pass

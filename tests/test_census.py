@@ -1,8 +1,10 @@
 """Tests for finite censuses and local/real orbit counts."""
 
 import hashlib
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +13,12 @@ from orbitforge.census import (CensusRow, charpoly_key, count_factors_fp,
                                finite_census, orbit_count_local,
                                orbit_count_real, so_order, _charpoly3,
                                _charpoly5_exact, _charpoly5_skew,
-                               _digits_array, _gram_np, _ops_from_digits,
+                               _digits_array, _fp_det, _gram_np,
+                               _ops_from_digits, _orbit_labels,
                                _so3_elements)
 from orbitforge.errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
-                               MaximalRankHypothesisFails, NonSeparableModP)
+                               MaximalRankHypothesisFails, NonSeparableModP,
+                               NotOperatorRep)
 from orbitforge.matrix import Mat
 from orbitforge.orbits import ADJOINT, STANDARD, SYM2
 from orbitforge.poly import Poly
@@ -67,14 +71,13 @@ def test_so_order_bad_inputs():
         so_order(0, 3)
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
 def test_group_enumeration_matches_formula(p):
     G = _so3_elements(p)
     assert len(G) == so_order(1, p)
 
 
 def test_group_elements_are_isometries():
-    import numpy as np
     J = _gram_np(3)
     G = _so3_elements(5)
     keys = {g.tobytes() for g in G}
@@ -84,6 +87,124 @@ def test_group_elements_are_isometries():
     for i, j in [(0, 1), (10, 97), (53, 118), (119, 119)]:
         prod = G[i] @ G[j] % 5
         assert prod.tobytes() in keys
+
+
+def _so3_by_column_search(p):
+    """Reference enumeration: columns chosen left to right by their
+    pairing conditions, one determinant per candidate."""
+    vecs = _digits_array(p ** 3, 3, p)
+    qv = (2 * vecs[:, 0] * vecs[:, 2] + vecs[:, 1] ** 2) % p
+    iso = vecs[(qv == 0) & np.any(vecs != 0, axis=1)]
+    unit = vecs[qv == 1]
+    out = []
+    for g1 in iso:
+        b1 = vecs @ g1[::-1] % p
+        for g2 in unit[unit @ g1[::-1] % p == 0]:
+            b2 = vecs @ g2[::-1] % p
+            for g3 in vecs[(qv == 0) & (b1 == 1) & (b2 == 0)]:
+                m = np.stack([g1, g2, g3], axis=1)
+                if _fp_det(m.tolist(), p) == 1:
+                    out.append(m)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_group_enumeration_matches_column_search(p):
+    G = _so3_elements(p)
+    assert G.dtype == np.int64
+    assert np.array_equal(G, _so3_by_column_search(p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_group_elements_are_distinct_proper_isometries(p):
+    J = _gram_np(3)
+    G = _so3_elements(p)
+    assert len({g.tobytes() for g in G}) == len(G)
+    assert np.all((G >= 0) & (G < p))
+    assert np.all(G.transpose(0, 2, 1) @ J @ G % p == J)
+    assert all(_fp_det(g.tolist(), p) == 1 for g in G)
+
+
+# ---------------------------------------------------------------------------
+# orbit labels against a union-find oracle
+
+
+def _orbit_minima(perms, m):
+    """Smallest member of each element's orbit, by union-find with every
+    root the smallest member of its set."""
+    parent = list(range(m))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+    for perm in perms:
+        for x, y in enumerate(perm.tolist()):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
+    return np.array([find(x) for x in range(m)])
+
+
+def _cycle(order):
+    """The permutation sending order[i] to order[i + 1], cyclically."""
+    perm = np.empty(len(order), dtype=np.int64)
+    perm[order] = np.roll(order, -1)
+    return perm
+
+
+def _labels_match_oracle(perms):
+    perms = np.stack(perms)
+    assert np.array_equal(_orbit_labels(perms),
+                          _orbit_minima(perms, perms.shape[1]))
+
+
+N_CYCLE = 10 ** 5
+
+
+@pytest.mark.parametrize("order", [
+    np.arange(N_CYCLE),                                  # x -> x + 1
+    np.arange(N_CYCLE)[::-1],                            # x -> x - 1
+    # labels rise and fall twice around the cycle: two long basins
+    np.concatenate([np.arange(0, N_CYCLE, 4), np.arange(1, N_CYCLE, 4)[::-1],
+                    np.arange(2, N_CYCLE, 4), np.arange(3, N_CYCLE, 4)[::-1]]),
+    np.random.default_rng(5).permutation(N_CYCLE),
+], ids=["ascending", "descending", "two-basins", "random"])
+def test_orbit_labels_one_long_cycle(order):
+    _labels_match_oracle([_cycle(order)])
+
+
+def test_orbit_labels_mixed_cycle_lengths():
+    rng = np.random.default_rng(11)
+    lengths = [1, 1, 2, 3, 5, 8, 64, 1000, 3000, 7]
+    points = rng.permutation(sum(lengths))
+    perm = np.empty(len(points), dtype=np.int64)
+    start = 0
+    for n in lengths:
+        block = points[start:start + n]
+        perm[block] = np.roll(block, -1)
+        start += n
+    _labels_match_oracle([perm])
+    _labels_match_oracle([perm, np.argsort(perm)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_orbit_labels_random_permutation_groups(seed):
+    # random generators preserving a hidden partition into blocks, so the
+    # group has as many orbits as blocks
+    rng = np.random.default_rng(seed)
+    m = 5000
+    cuts = np.sort(rng.choice(np.arange(1, m), size=40, replace=False))
+    blocks = np.split(rng.permutation(m), cuts)
+    perms = []
+    for _ in range(1 + seed):
+        perm = np.empty(m, dtype=np.int64)
+        for block in blocks:
+            perm[block] = rng.permutation(block)
+        perms.append(perm)
+    _labels_match_oracle(perms)
+    assert len(np.unique(_orbit_labels(np.stack(perms)))) >= len(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +319,30 @@ def test_census_polys_filter(census3_sym2):
     r = finite_census(3, 1, SYM2, polys=[X3_MINUS_X])
     assert len(r.rows) == 1
     assert r.rows[0] == census3_sym2.row((0, 2, 0, 1))
+
+
+def test_census_polys_need_operator_classes():
+    # vectors have no characteristic polynomial to select by
+    for n in (1, 2):
+        with pytest.raises(NotOperatorRep):
+            finite_census(3, n, STANDARD, polys=[X3_PLUS_X])
+
+
+@pytest.mark.parametrize("rep", [ADJOINT, STANDARD])
+def test_census_p31_within_budget(rep):
+    # the largest prime the default budget admits for these spaces
+    t0 = time.perf_counter()
+    r = finite_census(31, 1, rep)
+    assert time.perf_counter() - t0 < 10
+    G = so_order(1, 31)
+    assert r.group_order == G == 29760
+    assert sum(row.operator_count for row in r.rows) == 31 ** 3
+    for row in r.rows:
+        assert None not in row.stabilizer_orders
+        for s, st_ in zip(row.orbit_sizes, row.stabilizer_orders):
+            assert s * st_ == G
+    with pytest.raises(BudgetExceeded):
+        finite_census(37, 1, rep)
 
 
 # sha256 prefixes of repr((header, row tuples)), recorded from the

@@ -241,6 +241,15 @@ def test_census_poly_of_wrong_shape_is_domain_error(capsys):
         assert capsys.readouterr().err.startswith("error: %s: " % name)
 
 
+def test_census_poly_with_vector_rep_is_usage_error(capsys):
+    # vectors have no characteristic polynomial to filter on
+    assert run(["census", "--p", "3", "--n", "1", "--rep", "standard",
+                "--poly", "x^3+x"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage error: ")
+
+
 def test_census_poly_must_be_monic(capsys):
     # the leading coefficient must not be dropped to select the monic row
     for n, rep, poly in (("1", "adjoint", "2*x^3 + x"),
