@@ -188,8 +188,8 @@ def _powers(width, p):
 def _digits_array(count, width, p):
     """(count, width) array: row i holds the base-p digits of i, most
     significant first, so consecutive leading digits give contiguous rows."""
-    idx = np.arange(count, dtype=np.int64)[:, None]
-    return (idx // _powers(width, p)) % p
+    grid = np.indices((p,) * width, dtype=np.int64)
+    return grid.reshape(width, -1).T[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +461,8 @@ def _digit_tables(mats, p):
 
     The action is linear, so the image of the index x = a p^l + b has the
     digits (hi[:, :, a] + lo[:, :, b]) mod p: O(w) work per element in
-    place of a w x w product.  Entries are stored in the smallest type
-    that holds the sum of two of them.
+    place of a w x w product.  Entries are stored in the smallest
+    unsigned type that holds the sum of two of them.
     """
     k, w = mats.shape[:2]
     small = np.min_scalar_type(2 * p - 2)
@@ -487,9 +487,11 @@ def _images(hi, lo, a, b, p):
     shape = (len(hi),) + np.broadcast_shapes(np.shape(a), np.shape(b))
     out = np.zeros(shape, dtype=np.int32 if p ** w < 2 ** 31 else np.int64)
     col = np.empty(shape, dtype=hi.dtype)
+    wrap = hi.dtype.type(p)
     for j in range(w):
         np.add(hi[:, j, a], lo[:, j, b], out=col)
-        col %= p
+        # col < 2p, and the unsigned col - p wraps past col when col < p
+        np.minimum(col, col - wrap, out=col)
         out *= p
         out += col
     return out
@@ -500,18 +502,17 @@ def _orbit_labels(images):
     images (k, m), by min-label propagation.
 
     A label is always a member of its element's orbit and never grows.
-    For each generator, a pass lowers both an element's label and the
+    Until every element's label equals its images' labels, passes run:
+    for each generator, a pass lowers both an element's label and the
     label of the element it names (which hooks that whole tree at once)
-    to the smaller of its own label and its image's label; pointers are
-    then jumped until every label is a fixed point.  A pass that moves
-    nothing leaves labels that cannot drop along any generator; the
-    generators have finite order, so labels are constant on orbits and
-    each is its orbit's minimum.  Propagation alone can need a pass per
-    element on one long cycle; hooking brings that to a few passes.
+    to the smaller of its own label and its image's label, and pointers
+    are then jumped until every label is a fixed point.  Each such pass
+    lowers some label, so passes end; the final labels are constant on
+    orbits, so each is its orbit's minimum.  Propagation alone can need a
+    pass per element on one long cycle; hooking brings that to a few.
     """
     lab = np.arange(images.shape[1])
-    while True:
-        before = lab
+    while not all(np.array_equal(lab[img], lab) for img in images):
         for img in images:
             there = lab[img]
             low = np.minimum(lab, there)
@@ -524,8 +525,7 @@ def _orbit_labels(images):
             if np.array_equal(jumped, lab):
                 break
             lab = jumped
-        if np.array_equal(lab, before):
-            return lab
+    return lab
 
 
 def _closure(start, hi, lo, visited, p):
@@ -668,18 +668,27 @@ def _full_census(p, n, rep, polys):
     orbits of verified generators.
 
     Classes are the vector labels q(v)/2 or the characteristic polynomials
-    mod p; orbits never cross them, so a filtered census labels only the
-    members of the wanted classes.  Orbits are the labels of
-    _orbit_labels over the generator images of every member.  Every orbit
+    mod p; orbits never cross them.  Orbits are the labels of
+    _orbit_labels over the generator images of the whole space; polys,
+    when given, keeps only the orbits of the wanted classes.  Every orbit
     whose stabilizer is measured directly is certified: size times
     stabilizer must equal the group order.  Dimension three measures all
     stabilizers at once over the enumerated group; dimension five measures
     those of separable operator classes over the commutant and leaves the
     rest None.
     """
-    if rep == STANDARD and polys is not None:
-        raise NotOperatorRep("vector censuses have no polynomial classes")
     d = 2 * n + 1
+    if polys is not None:
+        if rep == STANDARD:
+            raise NotOperatorRep("vector censuses have no polynomial classes")
+        wanted = []
+        for f in polys:
+            k = charpoly_key(f, p)
+            if len(k) != d + 1:
+                raise WrongDegree("census rows need degree %d" % d)
+            if n == 2 and (k[0] or k[2] or k[4]):
+                raise NotOddPolynomial("skew rows need odd quintics")
+            wanted.append(sum(c * p ** i for i, c in enumerate(k[:-1])))
     width = len(_free_positions(d, rep))
     digits = _digits_array(p ** width, width, p)
     hi, lo = _digit_tables(_actions(_so_generators(d, p), d, rep, p), p)
@@ -694,28 +703,14 @@ def _full_census(p, n, rep, polys):
         else:
             e4, e2 = _charpoly5_skew(T, p)
             keys = (e2 * p * p + e4) * p
-    low = lo.shape[2]
-    if polys is None:
-        images = _images(hi, lo, np.arange(hi.shape[2])[:, None],
-                         np.arange(low)[None], p).reshape(len(hi), -1)
-    else:
-        wanted = []
-        for f in polys:
-            k = charpoly_key(f, p)
-            if len(k) != d + 1:
-                raise WrongDegree("census rows need degree %d" % d)
-            if n == 2 and (k[0] or k[2] or k[4]):
-                raise NotOddPolynomial("skew rows need odd quintics")
-            wanted.append(sum(c * p ** i for i, c in enumerate(k[:-1])))
-        members = np.flatnonzero(np.isin(keys, wanted))
-        where = np.full(len(digits), -1)
-        where[members] = np.arange(len(members))
-        images = where[_images(hi, lo, members // low, members % low, p)]
-        assert np.all(images >= 0)
-        digits, keys = digits[members], keys[members]
+    images = _images(hi, lo, np.arange(hi.shape[2])[:, None],
+                     np.arange(lo.shape[2])[None], p).reshape(len(hi), -1)
     lab = _orbit_labels(images)
     assert np.array_equal(keys[lab], keys)
     reps, sizes = np.unique(lab, return_counts=True)
+    if polys is not None:
+        keep = np.isin(keys[reps], wanted)
+        reps, sizes = reps[keep], sizes[keep]
     if n == 1:
         acts = _actions(_so3_elements(p), d, rep, p)
         group_order = order = len(acts)
@@ -726,11 +721,10 @@ def _full_census(p, n, rep, polys):
         stabs = [None] * len(reps)
     order_by = np.lexsort((sizes, keys[reps]))
     row_keys, starts = np.unique(keys[reps][order_by], return_index=True)
-    counts = np.unique(keys, return_counts=True)[1]
+    counts = np.bincount(keys)
     rows = []
-    for key, first, last, count in zip(row_keys.tolist(), starts.tolist(),
-                                       starts[1:].tolist() + [len(reps)],
-                                       counts.tolist()):
+    for key, first, last in zip(row_keys.tolist(), starts.tolist(),
+                                starts[1:].tolist() + [len(reps)]):
         if rep == STANDARD:
             row_key, sep = key, None
         else:
@@ -741,17 +735,17 @@ def _full_census(p, n, rep, polys):
             for o in orbits:
                 T0 = _ops_from_digits(digits[reps[o]][None], d, rep, p)[0]
                 stabs[o] = _stab_order5(T0, p)
-        row = CensusRow(row_key, sep, count, [int(sizes[o]) for o in orbits],
+        row = CensusRow(row_key, sep, int(counts[key]),
+                        [int(sizes[o]) for o in orbits],
                         [stabs[o] for o in orbits], True)
         assert all(t is None or s * t == order
                    for s, t in zip(row.orbit_sizes, row.stabilizer_orders))
         assert sum(row.orbit_sizes) == row.operator_count
         rows.append(row)
-    report = FiniteCensusReport(p, n, rep, "full", group_order,
-                                p ** width, rows)
     if polys is None:
-        assert sum(r.operator_count for r in report.rows) == p ** width
-    return report
+        assert sum(r.operator_count for r in rows) == p ** width
+    return FiniteCensusReport(p, n, rep, "full", group_order, p ** width,
+                              rows)
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +768,9 @@ def finite_census(p, n, rep, polys=None, budget=DEFAULT_BUDGET):
     operator orbits certified against a stabilizer measured over the
     commutant, while the self-adjoint space is sampled one certified
     orbit per requested polynomial, by breadth-first closure.  polys,
-    when given, restricts the operator rows, and only their members are
-    labelled; vector censuses refuse it with NotOperatorRep.
+    when given, restricts the operator rows of a full census to the
+    wanted classes after the whole space is labelled; vector censuses
+    refuse it with NotOperatorRep.
 
     Raises EvenPrime at p = 2, BadPrime for composite p, BudgetExceeded
     when the estimated conjugation work passes `budget`.

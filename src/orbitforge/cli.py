@@ -24,7 +24,8 @@ from .census import (count_factors_fp, finite_census, orbit_count_local,
                      orbit_count_real)
 from .descent import (INFINITY, HyperCurve, descent_class, kernel_check,
                       pencil_discriminant_check)
-from .errors import DomainError, NotSplit, ParseError, UsageError
+from .errors import (DomainError, NotOperatorRep, NotSplit, ParseError,
+                     UsageError)
 from .etale import EtaleAlgebra, EtaleElement
 from .lattices import IdealPair, ideal_from_gens, unit_ideal, verify_pair
 from .matrix import Mat
@@ -404,11 +405,11 @@ def _census_row_payload(row):
 def _cmd_census(args):
     polys = None
     if args.poly:
-        if args.rep == STANDARD:
-            raise UsageError("--poly selects operator classes; the standard"
-                             " rep has none")
         polys = [parse_poly(t) for t in args.poly]
-    rep = finite_census(args.p, args.n, args.rep, polys=polys)
+    try:
+        rep = finite_census(args.p, args.n, args.rep, polys=polys)
+    except NotOperatorRep as e:
+        raise UsageError("--poly selects operator classes: %s" % e)
     result = {"p": rep.p, "n": rep.n, "rep": rep.rep, "mode": rep.mode,
               "group_order": rep.group_order, "space_size": rep.space_size,
               "rows": [_census_row_payload(r) for r in rep.rows]}

@@ -79,11 +79,16 @@ def test_group_enumeration_matches_formula(p):
 
 def test_group_elements_are_isometries():
     J = _gram_np(3)
+    for p in (3, 5, 7, 13):
+        G = _so3_elements(p)
+        keys = {g.tobytes() for g in G}
+        assert len(keys) == len(G)
+        assert np.all((G >= 0) & (G < p))
+        assert np.all(G.transpose(0, 2, 1) @ J @ G % p == J)
+        assert all(_fp_det(g.tolist(), p) == 1 for g in G)
+    # closure under a few products
     G = _so3_elements(5)
     keys = {g.tobytes() for g in G}
-    for g in G[::7]:
-        assert np.array_equal(g.T @ J @ g % 5, J)
-    # closure under a few products
     for i, j in [(0, 1), (10, 97), (53, 118), (119, 119)]:
         prod = G[i] @ G[j] % 5
         assert prod.tobytes() in keys
@@ -113,16 +118,6 @@ def test_group_enumeration_matches_column_search(p):
     G = _so3_elements(p)
     assert G.dtype == np.int64
     assert np.array_equal(G, _so3_by_column_search(p))
-
-
-@pytest.mark.parametrize("p", [3, 5, 7, 13])
-def test_group_elements_are_distinct_proper_isometries(p):
-    J = _gram_np(3)
-    G = _so3_elements(p)
-    assert len({g.tobytes() for g in G}) == len(G)
-    assert np.all((G >= 0) & (G < p))
-    assert np.all(G.transpose(0, 2, 1) @ J @ G % p == J)
-    assert all(_fp_det(g.tolist(), p) == 1 for g in G)
 
 
 # ---------------------------------------------------------------------------
