@@ -14,6 +14,7 @@ every randomized search.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -557,7 +558,11 @@ def _add_json(sp):
                     help="print one JSON object instead of text")
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on first use and kept for the process:
+    parse_args leaves it unchanged, and building it costs more than most
+    commands."""
     p = argparse.ArgumentParser(
         prog="orbit",
         description="Exact-arithmetic orbit computations for the odd split"

@@ -85,7 +85,11 @@ class NonSquareComplement(DomainError):
 
 
 class IsotropicSearchFailed(DomainError):
-    pass
+    """Factoring the determinant ran out of its budget."""
+
+
+class Anisotropic(DomainError):
+    """The form has no isotropic vector; the message names the places."""
 
 
 # orbit engine

@@ -11,20 +11,18 @@ all live here.
 """
 
 from fractions import Fraction
-from itertools import product
-from math import gcd, lcm
 
 from .arith import is_rational_square, rng_for, squarefree_part
-from .errors import (DimensionMismatch, IsotropicSearchFailed, NoCyclicVector,
-                     NonSeparable, NonUnit, NormNotSquare, NotMonic,
-                     NotOddPolynomial, NotSplit, NotTauFixed, RingMismatch,
-                     WrongDegree, WrongDimension, ZeroDiscriminant)
+from .errors import (DimensionMismatch, NoCyclicVector, NonSeparable, NonUnit,
+                     NormNotSquare, NotMonic, NotOddPolynomial, NotSplit,
+                     NotTauFixed, RingMismatch, WrongDegree, WrongDimension,
+                     ZeroDiscriminant)
 from .etale import (EtaleAlgebra, EtaleElement, apply_tau, is_square,
                     is_tau_fixed, skew_data, solve_tau_norm)
 from .matrix import Mat, solve
 from .poly import Poly, is_separable
-from .quadform import (QuadSpace, find_isotropic_vector,
-                       hyperbolic_completion, is_split_odd, standard_gram)
+from .quadform import (QuadSpace, hyperbolic_completion, is_split_odd,
+                       maximal_isotropic_subspace, standard_gram)
 
 STANDARD = "standard"
 ADJOINT = "adjoint"
@@ -72,7 +70,10 @@ class StandardSpace:
         return self.quad.gram
 
     def bilinear(self, v, w):
-        return self.quad.bilinear(v, w)
+        """sum_k v[k] w[d-1-k]: the Gram is the index reversal."""
+        if len(v) != self.dim or len(w) != self.dim:
+            raise DimensionMismatch("vectors must have length %d" % self.dim)
+        return sum(a * b for a, b in zip(v, reversed(w)))
 
     def __eq__(self, other):
         if not isinstance(other, StandardSpace):
@@ -94,13 +95,15 @@ def adjoint_op(t, space):
     """The adjoint T* with <Tv, w> = <v, T*w>.
 
     Equals gram^-1 T^t gram; for the anti-diagonal Gram of ones this is
-    reflection of the matrix around the anti-diagonal.
+    reflection of the matrix around the anti-diagonal,
+    T*[i][j] = T[d-1-j][d-1-i].
     """
     d = space.dim
-    if not t.is_square or t.nrows != d:
+    if not t.is_square() or t.nrows != d:
         raise DimensionMismatch("operator must be %d x %d" % (d, d))
-    g = space.gram
-    return g.inv() * t.transpose() * g
+    rows = t.rows
+    return Mat([[rows[d - 1 - j][d - 1 - i] for j in range(d)]
+                for i in range(d)])
 
 
 def _validate_charpoly(f, rep):
@@ -124,12 +127,15 @@ def _pairing_gram(alg, alpha, rep):
     """
     d = alg.deg
     n = (d - 1) // 2
-    beta = alg.beta()
+    low = alg.f.c[:d]
     tops = []
-    cur = alpha
+    cur = alpha.c
     for _ in range(2 * d - 1):
-        tops.append(cur.top_coeff())
-        cur = cur * beta
+        top = cur[-1]
+        tops.append(top)
+        # times beta: shift up, then reduce the beta^d term by f
+        cur = tuple([-top * low[0]] + [a - top * c for a, c in
+                                       zip(cur[:-1], low[1:])])
     sign_n = -1 if n % 2 else 1
     rows = []
     for i in range(d):
@@ -155,7 +161,7 @@ class OrbitRepresentative:
     def __init__(self, space, rep, op, f):
         _check_tensor_rep(rep)
         d = space.dim
-        if not op.is_square or op.nrows != d:
+        if not op.is_square() or op.nrows != d:
             raise DimensionMismatch("operator must be %d x %d" % (d, d))
         if f.degree != d or not f.is_monic():
             raise WrongDegree("charpoly must be monic of degree %d" % d)
@@ -272,13 +278,13 @@ def _alpha_from_vector(orep, alg, base_gram, w):
     kr = Mat.from_cols(pows)
     if kr.det() == 0:
         return None
-    quad = orep.space.quad
-    b = [quad.bilinear(pows[j], w) for j in range(d)]
+    bil = orep.space.bilinear
+    b = [bil(pows[j], w) for j in range(d)]
     if orep.rep == ADJOINT and orep.n % 2:
         b = [-v for v in b]
     coeffs = solve(base_gram, b)
     alpha = alg.element(coeffs)
-    pulled = Mat([[quad.bilinear(pows[i], pows[j]) for j in range(d)]
+    pulled = Mat([[bil(pows[i], pows[j]) for j in range(d)]
                   for i in range(d)])
     return alpha, pulled
 
@@ -289,9 +295,12 @@ def recover_alpha(orep):
     Searches for a cyclic vector w, reads off b_j = <T^j w, w>, and
     solves the base pairing for alpha; the pulled-back Gram is checked
     against gram_alpha exactly.  Well-defined up to c*tau(c) (skew) or
-    squares (symmetric); among cyclic vectors we prefer one whose alpha
-    is not provably a non-square, so the distinguished construction
-    round-trips to a trivial class.
+    squares (symmetric).  The cyclic vector lambda(T)w multiplies alpha
+    by lambda^2, so for the symmetric pairing every cyclic vector gives
+    the same square class and the first one is returned.  In the skew
+    case lambda*tau(lambda) need not be a square, so among cyclic vectors
+    we prefer one whose alpha is not provably a non-square, and the
+    distinguished construction round-trips to a trivial class.
     """
     f = orep.f
     if not is_separable(f):
@@ -310,7 +319,9 @@ def recover_alpha(orep):
                                  " vector; charpoly %s" % f.pretty())
         twisted = _pairing_gram(alg, alpha, orep.rep)
         assert pulled == twisted, "pulled-back form disagrees with pairing"
-        if orep.rep == ADJOINT and not is_tau_fixed(alpha):
+        if orep.rep == SYM2:
+            return alpha
+        if not is_tau_fixed(alpha):
             raise NotTauFixed("recovered alpha fails tau-symmetry")
         if first is None:
             first = alpha
@@ -403,7 +414,7 @@ def classify_vector(w, space):
     w = tuple(Fraction(x) for x in w)
     if all(x == 0 for x in w):
         return ZERO_LABEL
-    val = space.quad.q(w) / 2
+    val = space.bilinear(w, w) / 2
     if val == 0:
         return NULL_LABEL
     return val
@@ -463,86 +474,11 @@ def stabilizer_info(arg, rep, n=None):
                           detail={"K": sk.g, "E": sk.E.f})
 
 
-def _primitive_int(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return None
-    v = tuple(x // g for x in v)
-    for x in v:
-        if x:
-            return v if x > 0 else tuple(-y for y in v)
-    return None
-
-
-def _isotropic_plane(space, tag):
-    """Two independent isotropic vectors pairing to zero, by integer search.
-
-    Primitively normalized vectors are equal exactly when proportional,
-    so any two distinct hits that are orthogonal span a totally isotropic
-    plane.  The Gram is cleared to integers so the scan stays cheap.
-    """
-    d = space.dim
-    den = 1
-    for i in range(d):
-        for j in range(d):
-            den = lcm(den, space.gram[i, j].denominator)
-    g_int = [[int(space.gram[i, j] * den) for j in range(d)]
-             for i in range(d)]
-
-    def qint(v):
-        tot = 0
-        for i in range(d):
-            if v[i]:
-                row = g_int[i]
-                tot += v[i] * sum(row[j] * v[j] for j in range(d))
-        return tot
-
-    def bint(v, w):
-        tot = 0
-        for i in range(d):
-            if v[i]:
-                row = g_int[i]
-                tot += v[i] * sum(row[j] * w[j] for j in range(d))
-        return tot
-
-    found = []
-    seen = set()
-
-    def consider(v):
-        v = _primitive_int(v)
-        if v is None or v in seen:
-            return None
-        seen.add(v)
-        if qint(v) != 0:
-            return None
-        for u in found:
-            if bint(u, v) == 0:
-                return u, v
-        found.append(v)
-        return None
-
-    for v in product(range(-3, 4), repeat=d):
-        got = consider(v)
-        if got:
-            return got
-    rng = rng_for(tag)
-    for height in (6, 12, 25):
-        for _ in range(30000):
-            v = tuple(rng.randint(-height, height) for _ in range(d))
-            got = consider(v)
-            if got:
-                return got
-    raise IsotropicSearchFailed("no totally isotropic plane found within the"
-                                " search budget")
-
-
 def representative_from_alpha(f, alpha, rep):
     """An operator realizing the orbit of a kernel class alpha.
 
-    Needs the twisted space to be split; the maximal isotropic subspace
-    is found by search, implemented for dimensions 3 and 5.
+    Needs the twisted space to be split; the exact solver in quadform
+    gives a maximal isotropic subspace in every odd dimension.
     Multiplication by beta is (skew-)self-adjoint for the twisted
     pairing as well, so the hyperbolic change of basis transports it to
     the standard space.
@@ -551,16 +487,7 @@ def representative_from_alpha(f, alpha, rep):
     if not is_split_odd(tw):
         raise NotSplit("the twisted space of alpha is not split; the class"
                        " is not in the kernel")
-    if tw.dim == 3:
-        m_cols = [find_isotropic_vector(tw)]
-    elif tw.dim == 5:
-        u1, u2 = _isotropic_plane(tw, "isoplane:%s" % (f.c,))
-        m_cols = [tuple(Fraction(x) for x in u1),
-                  tuple(Fraction(x) for x in u2)]
-    else:
-        raise IsotropicSearchFailed("isotropic subspace search implemented"
-                                    " for dimensions 3 and 5 only")
-    u = hyperbolic_completion(tw, m_cols)
+    u = hyperbolic_completion(tw, maximal_isotropic_subspace(tw))
     comp = Mat.companion(f)
     op = u.inv() * comp * u
     return OrbitRepresentative(standard_space((tw.dim - 1) // 2), rep, op, f)

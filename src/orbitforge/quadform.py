@@ -1,24 +1,43 @@
-"""Quadratic spaces over Q: diagonalization, local invariants, isometry.
+"""Quadratic spaces over Q: diagonalization, local invariants, isometry,
+isotropic vectors and maximal isotropic subspaces.
 
 Classification uses the complete invariant set over Q: dimension,
 signature, discriminant square class, and the Hasse symbol at every
 place (finite support). The split test for odd dimension and the
 constructive hyperbolic completion feed the orbit machinery.
+
+Isotropic vectors come from an exact, deterministic solver that factors
+only the determinant. The form is first minimized at each prime of its
+determinant (Simon, "Solving quadratic equations using reduced unimodular
+quadratic forms", Math. Comp. 74, 2005): the lattice is enlarged by x/p
+while that keeps it integral, and a ternary is cut down by one more step
+in the style of Legendre's lattice (Cremona-Rusin, Math. Comp. 72, 2003).
+Every isotropic ternary and every split space end unimodular. There a
+basis reduced against a Hermite majorant has short vectors of norm 0 or
++-1; splitting off norm +-1 vectors reaches an isotropic one, and
+splitting off hyperbolic planes (Witt cancellation) extends it to a
+maximal isotropic subspace.
 """
 
+import functools
 import math
 from fractions import Fraction
+from itertools import count
 
-from .arith import factorize, is_rational_square, legendre, squarefree_part, valuation
+from .arith import (factorize, is_rational_square, legendre, sqrt_mod,
+                    valuation)
 from .errors import (
+    Anisotropic,
     Degenerate,
+    FactorizationTimeout,
     IsotropicSearchFailed,
     NonSquareComplement,
     NotIsotropic,
+    NotSplit,
     WrongDimension,
     ZeroArgument,
 )
-from .matrix import Mat, kernel, solve
+from .matrix import Mat, hnf_columns, kernel, solve
 
 INF = "inf"
 
@@ -69,7 +88,14 @@ def standard_gram(n):
 
 def diagonalize(space):
     """(D, U) with U^T * gram * U = diag(D), all D entries nonzero."""
-    g = [list(r) for r in space.gram.rows]
+    dvals, u = _diagonalize(space.gram.rows)
+    return dvals, Mat(u)
+
+
+def _diagonalize(rows):
+    """Congruence diagonalization of a nondegenerate symmetric matrix given
+    as rows; returns (D, U) as lists with U^T * rows * U = diag(D)."""
+    g = [[Fraction(x) for x in r] for r in rows]
     n = len(g)
     u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
@@ -115,8 +141,7 @@ def diagonalize(space):
         for j in range(k + 1, n):
             if g[k][j] != 0:
                 col_op(j, k, -g[k][j] / d)
-    dvals = [g[i][i] for i in range(n)]
-    return dvals, Mat(u)
+    return [g[i][i] for i in range(n)], u
 
 
 def hilbert_symbol(a, b, place):
@@ -186,17 +211,32 @@ class FormInvariants:
         )
 
 
+def _denominator_lcm(gram):
+    c = 1
+    for row in gram.rows:
+        for x in row:
+            c = math.lcm(c, x.denominator)
+    return c
+
+
 def invariants(space):
-    """Signature, discriminant class, and Hasse symbols of the space."""
+    """Signature, discriminant class, and Hasse symbols of the space.
+
+    Only the determinant and the common denominator c of the Gram are
+    factored: the lattice c Z^n is unimodular at every other odd prime,
+    so the Hasse symbol is +1 there.
+    """
     dvals, _ = diagonalize(space)
     pos = sum(1 for d in dvals if d > 0)
     sig = (pos, len(dvals) - pos)
-    disc = squarefree_part(space.gram.det())
-    relevant = {2}
-    for d in dvals:
-        s = squarefree_part(d)
-        for q in factorize(abs(s)):
-            relevant.add(q)
+    det = space.gram.det()
+    det_primes = factorize(det.numerator * det.denominator)
+    disc = -1 if det < 0 else 1
+    for q, e in det_primes.items():
+        if e % 2:
+            disc *= q
+    relevant = ({2} | set(det_primes)
+                | set(factorize(_denominator_lcm(space.gram))))
     places = [INF] + sorted(relevant)
     minus = set()
     prod = 1
@@ -221,8 +261,12 @@ def is_split_odd(space):
     """Whether an odd-dim space is isometric to the standard split one."""
     if space.dim % 2 == 0 or space.dim < 3:
         raise WrongDimension("split test needs odd dimension >= 3")
-    n = (space.dim - 1) // 2
-    return invariants(space) == invariants(QuadSpace(standard_gram(n)))
+    return invariants(space) == _split_invariants(space.dim // 2)
+
+
+@functools.cache
+def _split_invariants(n):
+    return invariants(QuadSpace(standard_gram(n)))
 
 
 def hyperbolic_completion(space, m_cols):
@@ -275,49 +319,466 @@ def hyperbolic_completion(space, m_cols):
     return u
 
 
-def find_isotropic_vector(space):
-    """A nonzero v with q(v) = 0, by bounded search (dim 3 focus).
+def _is_local_square(d, place):
+    """Whether the squarefree integer d is a square in Q_v."""
+    if place == INF:
+        return d > 0
+    if place == 2:
+        return d % 8 == 1
+    return d % place != 0 and legendre(d, place) == 1
 
-    Diagonalizes, clears square parts, and scans |x|, |y| up to a bound
-    derived from the coefficient product, solving for the last coordinate.
-    Raises IsotropicSearchFailed when the budget is exhausted (in
-    particular for anisotropic forms).
+
+def anisotropic_places(space):
+    """The places where the space has no isotropic vector, in order.
+
+    Serre's criteria on dimension, discriminant d and Hasse symbol e: a
+    ternary is isotropic at v iff (-1, -d)_v = e_v, a quaternary iff d is
+    not a local square or e_v = (-1, -1)_v, and five or more variables are
+    isotropic at every finite place. Only 2, the primes of d and the
+    places with e_v = -1 can fail.
     """
-    dvals, u = diagonalize(space)
-    if space.dim != 3:
-        # cheap general cases: a pair d_i, d_j with -d_i/d_j square
-        for i in range(space.dim):
-            for j in range(space.dim):
-                if i != j and is_rational_square(-dvals[i] / dvals[j]):
-                    t = -dvals[i] / dvals[j]
-                    r = Fraction(math.isqrt(t.numerator), math.isqrt(t.denominator))
-                    v = [Fraction(0)] * space.dim
-                    v[i], v[j] = Fraction(1), r
-                    return u.apply(tuple(v))
-        raise IsotropicSearchFailed("bounded isotropic search is dim-3 only")
-    s = [squarefree_part(d) for d in dvals]
-    scale = [
-        Fraction(
-            math.isqrt((dvals[i] / s[i]).numerator),
-            math.isqrt((dvals[i] / s[i]).denominator),
-        )
-        for i in range(3)
-    ]
-    if s[0] > 0 and s[1] > 0 and s[2] > 0 or s[0] < 0 and s[1] < 0 and s[2] < 0:
-        raise IsotropicSearchFailed("definite form has no isotropic vector")
-    # signs of the coordinates are irrelevant for a diagonal form, so a
-    # nonnegative scan suffices; the bound is double the Cassels-style
-    # sqrt(|s0 s1 s2|) estimate for the least solution of a split conic
-    bound = 2 * math.isqrt(abs(s[0] * s[1] * s[2])) + 2
-    for x in range(bound + 1):
-        for y in range(bound + 1):
-            if x == 0 and y == 0:
-                continue
-            val = Fraction(-(s[0] * x * x + s[1] * y * y), s[2])
-            if val < 0:
-                continue
-            if is_rational_square(val):
-                zc = Fraction(math.isqrt(val.numerator), math.isqrt(val.denominator))
-                v = (Fraction(x) / scale[0], Fraction(y) / scale[1], zc / scale[2])
-                return u.apply(v)
-    raise IsotropicSearchFailed("no isotropic vector of height <= %d found" % bound)
+    if space.dim < 3:
+        raise WrongDimension("anisotropic places are listed for dim >= 3")
+    inv = invariants(space)
+    out = [INF] if 0 in inv.signature else []
+    if inv.dim >= 5:
+        return out
+    d = inv.disc_class
+    for p in sorted({2} | set(factorize(d)) | (inv.hasse_minus - {INF})):
+        if inv.dim == 3:
+            iso = hilbert_symbol(-1, -d, p) == inv.hasse_at(p)
+        else:
+            iso = (not _is_local_square(d, p)
+                   or inv.hasse_at(p) == hilbert_symbol(-1, -1, p))
+        if not iso:
+            out.append(p)
+    return out
+
+
+def _no_isotropic(space):
+    """The error for a space the solver cannot finish: anisotropic
+    (naming the places), or isotropic but not split."""
+    places = anisotropic_places(space)
+    if places:
+        return Anisotropic("the form is anisotropic at %s"
+                           % ", ".join(str(v) for v in places))
+    return NotSplit("the form is isotropic but not split; in dimension %d"
+                    " the solver needs a split space" % space.dim)
+
+
+def _kernel_mod(rows, p):
+    """Basis of the null space mod p of a square integer matrix."""
+    m = len(rows)
+    a = [[x % p for x in r] for r in rows]
+    pivots = []
+    for col in range(m):
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][col], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][col]:
+                t = a[i][col]
+                a[i] = [(x - t * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    out = []
+    for j in range(m):
+        if j not in pivots:
+            v = [0] * m
+            v[j] = 1
+            for i, pc in enumerate(pivots):
+                v[pc] = -a[i][j] % p
+            out.append(v)
+    return out
+
+
+def _isotropic_mod(a, p):
+    """A nonzero y with y^T a y = 0 mod p for a symmetric integer matrix,
+    or None. Deterministic: mod 2 the form is linear in y; for odd p an
+    orthogonal basis reduces it to c1 s^2 + c2 t^2 + c3 = 0, scanned over t.
+    """
+    d = len(a)
+    if p == 2:
+        for i in range(d):
+            if a[i][i] % 2 == 0:
+                return [int(j == i) for j in range(d)]
+        return [int(j < 2) for j in range(d)] if d >= 2 else None
+
+    def form(u, v):
+        return sum(u[i] * a[i][j] * v[j]
+                   for i in range(d) if u[i] for j in range(d) if v[j]) % p
+
+    basis, vals = [], []
+    for i in range(d):
+        v = [int(j == i) for j in range(d)]
+        for b, c in zip(basis, vals):
+            t = form(v, b) * pow(c, -1, p) % p
+            v = [(x - t * y) % p for x, y in zip(v, b)]
+        c = form(v, v)
+        if c == 0:
+            return v
+        basis.append(v)
+        vals.append(c)
+    if d < 2:
+        return None
+    inv1 = pow(vals[0], -1, p)
+    if d == 2:
+        r = -vals[1] * inv1 % p
+        if legendre(r, p) != 1:
+            return None
+        s = sqrt_mod(r, p)
+        return [(s * x + y) % p for x, y in zip(basis[0], basis[1])]
+    for t in count():
+        r = -(vals[1] * t * t + vals[2]) * inv1 % p
+        if r == 0 or legendre(r, p) == 1:
+            s = sqrt_mod(r, p)
+            return [(s * x + t * y + z) % p
+                    for x, y, z in zip(basis[0], basis[1], basis[2])]
+
+
+def _minimize_at(g, basis, p):
+    """Shrink the power of p in det g to zero, or return False.
+
+    g is the integral Gram of the lattice spanned by basis (columns in the
+    space's coordinates); both are updated in place. While p divides det g
+    the kernel K of g mod p is nonzero. A vector x of K with
+    g(x, x) = 0 mod p^2 makes x/p integral against the lattice, and adding
+    it divides det by p^2. Without one, a ternary with p || det has a
+    vector e off K with g(e, e) = 0 mod p; then g vanishes mod p on
+    {z : g(z, e) = 0 mod p}, and that sublattice scaled by 1/p divides det
+    by p. Nothing else is left for an isotropic ternary or a split space.
+    """
+    m = len(g)
+    while True:
+        ker = _kernel_mod(g, p)
+        if not ker:
+            return True
+        gk = [[sum(x * y for x, y in zip(row, k)) for row in g] for k in ker]
+        a = [[sum(x * y for x, y in zip(k1, gk2)) // p for gk2 in gk]
+             for k1 in ker]
+        y = _isotropic_mod(a, p)
+        if y is not None:
+            x = [sum(c * k[i] for c, k in zip(y, ker)) % p for i in range(m)]
+            j = next(i for i in range(m) if x[i])
+            inv = pow(x[j], -1, p)
+            x = [v * inv % p for v in x]
+            gx = [sum(r * v for r, v in zip(row, x)) for row in g]
+            xgx = sum(v * w for v, w in zip(x, gx))
+            assert xgx % (p * p) == 0 and all(v % p == 0 for v in gx)
+            for i in range(m):
+                g[i][j] = g[j][i] = gx[i] // p
+            g[j][j] = xgx // (p * p)
+            basis[j] = tuple(sum(v * b[i] for v, b in zip(x, basis)) / p
+                             for i in range(m))
+            continue
+        if m != 3 or len(ker) != 1:
+            return False
+        j = next(i for i in range(3) if ker[0][i])
+        rest = [i for i in range(3) if i != j]
+        y = _isotropic_mod([[g[r][s] for s in rest] for r in rest], p)
+        if y is None:
+            return False
+        e = [0, 0, 0]
+        for i, v in zip(rest, y):
+            e[i] = v
+        ell = [sum(r * v for r, v in zip(row, e)) % p for row in g]
+        i0 = next(i for i in range(3) if ell[i])
+        inv = pow(ell[i0], -1, p)
+        cols = []
+        for i in range(3):
+            col = [0, 0, 0]
+            if i == i0:
+                col[i0] = p
+            else:
+                col[i] = 1
+                col[i0] = -ell[i] * inv % p
+            cols.append(col)
+        gc = [[sum(r * v for r, v in zip(row, c)) for row in g] for c in cols]
+        new = [[sum(x * y for x, y in zip(c1, gc2)) for gc2 in gc]
+               for c1 in cols]
+        assert all(v % p == 0 for r in new for v in r)
+        g[:] = [[v // p for v in r] for r in new]
+        basis[:] = [tuple(sum(v * b[i] for v, b in zip(c, basis))
+                          for i in range(3)) for c in cols]
+
+
+def _minimized(space):
+    """(basis, g): a lattice of the space whose integral Gram g has
+    det +-1, in a reduced basis, or raise. Starts from c Z^n with c the
+    Gram's common denominator and minimizes at every prime of
+    det(c^2 gram)."""
+    m = space.dim
+    c = _denominator_lcm(space.gram)
+    g = [[int(x * c * c) for x in row] for row in space.gram.rows]
+    basis = [tuple(Fraction(c * (i == j)) for i in range(m)) for j in range(m)]
+    det = space.gram.det()
+    try:
+        primes = set(factorize(det.numerator)) | set(factorize(c))
+    except FactorizationTimeout as e:
+        raise IsotropicSearchFailed("factoring the determinant %s ran out of"
+                                    " its budget" % det) from e
+    for p in sorted(primes):
+        if not _minimize_at(g, basis, p):
+            raise _no_isotropic(space)
+    return _reduce(g, basis)
+
+
+def _majorant(g):
+    """(D, P): the diagonal of g and its Hermite majorant P = V^T |D| V,
+    V the inverse of the diagonalizing matrix; P >= |g| and det P =
+    |det g|."""
+    dvals, u = _diagonalize(g)
+    v = Mat(u).inv().rows
+    m = len(g)
+    return dvals, [[sum(abs(d) * r[i] * r[j] for d, r in zip(dvals, v))
+                    for j in range(m)] for i in range(m)]
+
+
+def _reduce(g, basis):
+    """(basis, g) for the same lattice in a basis LLL-reduced against a
+    Hermite majorant: with det g = +-1 the Gram entries come out small,
+    however large minimization left them, and so do the complements
+    split off later."""
+    h = _lll(_majorant(g)[1])[0]
+    return ([tuple(_combine(basis, r)) for r in h],
+            [[_qval(g, a, b) for b in h] for a in h])
+
+
+def _lll(gram, delta=Fraction(99, 100)):
+    """(H, mu, bstar): the rows of a unimodular integer matrix H form a
+    basis (in the old coordinates) that is LLL-reduced for the positive
+    definite gram, with its Gram-Schmidt data (Cohen, Algorithm 2.6.3, on
+    the Gram matrix; exact)."""
+    n = len(gram)
+    g = [[Fraction(x) for x in r] for r in gram]
+    h = [[int(i == j) for j in range(n)] for i in range(n)]
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bstar = [g[0][0]] + [Fraction(0)] * (n - 1)
+
+    def red(k, l):
+        q = round(mu[k][l])
+        if q == 0:
+            return
+        h[k] = [a - q * b for a, b in zip(h[k], h[l])]
+        gkk = g[k][k] - 2 * q * g[k][l] + q * q * g[l][l]
+        for i in range(n):
+            g[k][i] -= q * g[l][i]
+        g[k][k] = gkk
+        for i in range(n):
+            g[i][k] = g[k][i]
+        mu[k][l] -= q
+        for i in range(l):
+            mu[k][i] -= q * mu[l][i]
+
+    def swap(k):
+        h[k], h[k - 1] = h[k - 1], h[k]
+        g[k], g[k - 1] = g[k - 1], g[k]
+        for r in g:
+            r[k], r[k - 1] = r[k - 1], r[k]
+        for j in range(k - 1):
+            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+        m_ = mu[k][k - 1]
+        b = bstar[k] + m_ * m_ * bstar[k - 1]
+        mu[k][k - 1] = m_ * bstar[k - 1] / b
+        bstar[k] = bstar[k - 1] * bstar[k] / b
+        bstar[k - 1] = b
+        for i in range(k + 1, kmax + 1):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m_ * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k):
+                mu[k][j] = (g[k][j] - sum(mu[j][i] * mu[k][i] * bstar[i]
+                                          for i in range(j))) / bstar[j]
+            bstar[k] = g[k][k] - sum(mu[k][j] ** 2 * bstar[j]
+                                     for j in range(k))
+        red(k, k - 1)
+        if bstar[k] < (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return h, mu, bstar
+
+
+def _qval(g, x, y=None):
+    y = x if y is None else y
+    return sum(a * sum(r * b for r, b in zip(row, y))
+               for a, row in zip(x, g) if a)
+
+
+def _short_vectors(reduced, bound):
+    """Integer x != 0 with x^T gram x <= bound, one of each +-x, shortest
+    first, by Fincke-Pohst over reduced = _lll(gram). The walk runs in
+    floating point, so a vector within rounding of the bound may be
+    listed too; callers test what they use exactly."""
+    h, mu, bstar = reduced
+    n = len(h)
+    fmu = [[float(v) for v in r] for r in mu]
+    fb = [float(v) for v in bstar]
+    x = [0] * n
+    found = []
+
+    def walk(i, rem):
+        c = -sum(fmu[j][i] * x[j] for j in range(i + 1, n))
+        r = math.sqrt(max(rem, 0.0) / fb[i]) + 1e-9
+        for xi in range(math.ceil(c - r), math.floor(c + r) + 1):
+            x[i] = xi
+            left = rem - fb[i] * (xi - c) ** 2
+            if i:
+                walk(i - 1, left)
+            elif any(x) and next(a for a in x if a) > 0:
+                found.append((top - left, _combine(h, x)))
+        x[i] = 0
+
+    top = float(bound) * (1 + 1e-9) + 1e-9
+    walk(n - 1, top)
+    found.sort()
+    return [v for _, v in found]
+
+
+def _combine(rows, coeffs):
+    """sum_k coeffs[k] * rows[k]."""
+    return [sum(c * r[i] for c, r in zip(coeffs, rows) if c)
+            for i in range(len(rows[0]))]
+
+
+def _unimodular_isotropic(g):
+    """Integer x != 0 with x^T g x = 0 for an integral g with det +-1, or
+    None when g is definite.
+
+    A Hermite majorant P >= |g| from a diagonalization has det 1, so in
+    dimension <= 7 its shortest vector has P < 2 (Hermite constant) and
+    g-value 0 or +-1. A norm s = +-1 vector b splits off; in the
+    unimodular complement an isotropic vector, or one of norm -s, gives
+    the answer. Beyond dimension 7 the bound grows until such a vector
+    appears, as it does in every indefinite unimodular lattice.
+
+    A vector with P < 1 is isotropic, so the reduced basis is tried
+    first; past it, every Gram-Schmidt norm is at least 0.74^(m-1) and
+    the enumeration stays small.
+    """
+    m = len(g)
+    for i in range(m):
+        if g[i][i] == 0:
+            return [int(k == i) for k in range(m)]
+    dvals, maj = _majorant(g)
+    if all(d > 0 for d in dvals) or all(d < 0 for d in dvals):
+        return None
+    if m == 2:
+        # indefinite unimodular binary: b^2 - ac = 1, so it factors
+        a, b = g[0][0], g[0][1]
+        return [1 - b, a]
+    reduced = _lll(maj)
+    for x in reduced[0]:
+        if _qval(g, x) == 0:
+            return x
+    bound = 2
+    while True:
+        vecs = _short_vectors(reduced, bound)
+        vals = [_qval(g, x) for x in vecs]
+        if 0 in vals:
+            return vecs[vals.index(0)]
+        units = [(x, val) for x, val in zip(vecs, vals) if abs(val) == 1]
+        if units:
+            break
+        bound *= 2
+    b, s = units[0]
+    gens = []
+    for i in range(m):
+        t = s * sum(g[i][k] * b[k] for k in range(m))
+        gens.append([int(i == k) - t * b[k] for k in range(m)])
+    comp = [list(c) for c in hnf_columns(gens)]
+    gc = [[_qval(g, c1, c2) for c2 in comp] for c1 in comp]
+    y = _unimodular_isotropic(gc)
+    if y is not None:
+        return _combine(comp, y)
+    # the complement is definite of sign -s: a norm -s vector w makes b + w
+    for w in _short_vectors(_lll([[-s * x for x in r] for r in gc]), 1):
+        if _qval(gc, w) == -s:
+            return [x + y for x, y in zip(b, _combine(comp, w))]
+    return None
+
+
+def _unit_dual(v):
+    """Integer y with v . y = 1 for a primitive integer vector v."""
+    cur, coef = 0, [0] * len(v)
+    for i, a in enumerate(v):
+        if a == 0:
+            continue
+        # extended gcd of (cur, a): s * cur + t * a = gcd
+        r0, r1, s0, s1, t0, t1 = cur, a, 1, 0, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            s0, s1 = s1, s0 - q * s1
+            t0, t1 = t1, t0 - q * t1
+        coef = [s0 * c for c in coef]
+        coef[i] += t0
+        cur = r0
+    assert abs(cur) == 1, "vector is not primitive"
+    return [c * cur for c in coef]
+
+
+def find_isotropic_vector(space):
+    """A nonzero v with q(v) = 0, exactly and deterministically.
+
+    Solves every isotropic ternary and, in any dimension, every form with
+    a lattice of determinant +-1, split spaces included. Raises
+    Anisotropic naming the places when there is no isotropic vector,
+    NotSplit for an isotropic form of dimension >= 4 without such a
+    lattice, and IsotropicSearchFailed only when factoring the
+    determinant ran out of its budget.
+    """
+    if space.dim < 3:
+        raise WrongDimension("isotropic vectors are solved in dimension >= 3")
+    basis, g = _minimized(space)
+    x = _unimodular_isotropic(g)
+    if x is None:
+        raise _no_isotropic(space)
+    return tuple(_combine(basis, x))
+
+
+def maximal_isotropic_subspace(space):
+    """dim // 2 independent, mutually orthogonal isotropic vectors.
+
+    For a split space: after minimization the lattice is unimodular, an
+    isotropic x and a y with g(x, y) = 1 span a unimodular hyperbolic
+    plane, and its orthogonal complement is again split and unimodular
+    (Witt cancellation), so the search recurses there with nothing left
+    to factor. The vectors feed hyperbolic_completion unchanged.
+    """
+    if space.dim < 3:
+        raise WrongDimension("maximal isotropic subspaces need dimension >= 3")
+    basis, g = _minimized(space)
+    out = []
+    for _ in range(space.dim // 2):
+        x = _unimodular_isotropic(g)
+        if x is None:
+            raise _no_isotropic(space)
+        div = math.gcd(*x)
+        x = [v // div for v in x]
+        out.append(tuple(_combine(basis, x)))
+        gx = [sum(r * v for r, v in zip(row, x)) for row in g]
+        y = _unit_dual(gx)
+        gy = [sum(r * v for r, v in zip(row, y)) for row in g]
+        c = sum(a * b for a, b in zip(y, gy))
+        gens = []
+        for i in range(len(g)):
+            # z - alpha x - beta y is orthogonal to x and y
+            alpha, beta = gy[i] - c * gx[i], gx[i]
+            gens.append([int(i == k) - alpha * x[k] - beta * y[k]
+                         for k in range(len(g))])
+        comp = [list(col) for col in hnf_columns(gens)]
+        basis = [tuple(_combine(basis, col)) for col in comp]
+        g = [[_qval(g, c1, c2) for c2 in comp] for c1 in comp]
+    return out

@@ -1,10 +1,14 @@
 """Command-line interface: parsing, dispatch, exit codes, JSON shape."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import orbitforge
 from orbitforge.arith import rng_for
 from orbitforge.cli import (parse_alpha, parse_fraction, parse_poly, run)
 from orbitforge.errors import NotSplit, ParseError
@@ -175,6 +179,21 @@ def test_same_orbit_equal_and_distinct(capsys):
     assert obj["result"]["witness"] is not None
     obj = run_json(capsys, ["same-orbit", "--rep", "sym2",
                             "--poly", "x^3 - x", "--alpha", "crt:2,2,1"])
+    assert obj["result"]["status"] == "distinct"
+
+
+def test_same_orbit_dimension_seven(capsys):
+    # x(x^2-1)(x^2-4)(x^2-9); the second class pairs roots (-3,-2), (-1,0),
+    # (1,2) into hyperbolic planes and is not a square
+    poly = "x^7 - 14*x^5 + 49*x^3 - 36*x"
+    obj = run_json(capsys, ["same-orbit", "--rep", "sym2", "--poly", poly,
+                            "--alpha", "crt:1,1,1,1,1,1,1",
+                            "--alpha2", "crt:1,4,9,1,1,4,1"])
+    assert obj["result"]["status"] == "equal"
+    assert obj["result"]["witness"] is not None
+    obj = run_json(capsys, ["same-orbit", "--rep", "sym2", "--poly", poly,
+                            "--alpha", "1",
+                            "--alpha2", "crt:6,1,8/3,2,-2/5,-1,64/5"])
     assert obj["result"]["status"] == "distinct"
 
 
@@ -379,3 +398,23 @@ def test_json_output_is_deterministic(capsys):
     first = capsys.readouterr().out
     assert run(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_parser_reuse_matches_fresh_processes(capsys):
+    # one process: a usage error, then two different subcommands; each
+    # must print the same bytes and exit code as a fresh process
+    calls = [["same-orbit", "--bogus"],
+             ["classify", "--vector", "1,0,-2", "--json"],
+             ["kernel", "--poly", "x^3 - x", "--alpha", "crt:2,2,1"]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        orbitforge.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in calls:
+        code = run(argv)
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "orbitforge.cli"]
+                               + argv, capture_output=True, text=True,
+                               env=env, timeout=60)
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout,
+                                            fresh.stderr)
+    assert code == 0

@@ -1,11 +1,13 @@
 """Tests for the operator-orbit engine."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitforge.arith import is_rational_square
 from orbitforge.errors import (DimensionMismatch, NonSeparable, NonUnit,
                                NormNotSquare, NotOddPolynomial, NotSplit,
                                NotTauFixed, RingMismatch, WrongDegree,
@@ -296,6 +298,115 @@ def test_representative_from_alpha_needs_split():
     alg = EtaleAlgebra(X3_MINUS_X)
     with pytest.raises(NotSplit):
         representative_from_alpha(X3_MINUS_X, alg.element([1, 0, -2]), SYM2)
+
+
+# ---------------------------------------------------------------------------
+# seeded corpus of kernel classes: every one gets an operator
+
+CORPUS_HEIGHTS = (10, 100, 10**3, 10**6)
+
+
+def _from_values(roots, vals):
+    """The element of Q[x]/(prod (x - r)) with the given value at each root."""
+    f = Poly.from_roots(roots)
+    alg = EtaleAlgebra(f)
+    total = alg.zero()
+    for r, v in zip(roots, vals):
+        num, den = alg.one(), Fraction(1)
+        for s in roots:
+            if s != r:
+                num = num * (alg.beta() - s)
+                den *= r - s
+        total = total + num * (Fraction(v) / den)
+    return f, total
+
+
+def _values(elem, roots):
+    g = elem.lift()
+    return [g(r) for r in roots]
+
+
+def _split_sym2_class(rng, dim, height):
+    """Values at distinct integer roots of a unit that is in the kernel but
+    is not a square: adjacent roots pair into hyperbolic planes through
+    a_i / f'(r_i) = -a_j / f'(r_j), and the last value makes the norm a
+    square (the construction of perfbench/gen.isotropic_class)."""
+    roots = sorted(rng.sample(range(-4, 5), dim))
+    df = Poly.from_roots(roots).derivative()
+    while True:
+        vals = []
+        for i in range(0, dim - 1, 2):
+            aj = Fraction(rng.choice((-1, 1)) * rng.randint(1, height))
+            vals += [-aj * df(roots[i]) / df(roots[i + 1]), aj]
+        norm = Fraction(1)
+        for v in vals:
+            norm *= v
+        vals.append(norm * rng.randint(1, 3) ** 2)
+        if not all(is_rational_square(v) for v in vals):
+            return roots, vals
+
+
+def _split_adjoint_class(rng, dim, height):
+    """Values of a tau-fixed unit on the roots 0, +-r of an odd split f. The
+    pairs {r, -r} span hyperbolic planes for any value, so a square value
+    at 0 puts the class in the kernel."""
+    rs = rng.sample(range(1, 8), dim // 2)
+    roots = sorted([0] + rs + [-r for r in rs])
+    vals = {0: Fraction(rng.randint(1, height)) ** 2}
+    for r in rs:
+        vals[r] = vals[-r] = Fraction(rng.choice((-1, 1))
+                                      * rng.randint(1, height))
+    return roots, [vals[r] for r in roots]
+
+
+def _check_corpus_class(roots, vals, rep):
+    f, alpha = _from_values(roots, vals)
+    o = representative_from_alpha(f, alpha, rep)
+    assert o.op.charpoly() == f
+    prod = [a * b for a, b in zip(_values(recover_alpha(o), roots), vals)]
+    if rep == SYM2:
+        # a square in L = Q^d: a rational square at every root
+        assert all(is_rational_square(v) for v in prod)
+    else:
+        # c tau(c) takes the value c(r) c(-r) on each pair, c(0)^2 at 0
+        assert is_rational_square(prod[roots.index(0)])
+
+
+@pytest.mark.parametrize("dim", (3, 5, 7))
+@pytest.mark.parametrize("rep", (SYM2, ADJOINT))
+def test_corpus_of_split_classes(rep, dim):
+    rng = random.Random("corpus:%s:%d" % (rep, dim))
+    make = _split_sym2_class if rep == SYM2 else _split_adjoint_class
+    for height in CORPUS_HEIGHTS:
+        for _ in range(2):
+            _check_corpus_class(*make(rng, dim, height), rep)
+
+
+def test_corpus_dim5_isotropic_classes():
+    # the classes perfbench/gen.isotropic_class builds at heights 2 to 100;
+    # an isotropic-plane box and random scan failed on every one of them
+    rng = random.Random("corpus:isotropic_class:5")
+    for height in (2, 3, 5, 10, 30, 100):
+        _check_corpus_class(*_split_sym2_class(rng, 5, height), SYM2)
+
+
+@pytest.mark.parametrize("dim", (3, 5, 7))
+def test_corpus_of_squares(dim):
+    # u^2 over a random (mostly irreducible) f: the class is trivial
+    rng = random.Random("corpus:squares:%d" % dim)
+    for height in (10, 10**3):
+        while True:
+            f = Poly([rng.randint(-5, 5) for _ in range(dim)] + [1])
+            if f[0] != 0 and is_separable(f):
+                break
+        alg = EtaleAlgebra(f)
+        while True:
+            u = alg.element([rng.randint(-height, height) for _ in range(dim)])
+            if u.is_unit():
+                break
+        o = representative_from_alpha(f, u * u, SYM2)
+        assert o.op.charpoly() == f
+        assert is_square(recover_alpha(o)).is_true()
 
 
 # ---------------------------------------------------------------------------

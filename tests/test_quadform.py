@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from orbitforge import quadform as qf
 from orbitforge.errors import (
+    Anisotropic,
     Degenerate,
-    IsotropicSearchFailed,
     NonSquareComplement,
     NotIsotropic,
+    NotSplit,
     WrongDimension,
     ZeroArgument,
 )
@@ -175,9 +176,9 @@ def test_find_isotropic_vector():
         v = qf.find_isotropic_vector(s)
         assert any(v)
         assert s.q(v) == 0
-    with pytest.raises(IsotropicSearchFailed):
+    with pytest.raises(Anisotropic, match="inf"):
         qf.find_isotropic_vector(D(1, 1, 1))
-    with pytest.raises(IsotropicSearchFailed):
+    with pytest.raises(Anisotropic, match="7"):
         qf.find_isotropic_vector(D(1, 1, -7))  # anisotropic at 7
 
 
@@ -190,3 +191,73 @@ def test_split_implies_isotropic_dim3():
         if qf.is_split_odd(s):
             v = qf.find_isotropic_vector(s)
             assert s.q(v) == 0 and any(v)
+
+
+def test_anisotropic_places():
+    assert qf.anisotropic_places(D(1, 1, 1)) == [INF, 2]
+    assert qf.anisotropic_places(D(1, 1, -7)) == [2, 7]
+    assert qf.anisotropic_places(D(1, 1, -1)) == []
+    assert qf.anisotropic_places(D(1, 1, 1, 1)) == [INF, 2]  # quaternions
+    # 7 is not a sum of three squares in Q_2; -7 is no square in Q_7
+    assert qf.anisotropic_places(D(1, 1, 1, -7)) == [2]
+    assert qf.anisotropic_places(D(1, 1, 1, 1, -1)) == []
+
+
+@settings(max_examples=60)
+@given(st.lists(st.lists(st.integers(-30, 30), min_size=3, max_size=3),
+                min_size=3, max_size=3),
+       st.integers(1, 6))
+def test_ternary_solver_agrees_with_local_invariants(rows, den):
+    # exact in both directions: a vector when isotropic, else the places
+    m = Mat(rows)
+    g = m + m.transpose()
+    if g.det() == 0:
+        return
+    s = QuadSpace(g * Fraction(1, den))
+    places = qf.anisotropic_places(s)
+    if places:
+        with pytest.raises(Anisotropic):
+            qf.find_isotropic_vector(s)
+    else:
+        v = qf.find_isotropic_vector(s)
+        assert any(v) and s.q(v) == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10**6), st.integers(1, 5))
+def test_maximal_isotropic_subspace_of_split_spaces(n, seed, scale):
+    # a random integral change of basis of the split space, rescaled
+    import random
+
+    rng = random.Random(seed)
+    d = 2 * n + 1
+    while True:
+        u = Mat([[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)])
+        if u.det() != 0:
+            break
+    s = QuadSpace(u.transpose() * qf.standard_gram(n) * u
+                  * Fraction(scale, rng.randint(1, 5)) ** 2)
+    vecs = qf.maximal_isotropic_subspace(s)
+    assert len(vecs) == n
+    assert all(s.bilinear(v, w) == 0 for v in vecs for w in vecs)
+    u2 = qf.hyperbolic_completion(s, vecs)
+    assert u2.transpose() * s.gram * u2 == qf.standard_gram(n)
+
+
+def test_maximal_isotropic_subspace_needs_split():
+    with pytest.raises(Anisotropic):
+        qf.maximal_isotropic_subspace(D(1, 1, 1, 1, 1))
+    # isotropic (Witt index 1) but not split
+    with pytest.raises(NotSplit):
+        qf.maximal_isotropic_subspace(D(1, 1, 1, 1, -1))
+
+
+def test_solver_names_the_factoring_budget(monkeypatch):
+    from orbitforge.errors import FactorizationTimeout, IsotropicSearchFailed
+
+    def broke(n, timeout=30.0):
+        raise FactorizationTimeout("budget")
+
+    monkeypatch.setattr(qf, "factorize", broke)
+    with pytest.raises(IsotropicSearchFailed):
+        qf.find_isotropic_vector(D(1, 1, -2))
