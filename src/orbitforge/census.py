@@ -33,9 +33,8 @@ import numpy as np
 
 from .arith import is_prime, rng_for
 from .errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
-                     MaximalRankHypothesisFails, NonSeparableModP,
-                     NotMonic, NotOddPolynomial, NotOperatorRep,
-                     WrongDegree)
+                     MaximalRankHypothesisFails, NotMonic, NotOddPolynomial,
+                     NotOperatorRep, WrongDegree)
 from .matrix import Mat
 from .orbits import (STANDARD, SYM2, _check_rep, _check_tensor_rep,
                      _validate_charpoly, construct_representative)
@@ -565,7 +564,7 @@ def _charpoly5_skew(T, p):
 
 def _charpoly5_exact(T, p):
     """Full mod-p characteristic polynomial via an exact rational lift."""
-    m = Mat([[Fraction(int(x)) for x in row] for row in T])
+    m = Mat([[int(x) for x in row] for row in T])
     return tuple(int(a) % p for a in m.charpoly().c)
 
 
@@ -655,12 +654,21 @@ def _census5_sym2(p, polys):
 # full censuses
 
 
-def _separable(fc, p):
-    try:
-        fp_count_factors(list(fc), p)
-    except NonSeparableModP:
-        return False
-    return True
+def _separable_keys(keys, n, p):
+    """Whether each encoded operator class is separable mod p, read off
+    its discriminant in one vectorized pass. Dimension three keys
+    (c2 p + c1) p + c0 for x^3 + c2 x^2 + c1 x + c0, whose discriminant is
+    c2^2 c1^2 - 4 c1^3 - 4 c2^3 c0 - 27 c0^2 + 18 c2 c1 c0; dimension five
+    keys e2 p^3 + e4 p for the skew x^5 + e2 x^3 + e4 x = x (y^2 + e2 y + e4)
+    at y = x^2, separable iff e4 (e2^2 - 4 e4) != 0."""
+    if n == 1:
+        c0, c1, c2 = keys % p, keys // p % p, keys // (p * p) % p
+        disc = (c2 * c2 * c1 * c1 - 4 * c1 * c1 * c1 - 4 * c2 * c2 * c2 * c0
+                - 27 * c0 * c0 + 18 * c2 * c1 * c0)
+    else:
+        e4, e2 = keys // p % p, keys // p ** 3 % p
+        disc = e4 * (e2 * e2 - 4 * e4)
+    return disc % p != 0
 
 
 def _full_census(p, n, rep, polys):
@@ -722,14 +730,15 @@ def _full_census(p, n, rep, polys):
     order_by = np.lexsort((sizes, keys[reps]))
     row_keys, starts = np.unique(keys[reps][order_by], return_index=True)
     counts = np.bincount(keys)
+    seps = ([None] * len(row_keys) if rep == STANDARD
+            else _separable_keys(row_keys, n, p).tolist())
     rows = []
-    for key, first, last in zip(row_keys.tolist(), starts.tolist(),
-                                starts[1:].tolist() + [len(reps)]):
+    for key, sep, first, last in zip(row_keys.tolist(), seps, starts.tolist(),
+                                     starts[1:].tolist() + [len(reps)]):
         if rep == STANDARD:
-            row_key, sep = key, None
+            row_key = key
         else:
             row_key = tuple(key // p ** i % p for i in range(d)) + (1,)
-            sep = _separable(row_key, p)
         orbits = order_by[first:last].tolist()
         if n == 2 and sep:
             for o in orbits:

@@ -58,7 +58,7 @@ class EtaleAlgebra:
         self.deg = f.degree
 
     def element(self, coeffs):
-        c = [Fraction(x) for x in coeffs]
+        c = [x if type(x) is Fraction else Fraction(x) for x in coeffs]
         if len(c) > self.deg:
             return self.from_poly(Poly(c))
         c += [Fraction(0)] * (self.deg - len(c))

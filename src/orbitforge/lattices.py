@@ -50,10 +50,8 @@ class ZLattice:
             raise Degenerate("Gram matrix must be square")
         if gram.transpose() != gram:
             raise Degenerate("Gram matrix must be symmetric")
-        for row in gram.rows:
-            for x in row:
-                if x.denominator != 1:
-                    raise NonIntegral("Gram entries must be integers")
+        if gram.den != 1:
+            raise NonIntegral("Gram entries must be integers")
         self.gram = gram
 
     @property
@@ -370,7 +368,7 @@ def verify_pair(P, n):
         image = comp.apply(I.mat.col(j))
         cols.append(solve(I.mat, list(image)))
     T = Mat([[cols[j][i] for j in range(deg)] for i in range(deg)])
-    assert all(x.denominator == 1 for row in T.rows for x in row)
+    assert T.den == 1
     assert T.charpoly() == alg.f
     GT = G * T
     if P.rep == SYM2:

@@ -1,26 +1,58 @@
 """Exact dense matrices over Q, plus integer-lattice column HNF.
 
-Vectors are plain tuples of Fractions. Matrices are immutable;
-all eliminations are exact (no pivoting heuristics needed over Q).
+A Mat holds integer rows `num` over one positive denominator `den`,
+reduced so that gcd(den, every entry) = 1; that pair is canonical, so
+equality and hashing compare it directly. Every kernel runs on the
+integers: products and `apply` are integer dot products over the product
+of the denominators, `det` is Bareiss elimination, `solve`, `kernel` and
+`inv` share one fraction-free Gauss-Jordan that divides by each pivot
+once, at the end, and `charpoly` is Berkowitz's division-free algorithm
+(Cohen, GTM 138, ch. 2). `rows` is the read-only Fraction view, built on
+first use. Vectors are tuples of Fractions; inputs may hold ints.
 """
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionMismatch, Inconsistent, NonIntegral, NotSquare
-from .poly import Poly
+from .poly import Poly, _clear
 
 
 class Mat:
-    __slots__ = ("rows",)
+    __slots__ = ("num", "den", "_rows")
 
-    def __init__(self, rows):
-        rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
+    def __init__(self, rows, den=None):
+        """A matrix from rows of rationals (ints, Fractions or anything
+        Fraction() takes) or, when den is given, from integer rows over
+        the positive denominator den."""
+        rows = tuple(map(tuple, rows))
         if not rows or not rows[0]:
             raise DimensionMismatch("matrix needs positive dimensions")
         w = len(rows[0])
         if any(len(r) != w for r in rows):
             raise DimensionMismatch("ragged rows")
-        self.rows = rows
+        if den is None:
+            flat, den = _clear(chain.from_iterable(rows))
+            rows = tuple(tuple(flat[i:i + w]) for i in range(0, len(flat), w))
+        else:
+            g = gcd(den, *chain.from_iterable(rows))
+            if g != 1:
+                rows = tuple(tuple(x // g for x in r) for r in rows)
+                den //= g
+        self.num = rows
+        self.den = den
+        self._rows = None
+
+    @property
+    def rows(self):
+        """The entries as Fractions, row by row."""
+        if self._rows is None:
+            d = self.den
+            self._rows = tuple(tuple(Fraction(x, d) for x in r)
+                               for r in self.num)
+        return self._rows
 
     @classmethod
     def identity(cls, n):
@@ -54,11 +86,11 @@ class Mat:
 
     @property
     def nrows(self):
-        return len(self.rows)
+        return len(self.num)
 
     @property
     def ncols(self):
-        return len(self.rows[0])
+        return len(self.num[0])
 
     def is_square(self):
         return self.nrows == self.ncols
@@ -69,47 +101,47 @@ class Mat:
 
     def __eq__(self, other):
         if isinstance(other, Mat):
-            return self.rows == other.rows
+            return self.den == other.den and self.num == other.num
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.num, self.den))
 
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatch("shape mismatch in addition")
-        return Mat(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
-        )
+        den = lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        return Mat([[ka * a + kb * b for a, b in zip(r1, r2)]
+                    for r1, r2 in zip(self.num, other.num)], den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Mat([[-a for a in r] for r in self.rows])
+        return Mat([[-a for a in r] for r in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise DimensionMismatch("shape mismatch in product")
-            bt = list(zip(*other.rows))
-            return Mat(
-                [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.rows]
-            )
-        return Mat([[a * Fraction(other) for a in r] for r in self.rows])
+            bt = list(zip(*other.num))
+            return Mat([[sum(map(mul, row, col)) for col in bt]
+                        for row in self.num], self.den * other.den)
+        n, d = Fraction(other).as_integer_ratio()
+        return Mat([[a * n for a in r] for r in self.num], self.den * d)
 
     __rmul__ = __mul__
 
     def apply(self, v):
         if len(v) != self.ncols:
             raise DimensionMismatch("vector length mismatch")
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.rows)
+        vi, c = _clear(v)
+        d = self.den * c
+        return tuple(Fraction(sum(map(mul, row, vi)), d) for row in self.num)
 
     def transpose(self):
-        return Mat(list(zip(*self.rows)))
+        return Mat(zip(*self.num), self.den)
 
     def col(self, j):
         return tuple(r[j] for r in self.rows)
@@ -120,96 +152,113 @@ class Mat:
     def trace(self):
         if not self.is_square():
             raise NotSquare("trace of a non-square matrix")
-        return sum(self.rows[i][i] for i in range(self.nrows))
+        return Fraction(sum(r[i] for i, r in enumerate(self.num)), self.den)
 
     def det(self):
         if not self.is_square():
             raise NotSquare("determinant of a non-square matrix")
-        a = [list(r) for r in self.rows]
-        n = self.nrows
-        out = Fraction(1)
-        for j in range(n):
-            piv = next((i for i in range(j, n) if a[i][j] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != j:
-                a[j], a[piv] = a[piv], a[j]
-                out = -out
-            out *= a[j][j]
-            inv = 1 / a[j][j]
-            for i in range(j + 1, n):
-                if a[i][j]:
-                    t = a[i][j] * inv
-                    for k in range(j, n):
-                        a[i][k] -= t * a[j][k]
-        return out
+        return Fraction(_bareiss(self.num), self.den ** self.nrows)
 
     def inv(self):
         if not self.is_square():
             raise NotSquare("inverse of a non-square matrix")
         n = self.nrows
-        a = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(self.rows)]
+        a = [list(r) + [int(i == j) for j in range(n)]
+             for i, r in enumerate(self.num)]
         if len(_rref(a, n)) < n:
             raise Inconsistent("matrix is singular")
-        return Mat([r[n:] for r in a])
+        # (num / den)^-1 = den num^-1; row i of num^-1 is a[i][n:] / a[i][i]
+        den = lcm(*[a[i][i] for i in range(n)])
+        return Mat([[x * (den // a[i][i]) * self.den for x in a[i][n:]]
+                    for i in range(n)], den)
 
     def charpoly(self):
         """Monic characteristic polynomial det(xI - M), exact.
 
-        Similarity reduction to Hessenberg form, then the standard
-        leading-minor recurrence.
+        Berkowitz on the integer rows gives det(yI - num); with
+        y = den x, the coefficient of x^k is that of y^k over
+        den^(n - k).
         """
         if not self.is_square():
             raise NotSquare("charpoly of a non-square matrix")
-        n = self.nrows
-        h = [list(r) for r in self.rows]
-        for j in range(n - 2):
-            piv = next((i for i in range(j + 1, n) if h[i][j] != 0), None)
-            if piv is None:
-                continue
-            if piv != j + 1:
-                h[j + 1], h[piv] = h[piv], h[j + 1]
-                for row in h:
-                    row[j + 1], row[piv] = row[piv], row[j + 1]
-            for i in range(j + 2, n):
-                if h[i][j]:
-                    t = h[i][j] / h[j + 1][j]
-                    h[i] = [x - t * y for x, y in zip(h[i], h[j + 1])]
-                    for row in h:
-                        row[j + 1] += t * row[i]
-        ps = [Poly([1])]
-        x = Poly.x()
-        for m in range(1, n + 1):
-            p = (x - h[m - 1][m - 1]) * ps[m - 1]
-            sub = Fraction(1)
-            for i in range(m - 1, 0, -1):
-                sub *= h[i][i - 1]
-                p = p - Poly.const(h[i - 1][m - 1] * sub) * ps[i - 1]
-            ps.append(p)
-        return ps[n]
+        n, d = self.nrows, self.den
+        c = _berkowitz(self.num)
+        return Poly([Fraction(c[n - k], d ** (n - k)) for k in range(n + 1)])
 
     def __repr__(self):
         return "Mat(%r)" % ([[str(x) for x in r] for r in self.rows],)
 
 
+def _bareiss(rows):
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: after step k every entry is a minor of the input, so each
+    division by the previous pivot is exact."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        ak = a[k]
+        p = ak[k]
+        for i in range(k + 1, n):
+            ai = a[i]
+            t = ai[k]
+            ai[k + 1:] = [(p * x - t * y) // prev
+                          for x, y in zip(ai[k + 1:], ak[k + 1:])]
+        prev = p
+    return sign * a[n - 1][n - 1]
+
+
+def _berkowitz(a):
+    """Coefficients of det(xI - a), highest power first, for a square
+    integer matrix, without division. Bordering the leading r x r block
+    A by the row R, the column C and the corner a_rr multiplies its
+    coefficient vector by the lower-triangular Toeplitz matrix whose first
+    column is (1, -a_rr, -R C, -R A C, ..., -R A^(r-1) C)."""
+    c = [1, -a[0][0]]
+    for r in range(1, len(a)):
+        row = a[r][:r]
+        block = [ai[:r] for ai in a[:r]]
+        v = [ai[r] for ai in a[:r]]
+        t = [1, -a[r][r], -sum(map(mul, row, v))]
+        for _ in range(r - 1):
+            v = [sum(map(mul, bi, v)) for bi in block]
+            t.append(-sum(map(mul, row, v)))
+        c = [sum(t[i - j] * c[j]
+                 for j in range(max(0, i - r - 1), min(i, r) + 1))
+             for i in range(r + 2)]
+    return c
+
+
 def _rref(a, ncols):
-    """Gauss-Jordan on the rows a (lists, changed in place) over the first
-    ncols columns; returns the pivot columns. Pivot rows come first,
-    scaled to pivot 1, with their pivot columns cleared elsewhere."""
+    """Fraction-free Gauss-Jordan on the integer rows a (lists, changed in
+    place) over the first ncols columns; returns the pivot columns. Pivot
+    rows come first, every pivot column is cleared in the other rows, and
+    each changed row is divided by its content; dividing row i by its
+    pivot a[i][pivots[i]] gives the reduced row echelon form."""
     n = len(a)
     pivots = []
     for j in range(ncols):
         row = len(pivots)
-        piv = next((i for i in range(row, n) if a[i][j] != 0), None)
+        piv = next((i for i in range(row, n) if a[i][j]), None)
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][j]
-        a[row] = [x * inv for x in a[row]]
+        pr = a[row]
+        p = pr[j]
         for i in range(n):
-            if i != row and a[i][j]:
-                t = a[i][j]
-                a[i] = [x - t * y for x, y in zip(a[i], a[row])]
+            t = a[i][j]
+            if i != row and t:
+                g = gcd(p, t)
+                s, t = p // g, t // g
+                r = [s * x - t * y for x, y in zip(a[i], pr)]
+                g = gcd(*r)
+                a[i] = [x // g for x in r] if g > 1 else r
         pivots.append(j)
         if len(pivots) == n:
             break
@@ -221,29 +270,30 @@ def solve(M, b):
     n, m = M.nrows, M.ncols
     if len(b) != n:
         raise DimensionMismatch("right-hand side length mismatch")
-    a = [list(r) + [Fraction(b[i])] for i, r in enumerate(M.rows)]
+    # M = num / den and b = bi / c: num y = bi gives x = den y / c
+    bi, c = _clear(b)
+    a = [list(r) + [x] for r, x in zip(M.num, bi)]
     pivots = _rref(a, m)
     for i in range(len(pivots), n):
         if a[i][m] != 0:
             raise Inconsistent("linear system has no solution")
     x = [Fraction(0)] * m
     for i, j in enumerate(pivots):
-        x[j] = a[i][m]
+        x[j] = Fraction(M.den * a[i][m], c * a[i][j])
     return tuple(x)
 
 
 def kernel(M):
     """Basis of the right null space of M, as a list of tuples."""
     m = M.ncols
-    a = [list(r) for r in M.rows]
+    a = [list(r) for r in M.num]
     pivots = _rref(a, m)
-    free = [j for j in range(m) if j not in pivots]
     basis = []
-    for j in free:
+    for j in sorted(set(range(m)) - set(pivots)):
         v = [Fraction(0)] * m
         v[j] = Fraction(1)
         for i, pj in enumerate(pivots):
-            v[pj] = -a[i][j]
+            v[pj] = Fraction(-a[i][j], a[i][pj])
         basis.append(tuple(v))
     return basis
 
@@ -263,12 +313,9 @@ def hnf_columns(gens):
     for g in gens:
         if len(g) != n:
             raise DimensionMismatch("ragged generator list")
-        col = []
-        for x in g:
-            fx = Fraction(x)
-            if fx.denominator != 1:
-                raise NonIntegral("HNF needs integer entries")
-            col.append(fx.numerator)
+        col, c = _clear(g)
+        if c != 1:
+            raise NonIntegral("HNF needs integer entries")
         cols.append(col)
     m = len(cols)
     placed = 0

@@ -11,6 +11,7 @@ all live here.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from .arith import is_rational_square, rng_for, squarefree_part
 from .errors import (DimensionMismatch, NoCyclicVector, NonSeparable, NonUnit,
@@ -20,7 +21,7 @@ from .errors import (DimensionMismatch, NoCyclicVector, NonSeparable, NonUnit,
 from .etale import (EtaleAlgebra, EtaleElement, apply_tau, is_square,
                     is_tau_fixed, skew_data, solve_tau_norm)
 from .matrix import Mat, solve
-from .poly import Poly, is_separable
+from .poly import Poly, _clear, is_separable
 from .quadform import (QuadSpace, hyperbolic_completion, is_split_odd,
                        maximal_isotropic_subspace, standard_gram)
 
@@ -73,7 +74,9 @@ class StandardSpace:
         """sum_k v[k] w[d-1-k]: the Gram is the index reversal."""
         if len(v) != self.dim or len(w) != self.dim:
             raise DimensionMismatch("vectors must have length %d" % self.dim)
-        return sum(a * b for a, b in zip(v, reversed(w)))
+        vi, cv = _clear(v)
+        wi, cw = _clear(w)
+        return Fraction(sum(map(mul, vi, reversed(wi))), cv * cw)
 
     def __eq__(self, other):
         if not isinstance(other, StandardSpace):
@@ -101,9 +104,9 @@ def adjoint_op(t, space):
     d = space.dim
     if not t.is_square() or t.nrows != d:
         raise DimensionMismatch("operator must be %d x %d" % (d, d))
-    rows = t.rows
+    rows = t.num
     return Mat([[rows[d - 1 - j][d - 1 - i] for j in range(d)]
-                for i in range(d)])
+                for i in range(d)], t.den)
 
 
 def _validate_charpoly(f, rep):
@@ -127,15 +130,19 @@ def _pairing_gram(alg, alpha, rep):
     """
     d = alg.deg
     n = (d - 1) // 2
-    low = alg.f.c[:d]
+    # f = x^d + low / cf and alpha = cur / ca; step k keeps cur over
+    # ca cf^k, so the top coefficients tops[k] / (ca cf^k) stay integers
+    low, cf = _clear(alg.f.c[:d])
+    cur, ca = _clear(alpha.c)
     tops = []
-    cur = alpha.c
     for _ in range(2 * d - 1):
         top = cur[-1]
         tops.append(top)
         # times beta: shift up, then reduce the beta^d term by f
-        cur = tuple([-top * low[0]] + [a - top * c for a, c in
-                                       zip(cur[:-1], low[1:])])
+        cur = [-top * low[0]] + [cf * a - top * c
+                                 for a, c in zip(cur[:-1], low[1:])]
+    last = 2 * d - 2
+    tops = [t * cf ** (last - k) for k, t in enumerate(tops)]
     sign_n = -1 if n % 2 else 1
     rows = []
     for i in range(d):
@@ -146,7 +153,7 @@ def _pairing_gram(alg, alpha, rep):
                 v = v * sign_n * (-1 if j % 2 else 1)
             row.append(v)
         rows.append(row)
-    return Mat(rows)
+    return Mat(rows, ca * cf ** last)
 
 
 class OrbitRepresentative:
@@ -278,14 +285,14 @@ def _alpha_from_vector(orep, alg, base_gram, w):
     kr = Mat.from_cols(pows)
     if kr.det() == 0:
         return None
-    bil = orep.space.bilinear
-    b = [bil(pows[j], w) for j in range(d)]
-    if orep.rep == ADJOINT and orep.n % 2:
-        b = [-v for v in b]
-    coeffs = solve(base_gram, b)
-    alpha = alg.element(coeffs)
-    pulled = Mat([[bil(pows[i], pows[j]) for j in range(d)]
-                  for i in range(d)])
+    # <T^i w, T^j w> on the vectors cleared over one denominator c
+    flat, c = _clear([x for v in pows for x in v])
+    ints = [flat[k:k + d] for k in range(0, d * d, d)]
+    gram = [[sum(map(mul, u, reversed(v))) for v in ints] for u in ints]
+    pulled = Mat(gram, c * c)
+    sign = -1 if orep.rep == ADJOINT and orep.n % 2 else 1
+    b = [Fraction(sign * row[0], c * c) for row in gram]
+    alpha = alg.element(solve(base_gram, b))
     return alpha, pulled
 
 

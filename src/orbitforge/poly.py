@@ -1,14 +1,18 @@
 """Dense univariate polynomials, exact over Q plus mod-p utilities.
 
-Poly holds an ascending tuple of Fractions. Resultants run fraction-free
-on integer-cleared inputs (subresultant pseudo-remainder sequence) so the
-intermediate coefficients stay integral. Real-root work is Sturm-based and
-fully exact: a Sturm chain is a list of integer coefficient lists, each a
-positive multiple of the rational Sturm polynomial (primitive
-pseudo-remainders with the sign fixed), evaluated by integer Horner at
-rational points; isolating intervals have rational endpoints and signs of
-one polynomial at the roots of another are decided by interval refinement,
-never by floating point.
+Poly holds an ascending tuple of Fractions. Products, division and
+resultants run on integer lists: each operand is cleared to integers over
+one denominator, a product is an integer convolution, division is the
+integer pseudo-division that also gives pseudo-remainders (one loop for
+monic, non-monic and rational divisors), and resultants follow the
+fraction-free subresultant pseudo-remainder sequence, so intermediate
+coefficients stay integral and Fractions are built once per result.
+Real-root work is Sturm-based and fully exact: a Sturm chain is a list of
+integer coefficient lists, each a positive multiple of the rational Sturm
+polynomial (primitive pseudo-remainders with the sign fixed), evaluated
+by integer Horner at rational points; isolating intervals have rational
+endpoints and signs of one polynomial at the roots of another are decided
+by interval refinement, never by floating point.
 """
 
 import math
@@ -94,12 +98,14 @@ class Poly:
             return Poly([a * Fraction(other) for a in self.c])
         if not self.c or not other.c:
             return Poly()
-        out = [Fraction(0)] * (len(self.c) + len(other.c) - 1)
-        for i, a in enumerate(self.c):
+        A, ca = _clear(self.c)
+        B, cb = _clear(other.c)
+        out = [0] * (len(A) + len(B) - 1)
+        for i, a in enumerate(A):
             if a:
-                for j, b in enumerate(other.c):
+                for j, b in enumerate(B):
                     out[i + j] += a * b
-        return Poly(out)
+        return Poly(_over(out, ca * cb))
 
     __rmul__ = __mul__
 
@@ -115,21 +121,12 @@ class Poly:
     def __divmod__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.c) - len(other.c) + 1, 0)
-        r = list(self.c)
-        d, lb = other.degree, other.lc()
-        while len(r) - 1 >= d and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            t = r[-1] if lb == 1 else r[-1] / lb
-            q[k] = t
-            for i, b in enumerate(other.c):
-                r[i + k] -= t * b
-            r.pop()
-        return Poly(q), Poly(r)
+        # self = A / ca and other = B / cb with lc(B)^e A = Q B + R
+        A, ca = _clear(self.c)
+        B, cb = _clear(other.c)
+        Q, R, e = _pdivmod(A, B)
+        s = ca * B[-1] ** e
+        return Poly(_over([cb * x for x in Q], s)), Poly(_over(R, s))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -168,7 +165,7 @@ class Poly:
 
     def integer_cleared(self):
         """(F, c) with F integer-coefficient and F = c * self, c > 0."""
-        F, c = _cleared(self)
+        F, c = _clear(self.c)
         return Poly(F), c
 
     def pretty(self, var="x"):
@@ -203,13 +200,23 @@ class Poly:
 # resultant / discriminant (fraction-free subresultant PRS)
 
 
-def _cleared(f):
-    """(F, c): the integer coefficient list F = c * f, c > 0 the lcm of
-    the denominators."""
-    c = 1
-    for a in f.c:
-        c = c * a.denominator // math.gcd(c, a.denominator)
-    return [a.numerator * (c // a.denominator) for a in f.c], c
+def _clear(xs):
+    """(ints, c): the integers c * x for the rationals xs (ints, Fractions
+    or anything Fraction() takes), c > 0 the lcm of their denominators."""
+    rs = [(x, 1) if type(x) is int
+          else (x if type(x) is Fraction else Fraction(x)).as_integer_ratio()
+          for x in xs]
+    c = math.lcm(*[d for _, d in rs])
+    if c == 1:
+        return [n for n, _ in rs], 1
+    return [n * (c // d) for n, d in rs], c
+
+
+def _over(ints, c):
+    """The Fractions x / c."""
+    if c == 1:
+        return [Fraction(x) for x in ints]
+    return [Fraction(x, c) for x in ints]
 
 
 def _content(c):
@@ -223,22 +230,34 @@ def _deg(c):
     return len(c) - 1
 
 
-def _prem(A, B):
-    """Pseudo-remainder: lc(B)^(deg A - deg B + 1) * A mod B, integer lists."""
+def _pdivmod(A, B):
+    """(Q, R, e) for integer lists, B nonzero: lc(B)^e A = Q B + R with
+    deg R < deg B, e the number of reduction steps taken."""
     dB, lb = _deg(B), B[-1]
     R = A[:]
-    e = _deg(A) - dB + 1
+    Q = [0] * max(len(A) - dB, 0)
+    e = 0
     while R and _deg(R) >= dB:
         lr = R[-1]
-        R = [lb * x for x in R]
         k = _deg(R) - dB
+        if lb != 1:
+            R = [lb * x for x in R]
+            Q = [lb * x for x in Q]
+        Q[k] += lr
         for i, b in enumerate(B):
             R[i + k] -= lr * b
         while R and R[-1] == 0:
             R.pop()
-        e -= 1
+        e += 1
+    return Q, R, e
+
+
+def _prem(A, B):
+    """Pseudo-remainder: lc(B)^(deg A - deg B + 1) * A mod B, integer lists."""
+    _, R, e = _pdivmod(A, B)
+    e = _deg(A) - _deg(B) + 1 - e
     if e > 0:
-        m = lb**e
+        m = B[-1] ** e
         R = [m * x for x in R]
     return R
 
@@ -284,8 +303,8 @@ def resultant(f, g):
     """Res(f, g) over Q; 0 when either argument is 0 or they share a root."""
     if f.is_zero() or g.is_zero():
         return Fraction(0)
-    F, cf = _cleared(f)
-    G, cg = _cleared(g)
+    F, cf = _clear(f.c)
+    G, cg = _clear(g.c)
     r = _int_resultant(F, G)
     return Fraction(r) / (Fraction(cf) ** g.degree * Fraction(cg) ** f.degree)
 
@@ -331,10 +350,10 @@ def _int_sturm(A):
 def sturm_chain(f):
     """Sturm sequence of the squarefree part of f, as integer coefficient
     lists, each a positive multiple of the rational Sturm polynomial."""
-    chain = _int_sturm(_cleared(f)[0])
+    chain = _int_sturm(_clear(f.c)[0])
     if _deg(chain[-1]) > 0:  # gcd(f, f') is not constant: repeated roots
         fs = f // f.gcd(f.derivative())
-        chain = _int_sturm(_cleared(fs)[0])
+        chain = _int_sturm(_clear(fs.c)[0])
     return chain
 
 
@@ -430,7 +449,7 @@ def _root_signs(g, f, fchain, intervals):
     h = f.gcd(g)
     hchain = sturm_chain(h) if h.degree >= 1 else None
     gchain = sturm_chain(g)
-    G = _cleared(g)[0]
+    G = _clear(g.c)[0]
     out = []
     for lo, hi in intervals:
         if hchain and count_real_roots(h, lo, hi, hchain) > 0:

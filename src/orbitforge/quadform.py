@@ -22,7 +22,7 @@ maximal isotropic subspace.
 import functools
 import math
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 
 from .arith import (factorize, is_rational_square, legendre, sqrt_mod,
                     valuation)
@@ -45,7 +45,7 @@ INF = "inf"
 class QuadSpace:
     """A nondegenerate symmetric bilinear form on Q^dim."""
 
-    __slots__ = ("gram",)
+    __slots__ = ("gram", "_factors")
 
     def __init__(self, gram):
         if not isinstance(gram, Mat):
@@ -88,25 +88,33 @@ def standard_gram(n):
 
 def diagonalize(space):
     """(D, U) with U^T * gram * U = diag(D), all D entries nonzero."""
-    dvals, u = _diagonalize(space.gram.rows)
-    return dvals, Mat(u)
+    return _diagonalize(space.gram.num, space.gram.den)
 
 
-def _diagonalize(rows):
-    """Congruence diagonalization of a nondegenerate symmetric matrix given
-    as rows; returns (D, U) as lists with U^T * rows * U = diag(D)."""
-    g = [[Fraction(x) for x in r] for r in rows]
+def _diagonalize(G, gd):
+    """Congruence diagonalization of the nondegenerate symmetric matrix
+    G / gd (integer rows G, gd > 0); returns (D, U), D a list of Fractions
+    and U a Mat, with U^T (G / gd) U = diag(D).
+
+    The form and U are integer rows over one denominator each. A pivot
+    step clears column k from every later column at once: with e = |d| for
+    the pivot d, both are scaled by e, the later block becomes
+    e g_ij - s g_ik g_kj (s the sign of d), and the common content is
+    divided out once.
+    """
+    g = [list(r) for r in G]
     n = len(g)
-    u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    ud = 1
 
-    def col_op(dst, src, t):
-        # column_dst += t * column_src, mirrored on rows, tracked in u
+    def col_op(dst, src):
+        # column_dst += column_src, mirrored on rows, tracked in u
         for i in range(n):
-            g[i][dst] += t * g[i][src]
+            g[i][dst] += g[i][src]
         for j in range(n):
-            g[dst][j] += t * g[src][j]
+            g[dst][j] += g[src][j]
         for i in range(n):
-            u[i][dst] += t * u[i][src]
+            u[i][dst] += u[i][src]
 
     def col_swap(a, b):
         for i in range(n):
@@ -114,6 +122,12 @@ def _diagonalize(rows):
         g[a], g[b] = g[b], g[a]
         for i in range(n):
             u[i][a], u[i][b] = u[i][b], u[i][a]
+
+    def divide_content(rows, den):
+        c = math.gcd(den, *chain.from_iterable(rows))
+        if c > 1:
+            rows[:] = [[x // c for x in r] for r in rows]
+        return den // c
 
     for k in range(n):
         if g[k][k] == 0:
@@ -134,14 +148,27 @@ def _diagonalize(rows):
                 if pair is None:
                     raise Degenerate("form is degenerate")
                 i, j = pair
-                col_op(i, j, 1)  # now g[i][i] = 2*g[i][j] != 0
+                col_op(i, j)  # now g[i][i] = 2*g[i][j] != 0
                 if i != k:
                     col_swap(k, i)
         d = g[k][k]
-        for j in range(k + 1, n):
-            if g[k][j] != 0:
-                col_op(j, k, -g[k][j] / d)
-    return [g[i][i] for i in range(n)], u
+        rest = [0] * (k + 1) + g[k][k + 1:]
+        if not any(rest):
+            continue
+        e, s = abs(d), (1 if d > 0 else -1)
+        for i in range(n):
+            gi = g[i]
+            if i > k:
+                t = s * gi[k]
+                g[i] = [e * x - t * y for x, y in zip(gi, rest)]
+                g[i][k] = 0
+            else:
+                g[i] = [e * x for x in gi[:k + 1]] + [0] * (n - k - 1)
+            t = s * u[i][k]
+            u[i] = [e * x - t * y for x, y in zip(u[i], rest)]
+        gd = divide_content(g, gd * e)
+        ud = divide_content(u, ud * e)
+    return [Fraction(g[i][i], gd) for i in range(n)], Mat(u, ud)
 
 
 def hilbert_symbol(a, b, place):
@@ -211,12 +238,21 @@ class FormInvariants:
         )
 
 
-def _denominator_lcm(gram):
-    c = 1
-    for row in gram.rows:
-        for x in row:
-            c = math.lcm(c, x.denominator)
-    return c
+def _factors(space):
+    """(det, the factorization of its numerator times its denominator,
+    those primes together with the primes of the Gram's common
+    denominator), factored once per space: the split test and the
+    minimization read the same primes."""
+    try:
+        return space._factors
+    except AttributeError:
+        pass
+    det = space.gram.det()
+    det_fac = factorize(det.numerator * det.denominator)
+    c = space.gram.den
+    primes = set(det_fac) | (set(factorize(c)) if c > 1 else set())
+    space._factors = (det, det_fac, primes)
+    return space._factors
 
 
 def invariants(space):
@@ -229,15 +265,12 @@ def invariants(space):
     dvals, _ = diagonalize(space)
     pos = sum(1 for d in dvals if d > 0)
     sig = (pos, len(dvals) - pos)
-    det = space.gram.det()
-    det_primes = factorize(det.numerator * det.denominator)
+    det, det_primes, primes = _factors(space)
     disc = -1 if det < 0 else 1
     for q, e in det_primes.items():
         if e % 2:
             disc *= q
-    relevant = ({2} | set(det_primes)
-                | set(factorize(_denominator_lcm(space.gram))))
-    places = [INF] + sorted(relevant)
+    places = [INF] + sorted({2} | primes)
     minus = set()
     prod = 1
     for v in places:
@@ -511,15 +544,14 @@ def _minimized(space):
     Gram's common denominator and minimizes at every prime of
     det(c^2 gram)."""
     m = space.dim
-    c = _denominator_lcm(space.gram)
-    g = [[int(x * c * c) for x in row] for row in space.gram.rows]
+    c = space.gram.den
+    g = [[x * c for x in row] for row in space.gram.num]
     basis = [tuple(Fraction(c * (i == j)) for i in range(m)) for j in range(m)]
-    det = space.gram.det()
     try:
-        primes = set(factorize(det.numerator)) | set(factorize(c))
+        primes = _factors(space)[2]
     except FactorizationTimeout as e:
         raise IsotropicSearchFailed("factoring the determinant %s ran out of"
-                                    " its budget" % det) from e
+                                    " its budget" % space.gram.det()) from e
     for p in sorted(primes):
         if not _minimize_at(g, basis, p):
             raise _no_isotropic(space)
@@ -530,8 +562,8 @@ def _majorant(g):
     """(D, P): the diagonal of g and its Hermite majorant P = V^T |D| V,
     V the inverse of the diagonalizing matrix; P >= |g| and det P =
     |det g|."""
-    dvals, u = _diagonalize(g)
-    v = Mat(u).inv().rows
+    dvals, u = _diagonalize(g, 1)
+    v = u.inv().rows
     m = len(g)
     return dvals, [[sum(abs(d) * r[i] * r[j] for d, r in zip(dvals, v))
                     for j in range(m)] for i in range(m)]

@@ -15,13 +15,13 @@ from orbitforge.census import (CensusRow, charpoly_key, count_factors_fp,
                                _charpoly5_exact, _charpoly5_skew,
                                _digits_array, _fp_det, _gram_np,
                                _ops_from_digits, _orbit_labels,
-                               _so3_elements)
+                               _separable_keys, _so3_elements)
 from orbitforge.errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
                                MaximalRankHypothesisFails, NonSeparableModP,
                                NotOperatorRep)
 from orbitforge.matrix import Mat
 from orbitforge.orbits import ADJOINT, STANDARD, SYM2
-from orbitforge.poly import Poly
+from orbitforge.poly import Poly, fp_count_factors
 
 X3_MINUS_X = Poly([0, -1, 0, 1])
 X3_PLUS_X = Poly([0, 1, 0, 1])
@@ -548,3 +548,32 @@ def test_real_count_fiber_sums():
         n = (f.degree - 1) // 2
         _, fibers = orbit_count_real(f, ADJOINT)
         assert sum(fibers.values()) == 2 ** n
+
+
+def _factors_or_raises(fc, p):
+    try:
+        fp_count_factors(fc, p)
+    except NonSeparableModP:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_separable_keys_match_factoring_dim3(p):
+    # every monic cubic mod p, keyed (c2 p + c1) p + c0 as the census keys it
+    keys = np.arange(p ** 3)
+    flags = _separable_keys(keys, 1, p).tolist()
+    for key, flag in zip(keys.tolist(), flags):
+        fc = [key % p, key // p % p, key // (p * p), 1]
+        assert flag == _factors_or_raises(fc, p), fc
+
+
+def test_separable_keys_match_factoring_dim5_skew():
+    p = 3
+    keys = np.array([(e2 * p * p + e4) * p for e2 in range(p)
+                     for e4 in range(p)])
+    flags = _separable_keys(keys, 2, p).tolist()
+    for key, flag in zip(keys.tolist(), flags):
+        fc = [key // p ** i % p for i in range(5)] + [1]
+        assert fc[0] == fc[2] == fc[4] == 0
+        assert flag == _factors_or_raises(fc, p), fc

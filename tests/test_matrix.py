@@ -117,3 +117,218 @@ def test_apply_and_shape_errors():
     assert m.transpose().rows == ((1, 4), (2, 5), (3, 6))
     with pytest.raises(NotSquare):
         m.det()
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the Fraction definitions they replaced
+
+
+def _ref_mul(a, b):
+    bt = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+             for col in bt] for row in a]
+
+
+def _ref_det(rows):
+    a = [[Fraction(x) for x in r] for r in rows]
+    n = len(a)
+    out = Fraction(1)
+    for j in range(n):
+        piv = next((i for i in range(j, n) if a[i][j] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != j:
+            a[j], a[piv] = a[piv], a[j]
+            out = -out
+        out *= a[j][j]
+        for i in range(j + 1, n):
+            t = a[i][j] / a[j][j]
+            for k in range(j, n):
+                a[i][k] -= t * a[j][k]
+    return out
+
+
+def _ref_rref(a, ncols):
+    n = len(a)
+    pivots = []
+    for j in range(ncols):
+        row = len(pivots)
+        piv = next((i for i in range(row, n) if a[i][j] != 0), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = 1 / a[row][j]
+        a[row] = [x * inv for x in a[row]]
+        for i in range(n):
+            if i != row and a[i][j]:
+                t = a[i][j]
+                a[i] = [x - t * y for x, y in zip(a[i], a[row])]
+        pivots.append(j)
+    return pivots
+
+
+def _ref_inv(rows):
+    n = len(rows)
+    a = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)]
+    if len(_ref_rref(a, n)) < n:
+        return None
+    return [r[n:] for r in a]
+
+
+def _ref_solve(rows, b):
+    m = len(rows[0])
+    a = [[Fraction(x) for x in r] + [Fraction(y)] for r, y in zip(rows, b)]
+    pivots = _ref_rref(a, m)
+    if any(a[i][m] != 0 for i in range(len(pivots), len(a))):
+        return None
+    x = [Fraction(0)] * m
+    for i, j in enumerate(pivots):
+        x[j] = a[i][m]
+    return tuple(x)
+
+
+def _ref_kernel(rows):
+    m = len(rows[0])
+    a = [[Fraction(x) for x in r] for r in rows]
+    pivots = _ref_rref(a, m)
+    basis = []
+    for j in (j for j in range(m) if j not in pivots):
+        v = [Fraction(0)] * m
+        v[j] = Fraction(1)
+        for i, pj in enumerate(pivots):
+            v[pj] = -a[i][j]
+        basis.append(tuple(v))
+    return basis
+
+
+def _ref_charpoly(rows):
+    """Hessenberg reduction and the leading-minor recurrence, on ascending
+    coefficient lists of Fractions."""
+    n = len(rows)
+    h = [[Fraction(x) for x in r] for r in rows]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j] != 0), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[j + 1], h[piv] = h[piv], h[j + 1]
+            for row in h:
+                row[j + 1], row[piv] = row[piv], row[j + 1]
+        for i in range(j + 2, n):
+            if h[i][j]:
+                t = h[i][j] / h[j + 1][j]
+                h[i] = [x - t * y for x, y in zip(h[i], h[j + 1])]
+                for row in h:
+                    row[j + 1] += t * row[i]
+
+    def times_x_minus(c, a):
+        return [-a * c[0]] + [c[k - 1] - a * (c[k] if k < len(c) else 0)
+                              for k in range(1, len(c) + 1)]
+
+    ps = [[Fraction(1)]]
+    for m in range(1, n + 1):
+        p = times_x_minus(ps[m - 1], h[m - 1][m - 1])
+        sub = Fraction(1)
+        for i in range(m - 1, 0, -1):
+            sub *= h[i][i - 1]
+            t = h[i - 1][m - 1] * sub
+            for k, c in enumerate(ps[i - 1]):
+                p[k] -= t * c
+        ps.append(p)
+    return ps[n]
+
+
+def _random_rows(rng, n, m):
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 5, 12]))
+
+    rows = [[entry() for _ in range(m)] for _ in range(n)]
+    shape = rng.random()
+    if n > 1 and shape < 0.15:
+        rows[rng.randrange(n)] = [Fraction(0)] * m           # a zero row
+    elif n > 2 and shape < 0.35:
+        i, j, k = rng.sample(range(n), 3)                    # rank deficient
+        s, t = entry(), entry()
+        rows[k] = [s * x + t * y for x, y in zip(rows[i], rows[j])]
+    elif n > 1 and shape < 0.45:
+        i, j = rng.sample(range(n), 2)                       # repeated row
+        rows[j] = [Fraction(-3, 2) * x for x in rows[i]]
+    return rows
+
+
+def _cases(count, square=None):
+    import random
+
+    rng = random.Random("matrix-kernels")
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        m = n if square or rng.random() < 0.5 else rng.randint(1, 6)
+        if square is False and m == n:
+            m = n + 1
+        yield rng, _random_rows(rng, n, m)
+
+
+def test_mul_and_apply_match_fraction_definitions():
+    for rng, a in _cases(300):
+        k = rng.randint(1, 5)
+        b = _random_rows(rng, len(a[0]), k)
+        assert (Mat(a) * Mat(b)).rows == tuple(map(tuple, _ref_mul(a, b)))
+        v = [row[0] for row in _random_rows(rng, len(a[0]), 1)]
+        ref = _ref_mul(a, [[x] for x in v])
+        assert Mat(a).apply(v) == tuple(r[0] for r in ref)
+        s = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+        assert (Mat(a) * s).rows == tuple(tuple(x * s for x in r) for r in a)
+
+
+def test_det_inv_charpoly_match_fraction_definitions():
+    singular = 0
+    for rng, a in _cases(300, square=True):
+        m = Mat(a)
+        assert m.det() == _ref_det(a)
+        ref = _ref_inv(a)
+        if ref is None:
+            singular += 1
+            with pytest.raises(Inconsistent):
+                m.inv()
+        else:
+            assert m.inv().rows == tuple(map(tuple, ref))
+        f = m.charpoly()
+        assert list(f.c) == _ref_charpoly(a)
+        n = len(a)
+        for x in (Fraction(0), Fraction(3), Fraction(-5, 2), Fraction(7, 3)):
+            xi = [[x * (i == j) - a[i][j] for j in range(n)] for i in range(n)]
+            assert f(x) == _ref_det(xi)
+    assert singular > 20
+
+
+def test_solve_kernel_match_fraction_definitions():
+    inconsistent = nontrivial = 0
+    for rng, a in _cases(400):
+        b = [r[0] for r in _random_rows(rng, len(a), 1)]
+        ref = _ref_solve(a, b)
+        if ref is None:
+            inconsistent += 1
+            with pytest.raises(Inconsistent):
+                matrix.solve(Mat(a), b)
+        else:
+            assert matrix.solve(Mat(a), b) == ref
+        ker = matrix.kernel(Mat(a))
+        assert ker == _ref_kernel(a)
+        nontrivial += bool(ker)
+        for v in ker:
+            assert all(x == 0 for x in Mat(a).apply(v))
+    assert inconsistent > 20 and nontrivial > 50
+
+
+def test_storage_is_canonical():
+    m = Mat([[Fraction(1, 2), Fraction(3, 4)], [0, Fraction(-5, 6)]])
+    assert m.den == 12 and m.num == ((6, 9), (0, -10))
+    half = Fraction(1, 2)
+    assert Mat([[2, 4], [6, 8]], 4) == Mat([[half, 1], [3 * half, 2]])
+    assert Mat([[2, 4], [6, 8]], 4).den == 2
+    assert (m - m).den == 1 and (m * 0).num == ((0, 0), (0, 0))
+    assert Mat([[Fraction(7, 3)]]).charpoly() == Poly([Fraction(-7, 3), 1])
+    assert Mat([[Fraction(7, 3)]]).inv() == Mat([[Fraction(3, 7)]])

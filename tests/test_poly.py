@@ -291,3 +291,81 @@ def test_fp_resultant_residuosity_matches_fpx_sqrt():
             residue = legendre(poly.fp_resultant(h, b, p), p) == 1
             root = poly.fpx_sqrt(b, h, p, rng)
             assert residue == (root is not None)
+
+
+# ---------------------------------------------------------------------------
+# integer products and division against the Fraction definitions they
+# replaced
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _ref_divmod(a, b):
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    d, lb = len(b) - 1, b[-1]
+    while len(r) - 1 >= d and any(r):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) - 1 < d:
+            break
+        k = len(r) - 1 - d
+        t = r[-1] / lb
+        q[k] = t
+        for i, y in enumerate(b):
+            r[i + k] -= t * y
+        r.pop()
+    for c in (q, r):
+        while c and c[-1] == 0:
+            c.pop()
+    return q, r
+
+
+def test_mul_divmod_match_fraction_definitions():
+    import random
+
+    rng = random.Random("poly-kernels")
+
+    def coeff(den):
+        if rng.random() < 0.25:
+            return Fraction(0)
+        return Fraction(rng.randint(-20, 20), rng.choice(den))
+
+    divisors = [P(Fraction(1, 3), Fraction(1, 2), 0, 1),    # x^3 + x/2 + 1/3
+                P(-2, 0, 0, 1), P(5), P(Fraction(-3, 4)), P(1, 2, 0, 3)]
+    kinds = {"monic": 0, "non-monic": 0, "rational": 0}
+    for _ in range(400):
+        f = Poly([coeff([1, 1, 2, 3, 7]) for _ in range(rng.randint(0, 9))])
+        kind = rng.choice(sorted(kinds))
+        dens = [1] if kind != "rational" else [1, 2, 5, 6]
+        g = [coeff(dens) for _ in range(rng.randint(0, 5))]
+        lead = {"monic": Fraction(1), "rational": Fraction(1),
+                "non-monic": Fraction(rng.choice([-6, -1, 2, 3, 9]),
+                                      rng.choice([1, 1, 4]))}[kind]
+        g = Poly(g + [lead])
+        kinds[kind] += 1
+        for h in [g] + divisors:
+            assert list((f * h).c) == _ref_mul(list(f.c), list(h.c))
+            q, r = divmod(f, h)
+            assert (list(q.c), list(r.c)) == _ref_divmod(list(f.c), list(h.c))
+            assert f % h == r and f // h == q
+    assert min(kinds.values()) > 100
+
+
+def test_divmod_by_rational_monic_divisor():
+    g = P(Fraction(1, 3), Fraction(1, 2), 0, 1)    # x^3 + x/2 + 1/3
+    f = P(1, 0, 0, 0, 0, 1)                        # x^5 + 1
+    q, r = divmod(f, g)
+    assert q == P(Fraction(-1, 2), 0, 1)
+    assert r == P(Fraction(7, 6), Fraction(1, 4), Fraction(-1, 3))
+    assert q * g + r == f

@@ -261,3 +261,29 @@ def test_solver_names_the_factoring_budget(monkeypatch):
     monkeypatch.setattr(qf, "factorize", broke)
     with pytest.raises(IsotropicSearchFailed):
         qf.find_isotropic_vector(D(1, 1, -2))
+
+
+def test_representative_from_alpha_factors_each_integer_once(monkeypatch):
+    # the split test and the minimization read the same primes of the
+    # twisted determinant and of the Gram's denominator: one factoring each
+    from collections import Counter
+
+    from orbitforge.etale import EtaleAlgebra
+    from orbitforge.orbits import SYM2, representative_from_alpha
+    from orbitforge.poly import Poly
+
+    f = Poly([3, -1, 4, 1, -5, 9, -2, 1])
+    alg = EtaleAlgebra(f)
+    u = alg.element([7, -3, 2, 5, -1, 4, 6])
+    seen = Counter()
+    real = qf.factorize
+
+    def counting(n, *args, **kwargs):
+        seen[abs(n)] += 1
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(qf, "factorize", counting)
+    o = representative_from_alpha(f, u * u, SYM2)
+    assert o.op.charpoly() == f
+    assert any(n > 1 for n in seen)
+    assert all(k == 1 for k in seen.values()), seen
