@@ -16,6 +16,9 @@ from .errors import FactorizationTimeout, Inconsistent, NotSquare, ZeroInput
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# wall-clock seconds factorize may spend in rho before FactorizationTimeout
+FACTOR_TIMEOUT_S = 30.0
+
 
 def default_seed():
     """Seed for all randomized routines; override with ORBITFORGE_SEED."""
@@ -64,7 +67,7 @@ def _brent_rho(n, rng, deadline):
     if n % 2 == 0:
         return 2
     while True:
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             raise FactorizationTimeout("factor search budget exhausted for %d" % n)
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -84,7 +87,7 @@ def _brent_rho(n, rng, deadline):
                 g = math.gcd(q, n)
                 k += m
             r *= 2
-            if deadline is not None and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 raise FactorizationTimeout("factor search budget exhausted for %d" % n)
         if g == n:
             g = 1
@@ -95,10 +98,11 @@ def _brent_rho(n, rng, deadline):
             return g
 
 
-def factorize(n, timeout=30.0):
+def factorize(n):
     """Prime factorization of a nonzero integer as a sorted dict {p: e}.
 
-    The sign is dropped. Raises FactorizationTimeout if the budget runs out.
+    The sign is dropped. Raises FactorizationTimeout if rho runs past
+    FACTOR_TIMEOUT_S seconds.
     """
     if n == 0:
         raise ZeroInput("cannot factor 0")
@@ -117,7 +121,7 @@ def factorize(n, timeout=30.0):
             n //= d
         d += wheel[i]
         i = (i + 1) % 8
-    deadline = None if timeout is None else time.monotonic() + timeout
+    deadline = time.monotonic() + FACTOR_TIMEOUT_S
     rng = rng_for("factorize:%d" % n)
     stack = [n] if n > 1 else []
     while stack:
@@ -138,7 +142,7 @@ def factorize(n, timeout=30.0):
     return dict(sorted(out.items()))
 
 
-def squarefree_part(q, timeout=30.0):
+def squarefree_part(q):
     """The unique squarefree integer in the square class of a rational.
 
     squarefree_part(48) == 3, squarefree_part(-4) == -1,
@@ -150,7 +154,7 @@ def squarefree_part(q, timeout=30.0):
     n = q.numerator * q.denominator
     sign = -1 if n < 0 else 1
     out = sign
-    for p, e in factorize(n, timeout=timeout).items():
+    for p, e in factorize(n).items():
         if e % 2:
             out *= p
     return out

@@ -11,7 +11,10 @@ then labelled in a few whole-array passes: every element takes the
 smallest label along its images, pointers are jumped until stable, and
 each orbit ends labelled by its smallest index.  The dimension-five
 self-adjoint space is too large to label whole; it is sampled one orbit
-at a time by breadth-first closure over the same tables.  Generation is
+per requested polynomial, by breadth-first closure over the same tables
+from the rational representative of the polynomial's lifted key reduced
+mod p.  Characteristic polynomials and determinants of whole stacks of
+operators come from matrix._berkowitz run on numpy columns.  Generation is
 never assumed: each orbit whose stabilizer is measured directly (over the
 enumerated group in dimension three, over the commutant in dimension
 five) must satisfy orbit size times stabilizer order equals the group
@@ -34,14 +37,15 @@ import numpy as np
 from .arith import is_prime, rng_for
 from .errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
                      MaximalRankHypothesisFails, NotMonic, NotOddPolynomial,
-                     NotOperatorRep, WrongDegree)
-from .matrix import Mat
+                     NotOperatorRep, WrongDegree, WrongDimension)
+from .matrix import _berkowitz
 from .orbits import (STANDARD, SYM2, _check_rep, _check_tensor_rep,
                      _validate_charpoly, construct_representative)
 from .poly import (Poly, count_real_roots, discriminant, fp_count_factors,
                    fp_from_poly)
 
-DEFAULT_BUDGET = 2 ** 31
+# estimated conjugations (space size times group order) a census may run
+CONJUGATION_BUDGET = 2 ** 31
 
 
 def so_order(n, q):
@@ -159,24 +163,12 @@ def _gram_np(d):
     return np.fliplr(np.eye(d, dtype=np.int64))
 
 
-def _fp_det(rows, p):
-    d = len(rows)
-    a = [[int(x) % p for x in row] for row in rows]
-    det = 1
-    for col in range(d):
-        piv = next((r for r in range(col, d) if a[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = (-det) % p
-        det = det * a[col][col] % p
-        inv = pow(a[col][col], -1, p)
-        for r in range(col + 1, d):
-            if a[r][col]:
-                c = a[r][col] * inv % p
-                a[r] = [(x - c * y) % p for x, y in zip(a[r], a[col])]
-    return det % p
+def _charpolys(T, p):
+    """Coefficients mod p of det(xI - T), highest power first, for a stack
+    T of N d x d operators: matrix._berkowitz on the d x d grid of entry
+    columns over the stack.  In odd dimension d the determinant is -c[d]."""
+    cols = np.ascontiguousarray(T.transpose(1, 2, 0), dtype=np.int32)
+    return [c % p for c in _berkowitz(cols)]
 
 
 def _powers(width, p):
@@ -193,13 +185,6 @@ def _digits_array(count, width, p):
 
 # ---------------------------------------------------------------------------
 # the three-dimensional group, fully enumerated
-
-
-def _det3(T):
-    """Integer determinants of a stack of 3 x 3 matrices."""
-    return (T[:, 0, 0] * (T[:, 1, 1] * T[:, 2, 2] - T[:, 1, 2] * T[:, 2, 1])
-            - T[:, 0, 1] * (T[:, 1, 0] * T[:, 2, 2] - T[:, 1, 2] * T[:, 2, 0])
-            + T[:, 0, 2] * (T[:, 1, 0] * T[:, 2, 1] - T[:, 1, 1] * T[:, 2, 0]))
 
 
 def _so3_elements(p):
@@ -232,17 +217,7 @@ def _so3_elements(p):
     qh = (2 * h[:, 0] * h[:, 2] + h[:, 1] ** 2) * inv[2] % p
     g3 = (h - qh[:, None] * g1) % p
     G = np.stack([g1, g2, g3], axis=2)
-    return G[_det3(G) % p == 1]
-
-
-def _charpoly3(T, p):
-    """Coefficients (c0, c1, c2) of det(xI - T) = x^3 + c2 x^2 + c1 x + c0,
-    vectorized mod p."""
-    inv2 = pow(2, -1, p)
-    tr = (T[:, 0, 0] + T[:, 1, 1] + T[:, 2, 2]) % p
-    tr2 = np.einsum("nij,nji->n", T, T) % p
-    e2 = (tr * tr - tr2) % p * inv2 % p
-    return (-_det3(T)) % p, e2, (-tr) % p
+    return G[-_charpolys(G, p)[3] % p == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +394,6 @@ def _so_generators(d, p):
             key = E.tobytes()
             if np.array_equal(E, eye) or key in seen:
                 continue
-            assert np.array_equal(E.T @ J @ E % p, J)
-            assert _fp_det(E.tolist(), p) == 1
             seen.add(key)
             gens.append(E)
             got += 1
@@ -430,10 +403,10 @@ def _so_generators(d, p):
     h = eye.copy()
     h[0, 0] = c
     h[d - 1, d - 1] = pow(c, -1, p)
-    assert np.array_equal(h.T @ J @ h % p, J)
-    assert _fp_det(h.tolist(), p) == 1
-    gens.append(h)
-    return np.stack(gens)
+    gens = np.stack(gens + [h])
+    assert (np.all(gens.transpose(0, 2, 1) @ J @ gens % p == J)
+            and np.all(-_charpolys(gens, p)[d] % p == 1))
+    return gens
 
 
 def _actions(gs, d, rep, p):
@@ -548,26 +521,6 @@ def _closure(start, hi, lo, visited, p):
 # dimension five: characteristic polynomials, direct stabilizers, samples
 
 
-def _charpoly5_skew(T, p):
-    """(e4, e2) with det(xI - T) = x^5 + e2 x^3 + e4 x for skew-adjoint T.
-
-    The odd-power traces and the determinant vanish identically, so the
-    two Newton steps that remain divide only by 2 and by 4; p = 3 is safe.
-    """
-    T2 = np.matmul(T, T) % p
-    p2 = np.einsum("nii->n", T2) % p
-    p4 = np.einsum("nij,nji->n", T2, T2) % p
-    e2 = (-p2) % p * pow(2, -1, p) % p
-    e4 = (-(p4 + e2 * p2)) % p * pow(4, -1, p) % p
-    return e4, e2
-
-
-def _charpoly5_exact(T, p):
-    """Full mod-p characteristic polynomial via an exact rational lift."""
-    m = Mat([[int(x) for x in row] for row in T])
-    return tuple(int(a) % p for a in m.charpoly().c)
-
-
 def _stab_order5(T, p):
     """Stabilizer order of a separable 5x5 operator, measured directly.
 
@@ -585,43 +538,7 @@ def _stab_order5(T, p):
     cands = np.tensordot(coeffs, P, axes=(1, 0)) % p
     E = np.matmul(np.matmul(cands.transpose(0, 2, 1), J), cands) % p
     good = cands[np.all(E == J, axis=(1, 2))]
-    return sum(1 for g in good if _fp_det(g.tolist(), p) == 1)
-
-
-def _find_selfadj5(f, p, fc):
-    """A self-adjoint operator over F_p with characteristic polynomial fc.
-
-    First tries reducing the exact rational representative; if a
-    denominator dies mod p, falls back to seeded random search filtered by
-    the cheap trace conditions before the exact characteristic polynomial.
-    """
-    try:
-        orep = construct_representative(f, SYM2)
-        T = np.array([[int(Fraction(x).numerator)
-                       * pow(Fraction(x).denominator, -1, p) % p
-                       for x in row] for row in orep.op.rows], dtype=np.int64)
-        if _charpoly5_exact(T, p) == tuple(fc):
-            return T
-    except (ValueError, ZeroDivisionError):
-        pass
-    rng = rng_for("census5-search")
-    want_e1 = (-fc[4]) % p
-    want_tr2 = (fc[4] * fc[4] - 2 * fc[3]) % p
-    free = _free_positions(5, SYM2)
-    for _ in range(500000):
-        T = np.zeros((5, 5), dtype=np.int64)
-        for (i, j) in free:
-            v = rng.randrange(p)
-            T[i, j] = v
-            if i + j < 4:
-                T[4 - j, 4 - i] = v
-        if int(np.trace(T)) % p != want_e1:
-            continue
-        if int(np.einsum("ij,ji->", T, T)) % p != want_tr2:
-            continue
-        if _charpoly5_exact(T, p) == tuple(fc):
-            return T
-    raise BudgetExceeded("no operator with the requested polynomial found")
+    return int(np.sum(-_charpolys(good, p)[5] % p == 1))
 
 
 def _census5_sym2(p, polys):
@@ -640,7 +557,11 @@ def _census5_sym2(p, polys):
         if len(fc) != 6:
             raise WrongDegree("dimension-five rows need monic quintics")
         fp_count_factors(list(fc), p)
-        T0 = _find_selfadj5(f, p, fc)
+        op = construct_representative(Poly(list(fc)), SYM2).op
+        assert op.den % p
+        inv = pow(op.den, -1, p)
+        T0 = np.array([[x * inv % p for x in r] for r in op.num])
+        assert [c % p for c in _berkowitz(T0.tolist())] == list(fc[::-1])
         start = int(_op_digits(T0, 5, SYM2) @ _powers(width, p))
         size = _closure(start, hi, lo, np.zeros(p ** width, dtype=bool), p)
         stab = _stab_order5(T0, p)
@@ -704,13 +625,8 @@ def _full_census(p, n, rep, polys):
         qv = np.einsum("ni,ij,nj->n", digits, _gram_np(d), digits) % p
         keys = qv * pow(2, -1, p) % p
     else:
-        T = _ops_from_digits(digits, d, rep, p)
-        if n == 1:
-            c0, c1, c2 = _charpoly3(T, p)
-            keys = (c2 * p + c1) * p + c0
-        else:
-            e4, e2 = _charpoly5_skew(T, p)
-            keys = (e2 * p * p + e4) * p
+        c = _charpolys(_ops_from_digits(digits, d, rep, p), p)
+        keys = sum(c[d - i] * p ** i for i in range(d))
     images = _images(hi, lo, np.arange(hi.shape[2])[:, None],
                      np.arange(lo.shape[2])[None], p).reshape(len(hi), -1)
     lab = _orbit_labels(images)
@@ -761,7 +677,7 @@ def _full_census(p, n, rep, polys):
 # entry point
 
 
-def finite_census(p, n, rep, polys=None, budget=DEFAULT_BUDGET):
+def finite_census(p, n, rep, polys=None):
     """Census of the representation space over F_p with orbit partition.
 
     One engine serves every census.  Each element is a row of w free
@@ -776,22 +692,26 @@ def finite_census(p, n, rep, polys=None, budget=DEFAULT_BUDGET):
     skew-adjoint and vector spaces are enumerated in full, with separable
     operator orbits certified against a stabilizer measured over the
     commutant, while the self-adjoint space is sampled one certified
-    orbit per requested polynomial, by breadth-first closure.  polys,
+    orbit per requested polynomial, by breadth-first closure from the
+    exact rational representative of its key reduced mod p.  polys,
     when given, restricts the operator rows of a full census to the
     wanted classes after the whole space is labelled; vector censuses
     refuse it with NotOperatorRep.
 
-    Raises EvenPrime at p = 2, BadPrime for composite p, BudgetExceeded
-    when the estimated conjugation work passes `budget`.
+    Raises EvenPrime at p = 2, BadPrime for composite p, WrongDimension
+    for n < 1, BudgetExceeded when the estimated conjugation work passes
+    CONJUGATION_BUDGET or no census mode covers (p, n, rep).
     """
     _check_rep(rep)
     if p == 2:
         raise EvenPrime("census needs an odd prime")
     if not is_prime(p):
         raise BadPrime("%d is not prime" % p)
+    if n < 1:
+        raise WrongDimension("need n >= 1, got %d" % n)
     if n == 1:
         width = len(_free_positions(3, rep))
-        if p ** width * so_order(1, p) > budget:
+        if p ** width * so_order(1, p) > CONJUGATION_BUDGET:
             raise BudgetExceeded("about %d conjugations needed"
                                  % (p ** width * so_order(1, p)))
         return _full_census(p, n, rep, polys)

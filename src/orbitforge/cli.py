@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from math import gcd
+from math import floor, lcm
 
 from .bqf import BQForm, bqf_class_group, bqf_orbit_census, bqf_reduce
 from .census import (count_factors_fp, finite_census, orbit_count_local,
@@ -34,7 +34,7 @@ from .orbits import (ADJOINT, STANDARD, SYM2, adjoint_op, classify_vector,
                      construct_representative, in_kernel_gamma,
                      representative_from_alpha, same_orbit, standard_space,
                      stabilizer_info)
-from .poly import Poly
+from .poly import Poly, isolate_real_roots, refine_interval
 
 
 # ---------------------------------------------------------------------------
@@ -186,27 +186,22 @@ def parse_fraction(text):
 
 
 def _rational_roots(f):
-    """All rational roots of a monic polynomial with rational coefficients."""
-    den = 1
-    for a in f.c:
-        den = den * a.denominator // gcd(den, a.denominator)
-    ints = [int(a * den) for a in f.c]
+    """All rational roots of a monic polynomial with rational coefficients.
+
+    With c the lcm of the coefficient denominators, F(x) = c^d f(x/c) is
+    monic and integral, so its rational roots are integers: each is the
+    one integer k an isolating interval of F, halved below width 1, can
+    hold, and k/c is then a root of f.
+    """
+    c = lcm(*(a.denominator for a in f.c))
+    d = f.degree
+    F = Poly([a * c ** (d - i) for i, a in enumerate(f.c)])
     roots = []
-    work = ints
-    if work[0] == 0:
-        roots.append(Fraction(0))
-        k = 1
-        while work[k] == 0:
-            k += 1
-        work = work[k:]
-    c0, lead = abs(work[0]), abs(work[-1])
-    nums = [d for d in range(1, c0 + 1) if c0 % d == 0]
-    dens = [d for d in range(1, lead + 1) if lead % d == 0]
-    for p in nums:
-        for q in dens:
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and f(cand) == 0:
-                    roots.append(cand)
+    for lo, hi in isolate_real_roots(F):
+        lo, hi = refine_interval(F, (lo, hi), int(hi - lo).bit_length())
+        k = floor(hi)
+        if k > lo and F(k) == 0:
+            roots.append(Fraction(k, c))
     return roots
 
 

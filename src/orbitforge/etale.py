@@ -39,6 +39,9 @@ from .errors import (
 from .matrix import Mat
 from .poly import Poly
 
+# largest coefficient of the c in K that solve_tau_norm tries
+TAU_NORM_HEIGHT = 3
+
 
 class EtaleAlgebra:
     """Q[x]/(f) for monic separable f of degree >= 1."""
@@ -500,12 +503,13 @@ class TauNormOutcome:
         return "TauNormOutcome(%s)" % self.status
 
 
-def solve_tau_norm(skew, pi, height=3):
+def solve_tau_norm(skew, pi):
     """Bounded search for r in L* with r * tau(r) = pi (pi tau-fixed).
 
     Decomposes the equation: the k-part needs pi(0) to be a rational
-    square; the E-part a^2 - y*c^2 = pi_K is attacked by enumerating small
-    c in K and testing squareness of pi_K + y*c^2. Sound obstructions:
+    square; the E-part a^2 - y*c^2 = pi_K is attacked by enumerating the
+    c in K with coefficients at most TAU_NORM_HEIGHT in absolute value and
+    testing squareness of pi_K + y*c^2. Sound obstructions:
     pi(0) not a rational square, or pi_K negative at a real root y0 < 0
     of g (there E is locally C and norms are positive).
     """
@@ -538,7 +542,7 @@ def solve_tau_norm(skew, pi, height=3):
     # c = 0 first (tau-fixed square root), then small c by height
     n = skew.K.deg
     candidates = [Poly()]
-    for h in range(1, height + 1):
+    for h in range(1, TAU_NORM_HEIGHT + 1):
         for coeffs in itertools.product(range(-h, h + 1), repeat=n):
             if max((abs(x) for x in coeffs), default=0) == h:
                 candidates.append(Poly(coeffs))

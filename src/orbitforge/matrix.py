@@ -219,7 +219,15 @@ def _berkowitz(a):
     integer matrix, without division. Bordering the leading r x r block
     A by the row R, the column C and the corner a_rr multiplies its
     coefficient vector by the lower-triangular Toeplitz matrix whose first
-    column is (1, -a_rr, -R C, -R A C, ..., -R A^(r-1) C)."""
+    column is (1, -a_rr, -R C, -R A C, ..., -R A^(r-1) C).
+
+    Only +, -, * and sum touch the entries, so this runs over any
+    commutative ring with elementwise + and *: census._charpolys passes
+    int32 numpy columns, one entry over a whole stack of operators. With
+    entries in [0, p) at the (d, p) the censuses admit, p <= 31 at d = 3
+    and p = 3 at d = 5, every intermediate stays below 3 * 10^5, far inside
+    int32; and as nothing is divided, arithmetic that wraps modulo 2^32
+    still returns every coefficient that fits in int32 exactly."""
     c = [1, -a[0][0]]
     for r in range(1, len(a)):
         row = a[r][:r]

@@ -462,6 +462,8 @@ def stabilizer_info(arg, rep, n=None):
     """
     _check_rep(rep)
     if rep == STANDARD:
+        if n is not None and n < 1:
+            raise WrongDimension("need n >= 1, got %d" % n)
         d = Fraction(arg)
         if d == 0:
             raise ZeroDiscriminant("stabilizer description needs a nonzero"

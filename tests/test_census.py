@@ -3,6 +3,7 @@
 import hashlib
 import time
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,16 +12,16 @@ from hypothesis import strategies as st
 
 from orbitforge.census import (CensusRow, charpoly_key, count_factors_fp,
                                finite_census, orbit_count_local,
-                               orbit_count_real, so_order, _charpoly3,
-                               _charpoly5_exact, _charpoly5_skew,
-                               _digits_array, _fp_det, _gram_np,
+                               orbit_count_real, so_order, _charpolys,
+                               _digits_array, _gram_np,
                                _ops_from_digits, _orbit_labels,
                                _separable_keys, _so3_elements)
 from orbitforge.errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
                                MaximalRankHypothesisFails, NonSeparableModP,
-                               NotOperatorRep)
+                               NotOperatorRep, WrongDimension)
 from orbitforge.matrix import Mat
-from orbitforge.orbits import ADJOINT, STANDARD, SYM2
+from orbitforge.orbits import (ADJOINT, STANDARD, SYM2,
+                              construct_representative)
 from orbitforge.poly import Poly, fp_count_factors
 
 X3_MINUS_X = Poly([0, -1, 0, 1])
@@ -85,7 +86,7 @@ def test_group_elements_are_isometries():
         assert len(keys) == len(G)
         assert np.all((G >= 0) & (G < p))
         assert np.all(G.transpose(0, 2, 1) @ J @ G % p == J)
-        assert all(_fp_det(g.tolist(), p) == 1 for g in G)
+        assert all(Mat(g.tolist()).det() % p == 1 for g in G)
     # closure under a few products
     G = _so3_elements(5)
     keys = {g.tobytes() for g in G}
@@ -108,7 +109,7 @@ def _so3_by_column_search(p):
             b2 = vecs @ g2[::-1] % p
             for g3 in vecs[(qv == 0) & (b1 == 1) & (b2 == 0)]:
                 m = np.stack([g1, g2, g3], axis=1)
-                if _fp_det(m.tolist(), p) == 1:
+                if Mat(m.tolist()).det() % p == 1:
                     out.append(m)
     return np.stack(out)
 
@@ -225,15 +226,34 @@ def test_count_factors_errors():
 # ---------------------------------------------------------------------------
 # vectorized characteristic polynomial against the exact one
 
+def _exact_charpoly(m, p):
+    """Ascending coefficients mod p of the exact rational charpoly."""
+    return tuple(int(a) % p for a in Mat(m.tolist()).charpoly().c)
+
+
+def _stack_charpolys(T, p):
+    """_charpolys of a stack, as one ascending tuple per operator."""
+    c = [np.broadcast_to(x, len(T)) for x in _charpolys(T, p)]
+    return [tuple(int(x) for x in col[::-1]) for col in zip(*c)]
+
+
 def test_charpoly3_matches_exact_lift():
     p = 5
     digits = _digits_array(p ** 6, 6, p)[23::9341]
     T = _ops_from_digits(digits, 3, SYM2, p)
-    c0, c1, c2 = _charpoly3(T, p)
-    for i in range(len(T)):
-        m = Mat([[Fraction(int(x)) for x in row] for row in T[i]])
-        want = tuple(int(a) % p for a in m.charpoly().c)
-        assert (int(c0[i]), int(c1[i]), int(c2[i]), 1) == want
+    assert _stack_charpolys(T, p) == [_exact_charpoly(m, p) for m in T]
+
+
+@pytest.mark.parametrize("d, p", [(3, 31), (5, 3), (7, 5)])
+def test_charpolys_match_exact_on_seeded_stacks(d, p):
+    # entries anywhere in [0, p), the all-(p - 1) operator among them
+    rng = np.random.default_rng(1000 * d + p)
+    T = rng.integers(0, p, size=(200, d, d))
+    T[0] = p - 1
+    got = _stack_charpolys(T, p)
+    assert got == [_exact_charpoly(m, p) for m in T]
+    dets = (-1) ** d * _charpolys(T, p)[d] % p
+    assert dets.tolist() == [Mat(m.tolist()).det() % p for m in T]
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +413,9 @@ def test_census_error_paths():
         finite_census(3, 3, SYM2)
     with pytest.raises(BudgetExceeded):
         finite_census(3, 2, SYM2)   # self-adjoint mode needs explicit polys
+    for n in (0, -1):
+        with pytest.raises(WrongDimension):
+            finite_census(3, n, SYM2)
 
 
 @pytest.mark.parametrize("n, rep, keep", [(1, SYM2, -1), (2, ADJOINT, 4),
@@ -458,12 +481,28 @@ def test_census5_standard_rows():
     assert r.row(2).orbit_count == 1
 
 
-def test_charpoly5_skew_matches_exact(census5dim_adj):
+def test_charpoly5_skew_matches_exact():
     digits = _digits_array(3 ** 10, 10, 3)[17::5003]
     T = _ops_from_digits(digits, 5, ADJOINT, 3)
-    e4, e2 = _charpoly5_skew(T, 3)
-    for i in range(len(T)):
-        assert _charpoly5_exact(T[i], 3) == (0, int(e4[i]), 0, int(e2[i]), 0, 1)
+    got = _stack_charpolys(T, 3)
+    assert got == [_exact_charpoly(m, 3) for m in T]
+    assert all(c[0] == c[2] == c[4] == 0 for c in got)
+
+
+def test_census5_sym2_constructs_every_separable_quintic():
+    # the sample representative is the rational construction from the
+    # lifted key: for every separable monic quintic mod 3 its denominator
+    # is prime to 3 and it reduces to an operator with that charpoly
+    for low in product(range(3), repeat=5):
+        fc = list(low) + [1]
+        try:
+            fp_count_factors(fc, 3)
+        except NonSeparableModP:
+            continue
+        op = construct_representative(Poly(fc), SYM2).op
+        assert op.den % 3
+        T = np.array([[x * pow(op.den, -1, 3) % 3 for x in r] for r in op.num])
+        assert _exact_charpoly(T, 3) == tuple(fc)
 
 
 # ---------------------------------------------------------------------------

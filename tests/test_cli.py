@@ -2,8 +2,10 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -105,6 +107,23 @@ def test_parse_alpha_component_values_need_split_modulus():
     split = EtaleAlgebra(Poly([0, -1, 0, 1]))
     with pytest.raises(ParseError):
         parse_alpha("crt:1,2", split)
+
+
+def test_parse_alpha_component_values_at_large_roots(capsys):
+    # roots come from isolating intervals, not from the divisors of the
+    # constant term: neither a root at 5 * 10^11 nor a large constant
+    # term with no rational root takes a scan
+    roots = [Fraction(-7, 3), Fraction(1, 2), Fraction(5 * 10 ** 11)]
+    f = Poly([1])
+    for r in roots:
+        f = f * Poly([-r, 1])
+    lifted = parse_alpha("crt:1,2,3", EtaleAlgebra(f)).lift()
+    assert [lifted(r) for r in roots] == [1, 2, 3]
+    start = time.monotonic()
+    assert run(["kernel", "--poly", "x^3 - x + 100000000",
+                "--alpha", "crt:1,1,1"]) == 1
+    assert time.monotonic() - start < 1
+    assert "NotSplit" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +397,37 @@ def test_domain_failures_exit_one(capsys):
     assert "NotSplit" in capsys.readouterr().err
     assert run(["pencil-check", "--poly", "x^3 - 2", "--alpha", "b"]) == 1
     assert "NormNotSquare" in capsys.readouterr().err
+
+
+def test_nonpositive_n_is_a_dimension_failure(capsys):
+    for argv in (["census", "--p", "3", "--n", "0", "--rep", "sym2"],
+                 ["census", "--p", "3", "--n", "-1", "--rep", "adjoint"],
+                 ["stab-info", "--rep", "standard", "--label", "1",
+                  "--n", "-2"],
+                 ["stab-info", "--rep", "standard", "--label", "1",
+                  "--n", "0"]):
+        assert run(argv) == 1
+        assert "WrongDimension" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """The orbit invocations of the README's command-line block."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [shlex.split(x)[1:] for x in lines if x.startswith("orbit ")]
+
+
+def test_readme_examples_run(capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 14
+    for argv in commands:
+        assert run(argv) == 0, argv
+        assert capsys.readouterr().out
+        assert run(argv + ["--json"]) == 0, argv
+        assert json.loads(capsys.readouterr().out)["schema"] == "1"
 
 
 def test_help_exits_zero(capsys):

@@ -468,3 +468,6 @@ def test_stabilizer_standard():
     assert info.detail["space_dim"] == 4
     with pytest.raises(ZeroDiscriminant):
         stabilizer_info(0, STANDARD)
+    for n in (0, -2):
+        with pytest.raises(WrongDimension):
+            stabilizer_info(8, STANDARD, n=n)

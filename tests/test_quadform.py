@@ -255,7 +255,7 @@ def test_maximal_isotropic_subspace_needs_split():
 def test_solver_names_the_factoring_budget(monkeypatch):
     from orbitforge.errors import FactorizationTimeout, IsotropicSearchFailed
 
-    def broke(n, timeout=30.0):
+    def broke(n):
         raise FactorizationTimeout("budget")
 
     monkeypatch.setattr(qf, "factorize", broke)
