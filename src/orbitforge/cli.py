@@ -25,8 +25,8 @@ from .census import (count_factors_fp, finite_census, orbit_count_local,
                      orbit_count_real)
 from .descent import (INFINITY, HyperCurve, descent_class, kernel_check,
                       pencil_discriminant_check)
-from .errors import (DomainError, NotOperatorRep, NotSplit, ParseError,
-                     UsageError)
+from .errors import (BudgetExceeded, DomainError, NotOperatorRep, NotSplit,
+                     ParseError, UsageError)
 from .etale import EtaleAlgebra, EtaleElement
 from .lattices import IdealPair, ideal_from_gens, unit_ideal, verify_pair
 from .matrix import Mat
@@ -34,7 +34,14 @@ from .orbits import (ADJOINT, STANDARD, SYM2, adjoint_op, classify_vector,
                      construct_representative, in_kernel_gamma,
                      representative_from_alpha, same_orbit, standard_space,
                      stabilizer_info)
-from .poly import Poly, isolate_real_roots, refine_interval
+from .poly import Poly, isolate_real_roots, refine_interval, sturm_chain
+
+# the largest exponent parse_poly accepts: terms become dense coefficient
+# lists, and construct already takes 3 s at degree 81 and 36 s at 161
+EXPONENT_BUDGET = 100
+# the longest integer literal accepted: int() refuses longer digit
+# strings by default (sys.int_info.default_max_str_digits)
+MAX_DIGITS = 4300
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +64,18 @@ class _Scanner:
         raise ParseError("%s at position %d in %r"
                          % (msg, self.i, self.text))
 
+    def at_digit(self):
+        # ASCII only: str.isdigit also admits digits int() refuses
+        return "0" <= self.peek() <= "9"
+
     def take_uint(self):
         start = self.i
-        while self.peek().isdigit():
+        while self.at_digit():
             self.i += 1
         if self.i == start:
             self.fail("expected an integer")
+        if self.i - start > MAX_DIGITS:
+            self.fail("integer of more than %d digits" % MAX_DIGITS)
         return int(self.text[start:self.i])
 
     def take_rational(self):
@@ -96,7 +109,7 @@ def _parse_coeff_list(text):
             sign = -1
             sc.i += 1
             sc.skip_ws()
-        if not sc.peek().isdigit():
+        if not sc.at_digit():
             sc.fail("expected a coefficient")
         coeffs.append(sign * sc.take_rational())
         sc.skip_ws()
@@ -138,7 +151,7 @@ def parse_poly(text, var="x"):
             sc.fail("expected '+' or '-'")
         coeff = Fraction(1)
         have_coeff = False
-        if sc.peek().isdigit():
+        if sc.at_digit():
             coeff = sc.take_rational()
             have_coeff = True
             sc.skip_ws()
@@ -155,9 +168,13 @@ def parse_poly(text, var="x"):
             if sc.peek() == "^":
                 sc.i += 1
                 sc.skip_ws()
-                if not sc.peek().isdigit():
+                if not sc.at_digit():
                     sc.fail("expected an integer exponent")
                 exp = sc.take_uint()
+                if exp > EXPONENT_BUDGET:
+                    raise BudgetExceeded(
+                        "exponent %d passes EXPONENT_BUDGET = %d"
+                        % (exp, EXPONENT_BUDGET))
         elif not have_coeff:
             sc.fail("expected a term")
         terms[exp] = terms.get(exp, Fraction(0)) + sign * coeff
@@ -176,7 +193,7 @@ def parse_fraction(text):
         sign = -1
         sc.i += 1
         sc.skip_ws()
-    if not sc.peek().isdigit():
+    if not sc.at_digit():
         sc.fail("expected a rational number")
     val = sc.take_rational()
     sc.skip_ws()
@@ -196,9 +213,11 @@ def _rational_roots(f):
     c = lcm(*(a.denominator for a in f.c))
     d = f.degree
     F = Poly([a * c ** (d - i) for i, a in enumerate(f.c)])
+    chain = sturm_chain(F)
     roots = []
-    for lo, hi in isolate_real_roots(F):
-        lo, hi = refine_interval(F, (lo, hi), int(hi - lo).bit_length())
+    for lo, hi in isolate_real_roots(F, chain):
+        lo, hi = refine_interval(F, (lo, hi), int(hi - lo).bit_length(),
+                                 chain)
         k = floor(hi)
         if k > lo and F(k) == 0:
             roots.append(Fraction(k, c))

@@ -1,19 +1,23 @@
 """The algebra L = Q[x]/(f) for separable monic f, with involution support.
 
-Elements are coefficient vectors over Fraction, always kept reduced mod f.
-The norm of a is the resultant Res(f, a), computed fraction-free, and a is
-a unit exactly when that norm is nonzero (f is separable); traces go
-through the multiplication matrix. Squareness in L* is decided: True
-carries an exactly verified witness, False a norm, real-embedding or mod-p
-certificate, or the bound certificate of one p-adic lift to a modulus
-computed from the input. The real-embedding test runs one integer Sturm
-chain per polynomial, and the mod-p probes test each residue field by the
-quadratic character of a norm to F_p.
+An element is an integer numerator vector over one positive denominator,
+in lowest terms and reduced mod f; the Fraction coordinates are a view
+built on first use. Products are an integer convolution and one integer
+pseudo-division by f cleared to integers, the norm of a is the integer
+resultant Res(f, a), a is a unit exactly when that norm is nonzero (f is
+separable), and inverses and traces go through the integer multiplication
+matrix. Squareness in L* is decided: True carries an exactly verified
+witness, False a norm, real-embedding or mod-p certificate, or the bound
+certificate of one p-adic lift to a modulus computed from the input. The
+real-embedding test runs one integer Sturm chain per polynomial, and the
+mod-p probes test each residue field by the quadratic character of a norm
+to F_p.
 
 When f(-x) = -f(x), the algebra carries tau (x -> -x), splits as
 Q x E with E = Q[x]/(g(x^2)), and K = Q[y]/(g) sits inside E as the
 tau-fixed part. SkewData packages all of that, plus a bounded solver for
-the twisted norm equation r * tau(r) = pi used by orbit comparison.
+the twisted norm equation r * tau(r) = pi used by orbit comparison, whose
+search filters its candidates by integer resultants.
 """
 
 import itertools
@@ -28,6 +32,7 @@ from .arith import (
     rng_for,
 )
 from .errors import (
+    Inconsistent,
     NonSeparable,
     NonUnit,
     NotMonic,
@@ -36,7 +41,7 @@ from .errors import (
     ZeroDivisor,
     ZeroInput,
 )
-from .matrix import Mat
+from .matrix import Mat, solve
 from .poly import Poly
 
 # largest coefficient of the c in K that solve_tau_norm tries
@@ -44,9 +49,13 @@ TAU_NORM_HEIGHT = 3
 
 
 class EtaleAlgebra:
-    """Q[x]/(f) for monic separable f of degree >= 1."""
+    """Q[x]/(f) for monic separable f of degree >= 1.
 
-    __slots__ = ("f", "disc", "deg")
+    F = cf * f is the modulus cleared to integers (primitive, with
+    leading coefficient cf); every reduction mod f is a pseudo-division
+    by F."""
+
+    __slots__ = ("f", "disc", "deg", "F", "cf")
 
     def __init__(self, f):
         if not f.is_monic():
@@ -59,17 +68,24 @@ class EtaleAlgebra:
         self.f = f
         self.disc = d
         self.deg = f.degree
+        self.F, self.cf = P._clear(f.c)
+
+    def _reduce(self, A, den):
+        """The element A / den for A a fresh integer list of any length
+        (changed in place) and den > 0."""
+        while A and A[-1] == 0:
+            A.pop()
+        if len(A) > self.deg:
+            # cf^e A = Q F + R, and F is cf f
+            _, A, e = P._pdivmod(A, self.F)
+            den *= self.cf ** e
+        return EtaleElement(self, A + [0] * (self.deg - len(A)), den)
 
     def element(self, coeffs):
-        c = [x if type(x) is Fraction else Fraction(x) for x in coeffs]
-        if len(c) > self.deg:
-            return self.from_poly(Poly(c))
-        c += [Fraction(0)] * (self.deg - len(c))
-        return EtaleElement(self, tuple(c))
+        return self._reduce(*P._clear(coeffs))
 
     def from_poly(self, g):
-        r = g % self.f
-        return self.element(list(r.c))
+        return self.element(g.c)
 
     def const(self, a):
         return self.element([a])
@@ -99,41 +115,64 @@ class EtaleAlgebra:
 
 
 class EtaleElement:
-    __slots__ = ("alg", "c")
+    """An element of L: integer numerators `num`, one per power of beta
+    (reduced mod f), over one positive denominator `den`, in lowest terms.
+    The pair is canonical, so equality and hashing compare it; `c` is the
+    Fraction view, built on first use."""
 
-    def __init__(self, alg, c):
+    __slots__ = ("alg", "num", "den", "_c")
+
+    def __init__(self, alg, num, den):
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
         self.alg = alg
-        self.c = c
+        self.num = tuple(num)
+        self.den = den
+        self._c = None
+
+    @property
+    def c(self):
+        """The coordinates as Fractions."""
+        if self._c is None:
+            d = self.den
+            self._c = tuple(Fraction(x, d) for x in self.num)
+        return self._c
 
     def lift(self):
         return Poly(self.c)
 
     def __bool__(self):
-        return any(self.c)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, EtaleElement):
-            return self.alg == other.alg and self.c == other.c
+            return (self.num == other.num and self.den == other.den
+                    and self.alg == other.alg)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.alg.f, self.c))
+        return hash((self.alg.f, self.num, self.den))
 
     def _coerce(self, other):
         if isinstance(other, EtaleElement):
-            if other.alg != self.alg:
+            if other.alg is not self.alg and other.alg != self.alg:
                 raise ZeroDivisor("elements of different algebras")
             return other
         return self.alg.const(other)
 
     def __add__(self, other):
         other = self._coerce(other)
-        return EtaleElement(self.alg, tuple(a + b for a, b in zip(self.c, other.c)))
+        den = math.lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        return EtaleElement(self.alg, [ka * a + kb * b for a, b
+                                       in zip(self.num, other.num)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return EtaleElement(self.alg, tuple(-a for a in self.c))
+        return EtaleElement(self.alg, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -143,11 +182,12 @@ class EtaleElement:
 
     def __mul__(self, other):
         if not isinstance(other, EtaleElement):
-            q = Fraction(other)
-            return EtaleElement(self.alg, tuple(a * q for a in self.c))
-        if other.alg != self.alg:
-            raise ZeroDivisor("elements of different algebras")
-        return self.alg.from_poly(self.lift() * other.lift())
+            n, d = Fraction(other).as_integer_ratio()
+            return EtaleElement(self.alg, [a * n for a in self.num],
+                                self.den * d)
+        other = self._coerce(other)
+        return self.alg._reduce(P._conv(self.num, other.num),
+                                self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -169,39 +209,54 @@ class EtaleElement:
         return self.norm() != 0
 
     def inverse(self):
-        """Inverse in L; ZeroDivisor if gcd(lift, f) is nontrivial."""
+        """Inverse in L: the x with (multiplication matrix) x = 1, by one
+        fraction-free solve; ZeroDivisor if gcd(lift, f) is nontrivial,
+        which is when no such x exists."""
         if not self:
             raise ZeroDivisor("zero is not invertible")
-        r0, r1 = self.alg.f, self.lift()
-        s0, s1 = Poly(), Poly([1])
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r0.degree != 0:
-            raise ZeroDivisor("element is a zero divisor: gcd = %s" % r0.pretty())
-        return self.alg.from_poly(s0 * (1 / r0[0]))
+        try:
+            x = solve(self.mult_matrix(), [1] + [0] * (self.alg.deg - 1))
+        except Inconsistent:
+            h = self.lift().gcd(self.alg.f)
+            raise ZeroDivisor("element is a zero divisor: gcd = %s"
+                              % h.pretty()) from None
+        return self.alg.element(x)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
 
     def mult_matrix(self):
-        """Matrix of multiplication by self on the power basis."""
-        cols = []
-        for i in range(self.alg.deg):
-            cols.append(list((self * self.alg.element([0] * i + [1])).c))
-        return Mat.from_cols(cols)
+        """Matrix of multiplication by self on the power basis. Column
+        i + 1 is beta times column i: with column i as integers over
+        den cf^i, it is cf times the shifted column minus its top entry
+        times F, over den cf^(i + 1)."""
+        F, cf, d = self.alg.F, self.alg.cf, self.alg.deg
+        cols = [list(self.num)]
+        for _ in range(d - 1):
+            v = cols[-1]
+            cols.append([cf * x - v[-1] * y for x, y in zip([0] + v[:-1], F)])
+        if cf != 1:
+            cols = [[x * cf ** (d - 1 - i) for x in v]
+                    for i, v in enumerate(cols)]
+        return Mat(zip(*cols), self.den * cf ** (d - 1))
 
     def norm(self):
-        """N(a) = Res(f, a), since f is monic."""
-        return P.resultant(self.alg.f, self.lift())
+        """N(a) = Res(f, a), since f is monic: Res(F, num) over
+        cf^deg(num) den^deg(f)."""
+        A = list(self.num)
+        while A and A[-1] == 0:
+            A.pop()
+        if not A:
+            return Fraction(0)
+        return Fraction(P._int_resultant(self.alg.F, A),
+                        self.alg.cf ** (len(A) - 1) * self.den ** self.alg.deg)
 
     def trace(self):
         return self.mult_matrix().trace()
 
     def top_coeff(self):
         """Coefficient of beta^(deg-1) in the reduced representative."""
-        return self.c[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __repr__(self):
         return "EtaleElement(%s)" % Poly(self.c).pretty("b")
@@ -209,16 +264,14 @@ class EtaleElement:
 
 def apply_tau(a):
     """The involution x -> -x; requires f(-x) = -f(x)."""
-    f = a.alg.f
-    if any(f[k] != 0 for k in range(0, f.degree + 1, 2)):
+    if any(a.alg.F[0::2]):
         raise NotOddPolynomial("modulus is not of the form x*g(x^2)")
     return EtaleElement(
-        a.alg, tuple(-v if k % 2 else v for k, v in enumerate(a.c))
-    )
+        a.alg, [-v if k % 2 else v for k, v in enumerate(a.num)], a.den)
 
 
 def is_tau_fixed(a):
-    return all(v == 0 for k, v in enumerate(a.c) if k % 2)
+    return not any(a.num[1::2])
 
 
 class SquareDecision:
@@ -250,8 +303,7 @@ class SquareDecision:
 def _good_primes(alg, avoid, count):
     """First `count` odd primes keeping f separable and `avoid` a unit."""
     disc = alg.disc
-    cf = alg.f.integer_cleared()[1]
-    bad = 2 * cf * disc.numerator * disc.denominator * avoid
+    bad = 2 * alg.cf * disc.numerator * disc.denominator * avoid
     out, p = [], 3
     while len(out) < count:
         if is_prime(p) and bad % p != 0:
@@ -296,7 +348,7 @@ def is_square(a):
     alg = a.alg
     # constants in an odd-degree algebra: square iff a rational square
     # (some factor field has odd degree, where sqrt of a rational is rational)
-    if alg.deg % 2 == 1 and all(v == 0 for v in a.c[1:]):
+    if alg.deg % 2 == 1 and not any(a.num[1:]):
         c = a.c[0]
         if is_rational_square(c):
             r = Fraction(math.isqrt(c.numerator), math.isqrt(c.denominator))
@@ -315,9 +367,9 @@ def is_square(a):
                 "false",
                 certificate="negative at the real root of f in (%s, %s]" % iv,
             )
-    t = a.lift().integer_cleared()[1]
-    A_int = [(v * t * t).numerator for v in a.c]  # t^2 a, for the probes
-    fI = [x.numerator for x in alg.f.integer_cleared()[0].c]
+    t = a.den
+    A_int = [v * t for v in a.num]  # t^2 a, for the probes
+    fI = alg.F
     tag = "is_square:%s:%s" % (alg.f.c, a.c)
     # probe a run of good primes: one non-residue component anywhere is a
     # sound certificate, since the witness would reduce mod p there.  A
@@ -368,10 +420,10 @@ def _lift_decision(a, t, fI, p, factors, roots):
     that a is not a square.
     """
     alg, d = a.alg, a.alg.deg
-    c = alg.f.integer_cleared()[1]
+    c = alg.cf
     M = alg if c == 1 else EtaleAlgebra(
         Poly([v * c ** (d - i) for i, v in enumerate(alg.f.c)]))
-    F = [v.numerator for v in M.f.c]
+    F = M.F
     a2 = Poly([v / c ** i for i, v in enumerate(a.c)])
     t2 = a2.integer_cleared()[1]
     A = M.from_poly(a2 * (t2 * t2))
@@ -434,8 +486,8 @@ class SkewData:
         self.E = EtaleAlgebra(h)
         # idempotent e_E: 0 mod x, 1 mod g(x^2), so e_E = x*u(x) with
         # u the inverse of x modulo g(x^2) (exists: g(0) != 0).
-        u = self.E.element([0, 1]).inverse()
-        self.e_E = L.from_poly(Poly([0, 1]) * u.lift())
+        u = self.E.beta().inverse()
+        self.e_E = L._reduce([0, *u.num], u.den)
         self.e_k = L.one() - self.e_E
         assert self.e_E * self.e_E == self.e_E
 
@@ -449,17 +501,19 @@ def skew_data(L):
 
 def k_component(a):
     """Image of a in the Q factor of L = Q x E (evaluation at 0)."""
-    return a.lift()(0)
+    return Fraction(a.num[0], a.den)
 
 
 def embed_K(skew, kappa):
     """Image in E of kappa in K under y -> x^2."""
-    return skew.E.from_poly(kappa.lift().compose(Poly([0, 0, 1])))
+    num = [0] * skew.E.deg
+    num[::2] = kappa.num
+    return EtaleElement(skew.E, num, kappa.den)
 
 
 def E_component(skew, a):
     """Image of a in the E factor of L."""
-    return skew.E.from_poly(a.lift() % skew.E.f)
+    return skew.E._reduce(list(a.num), a.den)
 
 
 def K_component(skew, a):
@@ -468,15 +522,15 @@ def K_component(skew, a):
     Raises NotTauFixed when the E-component has odd terms.
     """
     e = E_component(skew, a)
-    if any(v != 0 for k, v in enumerate(e.c) if k % 2):
+    if any(e.num[1::2]):
         raise NotTauFixed("element is not fixed by the involution")
-    return skew.K.element([e.c[2 * k] for k in range(skew.K.deg)])
+    return EtaleElement(skew.K, e.num[::2], e.den)
 
 
 def assemble(skew, c_k, e_elem):
     """Element of L with k-component c_k and E-component e_elem."""
     a = skew.L.const(c_k) * skew.e_k
-    b = skew.L.from_poly(e_elem.lift()) * skew.e_E
+    b = skew.L._reduce(list(e_elem.num), e_elem.den) * skew.e_E
     return a + b
 
 
@@ -503,17 +557,47 @@ class TauNormOutcome:
         return "TauNormOutcome(%s)" % self.status
 
 
+def _tau_candidates(K, piK):
+    """(c, r, N) for the c in K with coefficients at most TAU_NORM_HEIGHT
+    in absolute value, c = 0 first, then by height.
+
+    c is an integer tuple, r = t^2 (piK + y c^2) an integer list over t^2
+    (t = piK.den) and N = Res(G, r) / cg^deg(r) = t^(2n) N(piK + y c^2),
+    where G = cg g is g cleared to integers: a nonzero rational square
+    exactly when the norm of piK + y c^2 is. r = [] and N = 0 when
+    piK + y c^2 is zero.
+    """
+    G, cg, n = K.F, K.cf, K.deg
+    t = piK.den
+    tA = [t * x for x in piK.num] + [0] * n  # t^2 piK; y c^2 has 2n terms
+    tt = t * t
+    for h in range(TAU_NORM_HEIGHT + 1):
+        for c in itertools.product(range(-h, h + 1), repeat=n):
+            if max(map(abs, c)) != h:
+                continue
+            r = tA[:]
+            for k, v in enumerate(P._conv(c, c)):
+                r[k + 1] += tt * v
+            while r and r[-1] == 0:
+                r.pop()
+            N = (Fraction(P._int_resultant(G, r), cg ** (len(r) - 1))
+                 if r else 0)
+            yield c, r, N
+
+
 def solve_tau_norm(skew, pi):
     """Bounded search for r in L* with r * tau(r) = pi (pi tau-fixed).
 
     Decomposes the equation: the k-part needs pi(0) to be a rational
     square; the E-part a^2 - y*c^2 = pi_K is attacked by enumerating the
     c in K with coefficients at most TAU_NORM_HEIGHT in absolute value and
-    testing squareness of pi_K + y*c^2. Sound obstructions:
+    testing squareness of pi_K + y*c^2. Each candidate stays an integer
+    list, and its norm is one integer resultant against g cleared
+    (_tau_candidates); an element of K is built, and is_square called,
+    only when that norm is a nonzero rational square. Sound obstructions:
     pi(0) not a rational square, or pi_K negative at a real root y0 < 0
     of g (there E is locally C and norms are positive).
     """
-    L = skew.L
     if not pi.is_unit():
         raise NonUnit("pi must be a unit")
     if apply_tau(pi) != pi:
@@ -525,42 +609,33 @@ def solve_tau_norm(skew, pi):
             certificate="k-component %s is not a rational square" % pk,
         )
     piK = K_component(skew, pi)
-    gg = skew.g
-    for (iv, y0), (_, s) in zip(P.signs_at_roots(Poly([0, 1]), gg),
-                                P.signs_at_roots(piK.lift(), gg)):
-        # negative root y0: E is complex over this real place of K,
-        # so norms are positive there
-        if y0 < 0 and s < 0:
+    g = skew.g
+    chain = P.sturm_chain(g)
+    intervals = P._isolate(g, chain)
+    for iv, sy, s in zip(intervals,
+                         P._root_signs(Poly([0, 1]), g, chain, intervals),
+                         P._root_signs(piK.lift(), g, chain, intervals)):
+        # negative root y0 (sy < 0): E is complex over this real place
+        # of K, so norms are positive there
+        if sy < 0 and s < 0:
             return TauNormOutcome(
                 "obstructed",
                 certificate="negative at a real root of g in (%s, %s] "
                 "where the quadratic extension is complex" % iv,
             )
     rk = Fraction(math.isqrt(pk.numerator), math.isqrt(pk.denominator))
-    X = Poly([0, 1])
-    piK_lift = piK.lift()
-    # c = 0 first (tau-fixed square root), then small c by height
-    n = skew.K.deg
-    candidates = [Poly()]
-    for h in range(1, TAU_NORM_HEIGHT + 1):
-        for coeffs in itertools.product(range(-h, h + 1), repeat=n):
-            if max((abs(x) for x in coeffs), default=0) == h:
-                candidates.append(Poly(coeffs))
-    for c in candidates:
-        rhs = piK_lift + X * c * c
-        # is_square answers "false" unless N(rhs) = Res(g, rhs) is a
-        # nonzero square; the resultant needs no reduction mod g
-        nr = P.resultant(gg, rhs)
-        if nr == 0 or not is_rational_square(nr):
+    tt = piK.den ** 2
+    for c, r, N in _tau_candidates(skew.K, piK):
+        # is_square answers "false" unless N(piK + y c^2) is a nonzero
+        # square
+        if N == 0 or not is_rational_square(N):
             continue
-        dec = is_square(skew.K.from_poly(rhs))
+        dec = is_square(skew.K._reduce(r, tt))
         if dec.is_true():
+            # root = a(beta^2) + beta*c(beta^2) on E, sqrt(pk) on k
             aK = dec.witness
-            # r = a(beta^2) + beta*c(beta^2) on E, sqrt(pk) on k
-            a_L = aK.lift().compose(Poly([0, 0, 1]))
-            c_L = X * c.compose(Poly([0, 0, 1]))
-            rE = skew.E.from_poly(a_L + c_L)
-            r = assemble(skew, rk, rE)
-            if r * apply_tau(r) == pi:
-                return TauNormOutcome("solved", witness=r)
+            rE = skew.E.element([v for pair in zip(aK.c, c) for v in pair])
+            root = assemble(skew, rk, rE)
+            if root * apply_tau(root) == pi:
+                return TauNormOutcome("solved", witness=root)
     return TauNormOutcome("unknown")

@@ -100,12 +100,7 @@ class Poly:
             return Poly()
         A, ca = _clear(self.c)
         B, cb = _clear(other.c)
-        out = [0] * (len(A) + len(B) - 1)
-        for i, a in enumerate(A):
-            if a:
-                for j, b in enumerate(B):
-                    out[i + j] += a * b
-        return Poly(_over(out, ca * cb))
+        return Poly(_over(_conv(A, B), ca * cb))
 
     __rmul__ = __mul__
 
@@ -228,6 +223,16 @@ def _content(c):
 
 def _deg(c):
     return len(c) - 1
+
+
+def _conv(A, B):
+    """Product of two nonempty integer coefficient lists."""
+    out = [0] * (len(A) + len(B) - 1)
+    for i, a in enumerate(A):
+        if a:
+            for j, b in enumerate(B):
+                out[i + j] += a * b
+    return out
 
 
 def _pdivmod(A, B):
@@ -419,17 +424,21 @@ def _isolate(f, chain):
     return out
 
 
-def isolate_real_roots(f):
+def isolate_real_roots(f, chain=None):
     """Disjoint rational intervals (lo, hi], one distinct real root each."""
     if f.degree <= 0:
         return []
-    return _isolate(f, sturm_chain(f))
+    if chain is None:
+        chain = sturm_chain(f)
+    return _isolate(f, chain)
 
 
-def refine_interval(f, interval, times=1):
-    """Halve an isolating interval of f, keeping the root inside."""
+def refine_interval(f, interval, times=1, chain=None):
+    """Halve an isolating interval of f `times` times, keeping the root
+    inside."""
     lo, hi = interval
-    chain = sturm_chain(f)
+    if chain is None:
+        chain = sturm_chain(f)
     for _ in range(times):
         mid = (lo + hi) / 2
         if count_real_roots(f, lo, mid, chain) == 1:

@@ -11,9 +11,11 @@ from fractions import Fraction
 import pytest
 
 import orbitforge
+from orbitforge import cli, poly
 from orbitforge.arith import rng_for
-from orbitforge.cli import (parse_alpha, parse_fraction, parse_poly, run)
-from orbitforge.errors import NotSplit, ParseError
+from orbitforge.cli import (EXPONENT_BUDGET, parse_alpha, parse_fraction,
+                            parse_poly, run)
+from orbitforge.errors import BudgetExceeded, NotSplit, ParseError
 from orbitforge.etale import EtaleAlgebra
 from orbitforge.poly import Poly
 
@@ -52,9 +54,26 @@ def test_parse_poly_errors_carry_position():
         parse_poly("x^^3")
     assert "position 2" in str(e.value)
     for bad in ("", "   ", "x + * 2", "y^2", "2**x", "[1,2", "[1,2] junk",
-                "[]", "x^", "3//2", "1/0*x"):
+                "[]", "x^", "3//2", "1/0*x", "x^\u00b2", "x^\u0663",
+                "x - " + "9" * 4301, "x^" + "9" * 4301):
         with pytest.raises(ParseError):
             parse_poly(bad)
+    assert parse_poly("x - " + "9" * 4300) == Poly([-(10 ** 4300 - 1), 1])
+
+
+def test_exponents_past_the_budget_exit_one(capsys):
+    # a term's exponent sizes a dense list: it is checked before any is
+    # built, in --poly and in --alpha alike
+    assert parse_poly("x^%d" % EXPONENT_BUDGET).degree == EXPONENT_BUDGET
+    with pytest.raises(BudgetExceeded):
+        parse_poly("x^%d" % (EXPONENT_BUDGET + 1))
+    for argv in (["kernel", "--poly", "x^99999999", "--alpha", "1"],
+                 ["kernel", "--poly", "x^3 - x", "--alpha", "b^99999999"],
+                 ["construct", "--rep", "sym2", "--poly", "x^100000"]):
+        start = time.monotonic()
+        assert run(argv) == 1
+        assert time.monotonic() - start < 1
+        assert "EXPONENT_BUDGET" in capsys.readouterr().err
 
 
 def test_parse_poly_pretty_round_trip():
@@ -107,6 +126,22 @@ def test_parse_alpha_component_values_need_split_modulus():
     split = EtaleAlgebra(Poly([0, -1, 0, 1]))
     with pytest.raises(ParseError):
         parse_alpha("crt:1,2", split)
+
+
+def test_rational_roots_build_one_sturm_chain(monkeypatch):
+    # isolating the roots and refining each interval share one chain
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return chain(f)
+
+    chain = poly.sturm_chain
+    for mod in (poly, cli):
+        monkeypatch.setattr(mod, "sturm_chain", counting)
+    roots = [Fraction(-5, 3), -2, Fraction(1, 2), 1, 3]
+    assert cli._rational_roots(Poly.from_roots(roots)) == sorted(roots)
+    assert len(calls) == 1
 
 
 def test_parse_alpha_component_values_at_large_roots(capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -488,3 +489,151 @@ def test_is_unit_is_the_gcd_test():
             assert a.is_unit() == want
             seen.add(want)
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# integer storage against reference Fraction definitions
+
+
+def _ref_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _ref_divmod(a, b):
+    """Long division of Fraction lists, b nonzero and trimmed."""
+    a, q = _ref_trim(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        t = a[-1] / b[-1]
+        k = len(a) - len(b)
+        q[k] = t
+        for i, y in enumerate(b):
+            a[i + k] -= t * y
+        a = _ref_trim(a[:-1])
+    return q, a
+
+
+def _ref_mul(f, a, b):
+    """Coordinates of a * b in Q[x]/(f): schoolbook product, then the
+    remainder mod f, padded to deg f."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    r = _ref_divmod(out, list(f.c))[1]
+    return tuple(r + [Fraction(0)] * (f.degree - len(r)))
+
+
+def _ref_inverse(f, a):
+    """Extended Euclid on Fraction lists; None for a zero divisor."""
+    r0, r1 = list(f.c), _ref_trim(a)
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, r = _ref_divmod(r0, r1)
+        qs = [Fraction(0)] * (len(q) + len(s1))
+        for i, x in enumerate(q):
+            for j, y in enumerate(s1):
+                qs[i + j] += x * y
+        n = max(len(s0), len(qs))
+        s0, s1 = s1, _ref_trim([(s0[i] if i < len(s0) else 0)
+                                - (qs[i] if i < len(qs) else 0)
+                                for i in range(n)])
+        r0, r1 = r1, r
+    if len(r0) != 1:
+        return None
+    s = _ref_divmod([x / r0[0] for x in s0], list(f.c))[1]
+    return tuple(s + [Fraction(0)] * (f.degree - len(s)))
+
+
+def _ref_norm(f, a):
+    """Res(f, a) by the Euclidean algorithm over Q, f monic."""
+    A, B = list(f.c), _ref_trim(a)
+    if not B:
+        return Fraction(0)
+    out = Fraction(1)
+    while len(B) > 1:
+        R = _ref_divmod(A, B)[1]
+        if not R:
+            return Fraction(0)
+        if (len(A) - 1) * (len(B) - 1) % 2:
+            out = -out
+        out *= B[-1] ** (len(A) - len(R))
+        A, B = B, R
+    return out * B[0] ** (len(A) - 1)
+
+
+def test_element_kernels_match_fraction_definitions():
+    import random
+    rng = random.Random(4107)
+    zero_divisors = 0
+    for L, factor in _random_rational_algebras(rng):
+        f = L.f
+        for _ in range(10):
+            a, b = (L.element([Fraction(rng.randint(-20, 20),
+                                        rng.randint(1, 7))
+                               for _ in range(L.deg)]) for _ in range(2))
+            if factor is not None and rng.random() < 0.5:
+                a = L.from_poly(a.lift() * factor)
+            assert (a * b).c == _ref_mul(f, a.c, b.c)
+            assert (a * 3).c == tuple(3 * x for x in a.c)
+            assert a.norm() == _ref_norm(f, a.c)
+            want = _ref_inverse(f, a.c)
+            if want is None:
+                zero_divisors += 1
+                with pytest.raises(ZeroDivisor):
+                    a.inverse()
+            else:
+                assert a.inverse().c == want
+            # equality and hashing follow the coordinates, however the
+            # element was built
+            twin = L.from_poly(a.lift() + f * Poly([rng.randint(-3, 3), 1]))
+            assert twin == a and hash(twin) == hash(a)
+            assert (a == b) == (a.c == b.c)
+            assert (a + b).c == tuple(x + y for x, y in zip(a.c, b.c))
+            assert a.num == tuple(x * a.den for x in a.c)
+            assert a.den > 0 and math.gcd(a.den, *a.num) == 1
+    assert zero_divisors > 0
+
+
+def test_tau_candidate_norms_match_resultants():
+    # the integer norm of each search candidate is t^(2n) Res(g, rhs) for
+    # rhs = piK + y c^2, over g with rational coefficients and a rational
+    # root; piK is built so that some candidate c0 has norm zero, by rhs
+    # vanishing at that root or by rhs = 0 itself
+    import random
+    from orbitforge.poly import resultant
+    rng = random.Random(4108)
+    X = Poly([0, 1])
+    seen = set()
+    cases = 0
+    while cases < 30:
+        n = rng.randint(1, 3)
+        root = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+        g = Poly([-root, 1]) * Poly(
+            [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 5)))
+             for _ in range(n - 1)] + [1])
+        try:
+            K = EtaleAlgebra(g)
+        except NonSeparable:
+            continue
+        cases += 1
+        u = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(n)])
+        kind = rng.randrange(3) if n > 1 else rng.randrange(2)
+        if kind == 0:    # rhs(root) = 0 at c = c0
+            c0 = Poly([rng.randint(-2, 2) for _ in range(n)])
+            piK = K.from_poly(Poly([-root, 1]) * u - X * c0 * c0)
+        elif kind == 1:  # random
+            piK = K.from_poly(u)
+        else:            # rhs = 0 at the constant c = c0, deg(y c0^2) < n
+            c0 = Poly([rng.randint(1, 3)])
+            piK = K.from_poly(-X * c0 * c0)
+        t = piK.den
+        for c, r, N in etale._tau_candidates(K, piK):
+            rhs = piK.lift() + X * Poly(c) * Poly(c)
+            assert r == [x * t * t for x in rhs.c]
+            assert N == t ** (2 * n) * resultant(g, rhs)
+            seen.add("empty" if not r else "zero" if N == 0 else "nonzero")
+    assert seen == {"empty", "zero", "nonzero"}
