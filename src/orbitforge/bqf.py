@@ -8,7 +8,7 @@ and compares component counts against the class number, reporting any
 mismatch with witnesses instead of suppressing it.
 """
 
-from math import gcd, isqrt
+from math import gcd
 
 from .arith import crt
 from .errors import (InvalidDiscriminant, NotNegativeDiscriminant,

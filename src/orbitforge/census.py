@@ -65,6 +65,17 @@ def so_order(n, q):
     return out
 
 
+def _reduce_mod(f, p):
+    """f mod p as a coefficient list of the same degree, or BadPrime."""
+    try:
+        fc = fp_from_poly(f, p)
+    except ZeroDivisionError:
+        raise BadPrime("coefficient denominator divisible by %d" % p)
+    if len(fc) - 1 != f.degree:
+        raise BadPrime("leading coefficient vanishes mod %d" % p)
+    return fc
+
+
 def count_factors_fp(f, p):
     """Number of irreducible factors of f mod p, by distinct-degree splitting.
 
@@ -73,13 +84,7 @@ def count_factors_fp(f, p):
     """
     if p < 2 or not is_prime(p):
         raise BadPrime("%d is not prime" % p)
-    try:
-        fc = fp_from_poly(f, p)
-    except ZeroDivisionError:
-        raise BadPrime("coefficient denominator divisible by %d" % p)
-    if len(fc) - 1 != f.degree:
-        raise BadPrime("leading coefficient vanishes mod %d" % p)
-    return fp_count_factors(fc, p)
+    return fp_count_factors(_reduce_mod(f, p), p)
 
 
 def _even_part(f):
@@ -115,10 +120,7 @@ def orbit_count_local(f, p, rep):
     d = discriminant(f)
     if d.numerator % p == 0:
         raise BadPrime("%d divides the discriminant" % p)
-    try:
-        fp_from_poly(f, p)
-    except ZeroDivisionError:
-        raise BadPrime("coefficient denominator divisible by %d" % p)
+    # count_factors_fp checks the denominators: g's are f's odd ones
     if rep == SYM2:
         m = count_factors_fp(f, p) - 1
         return 1 if m == 0 else (1 << (2 * m - 1)) + (1 << (m - 1))
@@ -313,13 +315,7 @@ def charpoly_key(f, p):
     if not f.is_monic():
         raise NotMonic("census rows need monic polynomials, got %s"
                        % f.pretty())
-    try:
-        fc = fp_from_poly(f, p)
-    except ZeroDivisionError:
-        raise BadPrime("coefficient denominator divisible by %d" % p)
-    if len(fc) - 1 != f.degree:
-        raise BadPrime("leading coefficient vanishes mod %d" % p)
-    return tuple(fc)
+    return tuple(_reduce_mod(f, p))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ from .orbits import (ADJOINT, STANDARD, SYM2, adjoint_op, classify_vector,
                      construct_representative, in_kernel_gamma,
                      representative_from_alpha, same_orbit, standard_space,
                      stabilizer_info)
-from .poly import Poly, isolate_real_roots, refine_interval, sturm_chain
+from .poly import (Poly, interpolate, isolate_real_roots, refine_interval,
+                   sturm_chain)
 
 # the largest exponent parse_poly accepts: terms become dense coefficient
 # lists, and construct already takes 3 s at degree 81 and 36 s at 161
@@ -239,17 +240,7 @@ def parse_alpha(text, alg):
         if len(vals) != alg.deg:
             raise ParseError("expected %d component values, got %d"
                              % (alg.deg, len(vals)))
-        total = alg.zero()
-        for val, ri in zip(vals, sorted(roots)):
-            num = alg.one()
-            den = Fraction(1)
-            for rj in sorted(roots):
-                if rj == ri:
-                    continue
-                num = num * (alg.beta() - alg.const(rj))
-                den *= ri - rj
-            total = total + num * alg.const(val / den)
-        return total
+        return alg.from_poly(interpolate(zip(sorted(roots), vals)))
     if s.startswith("["):
         coeffs = _parse_coeff_list(s)
         return alg.from_poly(Poly(coeffs))

@@ -15,7 +15,7 @@ from .errors import (NotGenusOne, NotOnCurve, WeierstrassPoint, ZeroArgument)
 from .etale import EtaleAlgebra
 from .matrix import Mat
 from .orbits import SYM2, gram_alpha, in_kernel_gamma, _validate_charpoly
-from .poly import Poly
+from .poly import Poly, interpolate
 
 INFINITY = None
 
@@ -102,21 +102,6 @@ def ec_add(curve, p1, p2):
     return out
 
 
-def _interpolate(samples):
-    """The polynomial of degree < len(samples) through (u, value) pairs."""
-    total = Poly.const(0)
-    for i, (ui, vi) in enumerate(samples):
-        num = Poly.const(1)
-        den = Fraction(1)
-        for j, (uj, _) in enumerate(samples):
-            if j == i:
-                continue
-            num = num * Poly([-uj, 1])
-            den *= ui - uj
-        total = total + num * Poly.const(vi / den)
-    return total
-
-
 def pencil_discriminant_check(f, alpha, d=1):
     """Discriminant of the pencil spanned by the two quadrics on L + Q.
 
@@ -149,7 +134,7 @@ def pencil_discriminant_check(f, alpha, d=1):
     for k in range(m + 1):
         u = Fraction(k)
         samples.append((u, (gq * u - gqp).det()))
-    p = _interpolate(samples)
+    p = interpolate(samples)
     c = p[f.degree]
     ok = c != 0 and p == f * Poly.const(c)
     return c, ok

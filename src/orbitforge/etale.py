@@ -39,7 +39,6 @@ from .errors import (
     NotOddPolynomial,
     NotTauFixed,
     ZeroDivisor,
-    ZeroInput,
 )
 from .matrix import Mat, solve
 from .poly import Poly

@@ -1,41 +1,31 @@
 """Integral structure: unimodular complements, fractional ideals, pair checks.
 
 The ambient integer lattice carries the anti-diagonal unimodular pairing of
-signature (n+1, n).  Fractional ideals of Z[x]/(f) are stored as integer
-column lattices in Hermite form over a scalar denominator, which makes
-norms determinant quotients, products finite generator spans, and every
-containment an exact linear solve.  verify_pair rebuilds the bilinear form
-attached to a pair (I, alpha) on the ideal's own basis and checks it is an
-odd unimodular form of the right signature; success hands back the
-multiplication-by-beta matrix, which is the integral orbit representative.
+signature (n+1, n); the orthogonal complement of a vector is the integer
+kernel matrix.lattice_kernel takes from one Hermite form.  Fractional
+ideals of Z[x]/(f) are stored as integer column lattices in Hermite form
+over a scalar denominator: every ideal, whether from generators, a product
+or the involution, is the Hermite span of a list of elements, norms are
+determinant quotients, containment is one integrality test of M_I^-1 M_J,
+and multiplication by x on I is the integer matrix M_I^-1 C_f M_I.
+verify_pair takes the Gram of the form attached to a pair (I, alpha) as
+B^T P B, with P the twisted pairing of alpha^-1 on the power basis and B
+the ideal's basis, and checks it is an odd unimodular form of the right
+signature; success hands back the multiplication-by-beta matrix, which is
+the integral orbit representative.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (Degenerate, DimensionMismatch, Inconsistent, NonIntegral,
                      NotOddPolynomial, NotPrimitive, NotTauFixed, NullVector,
                      RingMismatch, ZeroDivisor)
 from .etale import EtaleElement, apply_tau, is_tau_fixed
-from .matrix import Mat, hnf_columns, solve
-from .orbits import ADJOINT, SYM2, _check_tensor_rep
-from .quadform import QuadSpace, diagonalize
-
-
-def _int_vec(w):
-    out = []
-    for x in w:
-        fx = Fraction(x)
-        if fx.denominator != 1:
-            raise NonIntegral("need an integer vector")
-        out.append(fx.numerator)
-    return out
-
-
-def _exact_int(x):
-    fx = Fraction(x)
-    assert fx.denominator == 1, "expected an integer, got %s" % (fx,)
-    return fx.numerator
+from .matrix import Mat, hnf_columns, lattice_kernel, solve
+from .orbits import ADJOINT, SYM2, _check_tensor_rep, _pairing_gram
+from .poly import _clear
+from .quadform import QuadSpace, diagonalize, standard_gram
 
 
 class ZLattice:
@@ -75,17 +65,6 @@ class ZLattice:
         return "ZLattice(%r)" % (self.gram,)
 
 
-def _row_kernel(r):
-    """Hermite basis of {v : r . v = 0} for an integer row r of content 1.
-
-    The Hermite form of the graph columns (r_j, e_j) puts the gcd 1 in the
-    first column; the rest, minus their first entry, span the kernel.
-    """
-    m = len(r)
-    graph = [[r[j]] + [int(i == j) for i in range(m)] for j in range(m)]
-    return [c[1:] for c in hnf_columns(graph)[1:]]
-
-
 def complement_lattice(w, n):
     """Orthogonal complement of a primitive non-null integer vector in the
     odd unimodular lattice of rank 2n+1, as (ZLattice, even flag).
@@ -95,22 +74,21 @@ def complement_lattice(w, n):
     tests check through the index formula on Zw + complement.
     """
     d = 2 * n + 1
-    wi = _int_vec(w)
+    wi, c = _clear(w)
+    if c != 1:
+        raise NonIntegral("need an integer vector")
     if len(wi) != d:
         raise DimensionMismatch("vector length %d in rank %d" % (len(wi), d))
-    g = 0
-    for x in wi:
-        g = gcd(g, x)
+    g = gcd(*wi)
     if g != 1:
         raise NotPrimitive("vector has content %d" % g)
     qw = sum(wi[i] * wi[d - 1 - i] for i in range(d))
     if qw == 0:
         raise NullVector("vector pairs to zero with itself")
-    basis = _row_kernel(wi[::-1])
-    assert len(basis) == d - 1
-    gram = [[Fraction(sum(basis[a][i] * basis[b][d - 1 - i] for i in range(d)))
-             for b in range(d - 1)] for a in range(d - 1)]
-    lat = ZLattice(Mat(gram))
+    # the pairing with w is the row w reversed
+    B = Mat.from_cols(lattice_kernel([wi[::-1]]))
+    assert B.ncols == d - 1
+    lat = ZLattice(B.transpose() * standard_gram(n) * B)
     return lat, lat.is_even()
 
 
@@ -136,35 +114,20 @@ class FracIdeal:
 
     def __init__(self, alg, cols, den=1):
         _check_integral_modulus(alg)
-        den = int(den)
+        den = abs(int(den))
         if den == 0:
             raise ZeroDivisor("zero denominator")
-        if den < 0:
-            den = -den
-            cols = [[-x for x in col] for col in cols]
-        basis = hnf_columns([_int_vec(col) for col in cols])
+        basis = hnf_columns(cols)
         if len(basis) != alg.deg:
             raise ZeroDivisor("generators span rank %d, need %d"
                               % (len(basis), alg.deg))
-        g = den
-        for col in basis:
-            for x in col:
-                g = gcd(g, x)
-        basis = [[x // g for x in col] for col in basis]
+        # Mat divides the columns and den by their common factor
+        m = Mat(zip(*basis), den)
         self.alg = alg
-        self.mat = Mat([[Fraction(basis[j][i]) for j in range(alg.deg)]
-                        for i in range(alg.deg)])
-        self.den = den // g
-        comp = Mat.companion(alg.f)
-        for j in range(alg.deg):
-            image = comp.apply(self.mat.col(j))
-            if not self._solves_integrally(image):
-                raise Inconsistent(
-                    "lattice is not stable under multiplication by x")
-
-    def _solves_integrally(self, target):
-        x = solve(self.mat, list(target))
-        return all(t.denominator == 1 for t in x)
+        self.mat = Mat(m.num, 1)
+        self.den = m.den
+        if _x_matrix(self).den != 1:
+            raise Inconsistent("lattice is not stable under multiplication by x")
 
     def basis_elements(self):
         """The Hermite basis as algebra elements."""
@@ -175,14 +138,16 @@ class FracIdeal:
     def contains_element(self, e):
         if e.alg != self.alg:
             raise RingMismatch("element of a different algebra")
-        target = [c * self.den for c in e.c]
-        return self._solves_integrally(target)
+        x = solve(self.mat, [c * self.den for c in e.c])
+        return all(t.denominator == 1 for t in x)
 
     def contains(self, other):
-        """Whole-lattice containment: other is a subset of self."""
+        """Whole-lattice containment: other is a subset of self, that is
+        M_self^-1 M_other den_self / den_other is an integer matrix."""
         if other.alg != self.alg:
             raise RingMismatch("ideal of a different algebra")
-        return all(self.contains_element(b) for b in other.basis_elements())
+        x = self.mat.inv() * other.mat * Fraction(self.den, other.den)
+        return x.den == 1
 
     def __eq__(self, other):
         if isinstance(other, FracIdeal):
@@ -194,6 +159,20 @@ class FracIdeal:
         return "FracIdeal(den=%d, mat=%r)" % (self.den, self.mat)
 
 
+def _x_matrix(I):
+    """Multiplication by x on I's basis: M^-1 C_f M, integral iff I is
+    stable under x."""
+    return I.mat.inv() * Mat.companion(I.alg.f) * I.mat
+
+
+def _span(alg, elems):
+    """The fractional ideal spanned over Z by the elements, read as
+    integer numerators over their common denominator."""
+    den = lcm(*[e.den for e in elems])
+    return FracIdeal(alg, [[x * (den // e.den) for x in e.num]
+                           for e in elems], den)
+
+
 def unit_ideal(alg):
     return FracIdeal(alg, [[int(i == j) for i in range(alg.deg)]
                            for j in range(alg.deg)], 1)
@@ -201,21 +180,17 @@ def unit_ideal(alg):
 
 def ideal_from_gens(alg, gens):
     """The fractional Z[x]/(f)-ideal generated by the given elements."""
-    cols = []
-    den = 1
     for g in gens:
         if not isinstance(g, EtaleElement) or g.alg != alg:
             raise RingMismatch("generator from a different algebra")
-        for c in g.c:
-            den = den * c.denominator // gcd(den, c.denominator)
-    for g in gens:
-        mm = g.mult_matrix()
-        for j in range(alg.deg):
-            col = mm.col(j)
-            cols.append([_exact_int(c * den) for c in col])
-    if not cols:
+    if not gens:
         raise ZeroDivisor("no generators")
-    return FracIdeal(alg, cols, den)
+    elems = []
+    for g in gens:
+        for _ in range(alg.deg):
+            elems.append(g)
+            g = g * alg.beta()
+    return _span(alg, elems)
 
 
 def principal_ideal(alg, a):
@@ -228,13 +203,8 @@ def ideal_mul(I, J):
     """Product ideal: the span of all pairwise basis products."""
     if I.alg != J.alg:
         raise RingMismatch("ideals of different algebras")
-    den = I.den * J.den
-    cols = []
-    for b in I.basis_elements():
-        for c in J.basis_elements():
-            prod = b * c
-            cols.append([_exact_int(x * den) for x in prod.c])
-    return FracIdeal(I.alg, cols, den)
+    return _span(I.alg, [b * c for b in I.basis_elements()
+                         for c in J.basis_elements()])
 
 
 def ideal_norm(I):
@@ -251,12 +221,7 @@ def tau_ideal(I):
     f = I.alg.f
     if any(f.c[i] != 0 for i in range(0, f.degree + 1, 2)):
         raise NotOddPolynomial("involution needs an odd modulus")
-    cols = []
-    for j in range(I.alg.deg):
-        col = I.mat.col(j)
-        cols.append([_exact_int(col[i]) * (-1) ** i
-                     for i in range(I.alg.deg)])
-    return FracIdeal(I.alg, cols, I.den)
+    return _span(I.alg, [apply_tau(b) for b in I.basis_elements()])
 
 
 # ---------------------------------------------------------------------------
@@ -338,21 +303,10 @@ def verify_pair(P, n):
     if norm_lhs != n_alpha:
         return PairCheck(False, "norm: N-condition gives %s, N(alpha) = %s"
                          % (norm_lhs, n_alpha))
-    basis = I.basis_elements()
-    ainv = P.alpha.inverse()
-    rows = []
-    for bi in basis:
-        row = []
-        for bj in basis:
-            other = apply_tau(bj) if P.rep == ADJOINT else bj
-            val = (ainv * bi * other).top_coeff()
-            if P.rep == ADJOINT:
-                val = sign * val
-            row.append(val)
-        rows.append(row)
-    if any(x.denominator != 1 for row in rows for x in row):
+    B = I.mat * Fraction(1, I.den)
+    G = B.transpose() * _pairing_gram(alg, P.alpha.inverse(), P.rep) * B
+    if G.den != 1:
         return PairCheck(False, "integrality: form takes non-integral values")
-    G = Mat(rows)
     if G.det() != sign:
         return PairCheck(False, "determinant: %s, need %d" % (G.det(), sign))
     dvals, _ = diagonalize(QuadSpace(G))
@@ -362,12 +316,7 @@ def verify_pair(P, n):
                          % (pos, deg - pos, n + 1, n))
     if not principal_ideal(alg, P.alpha).contains(ideal_mul(I, partner)):
         return PairCheck(False, "containment: I * partner escapes (alpha)")
-    comp = Mat.companion(alg.f)
-    cols = []
-    for j in range(deg):
-        image = comp.apply(I.mat.col(j))
-        cols.append(solve(I.mat, list(image)))
-    T = Mat([[cols[j][i] for j in range(deg)] for i in range(deg)])
+    T = _x_matrix(I)
     assert T.den == 1
     assert T.charpoly() == alg.f
     GT = G * T

@@ -9,6 +9,10 @@ of the denominators, `det` is Bareiss elimination, `solve`, `kernel` and
 once, at the end, and `charpoly` is Berkowitz's division-free algorithm
 (Cohen, GTM 138, ch. 2). `rows` is the read-only Fraction view, built on
 first use. Vectors are tuples of Fractions; inputs may hold ints.
+
+Integer lattices are lists of integer columns: `hnf_columns` puts one in
+Hermite form, and `lattice_kernel` takes the integer kernel of a matrix
+from the Hermite form of its graph (Cohen, GTM 138, 2.4.3).
 """
 
 from fractions import Fraction
@@ -352,3 +356,16 @@ def hnf_columns(gens):
                 cols[j] = [x - q * y for x, y in zip(cols[j], cols[placed])]
         placed += 1
     return [tuple(c) for c in cols[:placed]]
+
+
+def lattice_kernel(rows):
+    """Hermite basis of {v in Z^m : R v = 0} for the integer rows R.
+
+    Column operations on the graph columns (R e_j, e_j) act as R U over U
+    for one unimodular U, so in their Hermite form the columns whose head
+    vanishes carry a basis of ker R in their tails, itself in Hermite form.
+    """
+    k, m = len(rows), len(rows[0])
+    graph = [[r[j] for r in rows] + [int(i == j) for i in range(m)]
+             for j in range(m)]
+    return [c[k:] for c in hnf_columns(graph) if not any(c[:k])]

@@ -18,10 +18,10 @@ from .errors import (DimensionMismatch, NoCyclicVector, NonSeparable, NonUnit,
                      NormNotSquare, NotMonic, NotOddPolynomial, NotSplit,
                      NotTauFixed, RingMismatch, WrongDegree, WrongDimension,
                      ZeroDiscriminant)
-from .etale import (EtaleAlgebra, EtaleElement, apply_tau, is_square,
-                    is_tau_fixed, skew_data, solve_tau_norm)
+from .etale import (EtaleAlgebra, EtaleElement, is_square, is_tau_fixed,
+                    skew_data, solve_tau_norm)
 from .matrix import Mat, solve
-from .poly import Poly, _clear, is_separable
+from .poly import _clear, is_separable
 from .quadform import (QuadSpace, hyperbolic_completion, is_split_odd,
                        maximal_isotropic_subspace, standard_gram)
 
@@ -285,14 +285,10 @@ def _alpha_from_vector(orep, alg, base_gram, w):
     kr = Mat.from_cols(pows)
     if kr.det() == 0:
         return None
-    # <T^i w, T^j w> on the vectors cleared over one denominator c
-    flat, c = _clear([x for v in pows for x in v])
-    ints = [flat[k:k + d] for k in range(0, d * d, d)]
-    gram = [[sum(map(mul, u, reversed(v))) for v in ints] for u in ints]
-    pulled = Mat(gram, c * c)
+    # <T^i w, T^j w> = K^T J K
+    pulled = kr.transpose() * orep.space.gram * kr
     sign = -1 if orep.rep == ADJOINT and orep.n % 2 else 1
-    b = [Fraction(sign * row[0], c * c) for row in gram]
-    alpha = alg.element(solve(base_gram, b))
+    alpha = alg.element(solve(base_gram, [sign * x for x in pulled.rows[0]]))
     return alpha, pulled
 
 

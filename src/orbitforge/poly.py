@@ -329,6 +329,23 @@ def is_separable(f):
     return f.degree >= 1 and f.gcd(f.derivative()).degree == 0
 
 
+def interpolate(samples):
+    """The polynomial of degree < len(samples) through the (u, value)
+    pairs, by Lagrange."""
+    samples = list(samples)
+    total = Poly.const(0)
+    for i, (ui, vi) in enumerate(samples):
+        num = Poly.const(1)
+        den = Fraction(1)
+        for j, (uj, _) in enumerate(samples):
+            if j == i:
+                continue
+            num = num * Poly([-uj, 1])
+            den *= ui - uj
+        total = total + num * Poly.const(vi / den)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Sturm chains and exact real-root isolation
 

@@ -16,13 +16,16 @@ Every isotropic ternary and every split space end unimodular. There a
 basis reduced against a Hermite majorant has short vectors of norm 0 or
 +-1; splitting off norm +-1 vectors reaches an isotropic one, and
 splitting off hyperbolic planes (Witt cancellation) extends it to a
-maximal isotropic subspace.
+maximal isotropic subspace. Each complement split off is the integer
+kernel of its pairing rows (matrix.lattice_kernel), and each Gram on a
+new basis is one congruence B^T g B.
 """
 
 import functools
 import math
 from fractions import Fraction
 from itertools import chain, count
+from operator import mul
 
 from .arith import (factorize, is_rational_square, legendre, sqrt_mod,
                     valuation)
@@ -37,7 +40,7 @@ from .errors import (
     WrongDimension,
     ZeroArgument,
 )
-from .matrix import Mat, hnf_columns, kernel, solve
+from .matrix import Mat, kernel, lattice_kernel, solve
 
 INF = "inf"
 
@@ -489,9 +492,7 @@ def _minimize_at(g, basis, p):
         ker = _kernel_mod(g, p)
         if not ker:
             return True
-        gk = [[sum(x * y for x, y in zip(row, k)) for row in g] for k in ker]
-        a = [[sum(x * y for x, y in zip(k1, gk2)) // p for gk2 in gk]
-             for k1 in ker]
+        a = [[v // p for v in r] for r in _congruent(g, ker)]
         y = _isotropic_mod(a, p)
         if y is not None:
             x = [sum(c * k[i] for c, k in zip(y, ker)) % p for i in range(m)]
@@ -529,9 +530,7 @@ def _minimize_at(g, basis, p):
                 col[i] = 1
                 col[i0] = -ell[i] * inv % p
             cols.append(col)
-        gc = [[sum(r * v for r, v in zip(row, c)) for row in g] for c in cols]
-        new = [[sum(x * y for x, y in zip(c1, gc2)) for gc2 in gc]
-               for c1 in cols]
+        new = _congruent(g, cols)
         assert all(v % p == 0 for r in new for v in r)
         g[:] = [[v // p for v in r] for r in new]
         basis[:] = [tuple(sum(v * b[i] for v, b in zip(c, basis))
@@ -575,8 +574,7 @@ def _reduce(g, basis):
     however large minimization left them, and so do the complements
     split off later."""
     h = _lll(_majorant(g)[1])[0]
-    return ([tuple(_combine(basis, r)) for r in h],
-            [[_qval(g, a, b) for b in h] for a in h])
+    return [tuple(_combine(basis, r)) for r in h], _congruent(g, h)
 
 
 def _lll(gram, delta=Fraction(99, 100)):
@@ -646,6 +644,12 @@ def _qval(g, x, y=None):
     y = x if y is None else y
     return sum(a * sum(r * b for r, b in zip(row, y))
                for a, row in zip(x, g) if a)
+
+
+def _congruent(g, vecs):
+    """B^T g B for the columns vecs of B: the Gram of g on their span."""
+    gv = [[sum(map(mul, row, v)) for row in g] for v in vecs]
+    return [[sum(map(mul, u, x)) for x in gv] for u in vecs]
 
 
 def _short_vectors(reduced, bound):
@@ -725,12 +729,8 @@ def _unimodular_isotropic(g):
             break
         bound *= 2
     b, s = units[0]
-    gens = []
-    for i in range(m):
-        t = s * sum(g[i][k] * b[k] for k in range(m))
-        gens.append([int(i == k) - t * b[k] for k in range(m)])
-    comp = [list(c) for c in hnf_columns(gens)]
-    gc = [[_qval(g, c1, c2) for c2 in comp] for c1 in comp]
+    comp = lattice_kernel([[sum(map(mul, row, b)) for row in g]])
+    gc = _congruent(g, comp)
     y = _unimodular_isotropic(gc)
     if y is not None:
         return _combine(comp, y)
@@ -803,14 +803,7 @@ def maximal_isotropic_subspace(space):
         gx = [sum(r * v for r, v in zip(row, x)) for row in g]
         y = _unit_dual(gx)
         gy = [sum(r * v for r, v in zip(row, y)) for row in g]
-        c = sum(a * b for a, b in zip(y, gy))
-        gens = []
-        for i in range(len(g)):
-            # z - alpha x - beta y is orthogonal to x and y
-            alpha, beta = gy[i] - c * gx[i], gx[i]
-            gens.append([int(i == k) - alpha * x[k] - beta * y[k]
-                         for k in range(len(g))])
-        comp = [list(col) for col in hnf_columns(gens)]
+        comp = lattice_kernel([gx, gy])
         basis = [tuple(_combine(basis, col)) for col in comp]
-        g = [[_qval(g, c1, c2) for c2 in comp] for c1 in comp]
+        g = _congruent(g, comp)
     return out

@@ -370,6 +370,13 @@ def test_lattice_verify_invalid_stays_exit_zero(capsys):
     assert obj["result"]["gram"] is None
 
 
+def test_lattice_verify_rational_modulus_is_a_domain_failure(capsys):
+    # the ideal (b) of Q[x]/(x^3 - x/2) has the non-integral b^3 = b/2
+    assert run(["lattice-verify", "--rep", "sym2", "--poly", "x^3 - 1/2*x",
+                "--alpha", "1", "--ideal", "b"]) == 1
+    assert capsys.readouterr().err.startswith("error: NonIntegral: ")
+
+
 def test_bqf_reduce_command(capsys):
     obj = run_json(capsys, ["bqf", "reduce", "--form", "12,-37,31"])
     assert obj["result"]["form"] == [5, -1, 6]

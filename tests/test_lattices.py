@@ -10,15 +10,15 @@ from orbitforge.errors import (Degenerate, DimensionMismatch, Inconsistent,
                                NonIntegral, NotOddPolynomial, NotPrimitive,
                                NotTauFixed, NullVector, RingMismatch,
                                ZeroDivisor)
-from orbitforge.etale import EtaleAlgebra
+from orbitforge.etale import EtaleAlgebra, apply_tau
 from orbitforge.lattices import (FracIdeal, IdealPair, ZLattice,
                                  complement_lattice, ideal_from_gens,
                                  ideal_mul, ideal_norm, pair_equivalence_check,
                                  principal_ideal, tau_ideal, unit_ideal,
                                  verify_pair)
-from orbitforge.matrix import Mat
+from orbitforge.matrix import Mat, hnf_columns, lattice_kernel
 from orbitforge.orbits import ADJOINT, SYM2
-from orbitforge.poly import Poly
+from orbitforge.poly import Poly, is_separable
 
 CUBE2 = EtaleAlgebra(Poly([-2, 0, 0, 1]))        # x^3 - 2
 ODD3 = EtaleAlgebra(Poly([0, -1, 0, 1]))          # x^3 - x
@@ -95,9 +95,6 @@ def test_complement_rank3_box():
     # Exhaustive scan: the sublattice Zw + U has index |q(w)| in the ambient
     # lattice, so q(w) * det(U) = index^2 * det(J) with det(J) = -1 here.
     # Evenness happens exactly for a, c even with b odd, forcing q = 1 mod 8.
-    from orbitforge.lattices import _row_kernel
-    from orbitforge.matrix import hnf_columns
-
     checked = 0
     for a, b, c in product(range(-4, 5), repeat=3):
         w = (a, b, c)
@@ -108,7 +105,7 @@ def test_complement_rank3_box():
         if q == 0:
             continue
         lat, even = complement_lattice(w, 1)
-        basis = hnf_columns(_row_kernel([c, b, a]))
+        basis = hnf_columns(lattice_kernel([[c, b, a]]))
         idx = _index_in_ambient(w, basis)
         assert idx == abs(q)
         assert q * lat.det() == idx * idx * (-1)
@@ -125,9 +122,7 @@ def test_complement_rank5_samples():
         assert lat.rank == 4
         assert even is False
         assert lat.det() == qval
-        from orbitforge.lattices import _row_kernel
-        from orbitforge.matrix import hnf_columns
-        basis = hnf_columns(_row_kernel(list(w)[::-1]))
+        basis = hnf_columns(lattice_kernel([list(w)[::-1]]))
         idx = _index_in_ambient(w, basis)
         assert idx == abs(qval)
         assert qval * lat.det() == idx * idx
@@ -331,6 +326,43 @@ def test_verify_pair_suborder_valid():
     assert chk.gram == frac_rows([[0, 0, -1], [0, 1, 0], [-1, 0, -1]])
     assert chk.operator == frac_rows([[0, 0, 0], [2, 0, 2], [0, 2, 0]])
     assert chk.operator.charpoly() == ODD4.f
+
+
+def _element_product_gram(P, n):
+    """Reference Gram: entry (i, j) is the top power-basis coefficient of
+    b_i b_j / alpha, with tau on b_j and a sign (-1)^n in the skew case."""
+    basis = P.ideal.basis_elements()
+    ainv = P.alpha.inverse()
+    if P.rep == SYM2:
+        return Mat([[(ainv * bi * bj).top_coeff() for bj in basis]
+                    for bi in basis])
+    return Mat([[(-1) ** n * (ainv * bi * apply_tau(bj)).top_coeff()
+                 for bj in basis] for bi in basis])
+
+
+def test_pair_gram_is_the_element_product_gram():
+    rng = rng_for("lattice-pair-gram")
+    for rep in (SYM2, ADJOINT):
+        for deg in (3, 5):
+            hits = 0
+            while hits < 6:
+                c = [rng.randint(-6, 6) for _ in range(deg)]
+                if rep == ADJOINT:
+                    c = [0 if k % 2 == 0 else v for k, v in enumerate(c)]
+                f = Poly(c + [1])
+                if not is_separable(f):
+                    continue
+                A = EtaleAlgebra(f)
+                u = A.element([rng.randint(-3, 3) for _ in range(deg)])
+                if not u or u.norm() == 0:
+                    continue
+                alpha = u * u if rep == SYM2 else u * apply_tau(u)
+                P = IdealPair(principal_ideal(A, u), alpha, rep)
+                n = (deg - 1) // 2
+                chk = verify_pair(P, n)
+                assert chk, chk.reason
+                assert chk.gram == _element_product_gram(P, n)
+                hits += 1
 
 
 def test_verify_pair_degree_mismatch():

@@ -332,3 +332,76 @@ def test_storage_is_canonical():
     assert (m - m).den == 1 and (m * 0).num == ((0, 0), (0, 0))
     assert Mat([[Fraction(7, 3)]]).charpoly() == Poly([Fraction(-7, 3), 1])
     assert Mat([[Fraction(7, 3)]]).inv() == Mat([[Fraction(3, 7)]])
+
+
+# ---------------------------------------------------------------------------
+# integer lattice kernels
+
+
+def _unimodular(rng, n, steps=12):
+    """A random integer matrix of determinant 1, as rows."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + q * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def test_lattice_kernel_is_the_saturated_kernel():
+    import random
+    from itertools import combinations
+    from math import gcd
+
+    rng = random.Random("lattice-kernel")
+    for _ in range(150):
+        k, m = rng.randint(1, 3), rng.randint(3, 8)
+        rows = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(k)]
+        basis = matrix.lattice_kernel(rows)
+        for v in basis:
+            assert all(sum(a * x for a, x in zip(r, v)) == 0 for r in rows)
+        assert len(basis) == len(matrix.kernel(Mat(rows)))  # m - rank
+        assert matrix.hnf_columns(basis) == basis
+        if basis:
+            # the gcd of the maximal minors is 1: the kernel is saturated
+            g = 0
+            for sel in combinations(range(m), len(basis)):
+                minor = Mat([[v[i] for v in basis] for i in sel]).det()
+                g = gcd(g, minor.numerator)
+            assert g == 1
+
+
+def test_lattice_kernel_matches_projection_generators():
+    # reference: the projections of the unit vectors onto the orthogonal
+    # complement of a norm-s vector b, and of a hyperbolic plane (x, y)
+    import random
+
+    from orbitforge.quadform import standard_gram
+
+    def gvec(g, v):
+        return [sum(a * x for a, x in zip(row, v)) for row in g]
+
+    rng = random.Random("lattice-kernel-projections")
+    for _ in range(40):
+        d = rng.choice((3, 5, 7))
+        u = Mat(_unimodular(rng, d))
+        uinv = u.inv()
+        cols = [[int(x) for x in c] for c in uinv.cols()]
+        # g = U^T D U with D = diag(+-1): b = U^-1 e_0 has norm s = D_00
+        dg = [rng.choice((-1, 1)) for _ in range(d)]
+        g = [[int(x) for x in r] for r in (u.transpose() * Mat.diag(dg) * u).rows]
+        b, s = cols[0], dg[0]
+        gb = gvec(g, b)
+        gens = [[int(i == k) - s * gb[i] * b[k] for k in range(d)]
+                for i in range(d)]
+        assert matrix.hnf_columns(gens) == matrix.lattice_kernel([gb])
+        # g = U^T J U with J anti-diagonal: x = U^-1 e_0 is isotropic and
+        # y = U^-1 e_(d-1) has g(x, y) = 1
+        g = [[int(v) for v in r]
+             for r in (u.transpose() * standard_gram(d // 2) * u).rows]
+        x, y = cols[0], cols[d - 1]
+        gx, gy = gvec(g, x), gvec(g, y)
+        c = sum(a * b for a, b in zip(y, gy))
+        gens = [[int(i == k) - (gy[i] - c * gx[i]) * x[k] - gx[i] * y[k]
+                 for k in range(d)] for i in range(d)]
+        assert matrix.hnf_columns(gens) == matrix.lattice_kernel([gx, gy])
