@@ -3,7 +3,8 @@
 Three independent counting routes live here.  finite_census enumerates
 actual operators over F_p and partitions them into orbits with one
 engine: every census is the isometry group acting linearly on the free
-coordinates of its space, so each verified generator permutes the
+coordinates of its space, so each of its 2n + 1 fixed generators (the
+short-root elements and a non-square torus element) permutes the
 encoded element indices.  Two small digit tables per generator, one for
 the high and one for the low half of the digits, give the image of any
 index in O(w) work, and of the whole space as one outer sum.  Orbits are
@@ -14,15 +15,15 @@ self-adjoint space is too large to label whole; it is sampled one orbit
 per requested polynomial, by breadth-first closure over the same tables
 from the rational representative of the polynomial's lifted key reduced
 mod p.  Characteristic polynomials and determinants of whole stacks of
-operators come from matrix._berkowitz run on numpy columns.  Generation is
-never assumed: each orbit whose stabilizer is measured directly (over the
-enumerated group in dimension three, over the commutant in dimension
-five) must satisfy orbit size times stabilizer order equals the group
-order, so the census depends on no closed formula.  orbit_count_local
-evaluates the closed-form count at a good odd prime from the
-factorization type of the invariant polynomial.  orbit_count_real
-evaluates the archimedean count, which only applies when the relevant
-polynomial has the maximal number of real roots.
+operators come from matrix._berkowitz run on int32 entry columns.  A
+closure test proves generation; each orbit whose stabilizer is measured
+directly (over the enumerated group in dimension three, over the
+commutant in dimension five) must also satisfy orbit size times
+stabilizer order equals the group order, so the census depends on no
+closed formula.  orbit_count_local evaluates the closed-form count at a
+good odd prime from the factorization type of the invariant polynomial.
+orbit_count_real evaluates the archimedean count, which only applies
+when the relevant polynomial has the maximal number of real roots.
 
 numpy appears in this module only, for the bulk mod-p linear algebra of
 the enumeration censuses.  Everything is integer arithmetic throughout;
@@ -34,7 +35,7 @@ from math import comb
 
 import numpy as np
 
-from .arith import is_prime, rng_for
+from .arith import is_prime
 from .errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
                      MaximalRankHypothesisFails, NotMonic, NotOddPolynomial,
                      NotOperatorRep, WrongDegree, WrongDimension)
@@ -171,11 +172,6 @@ def _charpolys(T, p):
     columns over the stack.  In odd dimension d the determinant is -c[d]."""
     cols = np.ascontiguousarray(T.transpose(1, 2, 0), dtype=np.int32)
     return [c % p for c in _berkowitz(cols)]
-
-
-def _powers(width, p):
-    """Place values of base-p digit rows, most significant first."""
-    return p ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
 
 def _digits_array(count, width, p):
@@ -334,19 +330,19 @@ def _free_positions(d, rep):
 
 
 def _ops_from_digits(digits, d, rep, p):
-    """Assemble d x d operators from free-entry digit rows.
+    """Assemble d x d operators from free-entry digit rows, as an (N, d, d)
+    view of (d, d, N) int32 entry columns, which _charpolys reads uncopied.
 
     A self-adjoint operator equals its reflection across the anti-diagonal;
     a skew-adjoint one is minus that reflection, which kills the
     anti-diagonal entries.
     """
-    T = np.zeros((len(digits), d, d), dtype=np.int64)
+    cols = np.zeros((d, d, len(digits)), dtype=np.int32)
     for k, (i, j) in enumerate(_free_positions(d, rep)):
-        T[:, i, j] = digits[:, k]
+        cols[i, j] = x = digits[:, k]
         if i + j != d - 1:
-            mirror = digits[:, k] if rep == SYM2 else (p - digits[:, k]) % p
-            T[:, d - 1 - j, d - 1 - i] = mirror
-    return T
+            cols[d - 1 - j, d - 1 - i] = x if rep == SYM2 else (p - x) % p
+    return cols.transpose(2, 0, 1)
 
 
 def _op_digits(T, d, rep):
@@ -357,49 +353,29 @@ def _op_digits(T, d, rep):
 
 
 def _so_generators(d, p):
-    """A generating set for the proper isometries of the split form in
-    dimension d, as a (k, d, d) array, every element verified against the
-    form.
+    """Fixed generators of the proper isometries of the split form in
+    dimension d = 2n + 1, as a (2n + 1, d, d) array verified against the
+    form; no seed is involved.
 
-    Unipotent maps x -> x + B(x,v) u - B(x,u) v - (q(v)/2) B(x,u) u for the
-    isotropic basis vectors u and random v orthogonal to u (four per u, or
-    all p^(d-2) - 1 of them when there are fewer), plus one hyperbolic
-    scaling by a non-square (which the unipotents alone never reach).
-    Generation is not assumed: the censuses check orbits against
-    orbit-stabilizer.
+    The first 2n are the short-root elements, in basis order: for each
+    isotropic basis vector u the unipotent x -> x + B(x,v) u - B(x,u) v -
+    (q(v)/2) B(x,u) u with v the middle basis vector, q(v)/2 = 1/2.  The
+    last is the hyperbolic scaling by a non-square.  For odd p the
+    short-root elements generate Omega, of index 2 in SO (their
+    commutators give the long-root elements, as 2 is a unit), and the
+    scaling, of non-square spinor norm, adds the other coset (Steinberg,
+    Lectures on Chevalley Groups, section 3).  test_root_generators_generate
+    in tests/test_census.py closes the set at every admitted (d, p) and
+    finds the whole group.
     """
-    rng = rng_for("so%d-generators" % d)
     J = _gram_np(d)
-    inv2 = pow(2, -1, p)
     eye = np.eye(d, dtype=np.int64)
-    per_vector = min(4, p ** (d - 2) - 1)
-    gens = []
-    seen = set()
-    for ui in range(d):
-        if ui == d // 2:
-            continue
-        u = eye[ui]
-        got = 0
-        while got < per_vector:
-            v = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
-            if int(u @ J @ v) % p != 0:
-                continue
-            qv2 = int(v @ J @ v) * inv2 % p
-            E = (eye + np.outer(u, J @ v) - np.outer(v, J @ u)
-                 - qv2 * np.outer(u, J @ u)) % p
-            key = E.tobytes()
-            if np.array_equal(E, eye) or key in seen:
-                continue
-            seen.add(key)
-            gens.append(E)
-            got += 1
-    c = 2
-    while pow(c, (p - 1) // 2, p) != p - 1:
-        c += 1
-    h = eye.copy()
-    h[0, 0] = c
-    h[d - 1, d - 1] = pow(c, -1, p)
-    gens = np.stack(gens + [h])
+    v = eye[d // 2]
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    gens = np.stack([(eye + np.outer(u, J @ v) - np.outer(v, J @ u)
+                      - pow(2, -1, p) * np.outer(u, J @ u)) % p
+                     for u in np.delete(eye, d // 2, axis=0)]
+                    + [np.diag([c] + [1] * (d - 2) + [pow(c, -1, p)])])
     assert (np.all(gens.transpose(0, 2, 1) @ J @ gens % p == J)
             and np.all(-_charpolys(gens, p)[d] % p == 1))
     return gens
@@ -436,11 +412,13 @@ def _digit_tables(mats, p):
     small = np.min_scalar_type(2 * p - 2)
 
     def table(rows):
-        t = np.zeros((k, w, 1), dtype=small)
+        # built digit axis outermost, so every add runs over contiguous
+        # (k, w) blocks, then laid out (k, w, p^m) for the lookups
+        t = np.zeros((1, k, w), dtype=small)
         for r in rows.transpose(1, 0, 2):
-            step = (r[:, :, None] * np.arange(p) % p).astype(small)
-            t = ((t[..., None] + step[:, :, None]) % p).reshape(k, w, -1)
-        return t
+            step = (np.arange(p)[:, None, None] * r % p).astype(small)
+            t = ((t[:, None] + step) % p).reshape(-1, k, w)
+        return np.ascontiguousarray(t.transpose(1, 2, 0))
     return table(mats[:, :w // 2]), table(mats[:, w // 2:])
 
 
@@ -513,6 +491,27 @@ def _closure(start, hi, lo, visited, p):
     return size
 
 
+def _stabilizer_counts(x, acts, p):
+    """How many of the group elements with digit actions acts (G, w, w)
+    fix each digit row of x (R, w).
+
+    One (R, w) @ (w, G) product per output digit, summed from w broadcast
+    outer products, reduced mod p and compared with that digit of every
+    row.  Entries stay at most w (p - 1)^2, so they are held in the
+    smallest unsigned type that fits: uint8 for the sym2 census at p = 7.
+    """
+    w = x.shape[1]
+    small = np.min_scalar_type(w * (p - 1) ** 2)
+    xs, a = x.astype(small), acts.transpose(2, 1, 0).astype(small)
+    fixed = True
+    for j in range(w):
+        prod = xs[:, :1] * a[j, :1]
+        for k in range(1, w):
+            prod += xs[:, k:k + 1] * a[j, k:k + 1]
+        fixed = fixed & (prod % p == xs[:, j:j + 1])
+    return np.count_nonzero(fixed, axis=1)
+
+
 # ---------------------------------------------------------------------------
 # dimension five: characteristic polynomials, direct stabilizers, samples
 
@@ -558,7 +557,7 @@ def _census5_sym2(p, polys):
         inv = pow(op.den, -1, p)
         T0 = np.array([[x * inv % p for x in r] for r in op.num])
         assert [c % p for c in _berkowitz(T0.tolist())] == list(fc[::-1])
-        start = int(_op_digits(T0, 5, SYM2) @ _powers(width, p))
+        start = int(_op_digits(T0, 5, SYM2) @ p ** np.arange(width)[::-1])
         size = _closure(start, hi, lo, np.zeros(p ** width, dtype=bool), p)
         stab = _stab_order5(T0, p)
         assert size * stab == so_order(2, p)
@@ -634,8 +633,7 @@ def _full_census(p, n, rep, polys):
     if n == 1:
         acts = _actions(_so3_elements(p), d, rep, p)
         group_order = order = len(acts)
-        x = digits[reps]
-        stabs = np.all(x @ acts % p == x, axis=2).sum(axis=0).tolist()
+        stabs = _stabilizer_counts(digits[reps], acts, p).tolist()
     else:
         group_order, order = None, so_order(n, p)
         stabs = [None] * len(reps)

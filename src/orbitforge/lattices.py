@@ -107,10 +107,11 @@ class FracIdeal:
     power basis, in Hermite form, divided by a positive denominator.
 
     Stability under multiplication by the class of x is verified at
-    construction, never assumed.
+    construction, never assumed.  inv is the inverse of the basis matrix,
+    computed once there and shared by that check and by contains.
     """
 
-    __slots__ = ("alg", "mat", "den")
+    __slots__ = ("alg", "mat", "den", "inv")
 
     def __init__(self, alg, cols, den=1):
         _check_integral_modulus(alg)
@@ -126,6 +127,7 @@ class FracIdeal:
         self.alg = alg
         self.mat = Mat(m.num, 1)
         self.den = m.den
+        self.inv = self.mat.inv()
         if _x_matrix(self).den != 1:
             raise Inconsistent("lattice is not stable under multiplication by x")
 
@@ -146,7 +148,7 @@ class FracIdeal:
         M_self^-1 M_other den_self / den_other is an integer matrix."""
         if other.alg != self.alg:
             raise RingMismatch("ideal of a different algebra")
-        x = self.mat.inv() * other.mat * Fraction(self.den, other.den)
+        x = self.inv * other.mat * Fraction(self.den, other.den)
         return x.den == 1
 
     def __eq__(self, other):
@@ -162,7 +164,7 @@ class FracIdeal:
 def _x_matrix(I):
     """Multiplication by x on I's basis: M^-1 C_f M, integral iff I is
     stable under x."""
-    return I.mat.inv() * Mat.companion(I.alg.f) * I.mat
+    return I.inv * Mat.companion(I.alg.f) * I.mat
 
 
 def _span(alg, elems):

@@ -15,7 +15,8 @@ from orbitforge.census import (CensusRow, charpoly_key, count_factors_fp,
                                orbit_count_real, so_order, _charpolys,
                                _digits_array, _gram_np,
                                _ops_from_digits, _orbit_labels,
-                               _separable_keys, _so3_elements)
+                               _separable_keys, _so3_elements,
+                               _so_generators, _stabilizer_counts)
 from orbitforge.errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
                                MaximalRankHypothesisFails, NonSeparableModP,
                                NotOperatorRep, WrongDimension)
@@ -76,6 +77,40 @@ def test_so_order_bad_inputs():
 def test_group_enumeration_matches_formula(p):
     G = _so3_elements(p)
     assert len(G) == so_order(1, p)
+
+
+def _closure_codes(gens, p):
+    """The group generated by gens (k, d, d) mod p, closed under
+    multiplication from the identity, each matrix encoded as the base-p
+    integer of its entries."""
+    d = gens.shape[1]
+    place = p ** np.arange(d * d, dtype=np.int64)
+    frontier = np.eye(d, dtype=np.int64)[None]
+    seen = {int(frontier.reshape(-1) @ place)}
+    while len(frontier):
+        prods = (frontier[:, None] @ gens[None] % p).reshape(-1, d, d)
+        codes, first = np.unique(prods.reshape(len(prods), -1) @ place,
+                                 return_index=True)
+        fresh = [i for c, i in zip(codes.tolist(), first.tolist())
+                 if c not in seen]
+        frontier = prods[fresh]
+        seen.update(codes.tolist())
+    return seen
+
+
+@pytest.mark.parametrize("d, p", [(3, p) for p in (3, 5, 7, 11, 13, 17, 19,
+                                                  23, 29, 31)] + [(5, 3)])
+def test_root_generators_generate(d, p):
+    # the 2n short-root elements and the non-square scaling generate the
+    # whole group, which makes every census orbit an SO orbit
+    gens = _so_generators(d, p)
+    assert len(gens) == d
+    group = _closure_codes(gens, p)
+    assert len(group) == so_order(d // 2, p)
+    if d == 3:
+        place = p ** np.arange(9, dtype=np.int64)
+        G = _so3_elements(p)
+        assert group == set((G.reshape(len(G), -1) @ place).tolist())
 
 
 def test_group_elements_are_isometries():
@@ -256,6 +291,25 @@ def test_charpolys_match_exact_on_seeded_stacks(d, p):
     assert dets.tolist() == [Mat(m.tolist()).det() % p for m in T]
 
 
+@pytest.mark.parametrize("w, p", [(6, 7), (6, 5), (3, 31), (3, 3)])
+def test_stabilizer_counts_match_batched_product(w, p):
+    # the batched int64 product x @ acts as the reference, on seeded rows
+    # and actions with the all-(p - 1) ones among them, where the sums
+    # reach their bound w (p - 1)^2 (216 in uint8 at (6, 7)); acts[2:20]
+    # fix the rows x[1:10], acts[20:40] the row x[0] through large sums
+    rng = np.random.default_rng(100 * w + p)
+    x = rng.integers(0, p, size=(40, w))
+    acts = rng.integers(0, p, size=(60, w, w))
+    acts[0], acts[1], x[0] = np.eye(w, dtype=np.int64), p - 1, p - 1
+    acts[2:20] = np.eye(w, dtype=np.int64)
+    acts[2:20, 0] = rng.integers(0, p, size=(18, w))
+    x[1:10, 0] = 0
+    acts[20:40, -1] = (1 - acts[20:40, :-1].sum(axis=1)) % p
+    want = np.all(x @ acts % p == x, axis=2).sum(axis=0)
+    assert _stabilizer_counts(x, acts, p).tolist() == want.tolist()
+    assert want.min() >= 1 and want.max() > 1
+
+
 # ---------------------------------------------------------------------------
 # dimension three censuses
 
@@ -387,7 +441,7 @@ def _fingerprint(r):
 
 @pytest.mark.parametrize("seed", [None, "7"])
 def test_census_fingerprints_pinned(seed, monkeypatch):
-    # another seed draws other generators; the partition must not move
+    # the generators are fixed, so the seed must never reach a census
     if seed is None:
         monkeypatch.delenv("ORBITFORGE_SEED", raising=False)
     else:
@@ -418,12 +472,12 @@ def test_census_error_paths():
             finite_census(3, n, SYM2)
 
 
-@pytest.mark.parametrize("n, rep, keep", [(1, SYM2, -1), (2, ADJOINT, 4),
-                                           (2, SYM2, 4)])
+@pytest.mark.parametrize("n, rep, keep", [(1, SYM2, -1), (2, ADJOINT, 2),
+                                           (2, SYM2, 2)])
 def test_census_certificate_refuses_too_few_generators(n, rep, keep,
                                                        monkeypatch):
     # dimension three without the non-square scaling, dimension five with
-    # the unipotents of one basis vector only: both generate a proper
+    # the root elements of two basis vectors only: both generate a proper
     # subgroup, and orbit-stabilizer must refuse the too-small orbits
     from orbitforge import census
     full = census._so_generators

@@ -17,6 +17,7 @@ from orbitforge.cli import (EXPONENT_BUDGET, parse_alpha, parse_fraction,
                             parse_poly, run)
 from orbitforge.errors import BudgetExceeded, NotSplit, ParseError
 from orbitforge.etale import EtaleAlgebra
+from orbitforge.matrix import Mat
 from orbitforge.poly import Poly
 
 
@@ -360,6 +361,24 @@ def test_lattice_verify_with_ideal_generators(capsys):
                             "--poly", "x^3 - 4*x", "--alpha", "9 - b^2",
                             "--ideal", "3 + b"])
     assert obj["result"]["valid"] is True
+
+
+def test_lattice_verify_inverts_each_ideal_basis_once(capsys, monkeypatch):
+    # I, tau(I), (alpha) and I tau(I) are each inverted once, when built;
+    # the x-stability checks and the containment test reuse that inverse
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return inv(m)
+
+    inv = Mat.inv
+    monkeypatch.setattr(Mat, "inv", counting)
+    obj = run_json(capsys, ["lattice-verify", "--rep", "adjoint",
+                            "--poly", "x^3 - 4*x", "--alpha", "9 - b^2",
+                            "--ideal", "3 + b"])
+    assert obj["result"]["valid"] is True
+    assert len(calls) == 4
 
 
 def test_lattice_verify_invalid_stays_exit_zero(capsys):
