@@ -30,7 +30,6 @@ the enumeration censuses.  Everything is integer arithmetic throughout;
 floats never enter.
 """
 
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -90,16 +89,7 @@ def count_factors_fp(f, p):
 
 def _even_part(f):
     """g with f(x) = x * g(x^2), for odd f."""
-    return Poly(list(f.c[1::2]))
-
-
-def _sub_x2(g):
-    """g(x^2)."""
-    out = []
-    for a in g.c:
-        out.append(a)
-        out.append(Fraction(0))
-    return Poly(out[:-1])
+    return Poly.over(f.num[1::2], f.den)
 
 
 def orbit_count_local(f, p, rep):
@@ -126,7 +116,7 @@ def orbit_count_local(f, p, rep):
         m = count_factors_fp(f, p) - 1
         return 1 if m == 0 else (1 << (2 * m - 1)) + (1 << (m - 1))
     g = _even_part(f)
-    m = 2 * count_factors_fp(g, p) - count_factors_fp(_sub_x2(g), p)
+    m = 2 * count_factors_fp(g, p) - count_factors_fp(g(Poly([0, 0, 1])), p)
     return 1 if m == 0 else 1 << (m - 1)
 
 

@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from math import floor, lcm
+from math import floor
 
 from .bqf import BQForm, bqf_class_group, bqf_orbit_census, bqf_reduce
 from .census import (count_factors_fp, finite_census, orbit_count_local,
@@ -34,8 +34,8 @@ from .orbits import (ADJOINT, STANDARD, SYM2, adjoint_op, classify_vector,
                      construct_representative, in_kernel_gamma,
                      representative_from_alpha, same_orbit, standard_space,
                      stabilizer_info)
-from .poly import (Poly, interpolate, isolate_real_roots, refine_interval,
-                   sturm_chain)
+from .poly import (Poly, integral_model, interpolate, isolate_real_roots,
+                   refine_interval, sturm_chain)
 
 # the largest exponent parse_poly accepts: terms become dense coefficient
 # lists, and construct already takes 3 s at degree 81 and 36 s at 161
@@ -206,14 +206,13 @@ def parse_fraction(text):
 def _rational_roots(f):
     """All rational roots of a monic polynomial with rational coefficients.
 
-    With c the lcm of the coefficient denominators, F(x) = c^d f(x/c) is
-    monic and integral, so its rational roots are integers: each is the
-    one integer k an isolating interval of F, halved below width 1, can
-    hold, and k/c is then a root of f.
+    With c the denominator of f, F(x) = c^d f(x/c) is monic and
+    integral, so its rational roots are integers: each is the one integer
+    k an isolating interval of F, halved below width 1, can hold, and k/c
+    is then a root of f.
     """
-    c = lcm(*(a.denominator for a in f.c))
-    d = f.degree
-    F = Poly([a * c ** (d - i) for i, a in enumerate(f.c)])
+    c = f.den
+    F = integral_model(f)
     chain = sturm_chain(F)
     roots = []
     for lo, hi in isolate_real_roots(F, chain):
@@ -242,8 +241,7 @@ def parse_alpha(text, alg):
                              % (alg.deg, len(vals)))
         return alg.from_poly(interpolate(zip(sorted(roots), vals)))
     if s.startswith("["):
-        coeffs = _parse_coeff_list(s)
-        return alg.from_poly(Poly(coeffs))
+        return alg.element(_parse_coeff_list(s))
     return alg.from_poly(parse_poly(s.replace("beta", "b"), var="b"))
 
 

@@ -2,16 +2,17 @@
 
 An element is an integer numerator vector over one positive denominator,
 in lowest terms and reduced mod f; the Fraction coordinates are a view
-built on first use. Products are an integer convolution and one integer
-pseudo-division by f cleared to integers, the norm of a is the integer
-resultant Res(f, a), a is a unit exactly when that norm is nonzero (f is
+built on first use. The modulus is read as f's own integer numerators F
+over its denominator, so a product is an integer convolution and one
+integer pseudo-division by F, the norm of a is the integer resultant
+Res(f, a), a is a unit exactly when that norm is nonzero (f is
 separable), and inverses and traces go through the integer multiplication
 matrix. Squareness in L* is decided: True carries an exactly verified
 witness, False a norm, real-embedding or mod-p certificate, or the bound
 certificate of one p-adic lift to a modulus computed from the input. The
-real-embedding test runs one integer Sturm chain per polynomial, and the
-mod-p probes test each residue field by the quadratic character of a norm
-to F_p.
+real-embedding test runs one integer Sturm chain per polynomial; the
+mod-p probes test each distinct-degree part of f mod q by one power of a
+and name a non-residue factor only where that power fails.
 
 When f(-x) = -f(x), the algebra carries tau (x -> -x), splits as
 Q x E with E = Q[x]/(g(x^2)), and K = Q[y]/(g) sits inside E as the
@@ -50,9 +51,9 @@ TAU_NORM_HEIGHT = 3
 class EtaleAlgebra:
     """Q[x]/(f) for monic separable f of degree >= 1.
 
-    F = cf * f is the modulus cleared to integers (primitive, with
-    leading coefficient cf); every reduction mod f is a pseudo-division
-    by F."""
+    F and cf are f's integer numerators and denominator, so F = cf f is
+    primitive with leading coefficient cf; every reduction mod f is a
+    pseudo-division by F."""
 
     __slots__ = ("f", "disc", "deg", "F", "cf")
 
@@ -67,7 +68,7 @@ class EtaleAlgebra:
         self.f = f
         self.disc = d
         self.deg = f.degree
-        self.F, self.cf = P._clear(f.c)
+        self.F, self.cf = f.num, f.den
 
     def _reduce(self, A, den):
         """The element A / den for A a fresh integer list of any length
@@ -84,7 +85,7 @@ class EtaleAlgebra:
         return self._reduce(*P._clear(coeffs))
 
     def from_poly(self, g):
-        return self.element(g.c)
+        return self._reduce(list(g.num), g.den)
 
     def const(self, a):
         return self.element([a])
@@ -140,7 +141,7 @@ class EtaleElement:
         return self._c
 
     def lift(self):
-        return Poly(self.c)
+        return Poly.over(self.num, self.den)
 
     def __bool__(self):
         return any(self.num)
@@ -240,15 +241,8 @@ class EtaleElement:
         return Mat(zip(*cols), self.den * cf ** (d - 1))
 
     def norm(self):
-        """N(a) = Res(f, a), since f is monic: Res(F, num) over
-        cf^deg(num) den^deg(f)."""
-        A = list(self.num)
-        while A and A[-1] == 0:
-            A.pop()
-        if not A:
-            return Fraction(0)
-        return Fraction(P._int_resultant(self.alg.F, A),
-                        self.alg.cf ** (len(A) - 1) * self.den ** self.alg.deg)
+        """N(a) = Res(f, a), since f is monic."""
+        return P.resultant(self.alg.f, self.lift())
 
     def trace(self):
         return self.mult_matrix().trace()
@@ -258,7 +252,7 @@ class EtaleElement:
         return Fraction(self.num[-1], self.den)
 
     def __repr__(self):
-        return "EtaleElement(%s)" % Poly(self.c).pretty("b")
+        return "EtaleElement(%s)" % self.lift().pretty("b")
 
 
 def apply_tau(a):
@@ -372,12 +366,22 @@ def is_square(a):
     tag = "is_square:%s:%s" % (alg.f.c, a.c)
     # probe a run of good primes: one non-residue component anywhere is a
     # sound certificate, since the witness would reduce mod p there.  A
-    # component in F_p[x]/(h) is a square iff its norm to F_p is, because
-    # b^((p^e - 1)/2) = N(b)^((p - 1)/2); that norm is Res(h, A) mod p.
+    # component in F_q[x]/(h), deg h = e, is a square iff
+    # b^((q^e - 1)/2) = N(b)^((q - 1)/2) is 1, N(b) = Res(h, A) mod q.  The
+    # lift prime p is factored in full; at the other probes one power per
+    # distinct-degree part h_e tests all its components at once, and only
+    # a failing part is split, to name the factor
     probes = _good_primes(alg, (n * t ** (2 * alg.deg)).numerator, 10)
-    first = None
+    p = probes[0]
+    first = P.fp_factor([x % p for x in fI], p, tag=tag)
     for q in probes:
-        factors = P.fp_factor([x % q for x in fI], q, tag=tag)
+        factors = first
+        if q != p:
+            Aq = [x % q for x in A_int]
+            parts = P._fp_distinct_degree([x % q for x in fI], q)[1]
+            factors = next((P.fp_factor(h, q, tag=tag) for e, h in parts
+                            if P.fp_powmod(Aq, (q ** e - 1) // 2, h, q) != [1]),
+                           [])
         for h in factors:
             if legendre(P.fp_resultant(h, A_int, q), q) == -1:
                 return SquareDecision(
@@ -385,8 +389,6 @@ def is_square(a):
                     certificate="non-residue in the factor %s mod %d"
                     % (Poly(h).pretty(), q),
                 )
-        first = first or factors
-    p = probes[0]
     rng = rng_for(tag + ":ts")
     roots = [P.fpx_sqrt([x % p for x in A_int], h, p, rng) for h in first]
     return _lift_decision(a, t, fI, p, first, roots)
@@ -397,10 +399,10 @@ def _lift_decision(a, t, fI, p, factors, roots):
     first probe p, where `roots` are the square roots of t^2 a (theta
     basis) in the factors of f mod p.
 
-    Integral model: with c the lcm of the denominators of f, the monic
-    integral F(x) = c^d f(x/c) has the root theta' = c theta, and a has
-    coefficients a_k / c^k in the theta' basis; with t2 the lcm of their
-    denominators, A = t2^2 a is integral.
+    Integral model: with c the denominator of f, the monic integral
+    F(x) = c^d f(x/c) (poly.integral_model) has the root theta' = c theta,
+    and a has coefficients a_k / c^k in the theta' basis; with t2 the lcm
+    of their denominators, A = t2^2 a is integral.
 
     Bound: a square root w of A is integral and F'(theta') O_L lies in
     Z[theta'], so g = F'(theta') w has integer coefficients. By Lagrange,
@@ -420,13 +422,14 @@ def _lift_decision(a, t, fI, p, factors, roots):
     """
     alg, d = a.alg, a.alg.deg
     c = alg.cf
-    M = alg if c == 1 else EtaleAlgebra(
-        Poly([v * c ** (d - i) for i, v in enumerate(alg.f.c)]))
+    M = alg if c == 1 else EtaleAlgebra(P.integral_model(alg.f))
     F = M.F
-    a2 = Poly([v / c ** i for i, v in enumerate(a.c)])
-    t2 = a2.integer_cleared()[1]
-    A = M.from_poly(a2 * (t2 * t2))
-    A_int = [v.numerator for v in A.c]
+    # a has coefficients a_k / c^k = a2[k] / den in the theta' basis
+    a2 = [x * c ** (d - 1 - k) for k, x in enumerate(a.num)]
+    den = t * c ** (d - 1)
+    t2 = den // math.gcd(den, *a2)
+    A_int = [x * t2 * t2 // den for x in a2]
+    A = EtaleElement(M, A_int, 1)
     R = int(P.root_bound(M.f))
     S = sum(abs(x) * R ** i for i, x in enumerate(A_int))
     G = d * (1 + R) ** (d - 1) * (math.isqrt(S) + 1)
@@ -434,7 +437,7 @@ def _lift_decision(a, t, fI, p, factors, roots):
     while p ** k <= 2 * G:
         k *= 2
     m = p ** k
-    dF = [v.numerator for v in M.f.derivative().c]
+    dF = [i * x for i, x in enumerate(F)][1:]
     dF_inv = M.element(dF).inverse()
     # CRT basis: u_i = 1 mod h_i, 0 mod h_j (j != i), computed mod (p, f)
     fbar = [x % p for x in fI]
@@ -452,7 +455,8 @@ def _lift_decision(a, t, fI, p, factors, roots):
         g = _mulmod(_hensel_sqrt(r0, A_int, F, p, m), dF, F, m)
         w = M.element([x - m if 2 * x > m else x for x in g]) * dF_inv
         if w * w == A:
-            witness = alg.element([v * c ** i / t2 for i, v in enumerate(w.c)])
+            witness = EtaleElement(
+                alg, [x * c ** i for i, x in enumerate(w.num)], w.den * t2)
             assert witness * witness == a
             return SquareDecision("true", witness=witness)
     return SquareDecision(
@@ -476,10 +480,10 @@ class SkewData:
 
     def __init__(self, L):
         f = L.f
-        if any(f[k] != 0 for k in range(0, f.degree + 1, 2)):
+        if any(f.num[0::2]):
             raise NotOddPolynomial("modulus is not of the form x*g(x^2)")
         self.L = L
-        self.g = Poly([f[2 * k + 1] for k in range((f.degree + 1) // 2)])
+        self.g = Poly.over(f.num[1::2], f.den)
         self.K = EtaleAlgebra(self.g)
         h = self.g.compose(Poly([0, 0, 1]))  # g(x^2)
         self.E = EtaleAlgebra(h)
@@ -633,7 +637,10 @@ def solve_tau_norm(skew, pi):
         if dec.is_true():
             # root = a(beta^2) + beta*c(beta^2) on E, sqrt(pk) on k
             aK = dec.witness
-            rE = skew.E.element([v for pair in zip(aK.c, c) for v in pair])
+            num = [0] * skew.E.deg
+            num[0::2] = aK.num
+            num[1::2] = [aK.den * x for x in c]
+            rE = skew.E._reduce(num, aK.den)
             root = assemble(skew, rk, rE)
             if root * apply_tau(root) == pi:
                 return TauNormOutcome("solved", witness=root)

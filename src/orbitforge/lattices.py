@@ -97,8 +97,7 @@ def complement_lattice(w, n):
 
 
 def _check_integral_modulus(alg):
-    f = alg.f
-    if any(a.denominator != 1 for a in f.c) or f.lc() != 1:
+    if alg.f.den != 1:  # the modulus is monic
         raise NonIntegral("ideal arithmetic needs a monic integral modulus")
 
 
@@ -140,8 +139,9 @@ class FracIdeal:
     def contains_element(self, e):
         if e.alg != self.alg:
             raise RingMismatch("element of a different algebra")
-        x = solve(self.mat, [c * self.den for c in e.c])
-        return all(t.denominator == 1 for t in x)
+        # x is e.den times the coordinates of e in the basis
+        x = solve(self.mat, [v * self.den for v in e.num])
+        return all(t.denominator == 1 and t.numerator % e.den == 0 for t in x)
 
     def contains(self, other):
         """Whole-lattice containment: other is a subset of self, that is
@@ -220,8 +220,7 @@ def ideal_norm(I):
 
 def tau_ideal(I):
     """Image of the ideal under the involution x -> -x (odd modulus only)."""
-    f = I.alg.f
-    if any(f.c[i] != 0 for i in range(0, f.degree + 1, 2)):
+    if any(I.alg.F[0::2]):
         raise NotOddPolynomial("involution needs an odd modulus")
     return _span(I.alg, [apply_tau(b) for b in I.basis_elements()])
 
@@ -245,8 +244,7 @@ class IdealPair:
         if not alpha or alpha.norm() == 0:
             raise ZeroDivisor("alpha must be invertible")
         if rep == ADJOINT:
-            f = ideal.alg.f
-            if any(f.c[i] != 0 for i in range(0, f.degree + 1, 2)):
+            if any(ideal.alg.F[0::2]):
                 raise NotOddPolynomial("skew pairs need an odd modulus")
             if not is_tau_fixed(alpha):
                 raise NotTauFixed("alpha must be fixed by the involution")

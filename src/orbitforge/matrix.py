@@ -80,13 +80,13 @@ class Mat:
         """Companion matrix of a monic polynomial (multiplication by x)."""
         if not f.is_monic():
             raise NotSquare("companion matrix needs a monic polynomial")
-        d = f.degree
+        d, den = f.degree, f.den
         rows = [[0] * d for _ in range(d)]
         for i in range(1, d):
-            rows[i][i - 1] = 1
+            rows[i][i - 1] = den
         for i in range(d):
-            rows[i][d - 1] = -f[i]
-        return cls(rows)
+            rows[i][d - 1] = -f.num[i]
+        return cls(rows, den)
 
     @property
     def nrows(self):
@@ -181,13 +181,13 @@ class Mat:
 
         Berkowitz on the integer rows gives det(yI - num); with
         y = den x, the coefficient of x^k is that of y^k over
-        den^(n - k).
+        den^(n - k), that is c_k den^k over den^n.
         """
         if not self.is_square():
             raise NotSquare("charpoly of a non-square matrix")
         n, d = self.nrows, self.den
         c = _berkowitz(self.num)
-        return Poly([Fraction(c[n - k], d ** (n - k)) for k in range(n + 1)])
+        return Poly.over([c[n - k] * d ** k for k in range(n + 1)], d ** n)
 
     def __repr__(self):
         return "Mat(%r)" % ([[str(x) for x in r] for r in self.rows],)

@@ -117,7 +117,7 @@ def _validate_charpoly(f, rep):
     if not is_separable(f):
         raise NonSeparable("polynomial %s has a repeated root" % f.pretty())
     if rep == ADJOINT:
-        if any(f[k] != 0 for k in range(0, f.degree + 1, 2)):
+        if any(f.num[0::2]):
             raise NotOddPolynomial(
                 "skew operators need f(-x) = -f(x); got %s" % f.pretty())
 
@@ -132,8 +132,8 @@ def _pairing_gram(alg, alpha, rep):
     n = (d - 1) // 2
     # f = x^d + low / cf and alpha = cur / ca; step k keeps cur over
     # ca cf^k, so the top coefficients tops[k] / (ca cf^k) stay integers
-    low, cf = _clear(alg.f.c[:d])
-    cur, ca = _clear(alpha.c)
+    low, cf = alg.F[:d], alg.cf
+    cur, ca = list(alpha.num), alpha.den
     tops = []
     for _ in range(2 * d - 1):
         top = cur[-1]

@@ -1,35 +1,63 @@
 """Dense univariate polynomials, exact over Q plus mod-p utilities.
 
-Poly holds an ascending tuple of Fractions. Products, division and
-resultants run on integer lists: each operand is cleared to integers over
-one denominator, a product is an integer convolution, division is the
-integer pseudo-division that also gives pseudo-remainders (one loop for
-monic, non-monic and rational divisors), and resultants follow the
-fraction-free subresultant pseudo-remainder sequence, so intermediate
-coefficients stay integral and Fractions are built once per result.
-Real-root work is Sturm-based and fully exact: a Sturm chain is a list of
-integer coefficient lists, each a positive multiple of the rational Sturm
-polynomial (primitive pseudo-remainders with the sign fixed), evaluated
-by integer Horner at rational points; isolating intervals have rational
-endpoints and signs of one polynomial at the roots of another are decided
-by interval refinement, never by floating point.
+A Poly holds integer coefficients `num`, ascending with no trailing zeros,
+over one positive denominator `den`, in lowest terms; that pair is
+canonical, so equality and hashing compare it, and `c` is the read-only
+Fraction view, built on first use. Every kernel runs on the integers: a
+product is an integer convolution, division is the integer
+pseudo-division that also gives pseudo-remainders (one loop for monic,
+non-monic and rational divisors), gcds follow the primitive
+pseudo-remainder sequence, resultants the fraction-free subresultant one,
+and Lagrange interpolation runs over the common denominator of its nodes
+and values. Real-root work is Sturm-based and fully exact: a Sturm chain
+is a list of integer coefficient lists, each a positive multiple of the
+rational Sturm polynomial (primitive pseudo-remainders with the sign
+fixed), evaluated by integer Horner at rational points; isolating
+intervals have rational endpoints and signs of one polynomial at the
+roots of another are decided by interval refinement, never by floating
+point.
 """
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import NonSeparableModP, NotMonic, ZeroInput
 from .arith import rng_for
 
 
 class Poly:
-    __slots__ = ("c",)
+    """A polynomial over Q: integer coefficients `num` (ascending,
+    trailing zeros trimmed) over one positive denominator `den`, with
+    gcd(den, *num) = 1; zero is () over 1."""
+
+    __slots__ = ("num", "den", "_c")
 
     def __init__(self, coeffs=()):
-        c = [x if type(x) is Fraction else Fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.c = tuple(c)
+        """The polynomial with the rational coefficients `coeffs`."""
+        num, den = _clear(coeffs)
+        while num and num[-1] == 0:
+            num.pop()
+        self.num, self.den, self._c = tuple(num), den, None
+
+    @classmethod
+    def over(cls, num, den):
+        """The polynomial num / den for integers num and den != 0."""
+        g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+        num = [x // g for x in num]
+        while num and num[-1] == 0:
+            num.pop()
+        out = cls.__new__(cls)
+        out.num, out.den, out._c = tuple(num), den // g, None
+        return out
+
+    @property
+    def c(self):
+        """The coefficients as Fractions, ascending."""
+        if self._c is None:
+            d = self.den
+            self._c = tuple(Fraction(x, d) for x in self.num)
+        return self._c
 
     @classmethod
     def const(cls, a):
@@ -48,46 +76,47 @@ class Poly:
 
     @property
     def degree(self):
-        return len(self.c) - 1
+        return len(self.num) - 1
 
     def is_zero(self):
-        return not self.c
+        return not self.num
 
     def lc(self):
-        if not self.c:
+        if not self.num:
             return Fraction(0)
-        return self.c[-1]
+        return Fraction(self.num[-1], self.den)
 
     def is_monic(self):
-        return bool(self.c) and self.c[-1] == 1
+        return bool(self.num) and self.num[-1] == self.den
 
     def __getitem__(self, k):
-        if 0 <= k < len(self.c):
+        if 0 <= k < len(self.num):
             return self.c[k]
         return Fraction(0)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.c == other.c
+            return self.num == other.num and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.c)
+        return hash((self.num, self.den))
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(other)
-        n = max(len(self.c), len(other.c))
-        return Poly([self[i] + other[i] for i in range(n)])
+        den = math.lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        return Poly.over([ka * a + kb * b for a, b
+                          in zip_longest(self.num, other.num, fillvalue=0)],
+                         den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-a for a in self.c])
+        return Poly.over([-a for a in self.num], self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -95,12 +124,11 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            return Poly([a * Fraction(other) for a in self.c])
-        if not self.c or not other.c:
+            n, d = Fraction(other).as_integer_ratio()
+            return Poly.over([a * n for a in self.num], self.den * d)
+        if not self.num or not other.num:
             return Poly()
-        A, ca = _clear(self.c)
-        B, cb = _clear(other.c)
-        return Poly(_over(_conv(A, B), ca * cb))
+        return Poly.over(_conv(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -117,11 +145,9 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         # self = A / ca and other = B / cb with lc(B)^e A = Q B + R
-        A, ca = _clear(self.c)
-        B, cb = _clear(other.c)
-        Q, R, e = _pdivmod(A, B)
-        s = ca * B[-1] ** e
-        return Poly(_over([cb * x for x in Q], s)), Poly(_over(R, s))
+        Q, R, e = _pdivmod(self.num, other.num)
+        s = self.den * other.num[-1] ** e
+        return Poly.over([other.den * x for x in Q], s), Poly.over(R, s)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -130,41 +156,38 @@ class Poly:
         return divmod(self, other)[1]
 
     def __call__(self, x):
-        out = Fraction(0) if not isinstance(x, Poly) else Poly()
-        for a in reversed(self.c):
-            out = out * x + a
-        return out
+        if isinstance(x, Poly):
+            return self.compose(x)
+        v, dk = _horner(self.num, *Fraction(x).as_integer_ratio())
+        return Fraction(v, self.den * dk)
 
     def compose(self, other):
         out = Poly()
-        for a in reversed(self.c):
-            out = out * other + Poly.const(a)
-        return out
+        for a in reversed(self.num):
+            out = out * other + a
+        return out * Fraction(1, self.den)
 
     def derivative(self):
-        return Poly([i * a for i, a in enumerate(self.c)][1:])
+        return Poly.over([i * a for i, a in enumerate(self.num)][1:],
+                         self.den)
 
     def monic(self):
         if self.is_zero():
             raise ZeroInput("zero polynomial has no monic normalization")
-        lb = self.lc()
-        return Poly([a / lb for a in self.c])
+        return Poly.over(self.num, self.num[-1])
 
     def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.monic()
-
-    def integer_cleared(self):
-        """(F, c) with F integer-coefficient and F = c * self, c > 0."""
-        F, c = _clear(self.c)
-        return Poly(F), c
+        """The monic gcd (zero when both are zero), by the primitive
+        pseudo-remainder sequence of the numerators."""
+        A, B = self.num, other.num
+        while B:
+            R = _prem(A, B)
+            c = _content(R)
+            A, B = B, [x // c for x in R]
+        return Poly.over(A, A[-1]) if A else Poly()
 
     def pretty(self, var="x"):
-        if not self.c:
+        if not self.num:
             return "0"
         parts = []
         for k in range(self.degree, -1, -1):
@@ -207,18 +230,8 @@ def _clear(xs):
     return [n * (c // d) for n, d in rs], c
 
 
-def _over(ints, c):
-    """The Fractions x / c."""
-    if c == 1:
-        return [Fraction(x) for x in ints]
-    return [Fraction(x, c) for x in ints]
-
-
 def _content(c):
-    g = 0
-    for a in c:
-        g = math.gcd(g, abs(a))
-    return g or 1
+    return math.gcd(*c) or 1
 
 
 def _deg(c):
@@ -239,7 +252,7 @@ def _pdivmod(A, B):
     """(Q, R, e) for integer lists, B nonzero: lc(B)^e A = Q B + R with
     deg R < deg B, e the number of reduction steps taken."""
     dB, lb = _deg(B), B[-1]
-    R = A[:]
+    R = list(A)
     Q = [0] * max(len(A) - dB, 0)
     e = 0
     while R and _deg(R) >= dB:
@@ -308,10 +321,8 @@ def resultant(f, g):
     """Res(f, g) over Q; 0 when either argument is 0 or they share a root."""
     if f.is_zero() or g.is_zero():
         return Fraction(0)
-    F, cf = _clear(f.c)
-    G, cg = _clear(g.c)
-    r = _int_resultant(F, G)
-    return Fraction(r) / (Fraction(cf) ** g.degree * Fraction(cg) ** f.degree)
+    return Fraction(_int_resultant(f.num, g.num),
+                    f.den ** g.degree * g.den ** f.degree)
 
 
 def discriminant(f):
@@ -319,31 +330,43 @@ def discriminant(f):
     if not f.is_monic():
         raise NotMonic("discriminant requires a monic polynomial")
     d = f.degree
-    if d == 1:
-        return Fraction(1)
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     return sign * resultant(f, f.derivative())
 
 
 def is_separable(f):
-    return f.degree >= 1 and f.gcd(f.derivative()).degree == 0
+    """f has degree >= 1 and no repeated root: Res(f, f') is the
+    discriminant times a nonzero rational."""
+    return f.degree >= 1 and resultant(f, f.derivative()) != 0
+
+
+def integral_model(f):
+    """F(x) = c^d f(x/c) for monic f of degree d and c = f.den: monic with
+    integer coefficients, its roots c times those of f."""
+    if not f.is_monic():
+        raise NotMonic("the integral model needs a monic polynomial")
+    c, d = f.den, f.degree
+    return Poly.over([a * c ** (d - 1 - i) for i, a in enumerate(f.num[:-1])]
+                     + [1], 1)
 
 
 def interpolate(samples):
     """The polynomial of degree < len(samples) through the (u, value)
-    pairs, by Lagrange."""
-    samples = list(samples)
-    total = Poly.const(0)
-    for i, (ui, vi) in enumerate(samples):
-        num = Poly.const(1)
-        den = Fraction(1)
-        for j, (uj, _) in enumerate(samples):
-            if j == i:
-                continue
-            num = num * Poly([-uj, 1])
-            den *= ui - uj
-        total = total + num * Poly.const(vi / den)
-    return total
+    pairs, by Lagrange on integers. Over one common denominator D, u_i =
+    U_i / D and value_i = V_i / D; with w_i = prod_{j != i} (U_i - U_j)
+    and W = lcm(w_i), the answer P has P(y / D) = Q(y) / (W D) for the
+    integer Q = sum_i V_i (W / w_i) prod_{j != i} (y - U_j)."""
+    ints, D = _clear([x for pair in samples for x in pair])
+    U, V = ints[0::2], ints[1::2]
+    N = [1]
+    for u in U:
+        N = _conv(N, [-u, 1])
+    Ns = [_pdivmod(N, [-u, 1])[0] for u in U]  # prod_{j != i} (y - U_j)
+    w = [_horner(Ni, u, 1)[0] for Ni, u in zip(Ns, U)]
+    W = math.lcm(*w)
+    Q = [sum(v * (W // wi) * Ni[k] for Ni, v, wi in zip(Ns, V, w))
+         for k in range(len(U))]
+    return Poly.over([q * D ** k for k, q in enumerate(Q)], W * D)
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +395,21 @@ def _int_sturm(A):
 def sturm_chain(f):
     """Sturm sequence of the squarefree part of f, as integer coefficient
     lists, each a positive multiple of the rational Sturm polynomial."""
-    chain = _int_sturm(_clear(f.c)[0])
+    chain = _int_sturm(list(f.num))
     if _deg(chain[-1]) > 0:  # gcd(f, f') is not constant: repeated roots
-        fs = f // f.gcd(f.derivative())
-        chain = _int_sturm(_clear(fs.c)[0])
+        chain = _int_sturm(list((f // f.gcd(f.derivative())).num))
     return chain
+
+
+def _horner(c, n, d):
+    """(d^deg(c) c(n / d), d^deg(c)) for the integer list c, by Horner."""
+    if not c:
+        return 0, 1
+    v, dk = c[-1], 1
+    for a in reversed(c[:-1]):
+        dk *= d
+        v = v * n + a * dk
+    return v, dk
 
 
 def _sign_at(c, x):
@@ -386,12 +419,7 @@ def _sign_at(c, x):
     if isinstance(x, float):  # +-math.inf
         s = 1 if c[-1] > 0 else -1
         return s if x > 0 or len(c) % 2 == 1 else -s
-    # den^deg * c(num / den) by Horner, all in integers
-    n, d = x.numerator, x.denominator
-    v, dk = c[-1], 1
-    for a in reversed(c[:-1]):
-        dk *= d
-        v = v * n + a * dk
+    v = _horner(c, x.numerator, x.denominator)[0]
     return (v > 0) - (v < 0)
 
 
@@ -416,9 +444,8 @@ def count_real_roots(f, lo=None, hi=None, chain=None):
 
 def root_bound(f):
     """A positive rational B with every real root of f in [-B, B] (Cauchy)."""
-    lb = abs(f.lc())
-    m = max((abs(a) for a in f.c[:-1]), default=Fraction(0))
-    return 1 + m / lb
+    m = max(map(abs, f.num[:-1]), default=0)
+    return 1 + Fraction(m, abs(f.num[-1]))
 
 
 def _isolate(f, chain):
@@ -475,19 +502,14 @@ def _root_signs(g, f, fchain, intervals):
     h = f.gcd(g)
     hchain = sturm_chain(h) if h.degree >= 1 else None
     gchain = sturm_chain(g)
-    G = _clear(g.c)[0]
     out = []
     for lo, hi in intervals:
         if hchain and count_real_roots(h, lo, hi, hchain) > 0:
             out.append(0)
             continue
         while count_real_roots(g, lo, hi, gchain) > 0:
-            mid = (lo + hi) / 2
-            if count_real_roots(f, lo, mid, fchain) == 1:
-                hi = mid
-            else:
-                lo = mid
-        out.append(_sign_at(G, hi))
+            lo, hi = refine_interval(f, (lo, hi), 1, fchain)
+        out.append(_sign_at(g.num, hi))
     return out
 
 
@@ -525,37 +547,22 @@ def fp_normalize(c, p):
 
 def fp_from_poly(f, p):
     """Reduce a rational Poly mod p; denominators must be prime to p."""
-    out = []
-    for a in f.c:
-        if a.denominator % p == 0:
-            raise ZeroDivisionError("denominator divisible by %d" % p)
-        out.append(a.numerator * pow(a.denominator, -1, p) % p)
-    return fp_normalize(out, p)
+    if f.den % p == 0:
+        raise ZeroDivisionError("denominator divisible by %d" % p)
+    inv = pow(f.den, -1, p)
+    return fp_normalize([a * inv for a in f.num], p)
 
 
 def fp_add(a, b, p):
-    n = max(len(a), len(b))
-    return fp_normalize(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)], p
-    )
+    return fp_normalize([x + y for x, y in zip_longest(a, b, fillvalue=0)], p)
 
 
 def fp_sub(a, b, p):
-    n = max(len(a), len(b))
-    return fp_normalize(
-        [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)], p
-    )
+    return fp_normalize([x - y for x, y in zip_longest(a, b, fillvalue=0)], p)
 
 
 def fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return fp_normalize(out, p)
+    return fp_normalize(_conv(a, b), p) if a and b else []
 
 
 def fp_divmod(a, b, p):
@@ -601,13 +608,10 @@ def fp_powmod(base, e, f, p):
     return out
 
 
-def fp_derivative(a, p):
-    return fp_normalize([i * x for i, x in enumerate(a)][1:], p)
-
-
 def fp_is_separable(f, p):
     f = fp_normalize(f, p)
-    return len(f) >= 2 and len(fp_gcd(f, fp_derivative(f, p), p)) == 1
+    df = [i * x for i, x in enumerate(f)][1:]
+    return len(f) >= 2 and len(fp_gcd(f, df, p)) == 1
 
 
 def _fp_distinct_degree(f, p):
@@ -659,14 +663,7 @@ def fp_count_factors(f, p):
 
 def fp_is_irreducible(f, p):
     f = fp_normalize(f, p)
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    if not fp_is_separable(f, p):
-        return False
-    return fp_factor_degrees(f, p) == [n]
+    return fp_is_separable(f, p) and fp_factor_degrees(f, p) == [len(f) - 1]
 
 
 def fp_resultant(a, b, p):

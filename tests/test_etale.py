@@ -125,6 +125,83 @@ def test_is_square_hard_norm_needs_no_factoring():
     assert d.witness * d.witness == a
 
 
+def _count_fp_factor(monkeypatch):
+    """The primes poly.fp_factor is called at, from now on."""
+    from orbitforge import poly
+    calls = []
+    factor = poly.fp_factor
+
+    def counted(f, p, tag="fp_factor"):
+        calls.append(p)
+        return factor(f, p, tag)
+
+    monkeypatch.setattr(poly, "fp_factor", counted)
+    return calls
+
+
+def test_is_square_factors_only_the_lift_prime(monkeypatch):
+    # a square passes all ten probes; only the first, where its square
+    # root is lifted, is factored in full
+    calls = _count_fp_factor(monkeypatch)
+    b = L2.beta() + 2
+    d = is_square(b * b)
+    assert d.is_true() and d.witness in (b, -b)
+    assert len(calls) == 1
+
+
+def test_is_square_names_a_nonresidue_in_a_degree_two_part(monkeypatch):
+    # f = g(x) g(x - 1) with g = x^2 - 2, so L = Q(sqrt 2) x Q(sqrt 2), and
+    # a = (3 + sqrt 2, 3 + sqrt 2): norm 7^2, positive at every real root
+    # and not a square.  Mod 3 each component is a square; mod 5 both
+    # factors are quadratic with norm 7 a non-residue, so the second probe
+    # splits its degree-2 part to name the smaller factor
+    calls = _count_fp_factor(monkeypatch)
+    g = Poly([-2, 0, 1])
+    g1 = g.compose(Poly([-1, 1]))
+    L = EtaleAlgebra(g * g1)
+    e = L.from_poly(g1 * EtaleAlgebra(g).from_poly(g1).inverse().lift())
+    u = Poly([3, 1])
+    a = L.from_poly(u) * e + L.from_poly(u.compose(Poly([-1, 1]))) * (1 - e)
+    assert a.norm() == 49
+    d = is_square(a)
+    assert d.certificate == "non-residue in the factor x^2 + 3 mod 5"
+    assert calls == [3, 5]
+
+
+def test_probe_certificates_match_full_factoring():
+    # the first non-residue factor, over the factors of f mod q sorted by
+    # (degree, coefficients) at each probe q in turn, names the certificate
+    import random
+    from orbitforge import poly
+    from orbitforge.arith import legendre
+    rng = random.Random(40121)
+    later = 0
+    for _ in range(40):
+        deg = rng.choice((3, 4, 5))
+        roots = rng.sample(range(-12, 13), deg)
+        L = EtaleAlgebra(Poly.from_roots(roots))
+        # values at the roots: v twice, up to squares, and squares
+        v = rng.choice((2, 3, 5, 7, 11, 13))
+        vals = [v, v * rng.randint(1, 3) ** 2] + [
+            rng.randint(1, 4) ** 2 for _ in range(deg - 2)]
+        rng.shuffle(vals)
+        b = L.element([rng.randint(-3, 3) for _ in range(deg)])
+        a = L.from_poly(poly.interpolate(zip(roots, vals))) * b * b
+        if not a.is_unit():
+            continue
+        A = [x * a.den for x in a.num]
+        avoid = (a.norm() * a.den ** (2 * deg)).numerator
+        probes = etale._good_primes(L, avoid, 10)
+        want = next(("non-residue in the factor %s mod %d"
+                     % (Poly(h).pretty(), q), q)
+                    for q in probes
+                    for h in poly.fp_factor([x % q for x in L.F], q)
+                    if legendre(poly.fp_resultant(h, A, q), q) == -1)
+        assert is_square(a).certificate == want[0]
+        later += want[1] != probes[0]
+    assert later >= 8
+
+
 def test_is_square_real_certificate():
     # (1, 4, -9) at the roots (0, 1, -1) of x^3 - x: norm -36... adjust to
     # make the norm a square but a real value negative: (1, -4, -9),

@@ -237,7 +237,7 @@ def test_integer_sign_at_matches_fraction_evaluation():
     rng = random.Random(4102)
     for _ in range(300):
         f = _rational_poly(rng, rng.randint(0, 6), den=5)
-        ints = [a.numerator for a in f.integer_cleared()[0].c]
+        ints = list(f.num)
         x = Fraction(rng.randint(-50, 50), rng.randint(1, 16))
         v = f(x)
         assert poly._sign_at(ints, x) == (v > 0) - (v < 0)
@@ -331,6 +331,53 @@ def _ref_divmod(a, b):
     return q, r
 
 
+def _ref_add(a, b):
+    out = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+           for i in range(max(len(a), len(b)))]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return [x / a[-1] for x in a]
+
+
+def _ref_resultant(a, b):
+    """Res(a, b) by Euclid over Q: (-1)^(mn) lc(b)^(m - deg r) Res(b, r)."""
+    if not a or not b:
+        return 0
+    m, n = len(a) - 1, len(b) - 1
+    if n == 0:
+        return b[0] ** m
+    r = _ref_divmod(a, b)[1]
+    if not r:
+        return 0
+    return (-1) ** (m * n) * b[-1] ** (m - len(r) + 1) * _ref_resultant(b, r)
+
+
+def _ref_interpolate(samples):
+    total = []
+    for i, (ui, vi) in enumerate(samples):
+        term = [vi]
+        for j, (uj, _) in enumerate(samples):
+            if j != i:
+                term = _ref_mul(term, [-uj / (ui - uj), 1 / (ui - uj)])
+        total = _ref_add(total, term)
+    return total
+
+
+def _assert_canonical(p, want):
+    """p is the polynomial with Fraction coefficients want, stored as
+    integer numerators over one positive denominator in lowest terms."""
+    import math
+    assert list(p.c) == want
+    assert p.num == tuple(x * p.den for x in p.c)
+    assert p.den > 0 and math.gcd(p.den, *p.num) == 1
+
+
 def test_mul_divmod_match_fraction_definitions():
     import random
 
@@ -343,6 +390,7 @@ def test_mul_divmod_match_fraction_definitions():
 
     divisors = [P(Fraction(1, 3), Fraction(1, 2), 0, 1),    # x^3 + x/2 + 1/3
                 P(-2, 0, 0, 1), P(5), P(Fraction(-3, 4)), P(1, 2, 0, 3)]
+    others = [Poly(), P(0, 0), P(Fraction(7, 2))]    # zero and constants
     kinds = {"monic": 0, "non-monic": 0, "rational": 0}
     for _ in range(400):
         f = Poly([coeff([1, 1, 2, 3, 7]) for _ in range(rng.randint(0, 9))])
@@ -354,11 +402,35 @@ def test_mul_divmod_match_fraction_definitions():
                                       rng.choice([1, 1, 4]))}[kind]
         g = Poly(g + [lead])
         kinds[kind] += 1
-        for h in [g] + divisors:
-            assert list((f * h).c) == _ref_mul(list(f.c), list(h.c))
+        a = list(f.c)
+        k = coeff([1, 3, 4])
+        _assert_canonical(-f, [-x for x in a])
+        _assert_canonical(f * k, [k * x for x in a] if k else [])
+        for h in [g] + divisors + others:
+            b = list(h.c)
+            _assert_canonical(f * h, _ref_mul(a, b))
+            _assert_canonical(f + h, _ref_add(a, b))
+            _assert_canonical(f - h, _ref_add(a, [-x for x in b]))
+            _assert_canonical(f.gcd(h), _ref_gcd(a, b) if a or b else [])
+            assert poly.resultant(f, h) == _ref_resultant(a, b)
+            if h.is_zero():
+                continue
             q, r = divmod(f, h)
-            assert (list(q.c), list(r.c)) == _ref_divmod(list(f.c), list(h.c))
+            assert (list(q.c), list(r.c)) == _ref_divmod(a, b)
+            _assert_canonical(q, list(q.c))
+            _assert_canonical(r, list(r.c))
             assert f % h == r and f // h == q
+        if f.degree >= 1:
+            m = f.monic()
+            d = f.degree
+            assert poly.discriminant(m) == (-1) ** (d * (d - 1) // 2) * \
+                _ref_resultant(list(m.c), list(m.derivative().c))
+        nodes = rng.sample([Fraction(n, rng.choice([1, 2, 3]))
+                            for n in range(-9, 10)], rng.randint(0, 6))
+        samples = [(u, coeff([1, 2, 5])) for u in sorted(set(nodes))]
+        _assert_canonical(poly.interpolate(samples), _ref_interpolate(samples))
+        if len(samples) > f.degree:
+            assert poly.interpolate([(u, f(u)) for u, _ in samples]) == f
     assert min(kinds.values()) > 100
 
 
