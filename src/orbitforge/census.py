@@ -425,7 +425,7 @@ def _images(hi, lo, a, b, p):
     col = np.empty(shape, dtype=hi.dtype)
     wrap = hi.dtype.type(p)
     for j in range(w):
-        np.add(hi[:, j, a], lo[:, j, b], out=col)
+        np.add(hi[:, j].take(a, axis=1), lo[:, j].take(b, axis=1), out=col)
         # col < 2p, and the unsigned col - p wraps past col when col < p
         np.minimum(col, col - wrap, out=col)
         out *= p

@@ -34,8 +34,8 @@ from .orbits import (ADJOINT, STANDARD, SYM2, adjoint_op, classify_vector,
                      construct_representative, in_kernel_gamma,
                      representative_from_alpha, same_orbit, standard_space,
                      stabilizer_info)
-from .poly import (Poly, integral_model, interpolate, isolate_real_roots,
-                   refine_interval, sturm_chain)
+from .poly import (Poly, _sign_at, integral_model, interpolate,
+                   isolate_real_roots)
 
 # the largest exponent parse_poly accepts: terms become dense coefficient
 # lists, and construct already takes 3 s at degree 81 and 36 s at 161
@@ -204,20 +204,28 @@ def parse_fraction(text):
 
 
 def _rational_roots(f):
-    """All rational roots of a monic polynomial with rational coefficients.
+    """All rational roots of a separable monic polynomial with rational
+    coefficients.
 
     With c the denominator of f, F(x) = c^d f(x/c) is monic and
-    integral, so its rational roots are integers: each is the one integer
-    k an isolating interval of F, halved below width 1, can hold, and k/c
-    is then a root of f.
+    integral, so its rational roots are integers. Each isolating interval
+    (lo, hi] of F holds one simple root, so F changes sign there: bisection
+    by the sign of F alone, one integer Horner per step, halves it below
+    width 1, and k = floor(hi) is then the one integer it can hold; k/c
+    is a root of f when F(k) = 0.
     """
     c = f.den
     F = integral_model(f)
-    chain = sturm_chain(F)
     roots = []
-    for lo, hi in isolate_real_roots(F, chain):
-        lo, hi = refine_interval(F, (lo, hi), int(hi - lo).bit_length(),
-                                 chain)
+    for lo, hi in isolate_real_roots(F):
+        s = _sign_at(F.num, hi)  # 0 once hi is the root
+        for _ in range(int(hi - lo).bit_length()):
+            mid = (lo + hi) / 2
+            m = _sign_at(F.num, mid)
+            if s and m in (0, s):
+                hi, s = mid, m
+            else:
+                lo = mid
         k = floor(hi)
         if k > lo and F(k) == 0:
             roots.append(Fraction(k, c))

@@ -10,15 +10,19 @@ separable), and inverses and traces go through the integer multiplication
 matrix. Squareness in L* is decided: True carries an exactly verified
 witness, False a norm, real-embedding or mod-p certificate, or the bound
 certificate of one p-adic lift to a modulus computed from the input. The
-real-embedding test runs one integer Sturm chain per polynomial; the
-mod-p probes test each distinct-degree part of f mod q by one power of a
-and name a non-residue factor only where that power fails.
+real-embedding test is one Tarski query (the sum of the signs of a at the
+real roots of f, by Sylvester's theorem), and roots are isolated only to
+name one where a is negative; the mod-p probes test each distinct-degree
+part of f mod q at once, a part of one irreducible factor by the Legendre
+symbol of one resultant and one of several by one power of a, and name a
+non-residue factor only where that test fails.
 
 When f(-x) = -f(x), the algebra carries tau (x -> -x), splits as
 Q x E with E = Q[x]/(g(x^2)), and K = Q[y]/(g) sits inside E as the
 tau-fixed part. SkewData packages all of that, plus a bounded solver for
 the twisted norm equation r * tau(r) = pi used by orbit comparison, whose
-search filters its candidates by integer resultants.
+search tries each c of its box once up to sign and filters the candidates
+by integer resultants.
 """
 
 import itertools
@@ -327,6 +331,20 @@ def _hensel_sqrt(r, A, F, p, m):
     return r
 
 
+def _part_is_residue(A, e, h, q):
+    """Whether the unit A is a square in every factor field of F_q[x]/(h),
+    h monic, the product of the irreducible factors of degree e.
+
+    Euler: A is a square mod one such factor h' iff A^((q^e - 1)/2) = 1
+    there, and that power is N(A)^((q - 1)/2), N(A) = Res(h', A) mod q.
+    One factor (deg h = e) takes the Legendre symbol of one resultant;
+    several (so e <= deg f / 2, and the power is cheap) the power mod h.
+    """
+    if len(h) - 1 == e:
+        return legendre(P.fp_resultant(h, A, q), q) == 1
+    return P.fp_powmod(A, (q ** e - 1) // 2, h, q) == [1]
+
+
 def is_square(a):
     """Decide whether a is a square in L*.
 
@@ -353,24 +371,25 @@ def is_square(a):
         return SquareDecision(
             "false", certificate="norm %s is not a rational square" % n
         )
-    # real-embedding certificates: a must be nonnegative at every real root
-    for iv, sign in P.signs_at_roots(a.lift(), alg.f):
-        if sign < 0:
-            return SquareDecision(
-                "false",
-                certificate="negative at the real root of f in (%s, %s]" % iv,
-            )
+    # real-embedding certificates: a must be positive at every real root
+    # of f, which holds exactly when the Tarski query TaQ(a, f) counts them
+    # all; only a failing query isolates the roots, to name one
+    f, g = alg.f, a.lift()
+    if P.tarski_query(g, f) != P.count_real_roots(f):
+        iv = next(iv for iv, sign in P.signs_at_roots(g, f) if sign < 0)
+        return SquareDecision(
+            "false",
+            certificate="negative at the real root of f in (%s, %s]" % iv,
+        )
     t = a.den
     A_int = [v * t for v in a.num]  # t^2 a, for the probes
     fI = alg.F
-    tag = "is_square:%s:%s" % (alg.f.c, a.c)
+    tag = "is_square:%s:%s" % (f.c, a.c)
     # probe a run of good primes: one non-residue component anywhere is a
-    # sound certificate, since the witness would reduce mod p there.  A
-    # component in F_q[x]/(h), deg h = e, is a square iff
-    # b^((q^e - 1)/2) = N(b)^((q - 1)/2) is 1, N(b) = Res(h, A) mod q.  The
-    # lift prime p is factored in full; at the other probes one power per
-    # distinct-degree part h_e tests all its components at once, and only
-    # a failing part is split, to name the factor
+    # sound certificate, since the witness would reduce mod p there.  The
+    # lift prime p is factored in full; at the other probes each
+    # distinct-degree part h_e is tested at once (_part_is_residue), and
+    # only a failing part is split, to name the factor
     probes = _good_primes(alg, (n * t ** (2 * alg.deg)).numerator, 10)
     p = probes[0]
     first = P.fp_factor([x % p for x in fI], p, tag=tag)
@@ -380,8 +399,7 @@ def is_square(a):
             Aq = [x % q for x in A_int]
             parts = P._fp_distinct_degree([x % q for x in fI], q)[1]
             factors = next((P.fp_factor(h, q, tag=tag) for e, h in parts
-                            if P.fp_powmod(Aq, (q ** e - 1) // 2, h, q) != [1]),
-                           [])
+                            if not _part_is_residue(Aq, e, h, q)), [])
         for h in factors:
             if legendre(P.fp_resultant(h, A_int, q), q) == -1:
                 return SquareDecision(
@@ -437,7 +455,7 @@ def _lift_decision(a, t, fI, p, factors, roots):
     while p ** k <= 2 * G:
         k *= 2
     m = p ** k
-    dF = [i * x for i, x in enumerate(F)][1:]
+    dF = P._derivative(F)
     dF_inv = M.element(dF).inverse()
     # CRT basis: u_i = 1 mod h_i, 0 mod h_j (j != i), computed mod (p, f)
     fbar = [x % p for x in fI]
@@ -562,7 +580,10 @@ class TauNormOutcome:
 
 def _tau_candidates(K, piK):
     """(c, r, N) for the c in K with coefficients at most TAU_NORM_HEIGHT
-    in absolute value, c = 0 first, then by height.
+    in absolute value, c = 0 first, then by height, one of each pair +-c:
+    the one whose first nonzero coefficient is negative, which is the one
+    the lexicographic order of the box reaches first. c and -c give the
+    same y c^2, so the same r and N.
 
     c is an integer tuple, r = t^2 (piK + y c^2) an integer list over t^2
     (t = piK.den) and N = Res(G, r) / cg^deg(r) = t^(2n) N(piK + y c^2),
@@ -576,7 +597,7 @@ def _tau_candidates(K, piK):
     tt = t * t
     for h in range(TAU_NORM_HEIGHT + 1):
         for c in itertools.product(range(-h, h + 1), repeat=n):
-            if max(map(abs, c)) != h:
+            if max(map(abs, c)) != h or next((x for x in c if x), -1) > 0:
                 continue
             r = tA[:]
             for k, v in enumerate(P._conv(c, c)):
@@ -593,13 +614,16 @@ def solve_tau_norm(skew, pi):
 
     Decomposes the equation: the k-part needs pi(0) to be a rational
     square; the E-part a^2 - y*c^2 = pi_K is attacked by enumerating the
-    c in K with coefficients at most TAU_NORM_HEIGHT in absolute value and
-    testing squareness of pi_K + y*c^2. Each candidate stays an integer
-    list, and its norm is one integer resultant against g cleared
-    (_tau_candidates); an element of K is built, and is_square called,
-    only when that norm is a nonzero rational square. Sound obstructions:
-    pi(0) not a rational square, or pi_K negative at a real root y0 < 0
-    of g (there E is locally C and norms are positive).
+    c in K with coefficients at most TAU_NORM_HEIGHT in absolute value, up
+    to sign, and testing squareness of pi_K + y*c^2. The sign adds
+    nothing: a + beta c and a - beta c have the same r tau(r), and the c
+    kept comes first in the box, so the first solution found is the one
+    the whole box gives. Each candidate stays an integer list, and its
+    norm is one integer resultant against g cleared (_tau_candidates); an
+    element of K is built, and is_square called, only when that norm is a
+    nonzero rational square. Sound obstructions: pi(0) not a rational
+    square, or pi_K negative at a real root y0 < 0 of g (there E is
+    locally C and norms are positive), counted by Tarski queries.
     """
     if not pi.is_unit():
         raise NonUnit("pi must be a unit")
@@ -612,20 +636,25 @@ def solve_tau_norm(skew, pi):
             certificate="k-component %s is not a rational square" % pk,
         )
     piK = K_component(skew, pi)
-    g = skew.g
-    chain = P.sturm_chain(g)
-    intervals = P._isolate(g, chain)
-    for iv, sy, s in zip(intervals,
-                         P._root_signs(Poly([0, 1]), g, chain, intervals),
-                         P._root_signs(piK.lift(), g, chain, intervals)):
-        # negative root y0 (sy < 0): E is complex over this real place
-        # of K, so norms are positive there
-        if sy < 0 and s < 0:
-            return TauNormOutcome(
-                "obstructed",
-                certificate="negative at a real root of g in (%s, %s] "
-                "where the quadratic extension is complex" % iv,
-            )
+    # pi_K negative at a root y0 < 0 of g obstructs: E is complex over that
+    # real place of K, so norms are positive there.  Neither sign is 0
+    # (g(0) != 0 as f is separable, and pi_K is a unit), so such roots
+    # number the sum of (1 - sign y)(1 - sign pi_K) / 4 over the real
+    # roots of g, four Tarski queries; only when there is one are the
+    # roots isolated, to name the first
+    g, y, s = skew.g, Poly.x(), piK.lift()
+    if (P.count_real_roots(g) - P.tarski_query(y, g) - P.tarski_query(s, g)
+            + P.tarski_query(y * s, g)):
+        chain = P.sturm_chain(g)
+        intervals = P._isolate(g, chain)
+        iv = next(iv for iv, sy, sp in zip(
+            intervals, P._root_signs(y, g, chain, intervals),
+            P._root_signs(s, g, chain, intervals)) if sy < 0 and sp < 0)
+        return TauNormOutcome(
+            "obstructed",
+            certificate="negative at a real root of g in (%s, %s] "
+            "where the quadratic extension is complex" % iv,
+        )
     rk = Fraction(math.isqrt(pk.numerator), math.isqrt(pk.denominator))
     tt = piK.den ** 2
     for c, r, N in _tau_candidates(skew.K, piK):

@@ -9,13 +9,15 @@ pseudo-division that also gives pseudo-remainders (one loop for monic,
 non-monic and rational divisors), gcds follow the primitive
 pseudo-remainder sequence, resultants the fraction-free subresultant one,
 and Lagrange interpolation runs over the common denominator of its nodes
-and values. Real-root work is Sturm-based and fully exact: a Sturm chain
-is a list of integer coefficient lists, each a positive multiple of the
-rational Sturm polynomial (primitive pseudo-remainders with the sign
-fixed), evaluated by integer Horner at rational points; isolating
-intervals have rational endpoints and signs of one polynomial at the
-roots of another are decided by interval refinement, never by floating
-point.
+and values. Real-root work is Sturm-based and fully exact. One kernel
+builds signed remainder sequences as integer coefficient lists, each a
+positive multiple of the rational one (primitive pseudo-remainders with
+the sign fixed), evaluated by integer Horner at rational points: the
+Sturm chain of f is the sequence of (f, f'), and the Tarski query TaQ(g,
+f), the sum of the signs of g at the real roots of f, is the variation
+count of the sequence of (f, f'g mod f) (Sylvester). Isolating intervals
+have rational endpoints, and signs of one polynomial at the roots of
+another are decided by interval refinement, never by floating point.
 """
 
 import math
@@ -168,8 +170,7 @@ class Poly:
         return out * Fraction(1, self.den)
 
     def derivative(self):
-        return Poly.over([i * a for i, a in enumerate(self.num)][1:],
-                         self.den)
+        return Poly.over(_derivative(self.num), self.den)
 
     def monic(self):
         if self.is_zero():
@@ -373,32 +374,53 @@ def interpolate(samples):
 # Sturm chains and exact real-root isolation
 
 
-def _int_sturm(A):
-    """Sturm sequence of the integer list A, each entry made primitive;
-    -rem(P, Q) is the pseudo-remainder negated unless lc(Q)^e < 0."""
+def _srs(A, B):
+    """Signed remainder sequence of the integer lists A and B, deg B <
+    deg A: A, B, then each -rem(P, Q) made primitive, where -rem(P, Q) is
+    the pseudo-remainder negated unless lc(Q)^e < 0. Every entry is a
+    positive multiple of the rational one, so sign variations agree."""
     chain = [A]
-    dA = [i * a for i, a in enumerate(A)][1:]
-    if dA:
-        chain.append(dA)
-    while _deg(chain[-1]) > 0:
-        B = chain[-1]
-        R = _prem(chain[-2], B)
-        if not R:
+    while B:
+        chain.append(B)
+        if _deg(B) == 0:
             break
+        R = _prem(chain[-2], B)
         if B[-1] > 0 or (_deg(chain[-2]) - _deg(B)) % 2 == 1:
             R = [-x for x in R]
         c = _content(R)
-        chain.append([x // c for x in R])
+        B = [x // c for x in R]
     return chain
+
+
+def _derivative(A):
+    return [i * a for i, a in enumerate(A)][1:]
 
 
 def sturm_chain(f):
     """Sturm sequence of the squarefree part of f, as integer coefficient
     lists, each a positive multiple of the rational Sturm polynomial."""
-    chain = _int_sturm(list(f.num))
+    chain = _srs(list(f.num), _derivative(f.num))
     if _deg(chain[-1]) > 0:  # gcd(f, f') is not constant: repeated roots
-        chain = _int_sturm(list((f // f.gcd(f.derivative())).num))
+        F = list((f // f.gcd(f.derivative())).num)
+        chain = _srs(F, _derivative(F))
     return chain
+
+
+def tarski_query(g, f):
+    """TaQ(g, f): the sum of the signs of g at the distinct real roots of
+    f, for f of degree >= 1.
+
+    Sylvester: the Cauchy index of F'G / F over the real line is TaQ, and
+    so is that of R / F for R = F'G mod F, which the signed remainder
+    sequence of (F, R) counts as its sign variations at -infinity minus
+    those at +infinity. The pseudo-remainder is lc(F)^e R, negated back
+    when that factor is negative."""
+    F = list(f.num)
+    R = _prem(_conv(_derivative(F), g.num), F) if g.num else []
+    if F[-1] < 0 and _deg(g.num) % 2 == 1:  # e = deg g
+        R = [-x for x in R]
+    chain = _srs(F, R)
+    return _variations(chain, -math.inf) - _variations(chain, math.inf)
 
 
 def _horner(c, n, d):

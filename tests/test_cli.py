@@ -1,6 +1,7 @@
 """Command-line interface: parsing, dispatch, exit codes, JSON shape."""
 
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -130,7 +131,8 @@ def test_parse_alpha_component_values_need_split_modulus():
 
 
 def test_rational_roots_build_one_sturm_chain(monkeypatch):
-    # isolating the roots and refining each interval share one chain
+    # isolating the roots builds one chain; refining each interval by the
+    # sign of F builds none
     calls = []
 
     def counting(f):
@@ -138,11 +140,58 @@ def test_rational_roots_build_one_sturm_chain(monkeypatch):
         return chain(f)
 
     chain = poly.sturm_chain
-    for mod in (poly, cli):
-        monkeypatch.setattr(mod, "sturm_chain", counting)
+    monkeypatch.setattr(poly, "sturm_chain", counting)
     roots = [Fraction(-5, 3), -2, Fraction(1, 2), 1, 3]
     assert cli._rational_roots(Poly.from_roots(roots)) == sorted(roots)
     assert len(calls) == 1
+
+
+def _rational_roots_by_sturm(f):
+    """Reference: each isolating interval of the integral model refined
+    below width 1 by Sturm counts, as _rational_roots did before it
+    bisected by the sign of F."""
+    c = f.den
+    F = poly.integral_model(f)
+    chain = poly.sturm_chain(F)
+    roots = []
+    for lo, hi in poly.isolate_real_roots(F, chain):
+        lo, hi = poly.refine_interval(F, (lo, hi),
+                                      int(hi - lo).bit_length(), chain)
+        k = math.floor(hi)
+        if k > lo and F(k) == 0:
+            roots.append(Fraction(k, c))
+    return roots
+
+
+def test_rational_roots_match_sturm_refinement():
+    # split, partly split and irreducible separable moduli with
+    # denominators, against the Sturm-refinement search
+    import random
+    rng = random.Random(21301)
+    kinds = {"split": 0, "partly split": 0, "irreducible": 0}
+    while min(kinds.values()) < 40:
+        kind = rng.choice(sorted(kinds))
+        k = {"split": rng.randint(1, 5), "partly split": rng.randint(1, 3),
+             "irreducible": 0}[kind]
+        roots = [Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+                 for _ in range(k)]
+        f = Poly.from_roots(roots)
+        if kind != "split":
+            # x^m - r for m = 2, 3 is irreducible when r's numerator is
+            # a prime, so r is neither a square nor a cube
+            m = rng.choice((2, 3))
+            r = Fraction(rng.choice((2, 3, 5, 7)), rng.randint(1, 9))
+            if abs(r.numerator) == 1:
+                continue
+            r *= rng.choice((1, -1))
+            shift = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            f = f * (Poly([0, 1]) ** m - r).compose(Poly([-shift, 1]))
+        if not poly.is_separable(f):
+            continue
+        kinds[kind] += 1
+        got = cli._rational_roots(f)
+        assert got == _rational_roots_by_sturm(f)
+        assert sorted(got) == sorted(set(roots))
 
 
 def test_parse_alpha_component_values_at_large_roots(capsys):

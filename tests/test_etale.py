@@ -714,3 +714,223 @@ def test_tau_candidate_norms_match_resultants():
             assert N == t ** (2 * n) * resultant(g, rhs)
             seen.add("empty" if not r else "zero" if N == 0 else "nonzero")
     assert seen == {"empty", "zero", "nonzero"}
+
+
+# ---------------------------------------------------------------------------
+# the probes, the real test and the tau search against what they replace
+
+
+def _euler_power_is_residue(A, e, h, q):
+    """Reference: Euler's criterion as the power A^((q^e - 1)/2) mod h."""
+    from orbitforge import poly
+    return poly.fp_powmod(A, (q ** e - 1) // 2, h, q) == [1]
+
+
+def _euler_corpus():
+    """Seeded is_square inputs over moduli of degree 2 to 6: squares,
+    units of square norm (u N(u), or u^2 v for v a prime in even degree;
+    mostly non-squares), values v and v k^2 at two roots of a split
+    modulus (certificates often from a later probe), and square-norm units
+    over g(x) g(x - s) (distinct-degree parts of several factors)."""
+    import random
+    rng = random.Random(13013)
+    out = []
+    while len(out) < 520:
+        kind = rng.randrange(4)
+        deg = rng.randint(2, 6)
+        try:
+            if kind <= 1:
+                L = EtaleAlgebra(Poly(
+                    [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+                     for _ in range(deg)] + [1]))
+            elif kind == 2:
+                roots = rng.sample(range(-12, 13), deg)
+                L = EtaleAlgebra(Poly.from_roots(roots))
+            else:
+                g = Poly([rng.randint(-5, 5) for _ in range(rng.choice((2, 3)))]
+                         + [1])
+                L = EtaleAlgebra(g * g.compose(Poly([-rng.randint(1, 4), 1])))
+        except NonSeparable:
+            continue
+        u = L.random_element(rng, rng.choice((3, 30, 300)))
+        if not u.is_unit():
+            continue
+        if kind == 0:
+            out.append(u * u)
+        elif kind == 2:
+            v = rng.choice((2, 3, 5, 7, 11, 13))
+            vals = [v, v * rng.randint(1, 3) ** 2] + [
+                rng.randint(1, 4) ** 2 for _ in range(deg - 2)]
+            rng.shuffle(vals)
+            a = L.from_poly(_interpolate(roots, vals)) * u * u
+            out.append(a)
+        elif L.deg % 2:
+            out.append(u * u.norm())  # norm N(u)^(deg + 1)
+        else:
+            out.append(u * u * rng.choice((2, 3, 5, 7)))
+    return out
+
+
+def test_probe_norm_test_matches_euler_power(monkeypatch):
+    # a part of one irreducible factor is tested by the Legendre symbol of
+    # its resultant, not the power: the decisions, witnesses and
+    # certificates are those of the power at every part
+    cases = _euler_corpus()
+    calls = {True: 0, False: 0}
+    part_is_residue = etale._part_is_residue
+
+    def counted(A, e, h, q):
+        calls[len(h) - 1 == e] += 1
+        return part_is_residue(A, e, h, q)
+
+    def decide(a):
+        d = is_square(a)
+        return d.status, d.certificate, d.witness
+
+    monkeypatch.setattr(etale, "_part_is_residue", counted)
+    got = [decide(a) for a in cases]
+    monkeypatch.setattr(etale, "_part_is_residue", _euler_power_is_residue)
+    assert got == [decide(a) for a in cases]
+    assert calls[True] >= 1000 and calls[False] >= 500
+    kinds = {}
+    for status, cert, _ in got:
+        k = status if cert is None else cert.split(" ")[0]
+        kinds[k] = kinds.get(k, 0) + 1
+    assert kinds["true"] >= 100 and kinds["non-residue"] >= 200
+    later = 0
+    for a, (_, cert, _) in zip(cases, got):
+        if cert and cert.startswith("non-residue"):
+            avoid = (a.norm() * a.den ** (2 * a.alg.deg)).numerator
+            later += not cert.endswith(
+                " mod %d" % etale._good_primes(a.alg, avoid, 1)[0])
+    assert later >= 100
+
+
+def test_is_square_of_a_square_isolates_no_roots(monkeypatch):
+    # the Tarski query passes every square; roots are isolated only to
+    # name the one where a value is negative
+    from orbitforge import poly
+    calls = []
+    signs_at_roots = poly.signs_at_roots
+
+    def counted(g, f):
+        calls.append(f)
+        return signs_at_roots(g, f)
+
+    monkeypatch.setattr(poly, "signs_at_roots", counted)
+    b = LX.beta() + 2  # 2, 3, 1 at the three real roots of x^3 - x
+    d = is_square(b * b)
+    assert d.is_true() and calls == []
+    a = LX.element([1, Fraction(5, 2), Fraction(-15, 2)])  # 1, -4, -9
+    d = is_square(a)
+    assert d.certificate == "negative at the real root of f in (-2, -1]"
+    assert len(calls) == 1
+
+
+def _tau_candidates_full_box(K, piK):
+    """Reference: every c of the box, c and -c both, in box order."""
+    import itertools
+    from orbitforge import poly
+    G, cg, n = K.F, K.cf, K.deg
+    t = piK.den
+    tA = [t * x for x in piK.num] + [0] * n
+    for h in range(etale.TAU_NORM_HEIGHT + 1):
+        for c in itertools.product(range(-h, h + 1), repeat=n):
+            if max(map(abs, c)) != h:
+                continue
+            r = tA[:]
+            for k, v in enumerate(poly._conv(c, c)):
+                r[k + 1] += t * t * v
+            while r and r[-1] == 0:
+                r.pop()
+            N = (Fraction(poly._int_resultant(G, r), cg ** (len(r) - 1))
+                 if r else 0)
+            yield c, r, N
+
+
+def test_tau_candidates_take_one_of_each_sign_pair():
+    import itertools
+    H = etale.TAU_NORM_HEIGHT
+    for g in (Poly([-2, 1]), Poly([3, -1, 1]), Poly([-1, 2, 0, 1])):
+        K = EtaleAlgebra(g)
+        full = list(_tau_candidates_full_box(K, K.const(2)))
+        got = list(etale._tau_candidates(K, K.const(2)))
+        cs = [c for c, _, _ in got]
+        box = set(itertools.product(range(-H, H + 1), repeat=K.deg))
+        assert len(cs) == (len(box) + 1) // 2
+        assert set(cs) | {tuple(-x for x in c) for c in cs} == box
+        # each kept c comes before -c in the box, with the same r and N
+        order = [c for c, _, _ in full]
+        for c, r, N in got:
+            neg = tuple(-x for x in c)
+            assert order.index(c) <= order.index(neg)
+            assert full[order.index(neg)][1:] == (r, N)
+
+
+def test_solve_tau_norm_matches_the_full_box(monkeypatch):
+    import random
+    rng = random.Random(13014)
+    cases = list(_pinned_tau_inputs())
+    for deg in (3, 3, 5, 5, 7):
+        L = _random_modulus(rng, deg, odd=True)
+        sk = skew_data(L)
+        for height in (1, 2):
+            r = _random_unit(rng, L, height)
+            cases.append((sk, r * apply_tau(r)))
+        kappa = _random_unit(rng, sk.K, 3)
+        cases.append((sk, etale.embed_pair(sk, kappa, c_k=1)))
+
+    def solve_all():
+        return [(o.status, o.certificate, o.witness)
+                for o in (etale.solve_tau_norm(sk, pi) for sk, pi in cases)]
+
+    got = solve_all()
+    monkeypatch.setattr(etale, "_tau_candidates", _tau_candidates_full_box)
+    assert got == solve_all()
+    assert sum(s == "solved" for s, _, _ in got) >= 10
+
+
+def test_complex_place_obstruction_matches_root_signs(monkeypatch):
+    # the obstruction is counted by Tarski queries: it fires exactly when
+    # pi_K is negative at a negative root of g, names the first such root,
+    # and isolates the roots of g only then (the search after it is
+    # emptied, so that its is_square calls isolate nothing)
+    import random
+    from orbitforge import poly
+    rng = random.Random(13015)
+    isolated = []
+    isolate = poly._isolate
+
+    def counted(f, chain):
+        isolated.append(f)
+        return isolate(f, chain)
+
+    monkeypatch.setattr(poly, "_isolate", counted)
+    monkeypatch.setattr(etale, "_tau_candidates", lambda K, piK: ())
+    seen = {"obstructed": 0, "unknown": 0}
+    while min(seen.values()) < 40:
+        ys = [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+              for _ in range(rng.randint(1, 3))]
+        g = Poly.from_roots(ys)
+        if rng.random() < 0.5:
+            g = g * Poly([rng.randint(1, 5), rng.randint(-3, 3), 1])
+        try:
+            sk = skew_data(EtaleAlgebra(g.compose(Poly([0, 0, 1]))
+                                        * Poly([0, 1])))
+        except NonSeparable:
+            continue
+        kappa = _random_unit(rng, sk.K, 6)
+        want = next((iv for (iv, s), (_, sy) in zip(
+            poly.signs_at_roots(kappa.lift(), sk.g),
+            poly.signs_at_roots(Poly([0, 1]), sk.g)) if s < 0 and sy < 0),
+            None)
+        del isolated[:]
+        out = etale.solve_tau_norm(sk, etale.embed_pair(sk, kappa, c_k=1))
+        if want is None:
+            assert out.status == "unknown" and not isolated
+            seen["unknown"] += 1
+        else:
+            assert out.status == "obstructed" and len(isolated) == 1
+            assert out.certificate.startswith(
+                "negative at a real root of g in (%s, %s] " % want)
+            seen["obstructed"] += 1

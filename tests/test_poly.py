@@ -271,6 +271,28 @@ def test_signs_at_roots_match_sign_at_root_and_rational_roots():
                                        for iv in poly.isolate_real_roots(f)]
 
 
+def test_tarski_query_sums_the_signs_at_roots():
+    # Sylvester's theorem against root isolation: rational coefficients,
+    # negative leading coefficients, repeated roots of f and roots that g
+    # shares with f
+    import random
+    rng = random.Random(4110)
+    seen = set()
+    for _ in range(2000):
+        f = _rational_poly(rng, rng.randint(1, 6), den=4)
+        g = _rational_poly(rng, rng.randint(0, 5), den=4)
+        if rng.random() < 0.2:
+            f = f * _rational_poly(rng, 1) ** 2
+        if rng.random() < 0.2:
+            shared = _rational_poly(rng, 1, den=3)
+            f, g = f * shared, g * shared
+        want = sum(s for _, s in poly.signs_at_roots(g, f))
+        assert poly.tarski_query(g, f) == want
+        assert poly.tarski_query(P(1), f) == poly.count_real_roots(f)
+        seen.add(want)
+    assert len(seen) >= 9
+
+
 def test_fp_resultant_residuosity_matches_fpx_sqrt():
     import random
     from orbitforge.arith import legendre
