@@ -14,11 +14,20 @@ each orbit ends labelled by its smallest index.  The dimension-five
 self-adjoint space is too large to label whole; it is sampled one orbit
 per requested polynomial, by breadth-first closure over the same tables
 from the rational representative of the polynomial's lifted key reduced
-mod p.  Characteristic polynomials and determinants of whole stacks of
-operators come from matrix._berkowitz run on int32 entry columns.  A
-closure test proves generation; each orbit whose stabilizer is measured
-directly (over the enumerated group in dimension three, over the
-commutant in dimension five) must also satisfy orbit size times
+mod p, marking the visited indices in a bitset of p^w / 8 bytes.
+Characteristic polynomials and determinants of whole stacks of
+operators come from matrix._berkowitz run on int32 entry columns.
+
+Working memory follows what a census keeps, not the arithmetic it
+does: digit rows are held in the smallest unsigned type (one byte per
+digit), the class keys of a full census are computed over blocks of at
+most KEY_BLOCK digit rows, so each operator stack and its Berkowitz
+temporaries exist for one block at a time, and orbit labels take the
+dtype of the images (int32 below 2^31 elements).
+
+A closure test proves generation; each orbit whose stabilizer is
+measured directly (over the enumerated group in dimension three, over
+the commutant in dimension five) must also satisfy orbit size times
 stabilizer order equals the group order, so the census depends on no
 closed formula.  orbit_count_local evaluates the closed-form count at a
 good odd prime from the factorization type of the invariant polynomial.
@@ -46,6 +55,11 @@ from .poly import (Poly, count_real_roots, discriminant, fp_count_factors,
 
 # estimated conjugations (space size times group order) a census may run
 CONJUGATION_BUDGET = 2 ** 31
+# digit rows per block of class keys in a full census: every census of at
+# most this many elements (all of p = 13 and p = 31) runs as one block
+KEY_BLOCK = 2 ** 15
+# the bit of each index within its byte of a closure's visited bitset
+_BITS = (1 << np.arange(8)).astype(np.uint8)
 
 
 def so_order(n, q):
@@ -166,8 +180,12 @@ def _charpolys(T, p):
 
 def _digits_array(count, width, p):
     """(count, width) array: row i holds the base-p digits of i, most
-    significant first, so consecutive leading digits give contiguous rows."""
-    grid = np.indices((p,) * width, dtype=np.int64)
+    significant first, so consecutive leading digits give contiguous rows.
+
+    Digits are held in the smallest unsigned type that holds p - 1 (uint8
+    at every admitted p); a caller that does arithmetic on them widens
+    its rows first."""
+    grid = np.indices((p,) * width, dtype=np.min_scalar_type(p - 1))
     return grid.reshape(width, -1).T[:count]
 
 
@@ -188,7 +206,7 @@ def _so3_elements(p):
     proper half.  Elements come in the order of (g1, g2) as base-p digit
     rows.
     """
-    vecs = _digits_array(p ** 3, 3, p)
+    vecs = _digits_array(p ** 3, 3, p).astype(np.int64)
     qv = (2 * vecs[:, 0] * vecs[:, 2] + vecs[:, 1] ** 2) % p
     iso = vecs[(qv == 0) & np.any(vecs != 0, axis=1)]
     unit = vecs[qv == 1]
@@ -400,6 +418,7 @@ def _digit_tables(mats, p):
     """
     k, w = mats.shape[:2]
     small = np.min_scalar_type(2 * p - 2)
+    wrap = small.type(p)
 
     def table(rows):
         # built digit axis outermost, so every add runs over contiguous
@@ -407,7 +426,9 @@ def _digit_tables(mats, p):
         t = np.zeros((1, k, w), dtype=small)
         for r in rows.transpose(1, 0, 2):
             step = (np.arange(p)[:, None, None] * r % p).astype(small)
-            t = ((t[:, None] + step) % p).reshape(-1, k, w)
+            t = (t[:, None] + step).reshape(-1, k, w)
+            # t < 2p - 1, and the unsigned t - p wraps past t when t < p
+            np.minimum(t, t - wrap, out=t)
         return np.ascontiguousarray(t.transpose(1, 2, 0))
     return table(mats[:, :w // 2]), table(mats[:, w // 2:])
 
@@ -446,8 +467,10 @@ def _orbit_labels(images):
     lowers some label, so passes end; the final labels are constant on
     orbits, so each is its orbit's minimum.  Propagation alone can need a
     pass per element on one long cycle; hooking brings that to a few.
+    Labels take the dtype of images (int32 below 2^31 elements), so every
+    working array is as narrow as the indices it holds.
     """
-    lab = np.arange(images.shape[1])
+    lab = np.arange(images.shape[1], dtype=images.dtype)
     while not all(np.array_equal(lab[img], lab) for img in images):
         for img in images:
             there = lab[img]
@@ -464,21 +487,24 @@ def _orbit_labels(images):
     return lab
 
 
-def _closure(start, hi, lo, visited, p):
+def _closure(start, hi, lo, p):
     """Orbit of the element with encoded index start under the generators
-    with digit tables (hi, lo), by breadth-first closure.  Marks the orbit
-    in visited, a bool array over every encoded index, and returns its
-    size."""
+    with digit tables (hi, lo), by breadth-first closure, as its size and
+    its bitset.
+
+    The bitset marks the visited indices among all p^w encoded ones in
+    p^w / 8 bytes: index i is bit i & 7 of byte i >> 3."""
     low = lo.shape[2]
+    visited = np.zeros(-(-p ** hi.shape[1] // 8), dtype=np.uint8)
     frontier = np.array([start], dtype=np.int64)
-    visited[start] = True
     size = 0
     while len(frontier):
+        np.bitwise_or.at(visited, frontier >> 3, _BITS[frontier & 7])
         size += len(frontier)
         images = _images(hi, lo, frontier // low, frontier % low, p)
-        frontier = np.unique(images[~visited[images]])
-        visited[frontier] = True
-    return size
+        seen = visited[images >> 3] & _BITS[images & 7]
+        frontier = np.unique(images[seen == 0])
+    return size, visited
 
 
 def _stabilizer_counts(x, acts, p):
@@ -548,7 +574,7 @@ def _census5_sym2(p, polys):
         T0 = np.array([[x * inv % p for x in r] for r in op.num])
         assert [c % p for c in _berkowitz(T0.tolist())] == list(fc[::-1])
         start = int(_op_digits(T0, 5, SYM2) @ p ** np.arange(width)[::-1])
-        size = _closure(start, hi, lo, np.zeros(p ** width, dtype=bool), p)
+        size = _closure(start, hi, lo, p)[0]
         stab = _stab_order5(T0, p)
         assert size * stab == so_order(2, p)
         rows.append(CensusRow(tuple(fc), True, None, [size], [stab], False))
@@ -577,14 +603,24 @@ def _separable_keys(keys, n, p):
     return disc % p != 0
 
 
+def _charpoly_keys(digits, d, rep, p):
+    """Encoded characteristic polynomials mod p of the operators with
+    these digit rows: x^d + c_(d-1) x^(d-1) + ... + c_0 encodes as the
+    base-p number with digits c_(d-1) ... c_0."""
+    c = _charpolys(_ops_from_digits(digits, d, rep, p), p)
+    return sum(c[d - i] * p ** i for i in range(d))
+
+
 def _full_census(p, n, rep, polys):
     """Every element of the space, partitioned class by class into the
     orbits of verified generators.
 
     Classes are the vector labels q(v)/2 or the characteristic polynomials
-    mod p; orbits never cross them.  Orbits are the labels of
-    _orbit_labels over the generator images of the whole space; polys,
-    when given, keeps only the orbits of the wanted classes.  Every orbit
+    mod p; orbits never cross them.  Characteristic polynomials are taken
+    over blocks of KEY_BLOCK digit rows, one operator stack at a time.
+    Orbits are the labels of _orbit_labels over the generator images of
+    the whole space; polys, when given, keeps only the orbits of the
+    wanted classes.  Every orbit
     whose stabilizer is measured directly is certified: size times
     stabilizer must equal the group order.  Dimension three measures all
     stabilizers at once over the enumerated group; dimension five measures
@@ -607,11 +643,14 @@ def _full_census(p, n, rep, polys):
     digits = _digits_array(p ** width, width, p)
     hi, lo = _digit_tables(_actions(_so_generators(d, p), d, rep, p), p)
     if rep == STANDARD:
-        qv = np.einsum("ni,ij,nj->n", digits, _gram_np(d), digits) % p
+        x = digits.astype(np.int64)
+        qv = np.einsum("ni,ij,nj->n", x, _gram_np(d), x) % p
         keys = qv * pow(2, -1, p) % p
     else:
-        c = _charpolys(_ops_from_digits(digits, d, rep, p), p)
-        keys = sum(c[d - i] * p ** i for i in range(d))
+        keys = np.empty(len(digits), dtype=np.int32)
+        for s in range(0, len(digits), KEY_BLOCK):
+            keys[s:s + KEY_BLOCK] = _charpoly_keys(digits[s:s + KEY_BLOCK],
+                                                   d, rep, p)
     images = _images(hi, lo, np.arange(hi.shape[2])[:, None],
                      np.arange(lo.shape[2])[None], p).reshape(len(hi), -1)
     lab = _orbit_labels(images)

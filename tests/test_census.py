@@ -2,6 +2,7 @@
 
 import hashlib
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from orbitforge.census import (CensusRow, charpoly_key, count_factors_fp,
                                finite_census, orbit_count_local,
                                orbit_count_real, so_order, _charpolys,
-                               _digits_array, _gram_np,
+                               _actions, _closure, _digit_tables,
+                               _digits_array, _gram_np, _images,
                                _ops_from_digits, _orbit_labels,
                                _separable_keys, _so3_elements,
                                _so_generators, _stabilizer_counts)
@@ -31,6 +33,9 @@ X3_PLUS_2X = Poly([0, 2, 0, 1])
 X5_SKEW = Poly([0, 2, 0, 3, 0, 1])      # x(x^2+1)(x^2+2)
 X5_TOTREAL = Poly([0, 4, 0, -5, 0, 1])  # x(x-1)(x+1)(x-2)(x+2)
 X5_MINUS_X = Poly([0, -1, 0, 0, 0, 1])
+# the two factorization types mod 3 that the census-fp workload samples
+X5_TYPE_2_3 = Poly([1, 2, 1, 0, 0, 1])    # (x^2+1)(x^3+2x+1) mod 3
+X5_TYPE_1_1_3 = Poly([0, 1, 0, 2, 1, 1])  # x(x+1)(x^3+2x+1) mod 3
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +138,7 @@ def test_group_elements_are_isometries():
 def _so3_by_column_search(p):
     """Reference enumeration: columns chosen left to right by their
     pairing conditions, one determinant per candidate."""
-    vecs = _digits_array(p ** 3, 3, p)
+    vecs = _digits_array(p ** 3, 3, p).astype(np.int64)
     qv = (2 * vecs[:, 0] * vecs[:, 2] + vecs[:, 1] ** 2) % p
     iso = vecs[(qv == 0) & np.any(vecs != 0, axis=1)]
     unit = vecs[qv == 1]
@@ -180,15 +185,16 @@ def _orbit_minima(perms, m):
 
 def _cycle(order):
     """The permutation sending order[i] to order[i + 1], cyclically."""
-    perm = np.empty(len(order), dtype=np.int64)
+    perm = np.empty(len(order), dtype=order.dtype)
     perm[order] = np.roll(order, -1)
     return perm
 
 
 def _labels_match_oracle(perms):
     perms = np.stack(perms)
-    assert np.array_equal(_orbit_labels(perms),
-                          _orbit_minima(perms, perms.shape[1]))
+    labels = _orbit_labels(perms)
+    assert labels.dtype == perms.dtype
+    assert np.array_equal(labels, _orbit_minima(perms, perms.shape[1]))
 
 
 N_CYCLE = 10 ** 5
@@ -201,7 +207,9 @@ N_CYCLE = 10 ** 5
     np.concatenate([np.arange(0, N_CYCLE, 4), np.arange(1, N_CYCLE, 4)[::-1],
                     np.arange(2, N_CYCLE, 4), np.arange(3, N_CYCLE, 4)[::-1]]),
     np.random.default_rng(5).permutation(N_CYCLE),
-], ids=["ascending", "descending", "two-basins", "random"])
+    # the census's images are int32 below 2^31 elements, and so its labels
+    np.random.default_rng(5).permutation(N_CYCLE).astype(np.int32),
+], ids=["ascending", "descending", "two-basins", "random", "random-int32"])
 def test_orbit_labels_one_long_cycle(order):
     _labels_match_oracle([_cycle(order)])
 
@@ -236,6 +244,108 @@ def test_orbit_labels_random_permutation_groups(seed):
         perms.append(perm)
     _labels_match_oracle(perms)
     assert len(np.unique(_orbit_labels(np.stack(perms)))) >= len(blocks)
+
+
+# ---------------------------------------------------------------------------
+# digit tables and the bitset closure against direct references
+
+
+@pytest.mark.parametrize("d, rep, p", [(3, SYM2, 7), (3, ADJOINT, 31),
+                                       (5, ADJOINT, 3), (5, SYM2, 3)])
+def test_digit_tables_match_direct_product(d, rep, p):
+    # each table column holds the digits of a half-row's image, x @ M % p
+    mats = _actions(_so_generators(d, p), d, rep, p)
+    w = mats.shape[1]
+    for table, rows in zip(_digit_tables(mats, p),
+                           (mats[:, :w // 2], mats[:, w // 2:])):
+        x = _digits_array(p ** rows.shape[1], rows.shape[1], p)
+        want = (x.astype(np.int64) @ rows % p).transpose(0, 2, 1)
+        assert np.array_equal(table, want)
+
+
+def _closure_bool(start, hi, lo, visited, p):
+    """Reference closure: the orbit of start marked in visited, one bool
+    per encoded index, and its size."""
+    low = lo.shape[2]
+    frontier = np.array([start], dtype=np.int64)
+    visited[start] = True
+    size = 0
+    while len(frontier):
+        size += len(frontier)
+        images = _images(hi, lo, frontier // low, frontier % low, p)
+        frontier = np.unique(images[~visited[images]])
+        visited[frontier] = True
+    return size
+
+
+def _closure_matches_bool_reference(start, hi, lo, p):
+    count = p ** hi.shape[1]
+    size, bits = _closure(start, hi, lo, p)
+    assert len(bits) == -(-count // 8)
+    visited = np.zeros(count, dtype=bool)
+    assert size == _closure_bool(start, hi, lo, visited, p)
+    marked = np.unpackbits(bits, bitorder="little")
+    assert not marked[count:].any()
+    assert np.array_equal(marked[:count].astype(bool), visited)
+    return size, bits
+
+
+def test_closure_bitset_matches_bool_reference_dim3():
+    # 7^6 is not a multiple of 8, so the last byte of the bitset is partial
+    p = 7
+    hi, lo = _digit_tables(_actions(_so_generators(3, p), 3, SYM2, p), p)
+    starts = np.random.default_rng(14).integers(0, p ** 6, size=20).tolist()
+    sizes = [_closure_matches_bool_reference(s, hi, lo, p)[0]
+             for s in starts + [0, p ** 6 - 1]]
+    assert sizes[-2] == 1 and max(sizes) > 1
+
+
+@pytest.mark.parametrize("f, size", [(X5_TYPE_2_3, 25920),
+                                     (X5_TYPE_1_1_3, 12960)],
+                         ids=["2-3", "1-1-3"])
+def test_closure_bitset_matches_bool_reference_dim5(f, size, monkeypatch):
+    # the closures the dimension-five sample census itself runs
+    from orbitforge import census
+    calls = []
+
+    def spy(start, hi, lo, p):
+        out = _closure_matches_bool_reference(start, hi, lo, p)
+        calls.append(out[0])
+        return out
+    monkeypatch.setattr(census, "_closure", spy)
+    assert finite_census(3, 2, SYM2, polys=[f]).rows[0].orbit_sizes == (size,)
+    assert calls == [size]
+
+
+# ---------------------------------------------------------------------------
+# working memory
+
+
+MEMORY_BOUND = 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("p, n, rep, polys", [
+    (7, 1, SYM2, None), (3, 2, ADJOINT, None),
+    (3, 2, SYM2, [X5_TYPE_2_3]), (3, 2, SYM2, [X5_TYPE_1_1_3]),
+], ids=["sym2-dim3-p7", "adjoint-dim5-p3", "sym2-sample-2-3",
+        "sym2-sample-1-1-3"])
+def test_census_working_memory_bounded(p, n, rep, polys):
+    # peak traced allocations, numpy arrays included; the bound sits
+    # between the 2.7-6.4 MiB these censuses take and the 14-16 MiB that
+    # whole-space int64 digit rows, one charpoly pass over every operator,
+    # int64 labels or a bool per index in the closure would take
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        finite_census(p, n, rep, polys=polys)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < MEMORY_BOUND, "%.1f MiB" % (peak / 2 ** 20)
 
 
 # ---------------------------------------------------------------------------
