@@ -50,8 +50,8 @@ from .errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
 from .matrix import _berkowitz
 from .orbits import (STANDARD, SYM2, _check_rep, _check_tensor_rep,
                      _validate_charpoly, construct_representative)
-from .poly import (Poly, count_real_roots, discriminant, fp_count_factors,
-                   fp_from_poly)
+from .poly import (Poly, count_real_roots, discriminant, even_part,
+                   fp_count_factors, fp_from_poly)
 
 # estimated conjugations (space size times group order) a census may run
 CONJUGATION_BUDGET = 2 ** 31
@@ -101,11 +101,6 @@ def count_factors_fp(f, p):
     return fp_count_factors(_reduce_mod(f, p), p)
 
 
-def _even_part(f):
-    """g with f(x) = x * g(x^2), for odd f."""
-    return Poly.over(f.num[1::2], f.den)
-
-
 def orbit_count_local(f, p, rep):
     """Orbit count over the p-adic field at a good odd prime.
 
@@ -129,7 +124,7 @@ def orbit_count_local(f, p, rep):
     if rep == SYM2:
         m = count_factors_fp(f, p) - 1
         return 1 if m == 0 else (1 << (2 * m - 1)) + (1 << (m - 1))
-    g = _even_part(f)
+    g = even_part(f)
     m = 2 * count_factors_fp(g, p) - count_factors_fp(g(Poly([0, 0, 1])), p)
     return 1 if m == 0 else 1 << (m - 1)
 
@@ -154,7 +149,7 @@ def orbit_count_real(f, rep):
                 "%d of %d roots are real" % (count_real_roots(f), deg))
         fibers = {k: comb(deg, k) for k in range(nn % 2, deg + 1, 2)}
         return comb(deg, nn), fibers
-    g = _even_part(f)
+    g = even_part(f)
     if count_real_roots(g) != nn or count_real_roots(g, None, 0) != nn:
         raise MaximalRankHypothesisFails(
             "need all %d roots of the even part real and negative" % nn)

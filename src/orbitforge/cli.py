@@ -16,6 +16,7 @@ every randomized search.
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from math import floor
@@ -713,7 +714,16 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    """run() as a program. A reader that closes stdout early gets exit 1
+    and no traceback: fd 1 then points at the null device, so the flush
+    at interpreter exit cannot fail again."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -19,10 +19,11 @@ non-residue factor only where that test fails.
 
 When f(-x) = -f(x), the algebra carries tau (x -> -x), splits as
 Q x E with E = Q[x]/(g(x^2)), and K = Q[y]/(g) sits inside E as the
-tau-fixed part. SkewData packages all of that, plus a bounded solver for
-the twisted norm equation r * tau(r) = pi used by orbit comparison, whose
-search tries each c of its box once up to sign and filters the candidates
-by integer resultants.
+tau-fixed part. SkewData packages all of that with no second algebra for
+E: the idempotent of the Q factor is g(x^2) / g(0), and E-components are
+read in L. A bounded solver for the twisted norm equation r * tau(r) =
+pi, used by orbit comparison, tries each c of its box once up to sign
+and filters the candidates by integer resultants.
 """
 
 import itertools
@@ -491,26 +492,27 @@ class SkewData:
     """Decomposition data for f = x*g(x^2).
 
     L = Q[x]/(f) splits as Q x E with E = Q[x]/(g(x^2)); K = Q[y]/(g)
-    embeds in E by y -> x^2. e_E and e_k are the split idempotents in L.
+    embeds in E by y -> x^2. No algebra is built for E: its components
+    are read in L, through the split idempotents e_k = g(x^2) / g(0),
+    which is 1 at x = 0 and 0 mod g(x^2) (g(0) != 0 as f is separable),
+    and e_E = 1 - e_k.
     """
 
-    __slots__ = ("L", "g", "K", "E", "e_E", "e_k")
+    __slots__ = ("L", "g", "K", "e_E", "e_k")
 
     def __init__(self, L):
         f = L.f
         if any(f.num[0::2]):
             raise NotOddPolynomial("modulus is not of the form x*g(x^2)")
         self.L = L
-        self.g = Poly.over(f.num[1::2], f.den)
+        self.g = P.even_part(f)
         self.K = EtaleAlgebra(self.g)
-        h = self.g.compose(Poly([0, 0, 1]))  # g(x^2)
-        self.E = EtaleAlgebra(h)
-        # idempotent e_E: 0 mod x, 1 mod g(x^2), so e_E = x*u(x) with
-        # u the inverse of x modulo g(x^2) (exists: g(0) != 0).
-        u = self.E.beta().inverse()
-        self.e_E = L._reduce([0, *u.num], u.den)
-        self.e_k = L.one() - self.e_E
-        assert self.e_E * self.e_E == self.e_E
+        # g(x^2) / g(0) = sum f_(2k+1) x^(2k) / f_1, in f's numerators
+        s = 1 if f.num[1] > 0 else -1
+        num = [0] * L.deg
+        num[0::2] = [s * c for c in f.num[1::2]]
+        self.e_k = EtaleElement(L, num, s * f.num[1])
+        self.e_E = L.one() - self.e_k
 
     def __repr__(self):
         return "SkewData(f=%s)" % self.L.f.pretty()
@@ -525,39 +527,27 @@ def k_component(a):
     return Fraction(a.num[0], a.den)
 
 
-def embed_K(skew, kappa):
-    """Image in E of kappa in K under y -> x^2."""
-    num = [0] * skew.E.deg
-    num[::2] = kappa.num
-    return EtaleElement(skew.E, num, kappa.den)
-
-
-def E_component(skew, a):
-    """Image of a in the E factor of L."""
-    return skew.E._reduce(list(a.num), a.den)
-
-
 def K_component(skew, a):
     """The K-part of a tau-fixed element's E-component.
 
-    Raises NotTauFixed when the E-component has odd terms.
+    a = A(x^2) with deg A <= n, and its E-component is (A mod g)(x^2).
+    Raises NotTauFixed when a has odd terms.
     """
-    e = E_component(skew, a)
-    if any(e.num[1::2]):
+    if not is_tau_fixed(a):
         raise NotTauFixed("element is not fixed by the involution")
-    return EtaleElement(skew.K, e.num[::2], e.den)
+    return skew.K._reduce(list(a.num[0::2]), a.den)
 
 
-def assemble(skew, c_k, e_elem):
-    """Element of L with k-component c_k and E-component e_elem."""
-    a = skew.L.const(c_k) * skew.e_k
-    b = skew.L._reduce(list(e_elem.num), e_elem.den) * skew.e_E
-    return a + b
+def assemble(skew, c_k, e):
+    """Element of L with k-component c_k and the E-component of e in L."""
+    return skew.e_k * c_k + e * skew.e_E
 
 
 def embed_pair(skew, kappa, c_k=1):
     """The element (c_k, kappa) of L = Q x E with kappa in K."""
-    return assemble(skew, c_k, embed_K(skew, kappa))
+    num = [0] * (2 * skew.K.deg)
+    num[::2] = kappa.num
+    return assemble(skew, c_k, skew.L._reduce(num, kappa.den))
 
 
 class TauNormOutcome:
@@ -666,11 +656,10 @@ def solve_tau_norm(skew, pi):
         if dec.is_true():
             # root = a(beta^2) + beta*c(beta^2) on E, sqrt(pk) on k
             aK = dec.witness
-            num = [0] * skew.E.deg
+            num = [0] * (2 * skew.K.deg)
             num[0::2] = aK.num
             num[1::2] = [aK.den * x for x in c]
-            rE = skew.E._reduce(num, aK.den)
-            root = assemble(skew, rk, rE)
+            root = assemble(skew, rk, skew.L._reduce(num, aK.den))
             if root * apply_tau(root) == pi:
                 return TauNormOutcome("solved", witness=root)
     return TauNormOutcome("unknown")

@@ -63,10 +63,6 @@ class Mat:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, n, m=None):
-        return cls([[0] * (m or n) for _ in range(n)])
-
-    @classmethod
     def diag(cls, entries):
         n = len(entries)
         return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])

@@ -11,7 +11,6 @@ all live here.
 """
 
 from fractions import Fraction
-from operator import mul
 
 from .arith import is_rational_square, rng_for, squarefree_part
 from .errors import (DimensionMismatch, NoCyclicVector, NonSeparable, NonUnit,
@@ -21,7 +20,7 @@ from .errors import (DimensionMismatch, NoCyclicVector, NonSeparable, NonUnit,
 from .etale import (EtaleAlgebra, EtaleElement, is_square, is_tau_fixed,
                     skew_data, solve_tau_norm)
 from .matrix import Mat, solve
-from .poly import _clear, is_separable
+from .poly import Poly, even_part, is_separable
 from .quadform import (QuadSpace, hyperbolic_completion, is_split_odd,
                        maximal_isotropic_subspace, standard_gram)
 
@@ -47,51 +46,10 @@ def _check_tensor_rep(rep):
                          " representations only")
 
 
-class StandardSpace:
-    """The split orthogonal space of dimension 2n+1 with anti-diagonal Gram.
-
-    Basis order e_1..e_n, u, f_n..f_1, so the Gram matrix is the
-    anti-diagonal matrix of ones and det = (-1)^n.
-    """
-
-    __slots__ = ("n", "quad")
-
-    def __init__(self, n):
-        if n < 1:
-            raise WrongDimension("need n >= 1, got %s" % (n,))
-        self.n = n
-        self.quad = QuadSpace(standard_gram(n))
-
-    @property
-    def dim(self):
-        return 2 * self.n + 1
-
-    @property
-    def gram(self):
-        return self.quad.gram
-
-    def bilinear(self, v, w):
-        """sum_k v[k] w[d-1-k]: the Gram is the index reversal."""
-        if len(v) != self.dim or len(w) != self.dim:
-            raise DimensionMismatch("vectors must have length %d" % self.dim)
-        vi, cv = _clear(v)
-        wi, cw = _clear(w)
-        return Fraction(sum(map(mul, vi, reversed(wi))), cv * cw)
-
-    def __eq__(self, other):
-        if not isinstance(other, StandardSpace):
-            return NotImplemented
-        return self.n == other.n
-
-    def __hash__(self):
-        return hash(("StandardSpace", self.n))
-
-    def __repr__(self):
-        return "StandardSpace(n=%d)" % self.n
-
-
 def standard_space(n):
-    return StandardSpace(n)
+    """The split space of dimension 2n+1: basis e_1..e_n, u, f_n..f_1, so
+    the Gram matrix is the anti-diagonal matrix of ones, det (-1)^n."""
+    return QuadSpace(standard_gram(n))
 
 
 def adjoint_op(t, space):
@@ -186,7 +144,7 @@ class OrbitRepresentative:
 
     @property
     def n(self):
-        return self.space.n
+        return self.space.dim // 2
 
     def conjugate(self, g):
         """g T g^-1 for g in the orthogonal group of the space."""
@@ -394,8 +352,7 @@ def same_orbit(o1, o2):
         if dec.is_true():
             return OrbitComparison("equal", witness=dec.witness)
         return OrbitComparison("distinct", reason=dec.certificate)
-    sk = skew_data(EtaleAlgebra(o1.f))
-    out = solve_tau_norm(sk, prod)
+    out = solve_tau_norm(skew_data(prod.alg), prod)
     if out.status == "solved":
         return OrbitComparison("equal", witness=out.witness)
     if out.status == "obstructed":
@@ -474,9 +431,9 @@ def stabilizer_info(arg, rep, n=None):
     if rep == SYM2:
         return StabilizerInfo(rep, "two-torsion", order=2 ** (2 * nn),
                               dimension=0, detail={"algebra": f})
-    sk = skew_data(EtaleAlgebra(f))
+    g = even_part(f)
     return StabilizerInfo(rep, "torus", dimension=nn,
-                          detail={"K": sk.g, "E": sk.E.f})
+                          detail={"K": g, "E": g.compose(Poly([0, 0, 1]))})
 
 
 def representative_from_alpha(f, alpha, rep):

@@ -341,6 +341,11 @@ def is_separable(f):
     return f.degree >= 1 and resultant(f, f.derivative()) != 0
 
 
+def even_part(f):
+    """g with f(x) = x * g(x^2), for odd f."""
+    return Poly.over(f.num[1::2], f.den)
+
+
 def integral_model(f):
     """F(x) = c^d f(x/c) for monic f of degree d and c = f.den: monic with
     integer coefficients, its roots c times those of f."""

@@ -562,10 +562,9 @@ def _majorant(g):
     V the inverse of the diagonalizing matrix; P >= |g| and det P =
     |det g|."""
     dvals, u = _diagonalize(g, 1)
-    v = u.inv().rows
-    m = len(g)
-    return dvals, [[sum(abs(d) * r[i] * r[j] for d, r in zip(dvals, v))
-                    for j in range(m)] for i in range(m)]
+    v = u.inv()
+    return dvals, (v.transpose() * Mat.diag([abs(d) for d in dvals])
+                   * v).rows
 
 
 def _reduce(g, basis):

@@ -560,6 +560,24 @@ def test_json_output_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_closed_stdout_exits_1_without_traceback():
+    # the reader closes the pipe before the first write: the program's
+    # flush meets EPIPE, which must end in exit 1 and a quiet stderr
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        orbitforge.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["construct", "--rep", "sym2", "--poly", "x^3 - 2",
+                  "--json"],
+                 ["classify", "--vector", "1,0,-2"]):
+        proc = subprocess.Popen([sys.executable, "-m", "orbitforge.cli"]
+                                + argv, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_parser_reuse_matches_fresh_processes(capsys):
     # one process: a usage error, then two different subcommands; each
     # must print the same bytes and exit code as a fresh process

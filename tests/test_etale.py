@@ -14,6 +14,7 @@ from orbitforge.errors import (
     ZeroDivisor,
 )
 from orbitforge.etale import EtaleAlgebra, apply_tau, is_square, skew_data
+from orbitforge.orbits import ADJOINT, stabilizer_info
 from orbitforge.poly import Poly
 
 
@@ -252,7 +253,7 @@ def test_skew_data_split():
     sk = skew_data(LX)
     assert sk.g == Poly([-1, 1])
     assert sk.K.deg == 1
-    assert sk.E.f == Poly([-1, 0, 1])
+    assert stabilizer_info(LX.f, ADJOINT).detail["E"] == Poly([-1, 0, 1])
     # e_E = beta^2 here
     assert sk.e_E == LX.element([0, 0, 1])
     assert sk.e_E * sk.e_k == LX.zero()
@@ -266,6 +267,32 @@ def test_skew_data_deg5():
     assert sk.g == Poly([4, -5, 1])
     assert sk.e_E * sk.e_E == sk.e_E
     assert etale.k_component(sk.e_E) == 0
+
+
+def _idempotents_through_E(L):
+    """(e_k, e_E) by way of E as its own algebra: e_E = x u, u the
+    inverse of x modulo g(x^2) (0 mod x, 1 mod g(x^2))."""
+    g = Poly.over(L.f.num[1::2], L.f.den)
+    u = EtaleAlgebra(g.compose(Poly([0, 0, 1]))).beta().inverse()
+    e_E = L._reduce([0, *u.num], u.den)
+    return L.one() - e_E, e_E
+
+
+def test_skew_idempotents_match_the_inverse_of_x_in_E():
+    import random
+    rng = random.Random(15002)
+    moduli = [LX, LP, EtaleAlgebra(Poly([0, 4, 0, -5, 0, 1])),
+              EtaleAlgebra(Poly([0, 2, 0, 3, 0, 1])),
+              EtaleAlgebra(Poly([0, Fraction(-1, 2), 0, 1])),
+              EtaleAlgebra(Poly([0, Fraction(3, 4), 0, Fraction(-5, 3),
+                                 0, 1]))]
+    moduli += [_random_modulus(rng, deg, odd=True)
+               for deg in (5, 7) for _ in range(10)]
+    for L in moduli:
+        sk = skew_data(L)
+        assert (sk.e_k, sk.e_E) == _idempotents_through_E(L)
+        assert sk.e_k * sk.e_k == sk.e_k
+        assert sk.e_k * sk.e_E == L.zero()
 
 
 def test_components_roundtrip():

@@ -45,7 +45,7 @@ def test_standard_space_dets():
     for n in range(1, 5):
         sp = standard_space(n)
         assert sp.gram.det() == (-1) ** n
-        assert is_split_odd(sp.quad)
+        assert is_split_odd(sp)
 
 
 def test_standard_space_rejects_n0():
@@ -279,6 +279,27 @@ def test_same_orbit_adjoint_real_certificate():
     out = same_orbit(o1, o2)
     assert out.is_distinct
     assert "real root" in out.reason
+
+
+def test_skew_data_builds_K_only(monkeypatch):
+    # E's idempotent has a closed form in L, and stabilizer_info reads
+    # the moduli of K and E off f without building any algebra
+    L = EtaleAlgebra(X5_SKEW)
+    built = []
+    init = EtaleAlgebra.__init__
+
+    def counted(self, f):
+        built.append(f)
+        init(self, f)
+
+    monkeypatch.setattr(EtaleAlgebra, "__init__", counted)
+    sk = skew_data(L)
+    assert built == [Poly([2, 3, 1])] and sk.K.f == built[0]
+    del built[:]
+    info = stabilizer_info(X5_SKEW, ADJOINT)
+    assert built == []
+    assert info.detail == {"K": Poly([2, 3, 1]),
+                           "E": Poly([2, 0, 3, 0, 1])}
 
 
 def test_same_orbit_rebuild_from_trivial_class():

@@ -244,6 +244,40 @@ def test_maximal_isotropic_subspace_of_split_spaces(n, seed, scale):
     assert u2.transpose() * s.gram * u2 == qf.standard_gram(n)
 
 
+def _majorant_reference(g):
+    """The Hermite majorant as one Fraction sum per entry: P_ij = sum_k
+    |d_k| v_ki v_kj, V the inverse of the diagonalizing matrix."""
+    dvals, u = qf._diagonalize(g, 1)
+    v = u.inv().rows
+    m = len(g)
+    return dvals, [[sum(abs(d) * r[i] * r[j] for d, r in zip(dvals, v))
+                    for j in range(m)] for i in range(m)]
+
+
+def test_majorant_matches_the_fraction_sums():
+    # seeded unimodular Grams: a +-1 diagonal or a split form, moved by a
+    # product of integer elementary matrices
+    import random
+
+    rng = random.Random(15001)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        m = 2 * n + 1
+        base = (qf.standard_gram(n) if rng.random() < 0.5 else
+                Mat.diag([rng.choice((1, -1)) for _ in range(m)]))
+        u = [[int(i == j) for j in range(m)] for i in range(m)]
+        for _ in range(3 * m):
+            i, j = rng.sample(range(m), 2)
+            c = rng.randint(-3, 3)
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        u = Mat(u)
+        g = [list(r) for r in (u.transpose() * base * u).num]
+        dvals, maj = qf._majorant(g)
+        want_d, want = _majorant_reference(g)
+        assert dvals == want_d
+        assert [list(r) for r in maj] == want
+
+
 def test_maximal_isotropic_subspace_needs_split():
     with pytest.raises(Anisotropic):
         qf.maximal_isotropic_subspace(D(1, 1, 1, 1, 1))
