@@ -7,7 +7,6 @@ method, with a wall-clock budget so callers can bail out on hard inputs.
 
 import hashlib
 import math
-import os
 import random
 import time
 from fractions import Fraction
@@ -20,20 +19,10 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 FACTOR_TIMEOUT_S = 30.0
 
 
-def default_seed():
-    """Seed for all randomized routines; override with ORBITFORGE_SEED."""
-    try:
-        return int(os.environ.get("ORBITFORGE_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 def rng_for(tag):
-    """A private random.Random stream, reproducible per (seed, tag).
-
-    Uses sha256 rather than hash() because the latter is salted per process.
-    """
-    h = hashlib.sha256(("%d:%s" % (default_seed(), tag)).encode()).hexdigest()
+    """A private random.Random stream, reproducible per tag: seeded by
+    the sha256 of "0:" + tag, since hash() is salted per process."""
+    h = hashlib.sha256(("0:" + tag).encode()).hexdigest()
     return random.Random(int(h, 16))
 
 

@@ -9,8 +9,7 @@ prime, obstructed class, ...), 2 on a usage failure (unparsable input,
 unknown flags).  With --json each run prints exactly one object
 {"schema": "1", "command": ..., "inputs": ..., "result": ..., "checks":
 ...} with a fixed key order and rationals rendered as "p/q" strings, so
-identical invocations produce identical bytes.  ORBITFORGE_SEED pins
-every randomized search.
+identical invocations produce identical bytes.
 """
 
 import argparse
@@ -362,12 +361,12 @@ def _cmd_same_orbit(args):
     o2 = representative_from_alpha(f, a2, args.rep)
     cmp = same_orbit(o1, o2)
     result = {"status": cmp.status, "witness": cmp.witness,
-              "reason": cmp.reason}
+              "reason": cmp.certificate}
     human = ["status: %s" % cmp.status]
     if cmp.witness is not None:
         human.append("witness: %s" % _fmt(cmp.witness))
-    if cmp.reason:
-        human.append("reason: %s" % cmp.reason)
+    if cmp.certificate:
+        human.append("reason: %s" % cmp.certificate)
     return _emit(args, "same-orbit",
                  {"rep": args.rep, "poly": f, "alpha": a1, "alpha2": a2},
                  result, {}, human)

@@ -7,8 +7,9 @@ over its denominator, so a product is an integer convolution and one
 integer pseudo-division by F, the norm of a is the integer resultant
 Res(f, a), a is a unit exactly when that norm is nonzero (f is
 separable), and inverses and traces go through the integer multiplication
-matrix. Squareness in L* is decided: True carries an exactly verified
-witness, False a norm, real-embedding or mod-p certificate, or the bound
+matrix. Every decision here is a Verdict, a status with its evidence.
+Squareness in L* is decided: "true" carries an exactly verified witness,
+"false" a norm, real-embedding or mod-p certificate, or the bound
 certificate of one p-adic lift to a modulus computed from the input. The
 real-embedding test is one Tarski query (the sum of the signs of a at the
 real roots of f, by Sylvester's theorem), and roots are isolated only to
@@ -272,30 +273,26 @@ def is_tau_fixed(a):
     return not any(a.num[1::2])
 
 
-class SquareDecision:
-    """Outcome of is_square: status 'true' or 'false'.
-
-    True carries a witness with witness^2 = a (verified before return);
-    False carries a human-readable certificate string.
-    """
+class Verdict:
+    """A decision with its evidence: "true", "solved" and "equal" carry
+    a witness, "false", "obstructed" and "distinct" a non-empty
+    certificate string, and "unknown" may carry one naming what ran out.
+    Constructing a verdict without its evidence raises ValueError."""
 
     __slots__ = ("status", "witness", "certificate")
 
     def __init__(self, status, witness=None, certificate=None):
+        if status in ("true", "solved", "equal") and witness is None:
+            raise ValueError("verdict %r needs a witness" % status)
+        if status in ("false", "obstructed", "distinct") and not certificate:
+            raise ValueError("verdict %r needs a certificate" % status)
         self.status = status
         self.witness = witness
         self.certificate = certificate
 
-    def is_true(self):
-        return self.status == "true"
-
-    def is_false(self):
-        return self.status == "false"
-
     def __repr__(self):
-        if self.status == "true":
-            return "SquareDecision(true, witness=%r)" % (self.witness,)
-        return "SquareDecision(false, %s)" % (self.certificate,)
+        return "Verdict(%s, witness=%r, certificate=%r)" % (
+            self.status, self.witness, self.certificate)
 
 
 def _good_primes(alg, avoid, count):
@@ -349,8 +346,8 @@ def _part_is_residue(A, e, h, q):
 def is_square(a):
     """Decide whether a is a square in L*.
 
-    Returns a SquareDecision: 'true' with an exactly verified witness, or
-    'false' with a certificate string.
+    Returns a Verdict: "true" with an exactly verified witness, or
+    "false" with a certificate string.
     """
     if not isinstance(a, EtaleElement):
         raise TypeError("is_square expects an EtaleElement")
@@ -364,12 +361,12 @@ def is_square(a):
         c = a.c[0]
         if is_rational_square(c):
             r = Fraction(math.isqrt(c.numerator), math.isqrt(c.denominator))
-            return SquareDecision("true", witness=alg.const(r))
-        return SquareDecision(
+            return Verdict("true", witness=alg.const(r))
+        return Verdict(
             "false", certificate="constant %s is not a rational square" % c
         )
     if not is_rational_square(n):
-        return SquareDecision(
+        return Verdict(
             "false", certificate="norm %s is not a rational square" % n
         )
     # real-embedding certificates: a must be positive at every real root
@@ -378,37 +375,34 @@ def is_square(a):
     f, g = alg.f, a.lift()
     if P.tarski_query(g, f) != P.count_real_roots(f):
         iv = next(iv for iv, sign in P.signs_at_roots(g, f) if sign < 0)
-        return SquareDecision(
+        return Verdict(
             "false",
             certificate="negative at the real root of f in (%s, %s]" % iv,
         )
     t = a.den
     A_int = [v * t for v in a.num]  # t^2 a, for the probes
     fI = alg.F
-    tag = "is_square:%s:%s" % (f.c, a.c)
     # probe a run of good primes: one non-residue component anywhere is a
-    # sound certificate, since the witness would reduce mod p there.  The
-    # lift prime p is factored in full; at the other probes each
+    # sound certificate, since the witness would reduce mod p there.  Each
     # distinct-degree part h_e is tested at once (_part_is_residue), and
-    # only a failing part is split, to name the factor
+    # only a failing part is split, to name the factor; f is factored in
+    # full only at the lift prime p, once every probe has passed
     probes = _good_primes(alg, (n * t ** (2 * alg.deg)).numerator, 10)
-    p = probes[0]
-    first = P.fp_factor([x % p for x in fI], p, tag=tag)
     for q in probes:
-        factors = first
-        if q != p:
-            Aq = [x % q for x in A_int]
-            parts = P._fp_distinct_degree([x % q for x in fI], q)[1]
-            factors = next((P.fp_factor(h, q, tag=tag) for e, h in parts
-                            if not _part_is_residue(Aq, e, h, q)), [])
+        Aq = [x % q for x in A_int]
+        parts = P._fp_distinct_degree([x % q for x in fI], q)[1]
+        factors = next((P.fp_factor(h, q) for e, h in parts
+                        if not _part_is_residue(Aq, e, h, q)), [])
         for h in factors:
             if legendre(P.fp_resultant(h, A_int, q), q) == -1:
-                return SquareDecision(
+                return Verdict(
                     "false",
                     certificate="non-residue in the factor %s mod %d"
                     % (Poly(h).pretty(), q),
                 )
-    rng = rng_for(tag + ":ts")
+    p = probes[0]
+    first = P.fp_factor([x % p for x in fI], p)
+    rng = rng_for("is_square:%s:%s:ts" % (f.c, a.c))
     roots = [P.fpx_sqrt([x % p for x in A_int], h, p, rng) for h in first]
     return _lift_decision(a, t, fI, p, first, roots)
 
@@ -477,8 +471,8 @@ def _lift_decision(a, t, fI, p, factors, roots):
             witness = EtaleElement(
                 alg, [x * c ** i for i, x in enumerate(w.num)], w.den * t2)
             assert witness * witness == a
-            return SquareDecision("true", witness=witness)
-    return SquareDecision(
+            return Verdict("true", witness=witness)
+    return Verdict(
         "false",
         certificate="no square root of height <= %d modulo %d^%d" % (G, p, k),
     )
@@ -550,24 +544,6 @@ def embed_pair(skew, kappa, c_k=1):
     return assemble(skew, c_k, skew.L._reduce(num, kappa.den))
 
 
-class TauNormOutcome:
-    """Result of the twisted norm equation r*tau(r) = pi.
-
-    status 'solved' (witness r), 'obstructed' (sound certificate that no
-    solution exists), or 'unknown' (bounded search exhausted).
-    """
-
-    __slots__ = ("status", "witness", "certificate")
-
-    def __init__(self, status, witness=None, certificate=None):
-        self.status = status
-        self.witness = witness
-        self.certificate = certificate
-
-    def __repr__(self):
-        return "TauNormOutcome(%s)" % self.status
-
-
 def _tau_candidates(K, piK):
     """(c, r, N) for the c in K with coefficients at most TAU_NORM_HEIGHT
     in absolute value, c = 0 first, then by height, one of each pair +-c:
@@ -614,6 +590,9 @@ def solve_tau_norm(skew, pi):
     nonzero rational square. Sound obstructions: pi(0) not a rational
     square, or pi_K negative at a real root y0 < 0 of g (there E is
     locally C and norms are positive), counted by Tarski queries.
+
+    Returns a Verdict: "solved" with the witness r, "obstructed" with a
+    certificate, or "unknown" when the box is exhausted.
     """
     if not pi.is_unit():
         raise NonUnit("pi must be a unit")
@@ -621,7 +600,7 @@ def solve_tau_norm(skew, pi):
         raise NotTauFixed("pi must be tau-fixed")
     pk = k_component(pi)
     if not is_rational_square(pk):
-        return TauNormOutcome(
+        return Verdict(
             "obstructed",
             certificate="k-component %s is not a rational square" % pk,
         )
@@ -640,7 +619,7 @@ def solve_tau_norm(skew, pi):
         iv = next(iv for iv, sy, sp in zip(
             intervals, P._root_signs(y, g, chain, intervals),
             P._root_signs(s, g, chain, intervals)) if sy < 0 and sp < 0)
-        return TauNormOutcome(
+        return Verdict(
             "obstructed",
             certificate="negative at a real root of g in (%s, %s] "
             "where the quadratic extension is complex" % iv,
@@ -653,7 +632,7 @@ def solve_tau_norm(skew, pi):
         if N == 0 or not is_rational_square(N):
             continue
         dec = is_square(skew.K._reduce(r, tt))
-        if dec.is_true():
+        if dec.status == "true":
             # root = a(beta^2) + beta*c(beta^2) on E, sqrt(pk) on k
             aK = dec.witness
             num = [0] * (2 * skew.K.deg)
@@ -661,5 +640,5 @@ def solve_tau_norm(skew, pi):
             num[1::2] = [aK.den * x for x in c]
             root = assemble(skew, rk, skew.L._reduce(num, aK.den))
             if root * apply_tau(root) == pi:
-                return TauNormOutcome("solved", witness=root)
-    return TauNormOutcome("unknown")
+                return Verdict("solved", witness=root)
+    return Verdict("unknown")

@@ -7,7 +7,7 @@ L = Q[x]/(f) that pins down its rational orbit: pulling the form on W
 back along lambda -> lambda(T)w for a cyclic vector w gives the twisted
 pairing <lambda, mu>_alpha on L.  Construction of the distinguished
 representative, recovery of alpha, the kernel test, and orbit comparison
-all live here.
+(an etale.Verdict with its witness or certificate) all live here.
 """
 
 from fractions import Fraction
@@ -17,8 +17,8 @@ from .errors import (DimensionMismatch, NoCyclicVector, NonSeparable, NonUnit,
                      NormNotSquare, NotMonic, NotOddPolynomial, NotSplit,
                      NotTauFixed, RingMismatch, WrongDegree, WrongDimension,
                      ZeroDiscriminant)
-from .etale import (EtaleAlgebra, EtaleElement, is_square, is_tau_fixed,
-                    skew_data, solve_tau_norm)
+from .etale import (EtaleAlgebra, EtaleElement, Verdict, is_square,
+                    is_tau_fixed, skew_data, solve_tau_norm)
 from .matrix import Mat, solve
 from .poly import Poly, even_part, is_separable
 from .quadform import (QuadSpace, hyperbolic_completion, is_split_odd,
@@ -288,7 +288,7 @@ def recover_alpha(orep):
             first = alpha
         if tested < 8:
             tested += 1
-            if is_square(alpha).is_false():
+            if is_square(alpha).status == "false":
                 continue
         return alpha
     if first is not None:
@@ -296,33 +296,9 @@ def recover_alpha(orep):
     raise NoCyclicVector("no cyclic vector found for %s" % f.pretty())
 
 
-class OrbitComparison:
-    """Outcome of an orbit-equality test.
-
-    status 'equal' (with a witness element when available), 'distinct'
-    (with the reason: differing charpoly or a local/real certificate),
-    or 'unknown' when the bounded twisted-norm search was exhausted.
-    """
-
-    __slots__ = ("status", "witness", "reason")
-
-    def __init__(self, status, witness=None, reason=None):
-        self.status = status
-        self.witness = witness
-        self.reason = reason
-
-    @property
-    def is_equal(self):
-        return self.status == "equal"
-
-    @property
-    def is_distinct(self):
-        return self.status == "distinct"
-
-    def __repr__(self):
-        if self.reason:
-            return "OrbitComparison(%s: %s)" % (self.status, self.reason)
-        return "OrbitComparison(%s)" % self.status
+# the orbit verdict for each decided square or twisted-norm verdict
+_ORBIT_STATUS = {"true": "equal", "solved": "equal", "false": "distinct",
+                 "obstructed": "distinct"}
 
 
 def same_orbit(o1, o2):
@@ -331,8 +307,9 @@ def same_orbit(o1, o2):
     Differing characteristic polynomials settle it at once.  Otherwise
     the recovered units multiply to a class that must be trivial: a
     square for the symmetric pairing, a twisted norm c*tau(c) for the
-    skew one.  Certificates from the square / norm-equation tests are
-    passed through.  The square test always decides; only the bounded
+    skew one.  The answer is a Verdict, "equal", "distinct" or
+    "unknown", passing on the witness or certificate of the square /
+    norm-equation test.  The square test always decides; only the bounded
     twisted-norm search can answer Unknown, an honest answer, never a
     guess.
     """
@@ -341,23 +318,19 @@ def same_orbit(o1, o2):
     if o1.space.dim != o2.space.dim:
         raise DimensionMismatch("operators act on different spaces")
     if o1.f != o2.f:
-        return OrbitComparison(
+        return Verdict(
             "distinct",
-            reason="charpoly %s != %s" % (o1.f.pretty(), o2.f.pretty()))
+            certificate="charpoly %s != %s" % (o1.f.pretty(), o2.f.pretty()))
     a1 = recover_alpha(o1)
     a2 = recover_alpha(o2)
     prod = a1 * a2
     if o1.rep == SYM2:
-        dec = is_square(prod)
-        if dec.is_true():
-            return OrbitComparison("equal", witness=dec.witness)
-        return OrbitComparison("distinct", reason=dec.certificate)
-    out = solve_tau_norm(skew_data(prod.alg), prod)
-    if out.status == "solved":
-        return OrbitComparison("equal", witness=out.witness)
-    if out.status == "obstructed":
-        return OrbitComparison("distinct", reason=out.certificate)
-    return OrbitComparison("unknown", reason="norm equation search exhausted")
+        v = is_square(prod)
+    else:
+        v = solve_tau_norm(skew_data(prod.alg), prod)
+    if v.status == "unknown":
+        return Verdict("unknown", certificate="norm equation search exhausted")
+    return Verdict(_ORBIT_STATUS[v.status], v.witness, v.certificate)
 
 
 def classify_vector(w, space):

@@ -785,13 +785,15 @@ def _fp_equal_degree_split(f, d, p, rng):
             return g
 
 
-def fp_factor(f, p, tag="fp_factor"):
+def fp_factor(f, p):
     """Full factorization of squarefree f mod p into monic irreducibles.
 
-    Returns a list of coefficient lists, sorted by (degree, coeffs).
+    Returns a list of coefficient lists, sorted by (degree, coeffs); the
+    factorization is unique, so the splitting stream is seeded from
+    (p, f) alone.
     """
     f, pieces = _fp_distinct_degree(f, p)
-    rng = rng_for("%s:%d:%s" % (tag, p, tuple(f)))
+    rng = rng_for("fp_factor:%d:%s" % (p, tuple(f)))
     out = []
     for d, piece in pieces:
         stack = [piece]

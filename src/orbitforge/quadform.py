@@ -576,11 +576,11 @@ def _reduce(g, basis):
     return [tuple(_combine(basis, r)) for r in h], _congruent(g, h)
 
 
-def _lll(gram, delta=Fraction(99, 100)):
+def _lll(gram):
     """(H, mu, bstar): the rows of a unimodular integer matrix H form a
-    basis (in the old coordinates) that is LLL-reduced for the positive
-    definite gram, with its Gram-Schmidt data (Cohen, Algorithm 2.6.3, on
-    the Gram matrix; exact)."""
+    basis (in the old coordinates) that is LLL-reduced, delta = 99/100,
+    for the positive definite gram, with its Gram-Schmidt data (Cohen,
+    Algorithm 2.6.3, on the Gram matrix; exact)."""
     n = len(gram)
     g = [[Fraction(x) for x in r] for r in gram]
     h = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -629,7 +629,7 @@ def _lll(gram, delta=Fraction(99, 100)):
             bstar[k] = g[k][k] - sum(mu[k][j] ** 2 * bstar[j]
                                      for j in range(k))
         red(k, k - 1)
-        if bstar[k] < (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+        if bstar[k] < (Fraction(99, 100) - mu[k][k - 1]**2) * bstar[k - 1]:
             swap(k)
             k = max(1, k - 1)
         else:
@@ -639,9 +639,8 @@ def _lll(gram, delta=Fraction(99, 100)):
     return h, mu, bstar
 
 
-def _qval(g, x, y=None):
-    y = x if y is None else y
-    return sum(a * sum(r * b for r, b in zip(row, y))
+def _qval(g, x):
+    return sum(a * sum(r * b for r, b in zip(row, x))
                for a, row in zip(x, g) if a)
 
 

@@ -200,7 +200,7 @@ def test_criterion_06():
     a3 = descent_class(curve, P3)
     for prod in (a1 * a1 * a2, a1 * a2 * a3):
         dec = is_square(prod)
-        assert dec.is_true()
+        assert dec.status == "true"
         assert dec.witness * dec.witness == prod
 
 

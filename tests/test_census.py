@@ -551,7 +551,8 @@ def _fingerprint(r):
 
 @pytest.mark.parametrize("seed", [None, "7"])
 def test_census_fingerprints_pinned(seed, monkeypatch):
-    # the generators are fixed, so the seed must never reach a census
+    # the generators are fixed, so a stray seed variable must never reach
+    # a census
     if seed is None:
         monkeypatch.delenv("ORBITFORGE_SEED", raising=False)
     else:

@@ -301,6 +301,25 @@ def test_same_orbit_dimension_seven(capsys):
     assert obj["result"]["status"] == "distinct"
 
 
+def test_same_orbit_json_ignores_the_environment(capsys, monkeypatch):
+    # every randomized search draws from a fixed per-purpose stream, so
+    # the bytes depend on the arguments alone, whatever ORBITFORGE_SEED says
+    argv = ["same-orbit", "--rep", "sym2",
+            "--poly", "x^5 + 6*x^4 - 2*x^2 - 6*x - 4",
+            "--alpha", "2517*b^4 + 64*b^3 - 437*b^2 - 2244*b - 1696", "--json"]
+    outs = []
+    for value in (None, "7"):
+        if value is None:
+            monkeypatch.delenv("ORBITFORGE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("ORBITFORGE_SEED", value)
+        assert run(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    result = json.loads(outs[0])["result"]
+    assert result["status"] == "equal" and result["witness"] == "b + 1"
+
+
 def test_descend_command(capsys):
     obj = run_json(capsys, ["descend", "--poly", "x^3 - 2",
                             "--point", "3,5"])

@@ -118,7 +118,7 @@ def test_descent_homomorphism_products():
     a3 = descent_class(C, P3)
     for prod in (a1 * a1 * a2, a1 * a2 * a3):
         dec = is_square(prod)
-        assert dec.is_true()
+        assert dec.status == "true"
         assert dec.witness * dec.witness == prod
 
 

@@ -13,7 +13,8 @@ from orbitforge.errors import (
     NotTauFixed,
     ZeroDivisor,
 )
-from orbitforge.etale import EtaleAlgebra, apply_tau, is_square, skew_data
+from orbitforge.etale import (EtaleAlgebra, Verdict, apply_tau, is_square,
+                              skew_data)
 from orbitforge.orbits import ADJOINT, stabilizer_info
 from orbitforge.poly import Poly
 
@@ -78,6 +79,21 @@ def test_apply_tau():
         apply_tau(L2.beta())
 
 
+def test_verdict_needs_its_evidence():
+    b = L2.beta()
+    for status in ("true", "solved", "equal"):
+        with pytest.raises(ValueError):
+            Verdict(status, certificate="no witness")
+        assert Verdict(status, witness=b).witness == b
+    for status in ("false", "obstructed", "distinct"):
+        for cert in (None, ""):
+            with pytest.raises(ValueError):
+                Verdict(status, witness=b, certificate=cert)
+        assert Verdict(status, certificate="why").certificate == "why"
+    assert Verdict("unknown").certificate is None
+    assert Verdict("unknown", certificate="budget").certificate == "budget"
+
+
 @given(st.lists(st.integers(-9, 9), min_size=3, max_size=3))
 def test_tau_involution_and_top_coeff(u):
     a = LX.element(u)
@@ -88,21 +104,21 @@ def test_tau_involution_and_top_coeff(u):
 
 def test_is_square_constant():
     d = is_square(L2.const(4))
-    assert d.is_true() and d.witness * d.witness == L2.const(4)
+    assert d.status == "true" and d.witness * d.witness == L2.const(4)
     d = is_square(L2.const(2))
-    assert d.is_false()
+    assert d.status == "false"
 
 
 def test_is_square_literal_square():
     b = L2.beta()
     d = is_square(b * b)
-    assert d.is_true()
+    assert d.status == "true"
     assert d.witness in (b, -b)
 
 
 def test_is_square_norm_certificate():
     d = is_square(L2.beta())
-    assert d.is_false()
+    assert d.status == "false"
     assert "norm" in d.certificate
 
 
@@ -122,7 +138,7 @@ def test_is_square_hard_norm_needs_no_factoring():
     start = time.perf_counter()
     d = is_square(a)
     assert time.perf_counter() - start < 2.0
-    assert d.is_true()
+    assert d.status == "true"
     assert d.witness * d.witness == a
 
 
@@ -132,9 +148,9 @@ def _count_fp_factor(monkeypatch):
     calls = []
     factor = poly.fp_factor
 
-    def counted(f, p, tag="fp_factor"):
+    def counted(f, p):
         calls.append(p)
-        return factor(f, p, tag)
+        return factor(f, p)
 
     monkeypatch.setattr(poly, "fp_factor", counted)
     return calls
@@ -146,7 +162,7 @@ def test_is_square_factors_only_the_lift_prime(monkeypatch):
     calls = _count_fp_factor(monkeypatch)
     b = L2.beta() + 2
     d = is_square(b * b)
-    assert d.is_true() and d.witness in (b, -b)
+    assert d.status == "true" and d.witness in (b, -b)
     assert len(calls) == 1
 
 
@@ -155,7 +171,8 @@ def test_is_square_names_a_nonresidue_in_a_degree_two_part(monkeypatch):
     # a = (3 + sqrt 2, 3 + sqrt 2): norm 7^2, positive at every real root
     # and not a square.  Mod 3 each component is a square; mod 5 both
     # factors are quadratic with norm 7 a non-residue, so the second probe
-    # splits its degree-2 part to name the smaller factor
+    # splits its degree-2 part to name the smaller factor, and f is never
+    # factored at the lift prime 3
     calls = _count_fp_factor(monkeypatch)
     g = Poly([-2, 0, 1])
     g1 = g.compose(Poly([-1, 1]))
@@ -166,7 +183,7 @@ def test_is_square_names_a_nonresidue_in_a_degree_two_part(monkeypatch):
     assert a.norm() == 49
     d = is_square(a)
     assert d.certificate == "non-residue in the factor x^2 + 3 mod 5"
-    assert calls == [3, 5]
+    assert calls == [5]
 
 
 def test_probe_certificates_match_full_factoring():
@@ -213,7 +230,7 @@ def test_is_square_real_certificate():
     assert a.lift()(0) == 1 and a.lift()(1) == -4 and a.lift()(-1) == -9
     assert a.norm() == 36
     d = is_square(a)
-    assert d.is_false()
+    assert d.status == "false"
     assert "real root" in d.certificate
 
 
@@ -222,7 +239,7 @@ def test_is_square_split_crt():
     a = LX.element([1, Fraction(-5, 2), Fraction(11, 2)])
     assert a.lift()(1) == 4 and a.lift()(-1) == 9
     d = is_square(a)
-    assert d.is_true()
+    assert d.status == "true"
     assert d.witness * d.witness == a
 
 
@@ -230,7 +247,7 @@ def test_is_square_rational_witness():
     b = L2.beta()
     a = (b * Fraction(1, 2)) ** 2
     d = is_square(a)
-    assert d.is_true() and d.witness * d.witness == a
+    assert d.status == "true" and d.witness * d.witness == a
 
 
 @settings(max_examples=25)
@@ -240,7 +257,7 @@ def test_is_square_of_square(u):
     if not a.is_unit():
         return
     d = is_square(a * a)
-    assert d.is_true()
+    assert d.status == "true"
     assert d.witness * d.witness == a * a
 
 
@@ -404,15 +421,15 @@ def test_is_square_corpus_always_decides():
         d = is_square(a)
         assert d.status in ("true", "false")
         if square:
-            assert d.is_true()
-        if d.is_true():
+            assert d.status == "true"
+        if d.status == "true":
             assert d.witness * d.witness == a
 
 
 def test_is_square_locally_square_nonsquares_are_false():
     for a in _locally_square_nonsquares():
         d = is_square(a)
-        assert d.is_false()
+        assert d.status == "false"
         assert d.certificate.startswith("no square root of height <= ")
 
 
@@ -847,7 +864,7 @@ def test_is_square_of_a_square_isolates_no_roots(monkeypatch):
     monkeypatch.setattr(poly, "signs_at_roots", counted)
     b = LX.beta() + 2  # 2, 3, 1 at the three real roots of x^3 - x
     d = is_square(b * b)
-    assert d.is_true() and calls == []
+    assert d.status == "true" and calls == []
     a = LX.element([1, Fraction(5, 2), Fraction(-15, 2)])  # 1, -4, -9
     d = is_square(a)
     assert d.certificate == "negative at the real root of f in (-2, -1]"

@@ -216,7 +216,7 @@ def test_recover_round_trip_sym2():
         o = construct_representative(f, SYM2)
         a = recover_alpha(o)
         dec = is_square(a)
-        assert dec.is_true()
+        assert dec.status == "true"
         assert dec.witness * dec.witness == a
 
 
@@ -224,7 +224,7 @@ def test_recover_round_trip_adjoint():
     for f in (X3_PLUS_X, X5_SKEW):
         o = construct_representative(f, ADJOINT)
         a = recover_alpha(o)
-        assert not is_square(a).is_false()
+        assert is_square(a).status != "false"
 
 
 def test_recover_conjugation_invariant():
@@ -233,7 +233,7 @@ def test_recover_conjugation_invariant():
     o2 = o.conjugate(g)
     a1 = recover_alpha(o)
     a2 = recover_alpha(o2)
-    assert is_square(a1 * a2).is_true()
+    assert is_square(a1 * a2).status == "true"
 
 
 def test_recover_rejects_repeated_roots():
@@ -250,7 +250,7 @@ def test_same_orbit_conjugates():
     o = construct_representative(X3_MINUS_X, SYM2)
     g = frac_mat([[3, 0, 0], [0, 1, 0], [0, 0, Fraction(1, 3)]])
     out = same_orbit(o, o.conjugate(g))
-    assert out.is_equal
+    assert out.status == "equal"
     assert out.witness is not None
 
 
@@ -258,8 +258,8 @@ def test_same_orbit_charpoly_distinct():
     o1 = construct_representative(X3_PLUS_X, ADJOINT)
     o2 = construct_representative(Poly([0, -4, 0, 1]), ADJOINT)
     out = same_orbit(o1, o2)
-    assert out.is_distinct
-    assert "charpoly" in out.reason
+    assert out.status == "distinct"
+    assert "charpoly" in out.certificate
 
 
 def test_same_orbit_sym2_local_certificate():
@@ -267,8 +267,8 @@ def test_same_orbit_sym2_local_certificate():
     o1 = construct_representative(X3_MINUS_X, SYM2)
     o2 = representative_from_alpha(X3_MINUS_X, alg.element([1, 0, 1]), SYM2)
     out = same_orbit(o1, o2)
-    assert out.is_distinct
-    assert "non-residue" in out.reason
+    assert out.status == "distinct"
+    assert "non-residue" in out.certificate
 
 
 def test_same_orbit_adjoint_real_certificate():
@@ -277,8 +277,8 @@ def test_same_orbit_adjoint_real_certificate():
     o1 = construct_representative(X5_SKEW, ADJOINT)
     o2 = representative_from_alpha(X5_SKEW, ap, ADJOINT)
     out = same_orbit(o1, o2)
-    assert out.is_distinct
-    assert "real root" in out.reason
+    assert out.status == "distinct"
+    assert "real root" in out.certificate
 
 
 def test_skew_data_builds_K_only(monkeypatch):
@@ -305,7 +305,7 @@ def test_skew_data_builds_K_only(monkeypatch):
 def test_same_orbit_rebuild_from_trivial_class():
     o1 = construct_representative(X3_MINUS_X, SYM2)
     o2 = representative_from_alpha(X3_MINUS_X, 1, SYM2)
-    assert same_orbit(o1, o2).is_equal
+    assert same_orbit(o1, o2).status == "equal"
 
 
 def test_same_orbit_rep_mismatch():
@@ -427,7 +427,7 @@ def test_corpus_of_squares(dim):
                 break
         o = representative_from_alpha(f, u * u, SYM2)
         assert o.op.charpoly() == f
-        assert is_square(recover_alpha(o)).is_true()
+        assert is_square(recover_alpha(o)).status == "true"
 
 
 # ---------------------------------------------------------------------------
