@@ -51,7 +51,7 @@ from .matrix import _berkowitz
 from .orbits import (STANDARD, SYM2, _check_rep, _check_tensor_rep,
                      _validate_charpoly, construct_representative)
 from .poly import (Poly, count_real_roots, discriminant, even_part,
-                   fp_count_factors, fp_from_poly)
+                   fp_count_factors, fp_distinct_degree, fp_from_poly)
 
 # estimated conjugations (space size times group order) a census may run
 CONJUGATION_BUDGET = 2 ** 31
@@ -562,7 +562,7 @@ def _census5_sym2(p, polys):
         fc = charpoly_key(f, p)
         if len(fc) != 6:
             raise WrongDegree("dimension-five rows need monic quintics")
-        fp_count_factors(list(fc), p)
+        fp_distinct_degree(list(fc), p)  # NonSeparableModP if inseparable
         op = construct_representative(Poly(list(fc)), SYM2).op
         assert op.den % p
         inv = pow(op.den, -1, p)

@@ -13,10 +13,12 @@ Squareness in L* is decided: "true" carries an exactly verified witness,
 certificate of one p-adic lift to a modulus computed from the input. The
 real-embedding test is one Tarski query (the sum of the signs of a at the
 real roots of f, by Sylvester's theorem), and roots are isolated only to
-name one where a is negative; the mod-p probes test each distinct-degree
-part of f mod q at once, a part of one irreducible factor by the Legendre
-symbol of one resultant and one of several by one power of a, and name a
-non-residue factor only where that test fails.
+name one where a is negative. The mod-p probes split f mod q once by
+distinct degree and test each part at once, a part of one irreducible
+factor by the Legendre symbol of one resultant and one of several by one
+power of a; only a part that fails is factored, to name a non-residue
+factor, and the lift factors the parts of its own probe, so f is never
+split twice at one prime.
 
 When f(-x) = -f(x), the algebra carries tau (x -> -x), splits as
 Q x E with E = Q[x]/(g(x^2)), and K = Q[y]/(g) sits inside E as the
@@ -277,11 +279,15 @@ class Verdict:
     """A decision with its evidence: "true", "solved" and "equal" carry
     a witness, "false", "obstructed" and "distinct" a non-empty
     certificate string, and "unknown" may carry one naming what ran out.
-    Constructing a verdict without its evidence raises ValueError."""
+    Constructing a verdict without its evidence, or with any other
+    status, raises ValueError."""
 
     __slots__ = ("status", "witness", "certificate")
 
     def __init__(self, status, witness=None, certificate=None):
+        if status not in ("true", "solved", "equal", "false", "obstructed",
+                          "distinct", "unknown"):
+            raise ValueError("unknown verdict status %r" % (status,))
         if status in ("true", "solved", "equal") and witness is None:
             raise ValueError("verdict %r needs a witness" % status)
         if status in ("false", "obstructed", "distinct") and not certificate:
@@ -383,15 +389,18 @@ def is_square(a):
     A_int = [v * t for v in a.num]  # t^2 a, for the probes
     fI = alg.F
     # probe a run of good primes: one non-residue component anywhere is a
-    # sound certificate, since the witness would reduce mod p there.  Each
-    # distinct-degree part h_e is tested at once (_part_is_residue), and
-    # only a failing part is split, to name the factor; f is factored in
-    # full only at the lift prime p, once every probe has passed
+    # sound certificate, since the witness would reduce mod p there.  f mod
+    # q is split once by distinct degree, each part h_e is tested at once
+    # (_part_is_residue), and only a failing part is factored, to name the
+    # factor; the parts at the lift prime p are factored only once every
+    # probe has passed
     probes = _good_primes(alg, (n * t ** (2 * alg.deg)).numerator, 10)
     for q in probes:
         Aq = [x % q for x in A_int]
-        parts = P._fp_distinct_degree([x % q for x in fI], q)[1]
-        factors = next((P.fp_factor(h, q) for e, h in parts
+        parts = P.fp_distinct_degree([x % q for x in fI], q)
+        if q == probes[0]:
+            lift_parts = parts
+        factors = next((P.fp_equal_degree(h, e, q) for e, h in parts
                         if not _part_is_residue(Aq, e, h, q)), [])
         for h in factors:
             if legendre(P.fp_resultant(h, A_int, q), q) == -1:
@@ -401,7 +410,9 @@ def is_square(a):
                     % (Poly(h).pretty(), q),
                 )
     p = probes[0]
-    first = P.fp_factor([x % p for x in fI], p)
+    # the parts come in increasing degree, so this is fp_factor's order
+    first = [h for e, part in lift_parts
+             for h in P.fp_equal_degree(part, e, p)]
     rng = rng_for("is_square:%s:%s:ts" % (f.c, a.c))
     roots = [P.fpx_sqrt([x % p for x in A_int], h, p, rng) for h in first]
     return _lift_decision(a, t, fI, p, first, roots)

@@ -18,6 +18,10 @@ f), the sum of the signs of g at the real roots of f, is the variation
 count of the sequence of (f, f'g mod f) (Sylvester). Isolating intervals
 have rational endpoints, and signs of one polynomial at the roots of
 another are decided by interval refinement, never by floating point.
+
+Over F_p the distinct-degree split (fp_distinct_degree) is the one source
+of factor structure; Cantor-Zassenhaus (fp_equal_degree) factors one of
+its parts, so a caller holding the split factors only the parts it needs.
 """
 
 import math
@@ -135,6 +139,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError("a polynomial power needs an exponent >= 0")
         out, base = Poly([1]), self
         while k:
             if k & 1:
@@ -641,9 +647,10 @@ def fp_is_separable(f, p):
     return len(f) >= 2 and len(fp_gcd(f, df, p)) == 1
 
 
-def _fp_distinct_degree(f, p):
-    """(monic f, pieces) for squarefree f mod p: each piece (d, g) is the
-    product of the irreducible factors of degree d.
+def fp_distinct_degree(f, p):
+    """The distinct-degree split [(d, part)] of squarefree f mod p: part is
+    the monic product of the irreducible factors of degree d, and the
+    degrees d strictly increase.
 
     Raises NonSeparableModP when f is not separable mod p.
     """
@@ -651,46 +658,28 @@ def _fp_distinct_degree(f, p):
     if not fp_is_separable(f, p):
         raise NonSeparableModP("polynomial not separable mod %d" % p)
     inv = pow(f[-1], -1, p)
-    f = [x * inv % p for x in f]
-    pieces = []
+    work = [x * inv % p for x in f]
+    parts = []
     h = [0, 1]
     d = 0
-    work = f
     while len(work) - 1 > 0:
         d += 1
         if 2 * d > len(work) - 1:
-            pieces.append((len(work) - 1, work))
+            parts.append((len(work) - 1, work))
             break
         h = fp_powmod(h, p, work, p)
         g = fp_gcd(fp_sub(h, [0, 1], p), work, p)
         if len(g) > 1:
-            pieces.append((d, g))
+            parts.append((d, g))
             work, r = fp_divmod(work, g, p)
             assert not r
             h = fp_mod(h, work, p)
-    return f, pieces
-
-
-def fp_factor_degrees(f, p):
-    """Multiset of degrees of the irreducible factors of squarefree f mod p.
-
-    Distinct-degree splitting only; no equal-degree factorization.
-    Raises NonSeparableModP when f is not separable mod p.
-    """
-    out = []
-    for d, g in _fp_distinct_degree(f, p)[1]:
-        out.extend([d] * ((len(g) - 1) // d))
-    return sorted(out)
+    return parts
 
 
 def fp_count_factors(f, p):
     """Number of irreducible factors of squarefree f mod p."""
-    return len(fp_factor_degrees(f, p))
-
-
-def fp_is_irreducible(f, p):
-    f = fp_normalize(f, p)
-    return fp_is_separable(f, p) and fp_factor_degrees(f, p) == [len(f) - 1]
+    return sum((len(g) - 1) // d for d, g in fp_distinct_degree(f, p))
 
 
 def fp_resultant(a, b, p):
@@ -768,41 +757,33 @@ def fpx_sqrt(a, h, p, rng):
     return r
 
 
-def _fp_equal_degree_split(f, d, p, rng):
-    """One Cantor-Zassenhaus split of f (product of degree-d irreducibles)."""
-    n = len(f) - 1
-    while True:
-        a = [rng.randrange(p) for _ in range(n)]
-        a = fp_normalize(a, p)
-        if len(a) - 1 < 1:
+def fp_equal_degree(part, d, p):
+    """The sorted irreducible factors of one part (d, part) of the
+    distinct-degree split, by Cantor-Zassenhaus: a random a of degree
+    below deg q splits q by gcd(a, q) or gcd(a^((p^d - 1)/2) - 1, q), or
+    is drawn again. The factorization is unique, so the stream is seeded
+    from (p, part) alone."""
+    if len(part) - 1 == d:
+        return [part]
+    rng = rng_for("fp_equal_degree:%d:%s" % (p, tuple(part)))
+    out, stack = [], [part]
+    while stack:
+        q = stack.pop()
+        if len(q) - 1 == d:
+            out.append(q)
             continue
-        g = fp_gcd(a, f, p)
-        if len(g) - 1 >= 1:
-            return g
-        b = fp_powmod(a, (p**d - 1) // 2, f, p)
-        g = fp_gcd(fp_sub(b, [1], p), f, p)
-        if 1 <= len(g) - 1 < n:
-            return g
+        a = fp_normalize([rng.randrange(p) for _ in range(len(q) - 1)], p)
+        g = fp_gcd(a, q, p)
+        if len(g) == 1:
+            b = fp_powmod(a, (p ** d - 1) // 2, q, p)
+            g = fp_gcd(fp_sub(b, [1], p), q, p)
+        stack += [g, fp_divmod(q, g, p)[0]] if 1 < len(g) < len(q) else [q]
+    return sorted(out)
 
 
 def fp_factor(f, p):
-    """Full factorization of squarefree f mod p into monic irreducibles.
-
-    Returns a list of coefficient lists, sorted by (degree, coeffs); the
-    factorization is unique, so the splitting stream is seeded from
-    (p, f) alone.
-    """
-    f, pieces = _fp_distinct_degree(f, p)
-    rng = rng_for("fp_factor:%d:%s" % (p, tuple(f)))
-    out = []
-    for d, piece in pieces:
-        stack = [piece]
-        while stack:
-            q = stack.pop()
-            if len(q) - 1 == d:
-                out.append(q)
-                continue
-            g = _fp_equal_degree_split(q, d, p, rng)
-            stack.append(g)
-            stack.append(fp_divmod(q, g, p)[0])
-    return sorted(out, key=lambda q: (len(q), q))
+    """Full factorization of squarefree f mod p into monic irreducibles,
+    sorted by (degree, coefficients): each part of the distinct-degree
+    split, in increasing degree, factored by fp_equal_degree."""
+    return [h for d, part in fp_distinct_degree(f, p)
+            for h in fp_equal_degree(part, d, p)]

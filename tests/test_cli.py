@@ -559,6 +559,22 @@ def test_readme_examples_run(capsys):
         assert json.loads(capsys.readouterr().out)["schema"] == "1"
 
 
+def test_readme_json_matches_the_golden_file(capsys):
+    # tests/golden/readme_json.json pins the exit code and --json stdout of
+    # every README invocation plus a dimension-5 same-orbit, as
+    # `python -m orbitforge.cli ARGS --json` printed them
+    path = os.path.join(os.path.dirname(__file__), "golden",
+                        "readme_json.json")
+    with open(path) as fh:
+        golden = json.load(fh)
+    assert [shlex.split(e["args"]) for e in golden[:-1]] == _readme_commands()
+    assert golden[-1]["args"].startswith("same-orbit --rep sym2 --poly \"x^5")
+    for entry in golden:
+        argv = shlex.split(entry["args"]) + ["--json"]
+        assert run(argv) == entry["exit"], argv
+        assert capsys.readouterr().out == entry["stdout"], argv
+
+
 def test_help_exits_zero(capsys):
     with_help = run(["--help"])
     assert with_help == 0

@@ -92,6 +92,10 @@ def test_verdict_needs_its_evidence():
         assert Verdict(status, certificate="why").certificate == "why"
     assert Verdict("unknown").certificate is None
     assert Verdict("unknown", certificate="budget").certificate == "budget"
+    # a status outside the seven gets round no evidence rule
+    for status in ("False", "yes", "", None):
+        with pytest.raises(ValueError):
+            Verdict(status, witness=b, certificate="why")
 
 
 @given(st.lists(st.integers(-9, 9), min_size=3, max_size=3))
@@ -142,28 +146,40 @@ def test_is_square_hard_norm_needs_no_factoring():
     assert d.witness * d.witness == a
 
 
-def _count_fp_factor(monkeypatch):
-    """The primes poly.fp_factor is called at, from now on."""
+def _count_splits(monkeypatch):
+    """The primes poly.fp_distinct_degree and poly.fp_equal_degree are
+    called at from now on, as (splits, parts factored); each factored
+    part is recorded as (p, d, part)."""
     from orbitforge import poly
-    calls = []
-    factor = poly.fp_factor
+    splits, factored = [], []
+    split, equal_degree = poly.fp_distinct_degree, poly.fp_equal_degree
 
-    def counted(f, p):
-        calls.append(p)
-        return factor(f, p)
+    def counted_split(f, p):
+        splits.append(p)
+        return split(f, p)
 
-    monkeypatch.setattr(poly, "fp_factor", counted)
-    return calls
+    def counted_equal_degree(part, d, p):
+        factored.append((p, d, list(part)))
+        return equal_degree(part, d, p)
+
+    monkeypatch.setattr(poly, "fp_distinct_degree", counted_split)
+    monkeypatch.setattr(poly, "fp_equal_degree", counted_equal_degree)
+    return splits, factored
 
 
 def test_is_square_factors_only_the_lift_prime(monkeypatch):
-    # a square passes all ten probes; only the first, where its square
-    # root is lifted, is factored in full
-    calls = _count_fp_factor(monkeypatch)
+    # a square passes all ten probes, each splitting f mod q once; only
+    # the parts of the first, where its square root is lifted, are
+    # factored, and f is not split there again
+    splits, factored = _count_splits(monkeypatch)
     b = L2.beta() + 2
     d = is_square(b * b)
     assert d.status == "true" and d.witness in (b, -b)
-    assert len(calls) == 1
+    assert len(splits) == len(set(splits)) == 10
+    from orbitforge import poly
+    p = splits[0]
+    parts = poly.fp_distinct_degree([x % p for x in L2.F], p)
+    assert factored == [(p, e, h) for e, h in parts]
 
 
 def test_is_square_names_a_nonresidue_in_a_degree_two_part(monkeypatch):
@@ -171,9 +187,10 @@ def test_is_square_names_a_nonresidue_in_a_degree_two_part(monkeypatch):
     # a = (3 + sqrt 2, 3 + sqrt 2): norm 7^2, positive at every real root
     # and not a square.  Mod 3 each component is a square; mod 5 both
     # factors are quadratic with norm 7 a non-residue, so the second probe
-    # splits its degree-2 part to name the smaller factor, and f is never
-    # factored at the lift prime 3
-    calls = _count_fp_factor(monkeypatch)
+    # factors its degree-2 part, and only that, to name the smaller
+    # factor; nothing is split twice, and f is never factored at the
+    # lift prime 3
+    splits, factored = _count_splits(monkeypatch)
     g = Poly([-2, 0, 1])
     g1 = g.compose(Poly([-1, 1]))
     L = EtaleAlgebra(g * g1)
@@ -183,7 +200,9 @@ def test_is_square_names_a_nonresidue_in_a_degree_two_part(monkeypatch):
     assert a.norm() == 49
     d = is_square(a)
     assert d.certificate == "non-residue in the factor x^2 + 3 mod 5"
-    assert calls == [5]
+    assert splits == [3, 5]
+    assert [(q, e) for q, e, _ in factored] == [(5, 2)]
+    assert len(factored[0][2]) - 1 == 4
 
 
 def test_probe_certificates_match_full_factoring():

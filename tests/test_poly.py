@@ -27,6 +27,13 @@ def test_basic_arithmetic():
     assert r.degree < g.degree
 
 
+def test_pow_negative_exponent_raises():
+    assert P(1, 1) ** 0 == P(1)
+    assert P(1, 1) ** 2 == P(1, 2, 1)
+    with pytest.raises(ValueError):
+        P(1, 1) ** -1
+
+
 def test_compose():
     f = P(0, 0, 1)  # x^2
     g = P(1, 1)  # x + 1
@@ -150,20 +157,25 @@ def test_sign_at_root():
 
 
 def test_fp_factor_degrees():
-    # oracle: x^3 - x = x(x-1)(x+1) mod 5
-    assert poly.fp_factor_degrees([0, -1, 0, 1], 5) == [1, 1, 1]
+    # oracle: x^3 - x = x(x-1)(x+1) mod 5, one part of three linears
+    assert poly.fp_distinct_degree([0, -1, 0, 1], 5) == [(1, [0, 4, 0, 1])]
     # oracle: -1 is a non-residue mod 3, so x^2 + 1 is irreducible
-    assert poly.fp_factor_degrees([1, 0, 1], 3) == [2]
+    assert poly.fp_distinct_degree([1, 0, 1], 3) == [(2, [1, 0, 1])]
+    # x (x^2 + 1) mod 3: a linear part, then a quadratic one
+    assert poly.fp_distinct_degree([0, 1, 0, 1], 3) == [(1, [0, 1]),
+                                                        (2, [1, 0, 1])]
     with pytest.raises(NonSeparableModP):
-        poly.fp_factor_degrees([0, 0, 0, 1], 3)
+        poly.fp_distinct_degree([0, 0, 0, 1], 3)
 
 
 def test_fp_count_and_irreducible():
     assert poly.fp_count_factors([0, -1, 0, 1], 5) == 3
     assert poly.fp_count_factors([1, 0, 1], 3) == 1
-    assert poly.fp_is_irreducible([1, 0, 1], 3)
-    assert not poly.fp_is_irreducible([1, 0, 1], 5)  # (x+2)(x+3) mod 5
-    assert poly.fp_is_irreducible([1, 1], 7)
+    # irreducible: the split is one part of the full degree
+    assert poly.fp_distinct_degree([1, 0, 1], 3) == [(2, [1, 0, 1])]
+    # (x+2)(x+3) mod 5
+    assert poly.fp_distinct_degree([1, 0, 1], 5) == [(1, [1, 0, 1])]
+    assert poly.fp_distinct_degree([1, 1], 7) == [(1, [1, 1])]
 
 
 def test_fp_factor_product_roundtrip():
@@ -178,10 +190,42 @@ def test_fp_factor_product_roundtrip():
         factors = poly.fp_factor(f, p)
         prod = [1]
         for q in factors:
-            assert poly.fp_is_irreducible(q, p)
+            assert poly.fp_distinct_degree(q, p) == [(len(q) - 1, q)]
             prod = poly.fp_mul(prod, q, p)
         assert prod == f
         assert len(factors) == poly.fp_count_factors(f, p)
+
+
+def test_fp_factor_is_the_split_factored_part_by_part():
+    # seeded random squarefree monic f mod p, deg f up to 12 > p at p = 3,
+    # 5, 7: the parts come in strictly increasing degree d, each is the
+    # product of its sorted degree-d factors, and fp_factor is those
+    # factors part after part
+    import random
+    rng = random.Random(17017)
+    seen_long = 0
+    for _ in range(200):
+        p = rng.choice((3, 5, 7, 11))
+        f = [rng.randrange(p) for _ in range(rng.randint(1, 12))] + [1]
+        if not poly.fp_is_separable(f, p):
+            continue
+        seen_long += len(f) - 1 > p
+        parts = poly.fp_distinct_degree(f, p)
+        assert [d for d, _ in parts] == sorted({d for d, _ in parts})
+        want = []
+        for d, part in parts:
+            hs = poly.fp_equal_degree(part, d, p)
+            assert hs == sorted(hs)
+            prod = [1]
+            for h in hs:
+                assert len(h) - 1 == d and h[-1] == 1
+                prod = poly.fp_mul(prod, h, p)
+            assert prod == part
+            want.extend(hs)
+        assert poly.fp_factor(f, p) == want
+        assert want == sorted(want, key=lambda h: (len(h), h))
+        assert poly.fp_count_factors(f, p) == len(want)
+    assert seen_long >= 20
 
 
 def test_fp_powmod():
