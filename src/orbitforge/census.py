@@ -137,7 +137,8 @@ def orbit_count_real(f, rep):
     table maps each k = n mod 2 to C(2n+1, k).  Skew case: writing
     f = x g(x^2), needs g totally real with all roots negative; the count
     is C(n, floor(n/2)) and the fibers are C(n, k) for k = 0..n.  Root
-    counts come from Sturm chains, so the precondition check is exact.
+    counts are Tarski queries of g = 1 (count_real_roots), so the
+    precondition check is exact.
     """
     _check_tensor_rep(rep)
     _validate_charpoly(f, rep)
@@ -549,19 +550,23 @@ def _stab_order5(T, p):
 
 def _census5_sym2(p, polys):
     """Orbit-sample census for self-adjoint operators in dimension five:
-    one orbit per requested polynomial, closed under the generating set
-    and certified by orbit-stabilizer with a directly measured stabilizer."""
+    one orbit per requested class mod p, in first-seen order, closed
+    under the generating set and certified by orbit-stabilizer with a
+    directly measured stabilizer."""
     if polys is None:
         raise BudgetExceeded(
             "enumerating p^15 self-adjoint operators is out of budget; "
             "pass explicit polynomials for orbit generation")
     width = len(_free_positions(5, SYM2))
     hi, lo = _digit_tables(_actions(_so_generators(5, p), 5, SYM2, p), p)
-    rows = []
+    rows, seen = [], set()
     for f in polys:
         fc = charpoly_key(f, p)
         if len(fc) != 6:
             raise WrongDegree("dimension-five rows need monic quintics")
+        if fc in seen:
+            continue
+        seen.add(fc)
         fp_distinct_degree(list(fc), p)  # NonSeparableModP if inseparable
         op = construct_representative(Poly(list(fc)), SYM2).op
         assert op.den % p

@@ -464,7 +464,7 @@ def _cmd_lattice_verify(args):
     f = parse_poly(args.poly)
     alg = EtaleAlgebra(f)
     alpha = parse_alpha(args.alpha, alg)
-    if args.ideal:
+    if args.ideal is not None:
         gens = [parse_alpha(part, alg) for part in args.ideal.split(";")]
         ideal = ideal_from_gens(alg, gens)
     else:

@@ -625,11 +625,9 @@ def solve_tau_norm(skew, pi):
     g, y, s = skew.g, Poly.x(), piK.lift()
     if (P.count_real_roots(g) - P.tarski_query(y, g) - P.tarski_query(s, g)
             + P.tarski_query(y * s, g)):
-        chain = P.sturm_chain(g)
-        intervals = P._isolate(g, chain)
-        iv = next(iv for iv, sy, sp in zip(
-            intervals, P._root_signs(y, g, chain, intervals),
-            P._root_signs(s, g, chain, intervals)) if sy < 0 and sp < 0)
+        iv = next(iv for (iv, sy), (_, sp) in zip(
+            P.signs_at_roots(y, g), P.signs_at_roots(s, g))
+            if sy < 0 and sp < 0)
         return Verdict(
             "obstructed",
             certificate="negative at a real root of g in (%s, %s] "

@@ -9,15 +9,17 @@ pseudo-division that also gives pseudo-remainders (one loop for monic,
 non-monic and rational divisors), gcds follow the primitive
 pseudo-remainder sequence, resultants the fraction-free subresultant one,
 and Lagrange interpolation runs over the common denominator of its nodes
-and values. Real-root work is Sturm-based and fully exact. One kernel
-builds signed remainder sequences as integer coefficient lists, each a
-positive multiple of the rational one (primitive pseudo-remainders with
-the sign fixed), evaluated by integer Horner at rational points: the
-Sturm chain of f is the sequence of (f, f'), and the Tarski query TaQ(g,
-f), the sum of the signs of g at the real roots of f, is the variation
-count of the sequence of (f, f'g mod f) (Sylvester). Isolating intervals
-have rational endpoints, and signs of one polynomial at the roots of
-another are decided by interval refinement, never by floating point.
+and values. Real-root work is exact and runs on one chain: the Tarski
+chain of (g, f) is the signed remainder sequence of (f, f'g mod f) as
+integer coefficient lists, each a positive multiple of the rational one
+(primitive pseudo-remainders with the sign fixed), divided by its last
+entry when f and f'g share roots, and evaluated by integer Horner at
+rational points. Its variation count over (a, b] is the Tarski query
+TaQ(g, f) there, the sum of the signs of g at the distinct real roots of
+f (Sylvester). With g = 1 it counts and isolates the real roots of f in
+intervals with rational endpoints; with any g, read at the two ends of
+each isolating interval, it gives the sign of g at each root, never by
+floating point.
 
 Over F_p the distinct-degree split (fp_distinct_degree) is the one source
 of factor structure; Cantor-Zassenhaus (fp_equal_degree) factors one of
@@ -382,7 +384,7 @@ def interpolate(samples):
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains and exact real-root isolation
+# exact real roots: one Tarski chain
 
 
 def _srs(A, B):
@@ -407,31 +409,29 @@ def _derivative(A):
     return [i * a for i, a in enumerate(A)][1:]
 
 
-def sturm_chain(f):
-    """Sturm sequence of the squarefree part of f, as integer coefficient
-    lists, each a positive multiple of the rational Sturm polynomial."""
-    chain = _srs(list(f.num), _derivative(f.num))
-    if _deg(chain[-1]) > 0:  # gcd(f, f') is not constant: repeated roots
-        F = list((f // f.gcd(f.derivative())).num)
-        chain = _srs(F, _derivative(F))
-    return chain
+def _tarski_chain(g, f):
+    """The signed remainder sequence of (F, R), R = F'G mod F, for the
+    integer models F of f (deg f >= 1) and G of g, as integer lists.
 
-
-def tarski_query(g, f):
-    """TaQ(g, f): the sum of the signs of g at the distinct real roots of
-    f, for f of degree >= 1.
-
-    Sylvester: the Cauchy index of F'G / F over the real line is TaQ, and
-    so is that of R / F for R = F'G mod F, which the signed remainder
-    sequence of (F, R) counts as its sign variations at -infinity minus
-    those at +infinity. The pseudo-remainder is lc(F)^e R, negated back
-    when that factor is negative."""
+    The pseudo-remainder is lc(F)^e R with e = deg G, negated back when
+    that factor is negative. When the last entry D is not constant (f and
+    F'G share roots), every entry is divided by D with its leading
+    coefficient made positive, so each entry is a positive multiple of the
+    rational one over the monic D, and no two consecutive entries vanish
+    at one point."""
     F = list(f.num)
     R = _prem(_conv(_derivative(F), g.num), F) if g.num else []
-    if F[-1] < 0 and _deg(g.num) % 2 == 1:  # e = deg g
+    if F[-1] < 0 and _deg(g.num) % 2 == 1:
         R = [-x for x in R]
     chain = _srs(F, R)
-    return _variations(chain, -math.inf) - _variations(chain, math.inf)
+    D = chain[-1]
+    if _deg(D) > 0:
+        c = _content(D) if D[-1] > 0 else -_content(D)
+        D = [x // c for x in D]
+        quotients = [_pdivmod(S, D)[0] for S in chain]
+        chain = [[x // k for x in Q]
+                 for Q, k in zip(quotients, map(_content, quotients))]
+    return chain
 
 
 def _horner(c, n, d):
@@ -461,17 +461,30 @@ def _variations(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_real_roots(f, lo=None, hi=None, chain=None):
-    """Distinct real roots of f in the half-open interval (lo, hi].
+def tarski_query(g, f):
+    """TaQ(g, f): the sum of the signs of g at the distinct real roots of
+    f, for f of degree >= 1.
 
-    None endpoints mean -infinity / +infinity.
+    Sylvester: the Cauchy index of F'G / F over the real line is TaQ, and
+    so is that of R / F for R = F'G mod F, which the Tarski chain counts
+    as its sign variations at -infinity minus those at +infinity."""
+    chain = _tarski_chain(g, f)
+    return _variations(chain, -math.inf) - _variations(chain, math.inf)
+
+
+def count_real_roots(f, lo=None, hi=None):
+    """Distinct real roots of f in the half-open interval (lo, hi], empty
+    when lo >= hi.
+
+    None endpoints mean -infinity / +infinity. The count is the variation
+    count of the Tarski chain of g = 1 at lo minus that at hi; since g > 0,
+    a root at hi is counted and one at lo is not.
     """
-    if f.degree <= 0:
-        return 0
-    if chain is None:
-        chain = sturm_chain(f)
     a = -math.inf if lo is None else Fraction(lo)
     b = math.inf if hi is None else Fraction(hi)
+    if f.degree <= 0 or a >= b:
+        return 0
+    chain = _tarski_chain(Poly.const(1), f)
     return _variations(chain, a) - _variations(chain, b)
 
 
@@ -481,11 +494,16 @@ def root_bound(f):
     return 1 + Fraction(m, abs(f.num[-1]))
 
 
-def _isolate(f, chain):
+def isolate_real_roots(f):
+    """Disjoint rational intervals (lo, hi], one distinct real root each,
+    in increasing order, by bisection of (-B, B] on the counts of one
+    chain."""
+    if f.degree <= 0:
+        return []
+    chain = _tarski_chain(Poly.const(1), f)
     B = root_bound(f)
-    total = count_real_roots(f, -B, B, chain)
     out = []
-    stack = [(-B, B, total)]
+    stack = [(-B, B, _variations(chain, -B) - _variations(chain, B))]
     while stack:
         lo, hi, k = stack.pop()
         if k == 0:
@@ -494,77 +512,37 @@ def _isolate(f, chain):
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        kl = count_real_roots(f, lo, mid, chain)
+        kl = _variations(chain, lo) - _variations(chain, mid)
         stack.append((lo, mid, kl))
         stack.append((mid, hi, k - kl))
     out.sort()
     return out
 
 
-def isolate_real_roots(f, chain=None):
-    """Disjoint rational intervals (lo, hi], one distinct real root each."""
-    if f.degree <= 0:
-        return []
-    if chain is None:
-        chain = sturm_chain(f)
-    return _isolate(f, chain)
-
-
-def refine_interval(f, interval, times=1, chain=None):
-    """Halve an isolating interval of f `times` times, keeping the root
-    inside."""
-    lo, hi = interval
-    if chain is None:
-        chain = sturm_chain(f)
-    for _ in range(times):
-        mid = (lo + hi) / 2
-        if count_real_roots(f, lo, mid, chain) == 1:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
-def _root_signs(g, f, fchain, intervals):
-    """Signs of g at the roots of f isolated by `intervals`.
-
-    A root shared with f (through gcd(f, g)) has sign 0; otherwise the
-    interval shrinks until g has no root inside it, and g is evaluated at
-    its right end.
-    """
-    h = f.gcd(g)
-    hchain = sturm_chain(h) if h.degree >= 1 else None
-    gchain = sturm_chain(g)
-    out = []
-    for lo, hi in intervals:
-        if hchain and count_real_roots(h, lo, hi, hchain) > 0:
-            out.append(0)
-            continue
-        while count_real_roots(g, lo, hi, gchain) > 0:
-            lo, hi = refine_interval(f, (lo, hi), 1, fchain)
-        out.append(_sign_at(g.num, hi))
-    return out
-
-
-def sign_at_root(g, f, interval):
-    """Exact sign of g at the unique root of f inside (lo, hi].
-
-    Returns -1, 0, or 1. Decided by shrinking the interval until g has
-    no root inside it, unless g shares the root with f (gcd check).
-    """
-    return _root_signs(g, f, sturm_chain(f), [interval])[0]
-
-
 def signs_at_roots(g, f):
     """[(interval, sign of g at the root of f inside it)] over the real
     roots of f in increasing order, the intervals as isolate_real_roots
-    returns them.  One Sturm chain of f, one of g and one gcd(f, g)
-    serve every root."""
-    if f.degree <= 0:
+    returns them.
+
+    One Tarski chain of (f, g) serves every root: its variation count
+    over (lo, hi] is the sign of g at the root when f(lo) != 0. A root at
+    an end is read directly: when f(hi) = 0 the sign is that of g(hi),
+    and when f(lo) = 0 the count at lo has counted that root only if
+    g(lo) > 0, so 1 is added back when g(lo) < 0."""
+    intervals = isolate_real_roots(f)
+    if not intervals:
         return []
-    fchain = sturm_chain(f)
-    intervals = _isolate(f, fchain)
-    return list(zip(intervals, _root_signs(g, f, fchain, intervals)))
+    chain = _tarski_chain(g, f)
+    out = []
+    for lo, hi in intervals:
+        if _sign_at(f.num, hi) == 0:
+            s = _sign_at(g.num, hi)
+        else:
+            s = _variations(chain, lo) - _variations(chain, hi)
+            if _sign_at(f.num, lo) == 0 and _sign_at(g.num, lo) < 0:
+                s += 1
+        out.append(((lo, hi), s))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -500,6 +500,21 @@ def test_census_polys_filter(census3_sym2):
     assert r.rows[0] == census3_sym2.row((0, 2, 0, 1))
 
 
+def test_census_polys_equal_mod_p_give_one_row():
+    # x^5 + 5x and x^5 - x are x^5 + 2x mod 3: one class, so one row, in
+    # first-seen order, in the orbit-sample census as in the full one
+    x5_plus_x = Poly([0, 1, 0, 0, 0, 1])
+    r = finite_census(3, 2, SYM2, polys=[
+        Poly([0, 2, 0, 0, 0, 1]), x5_plus_x, Poly([0, 5, 0, 0, 0, 1]),
+        X5_MINUS_X])
+    assert [row.key for row in r.rows] == [(0, 2, 0, 0, 0, 1),
+                                           (0, 1, 0, 0, 0, 1)]
+    assert r.rows[0] == finite_census(3, 2, SYM2, polys=[X5_MINUS_X]).rows[0]
+    assert r.rows[1] == finite_census(3, 2, SYM2, polys=[x5_plus_x]).rows[0]
+    r = finite_census(3, 1, SYM2, polys=[X3_MINUS_X, Poly([0, 2, 0, 1])])
+    assert [row.key for row in r.rows] == [(0, 2, 0, 1)]
+
+
 def test_census_polys_need_operator_classes():
     # vectors have no characteristic polynomial to select by
     for n in (1, 2):

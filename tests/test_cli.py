@@ -135,12 +135,12 @@ def test_rational_roots_build_one_sturm_chain(monkeypatch):
     # sign of F builds none
     calls = []
 
-    def counting(f):
+    def counting(g, f):
         calls.append(f)
-        return chain(f)
+        return chain(g, f)
 
-    chain = poly.sturm_chain
-    monkeypatch.setattr(poly, "sturm_chain", counting)
+    chain = poly._tarski_chain
+    monkeypatch.setattr(poly, "_tarski_chain", counting)
     roots = [Fraction(-5, 3), -2, Fraction(1, 2), 1, 3]
     assert cli._rational_roots(Poly.from_roots(roots)) == sorted(roots)
     assert len(calls) == 1
@@ -152,11 +152,14 @@ def _rational_roots_by_sturm(f):
     bisected by the sign of F."""
     c = f.den
     F = poly.integral_model(f)
-    chain = poly.sturm_chain(F)
     roots = []
-    for lo, hi in poly.isolate_real_roots(F, chain):
-        lo, hi = poly.refine_interval(F, (lo, hi),
-                                      int(hi - lo).bit_length(), chain)
+    for lo, hi in poly.isolate_real_roots(F):
+        for _ in range(int(hi - lo).bit_length()):
+            mid = (lo + hi) / 2
+            if poly.count_real_roots(F, lo, mid) == 1:
+                hi = mid
+            else:
+                lo = mid
         k = math.floor(hi)
         if k > lo and F(k) == 0:
             roots.append(Fraction(k, c))
@@ -455,6 +458,17 @@ def test_lattice_verify_invalid_stays_exit_zero(capsys):
     assert obj["result"]["valid"] is False
     assert obj["result"]["reason"].startswith("norm")
     assert obj["result"]["gram"] is None
+
+
+def test_lattice_verify_empty_ideal_is_a_usage_error(capsys):
+    # an explicit empty generator list is not the default unit ideal
+    base = ["lattice-verify", "--rep", "sym2", "--poly", "x^3 - 2",
+            "--alpha", "1"]
+    for ideal in ("", ";", " "):
+        assert run(base + ["--ideal", ideal, "--json"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("usage error: ")
+    assert run(base + ["--json"]) == 0
 
 
 def test_lattice_verify_rational_modulus_is_a_domain_failure(capsys):

@@ -962,13 +962,13 @@ def test_complex_place_obstruction_matches_root_signs(monkeypatch):
     from orbitforge import poly
     rng = random.Random(13015)
     isolated = []
-    isolate = poly._isolate
+    isolate = poly.isolate_real_roots
 
-    def counted(f, chain):
+    def counted(f):
         isolated.append(f)
-        return isolate(f, chain)
+        return isolate(f)
 
-    monkeypatch.setattr(poly, "_isolate", counted)
+    monkeypatch.setattr(poly, "isolate_real_roots", counted)
     monkeypatch.setattr(etale, "_tau_candidates", lambda K, piK: ())
     seen = {"obstructed": 0, "unknown": 0}
     while min(seen.values()) < 40:
@@ -993,7 +993,8 @@ def test_complex_place_obstruction_matches_root_signs(monkeypatch):
             assert out.status == "unknown" and not isolated
             seen["unknown"] += 1
         else:
-            assert out.status == "obstructed" and len(isolated) == 1
+            # one signs_at_roots call for the sign of y, one for pi_K
+            assert out.status == "obstructed" and len(isolated) == 2
             assert out.certificate.startswith(
                 "negative at a real root of g in (%s, %s] " % want)
             seen["obstructed"] += 1

@@ -115,6 +115,10 @@ def test_count_real_roots():
     assert poly.count_real_roots(g) == 1
     h = P(1, 0, 1)  # x^2 + 1
     assert poly.count_real_roots(h) == 0
+    # (lo, hi] is empty when lo >= hi
+    assert poly.count_real_roots(f, 1, -1) == 0
+    assert poly.count_real_roots(f, 2, -2) == 0
+    assert poly.count_real_roots(f, 0, 0) == 0
 
 
 def test_count_real_roots_with_multiplicity_collapsed():
@@ -131,29 +135,21 @@ def test_isolate_real_roots():
     assert poly.isolate_real_roots(P(1, 0, 1)) == []
 
 
-def test_refine_interval():
-    f = P(-2, 0, 0, 1)
-    (iv,) = poly.isolate_real_roots(f)
-    lo, hi = poly.refine_interval(f, iv, times=20)
-    assert hi - lo == (iv[1] - iv[0]) / 2**20
-    assert f(lo) * f(hi) <= 0
-
-
 def test_sign_at_root():
-    f = P(-3, 0, 1)  # x^2 - 3
-    pos, neg = None, None
-    for iv in poly.isolate_real_roots(f):
-        if iv[1] > 0:
-            pos = iv
-        else:
-            neg = iv
-    assert poly.sign_at_root(X, f, pos) == 1
-    assert poly.sign_at_root(X, f, neg) == -1
-    # g(sqrt(3)) = 3 - 2 = 1 > 0 on both roots
-    assert poly.sign_at_root(P(-2, 0, 1), f, pos) == 1
-    assert poly.sign_at_root(P(-2, 0, 1), f, neg) == 1
-    # shared root
-    assert poly.sign_at_root(f * P(1, 1), f, pos) == 0
+    f = P(-3, 0, 1)  # x^2 - 3: roots -sqrt(3), sqrt(3)
+
+    def signs(g):
+        return [s for _, s in poly.signs_at_roots(g, f)]
+
+    assert signs(X) == [-1, 1]
+    # g(+-sqrt(3)) = 3 - 2 = 1 > 0 on both roots
+    assert signs(P(-2, 0, 1)) == [1, 1]
+    # 1 - sqrt(3) < 0 < 1 + sqrt(3)
+    assert signs(P(1, 1)) == [-1, 1]
+    # roots shared with g read 0
+    assert signs(f * P(1, 1)) == [0, 0]
+    assert signs(P(0, 3, 0, -1)) == [0, 0]  # 3x - x^3 = -x f
+    assert poly.signs_at_roots(X, P(1, 0, 1)) == []
 
 
 def test_fp_factor_degrees():
@@ -249,16 +245,18 @@ def _rational_poly(rng, deg, den=1):
 
 
 def _fraction_sturm(f):
-    """The rational Sturm sequence of the squarefree part of f."""
-    fs = f if poly.is_separable(f) else f // f.gcd(f.derivative())
-    chain = [fs, fs.derivative()]
+    """The rational signed remainder sequence of (f, f'), each entry
+    divided by the monic last one."""
+    chain = [f, f.derivative()]
     while not chain[-1].is_zero():
         chain.append(-(chain[-2] % chain[-1]))
     chain.pop()
-    return chain
+    last = chain[-1].monic()
+    return [q // last for q in chain]
 
 
 def test_integer_sturm_chain_is_a_positive_rescaling():
+    # the Tarski chain of g = 1, the one Sturm chain left
     import random
     rng = random.Random(4101)
     for _ in range(60):
@@ -266,7 +264,7 @@ def test_integer_sturm_chain_is_a_positive_rescaling():
         if rng.random() < 0.3:
             f = f * _rational_poly(rng, 1) ** 2  # a repeated root
         want = _fraction_sturm(f)
-        got = poly.sturm_chain(f)
+        got = poly._tarski_chain(P(1), f)
         assert len(got) == len(want)
         for ints, q in zip(got, want):
             assert len(ints) == len(q.c)
@@ -291,6 +289,31 @@ def test_integer_sign_at_matches_fraction_evaluation():
         assert poly._sign_at(ints, -math.inf) == (v > 0) - (v < 0)
 
 
+def _refine_interval(f, interval):
+    """Halve an isolating interval of f once, keeping the root inside."""
+    lo, hi = interval
+    mid = (lo + hi) / 2
+    return (lo, mid) if poly.count_real_roots(f, lo, mid) == 1 else (mid, hi)
+
+
+def _root_signs(g, f, intervals):
+    """Reference signs of g at the roots of f isolated by `intervals`: a
+    root shared with f (through gcd(f, g)) has sign 0; otherwise the
+    interval shrinks until g has no root inside it, and g is evaluated at
+    its right end."""
+    h = f.gcd(g)
+    out = []
+    for lo, hi in intervals:
+        if h.degree >= 1 and poly.count_real_roots(h, lo, hi) > 0:
+            out.append(0)
+            continue
+        while poly.count_real_roots(g, lo, hi) > 0:
+            lo, hi = _refine_interval(f, (lo, hi))
+        v = g(hi)
+        out.append((v > 0) - (v < 0))
+    return out
+
+
 def test_signs_at_roots_match_sign_at_root_and_rational_roots():
     import random
     rng = random.Random(4103)
@@ -306,13 +329,32 @@ def test_signs_at_roots_match_sign_at_root_and_rational_roots():
         for (iv, s), r in zip(got, roots):
             v = g(r)
             assert iv[0] < r <= iv[1]
-            assert s == (v > 0) - (v < 0) == poly.sign_at_root(g, f, iv)
-    for _ in range(40):
-        f = _rational_poly(rng, rng.randint(1, 7), den=4)
+            assert s == (v > 0) - (v < 0)
+    # against the gcd-and-refinement reference: rational roots, which
+    # bisection often puts at an interval end, repeated roots of f, roots
+    # shared with g and negative leading coefficients
+    ends = {"lo": 0, "hi": 0, "shared": 0}
+    for _ in range(300):
+        if rng.random() < 0.5:
+            roots = [Fraction(rng.randint(-6, 6), rng.randint(1, 2))
+                     for _ in range(rng.randint(1, 5))]
+            f = Poly.from_roots(roots) * _rational_poly(rng, rng.randint(0, 2))
+        else:
+            f = _rational_poly(rng, rng.randint(1, 7), den=4)
+            if rng.random() < 0.3:
+                f = f * _rational_poly(rng, 1) ** 2  # a repeated root
         g = _rational_poly(rng, rng.randint(0, 6), den=4)
+        if rng.random() < 0.3:
+            shared = _rational_poly(rng, 1, den=3)
+            f, g = f * shared, g * shared
         got = poly.signs_at_roots(g, f)
-        assert [s for _, s in got] == [poly.sign_at_root(g, f, iv)
-                                       for iv in poly.isolate_real_roots(f)]
+        ivs = [iv for iv, _ in got]
+        assert ivs == poly.isolate_real_roots(f)
+        assert [s for _, s in got] == _root_signs(g, f, ivs)
+        ends["lo"] += sum(f(lo) == 0 for lo, _ in ivs)
+        ends["hi"] += sum(f(hi) == 0 for _, hi in ivs)
+        ends["shared"] += sum(s == 0 for _, s in got)
+    assert min(ends.values()) >= 10, ends
 
 
 def test_tarski_query_sums_the_signs_at_roots():
