@@ -45,13 +45,14 @@ import numpy as np
 
 from .arith import is_prime
 from .errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
-                     MaximalRankHypothesisFails, NotMonic, NotOddPolynomial,
-                     NotOperatorRep, WrongDegree, WrongDimension)
+                     MaximalRankHypothesisFails, NonSeparableModP, NotMonic,
+                     NotOddPolynomial, NotOperatorRep, WrongDegree,
+                     WrongDimension)
 from .matrix import _berkowitz
 from .orbits import (STANDARD, SYM2, _check_rep, _check_tensor_rep,
                      _validate_charpoly, construct_representative)
 from .poly import (Poly, count_real_roots, discriminant, even_part,
-                   fp_count_factors, fp_distinct_degree, fp_from_poly)
+                   fp_count_factors, fp_from_poly, fp_is_separable)
 
 # estimated conjugations (space size times group order) a census may run
 CONJUGATION_BUDGET = 2 ** 31
@@ -138,20 +139,23 @@ def orbit_count_real(f, rep):
     f = x g(x^2), needs g totally real with all roots negative; the count
     is C(n, floor(n/2)) and the fibers are C(n, k) for k = 0..n.  Root
     counts are Tarski queries of g = 1 (count_real_roots), so the
-    precondition check is exact.
+    precondition check is exact, and each case counts once: at most n
+    roots of g are real, so all are real and negative exactly when n are
+    negative.
     """
     _check_tensor_rep(rep)
     _validate_charpoly(f, rep)
     deg = f.degree
     nn = (deg - 1) // 2
     if rep == SYM2:
-        if count_real_roots(f) != deg:
+        real = count_real_roots(f)
+        if real != deg:
             raise MaximalRankHypothesisFails(
-                "%d of %d roots are real" % (count_real_roots(f), deg))
+                "%d of %d roots are real" % (real, deg))
         fibers = {k: comb(deg, k) for k in range(nn % 2, deg + 1, 2)}
         return comb(deg, nn), fibers
     g = even_part(f)
-    if count_real_roots(g) != nn or count_real_roots(g, None, 0) != nn:
+    if count_real_roots(g, None, 0) != nn:
         raise MaximalRankHypothesisFails(
             "need all %d roots of the even part real and negative" % nn)
     fibers = {k: comb(nn, k) for k in range(nn + 1)}
@@ -567,7 +571,8 @@ def _census5_sym2(p, polys):
         if fc in seen:
             continue
         seen.add(fc)
-        fp_distinct_degree(list(fc), p)  # NonSeparableModP if inseparable
+        if not fp_is_separable(list(fc), p):
+            raise NonSeparableModP("polynomial not separable mod %d" % p)
         op = construct_representative(Poly(list(fc)), SYM2).op
         assert op.den % p
         inv = pow(op.den, -1, p)

@@ -13,12 +13,16 @@ Squareness in L* is decided: "true" carries an exactly verified witness,
 certificate of one p-adic lift to a modulus computed from the input. The
 real-embedding test is one Tarski query (the sum of the signs of a at the
 real roots of f, by Sylvester's theorem), and roots are isolated only to
-name one where a is negative. The mod-p probes split f mod q once by
-distinct degree and test each part at once, a part of one irreducible
-factor by the Legendre symbol of one resultant and one of several by one
-power of a; only a part that fails is factored, to name a non-residue
-factor, and the lift factors the parts of its own probe, so f is never
-split twice at one prime.
+name one where a is negative. Ten probe primes q follow, each splitting
+f mod q once by distinct degree and testing each part at once, a part of
+one irreducible factor by the Legendre symbol of one resultant and one of
+several by one power of a; only a part that fails is factored, to name a
+non-residue factor. The lift runs from the first probe prime, on the
+parts of that probe's split, as soon as a passes there, so a square is
+decided by one split of f. The nine other probes run only when the lift
+finds no root; since a square passes every probe, the verdict is the one
+all ten probes before the lift would give. square_screen runs every test
+but the lift, for callers whose inputs are mostly non-squares.
 
 When f(-x) = -f(x), the algebra carries tau (x -> -x), splits as
 Q x E with E = Q[x]/(g(x^2)), and K = Q[y]/(g) sits inside E as the
@@ -349,11 +353,11 @@ def _part_is_residue(A, e, h, q):
     return P.fp_powmod(A, (q ** e - 1) // 2, h, q) == [1]
 
 
-def is_square(a):
-    """Decide whether a is a square in L*.
-
-    Returns a Verdict: "true" with an exactly verified witness, or
-    "false" with a certificate string.
+def _exact_tests(a):
+    """(verdict, probes): is_square's verdict from a alone, or None and
+    the ten probe primes of a, odd, prime to disc(f) and making a a unit.
+    A constant of an odd-degree algebra is decided at once, and a
+    non-square norm or a negative value at a real root of f is a "false".
     """
     if not isinstance(a, EtaleElement):
         raise TypeError("is_square expects an EtaleElement")
@@ -367,61 +371,105 @@ def is_square(a):
         c = a.c[0]
         if is_rational_square(c):
             r = Fraction(math.isqrt(c.numerator), math.isqrt(c.denominator))
-            return Verdict("true", witness=alg.const(r))
+            return Verdict("true", witness=alg.const(r)), None
         return Verdict(
             "false", certificate="constant %s is not a rational square" % c
-        )
+        ), None
     if not is_rational_square(n):
         return Verdict(
             "false", certificate="norm %s is not a rational square" % n
-        )
+        ), None
     # real-embedding certificates: a must be positive at every real root
     # of f, which holds exactly when the Tarski query TaQ(a, f) counts them
     # all; only a failing query isolates the roots, to name one
     f, g = alg.f, a.lift()
     if P.tarski_query(g, f) != P.count_real_roots(f):
-        iv = next(iv for iv, sign in P.signs_at_roots(g, f) if sign < 0)
+        iv = next(iv for iv, (s,) in P.signs_at_roots([g], f) if s < 0)
         return Verdict(
             "false",
             certificate="negative at the real root of f in (%s, %s]" % iv,
-        )
-    t = a.den
-    A_int = [v * t for v in a.num]  # t^2 a, for the probes
-    fI = alg.F
-    # probe a run of good primes: one non-residue component anywhere is a
-    # sound certificate, since the witness would reduce mod p there.  f mod
-    # q is split once by distinct degree, each part h_e is tested at once
-    # (_part_is_residue), and only a failing part is factored, to name the
-    # factor; the parts at the lift prime p are factored only once every
-    # probe has passed
-    probes = _good_primes(alg, (n * t ** (2 * alg.deg)).numerator, 10)
-    for q in probes:
-        Aq = [x % q for x in A_int]
-        parts = P.fp_distinct_degree([x % q for x in fI], q)
-        if q == probes[0]:
-            lift_parts = parts
-        factors = next((P.fp_equal_degree(h, e, q) for e, h in parts
-                        if not _part_is_residue(Aq, e, h, q)), [])
-        for h in factors:
-            if legendre(P.fp_resultant(h, A_int, q), q) == -1:
-                return Verdict(
-                    "false",
-                    certificate="non-residue in the factor %s mod %d"
-                    % (Poly(h).pretty(), q),
-                )
+        ), None
+    return None, _good_primes(alg, (n * a.den ** (2 * alg.deg)).numerator, 10)
+
+
+def _probe(a, q):
+    """(parts, verdict) at the probe prime q: the distinct-degree split of
+    f mod q, and the "false" of a non-residue factor, or None.
+
+    One non-residue component anywhere is a sound certificate, since a
+    square root would reduce mod q there. Each part h_e is tested at once
+    (_part_is_residue), and only a failing part is factored, to name the
+    factor."""
+    A = [v * a.den for v in a.num]  # t^2 a
+    Aq = [x % q for x in A]
+    parts = P.fp_distinct_degree([x % q for x in a.alg.F], q)
+    factors = next((P.fp_equal_degree(h, e, q) for e, h in parts
+                    if not _part_is_residue(Aq, e, h, q)), [])
+    for h in factors:
+        if legendre(P.fp_resultant(h, A, q), q) == -1:
+            return parts, Verdict(
+                "false",
+                certificate="non-residue in the factor %s mod %d"
+                % (Poly(h).pretty(), q),
+            )
+    return parts, None
+
+
+def _first_refutation(a, primes):
+    """The verdict of the first of `primes` whose probe refutes a, or None."""
+    for q in primes:
+        v = _probe(a, q)[1]
+        if v is not None:
+            return v
+    return None
+
+
+def square_screen(a):
+    """Every test of is_square but the lift, in is_square's order: the
+    verdict of the first that decides a, or None when a passes them all.
+
+    A caller whose inputs are mostly non-squares screens with this first
+    and asks is_square only when nothing refutes: a non-square that passes
+    the first probe is then refuted by a later probe instead of by a
+    p-adic lift."""
+    v, probes = _exact_tests(a)
+    return v or _first_refutation(a, probes)
+
+
+def is_square(a):
+    """Decide whether a is a square in L*.
+
+    Returns a Verdict: "true" with an exactly verified witness, or
+    "false" with a certificate string. After the exact tests, f is split
+    at the first probe prime p; if a passes there, its square root is
+    lifted from p at once, and a square is decided by that one split. Only
+    when the lift finds no root are the nine other probes run, in order,
+    and a non-residue at one of them is the certificate; the lift's bound
+    is the certificate when every probe passes. A square passes every
+    probe, so the verdict is the one of all ten probes before the lift.
+    """
+    v, probes = _exact_tests(a)
+    if v is not None:
+        return v
     p = probes[0]
+    parts, v = _probe(a, p)
+    if v is not None:
+        return v
     # the parts come in increasing degree, so this is fp_factor's order
-    first = [h for e, part in lift_parts
-             for h in P.fp_equal_degree(part, e, p)]
-    rng = rng_for("is_square:%s:%s:ts" % (f.c, a.c))
-    roots = [P.fpx_sqrt([x % p for x in A_int], h, p, rng) for h in first]
-    return _lift_decision(a, t, fI, p, first, roots)
+    first = [h for e, part in parts for h in P.fp_equal_degree(part, e, p)]
+    A = [x * a.den % p for x in a.num]
+    rng = rng_for("is_square:%s:%s:ts" % (a.alg.f.c, a.c))
+    roots = [P.fpx_sqrt(A, h, p, rng) for h in first]
+    v = _lift_decision(a, a.den, a.alg.F, p, first, roots)
+    if v.status == "true":
+        return v
+    return _first_refutation(a, probes[1:]) or v
 
 
 def _lift_decision(a, t, fI, p, factors, roots):
-    """Decide a, a square at every probe, by one p-adic lift from the
-    first probe p, where `roots` are the square roots of t^2 a (theta
-    basis) in the factors of f mod p.
+    """Decide a, a square at the first probe p, by one p-adic lift from
+    p, where `roots` are the square roots of t^2 a (theta basis) in the
+    factors of f mod p.
 
     Integral model: with c the denominator of f, the monic integral
     F(x) = c^d f(x/c) (poly.integral_model) has the root theta' = c theta,
@@ -621,13 +669,12 @@ def solve_tau_norm(skew, pi):
     # (g(0) != 0 as f is separable, and pi_K is a unit), so such roots
     # number the sum of (1 - sign y)(1 - sign pi_K) / 4 over the real
     # roots of g, four Tarski queries; only when there is one are the
-    # roots isolated, to name the first
+    # roots isolated, once, to name the first
     g, y, s = skew.g, Poly.x(), piK.lift()
     if (P.count_real_roots(g) - P.tarski_query(y, g) - P.tarski_query(s, g)
             + P.tarski_query(y * s, g)):
-        iv = next(iv for (iv, sy), (_, sp) in zip(
-            P.signs_at_roots(y, g), P.signs_at_roots(s, g))
-            if sy < 0 and sp < 0)
+        iv = next(iv for iv, (sy, sp) in P.signs_at_roots([y, s], g)
+                  if sy < 0 and sp < 0)
         return Verdict(
             "obstructed",
             certificate="negative at a real root of g in (%s, %s] "

@@ -18,7 +18,7 @@ from .errors import (DimensionMismatch, NoCyclicVector, NonSeparable, NonUnit,
                      NotTauFixed, RingMismatch, WrongDegree, WrongDimension,
                      ZeroDiscriminant)
 from .etale import (EtaleAlgebra, EtaleElement, Verdict, is_square,
-                    is_tau_fixed, skew_data, solve_tau_norm)
+                    is_tau_fixed, skew_data, solve_tau_norm, square_screen)
 from .matrix import Mat, solve
 from .poly import Poly, even_part, is_separable
 from .quadform import (QuadSpace, hyperbolic_completion, is_split_odd,
@@ -261,7 +261,10 @@ def recover_alpha(orep):
     the same square class and the first one is returned.  In the skew
     case lambda*tau(lambda) need not be a square, so among cyclic vectors
     we prefer one whose alpha is not provably a non-square, and the
-    distinguished construction round-trips to a trivial class.
+    distinguished construction round-trips to a trivial class.  Most
+    candidates are non-squares, so each is screened by every test of
+    is_square but the lift (square_screen), and is_square decides only
+    the ones nothing refutes.
     """
     f = orep.f
     if not is_separable(f):
@@ -288,7 +291,8 @@ def recover_alpha(orep):
             first = alpha
         if tested < 8:
             tested += 1
-            if is_square(alpha).status == "false":
+            v = square_screen(alpha) or is_square(alpha)
+            if v.status == "false":
                 continue
         return alpha
     if first is not None:

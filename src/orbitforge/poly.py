@@ -497,32 +497,34 @@ def root_bound(f):
 def isolate_real_roots(f):
     """Disjoint rational intervals (lo, hi], one distinct real root each,
     in increasing order, by bisection of (-B, B] on the counts of one
-    chain."""
+    chain. Each interval carries the variation counts at its two ends, so
+    the chain is evaluated once at each point."""
     if f.degree <= 0:
         return []
     chain = _tarski_chain(Poly.const(1), f)
     B = root_bound(f)
     out = []
-    stack = [(-B, B, _variations(chain, -B) - _variations(chain, B))]
+    stack = [(-B, B, _variations(chain, -B), _variations(chain, B))]
     while stack:
-        lo, hi, k = stack.pop()
-        if k == 0:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo - vhi == 0:
             continue
-        if k == 1:
+        if vlo - vhi == 1:
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        kl = _variations(chain, lo) - _variations(chain, mid)
-        stack.append((lo, mid, kl))
-        stack.append((mid, hi, k - kl))
+        vmid = _variations(chain, mid)
+        stack.append((lo, mid, vlo, vmid))
+        stack.append((mid, hi, vmid, vhi))
     out.sort()
     return out
 
 
-def signs_at_roots(g, f):
-    """[(interval, sign of g at the root of f inside it)] over the real
-    roots of f in increasing order, the intervals as isolate_real_roots
-    returns them.
+def signs_at_roots(gs, f):
+    """[(interval, signs)] over the real roots of f in increasing order,
+    the intervals as isolate_real_roots returns them and signs[i] the
+    sign of gs[i] at the root of f inside the interval; the roots are
+    isolated once for every g.
 
     One Tarski chain of (f, g) serves every root: its variation count
     over (lo, hi] is the sign of g at the root when f(lo) != 0. A root at
@@ -532,16 +534,20 @@ def signs_at_roots(g, f):
     intervals = isolate_real_roots(f)
     if not intervals:
         return []
-    chain = _tarski_chain(g, f)
+    chains = [_tarski_chain(g, f) for g in gs]
     out = []
     for lo, hi in intervals:
-        if _sign_at(f.num, hi) == 0:
-            s = _sign_at(g.num, hi)
-        else:
-            s = _variations(chain, lo) - _variations(chain, hi)
-            if _sign_at(f.num, lo) == 0 and _sign_at(g.num, lo) < 0:
-                s += 1
-        out.append(((lo, hi), s))
+        at_hi, at_lo = _sign_at(f.num, hi) == 0, _sign_at(f.num, lo) == 0
+        signs = []
+        for g, chain in zip(gs, chains):
+            if at_hi:
+                s = _sign_at(g.num, hi)
+            else:
+                s = _variations(chain, lo) - _variations(chain, hi)
+                if at_lo and _sign_at(g.num, lo) < 0:
+                    s += 1
+            signs.append(s)
+        out.append(((lo, hi), tuple(signs)))
     return out
 
 
@@ -625,16 +631,20 @@ def fp_is_separable(f, p):
     return len(f) >= 2 and len(fp_gcd(f, df, p)) == 1
 
 
-def fp_distinct_degree(f, p):
-    """The distinct-degree split [(d, part)] of squarefree f mod p: part is
-    the monic product of the irreducible factors of degree d, and the
-    degrees d strictly increase.
-
-    Raises NonSeparableModP when f is not separable mod p.
-    """
-    f = fp_normalize(f, p)
+def _require_separable(f, p):
     if not fp_is_separable(f, p):
         raise NonSeparableModP("polynomial not separable mod %d" % p)
+
+
+def fp_distinct_degree(f, p):
+    """The distinct-degree split [(d, part)] of f mod p, which must be
+    separable mod p: part is the monic product of the irreducible factors
+    of degree d, and the degrees d strictly increase.
+
+    The caller vouches for separability (a prime to disc(f) does), so it
+    is not checked here; fp_count_factors and fp_factor check it.
+    """
+    f = fp_normalize(f, p)
     inv = pow(f[-1], -1, p)
     work = [x * inv % p for x in f]
     parts = []
@@ -656,7 +666,9 @@ def fp_distinct_degree(f, p):
 
 
 def fp_count_factors(f, p):
-    """Number of irreducible factors of squarefree f mod p."""
+    """Number of irreducible factors of squarefree f mod p; raises
+    NonSeparableModP when f is not separable mod p."""
+    _require_separable(f, p)
     return sum((len(g) - 1) // d for d, g in fp_distinct_degree(f, p))
 
 
@@ -762,6 +774,8 @@ def fp_equal_degree(part, d, p):
 def fp_factor(f, p):
     """Full factorization of squarefree f mod p into monic irreducibles,
     sorted by (degree, coefficients): each part of the distinct-degree
-    split, in increasing degree, factored by fp_equal_degree."""
+    split, in increasing degree, factored by fp_equal_degree; raises
+    NonSeparableModP when f is not separable mod p."""
+    _require_separable(f, p)
     return [h for d, part in fp_distinct_degree(f, p)
             for h in fp_equal_degree(part, d, p)]

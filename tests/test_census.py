@@ -368,6 +368,16 @@ def test_count_factors_errors():
         count_factors_fp(Poly([Fraction(1, 3), 0, 1]), 3)
 
 
+def test_inseparable_input_raises_at_count_and_census():
+    # x^5 + x^3 = x^3 (x^2 + 1): the distinct-degree split trusts its
+    # caller, so both entry points check separability mod p themselves
+    f = Poly([0, 0, 0, 1, 0, 1])
+    with pytest.raises(NonSeparableModP):
+        count_factors_fp(f, 3)
+    with pytest.raises(NonSeparableModP):
+        finite_census(3, 2, SYM2, polys=[Poly([0, 2, 0, 0, 0, 1]), f])
+
+
 # ---------------------------------------------------------------------------
 # vectorized characteristic polynomial against the exact one
 
@@ -747,6 +757,26 @@ def test_real_count_adjoint_frozen():
     total, fibers = orbit_count_real(X3_PLUS_X, ADJOINT)
     assert total == 1
     assert fibers == {0: 1, 1: 1}
+
+
+def test_real_count_builds_one_chain(monkeypatch):
+    # one Tarski chain of g = 1 per question, the error message included
+    from orbitforge import poly
+    builds = []
+    chain = poly._tarski_chain
+
+    def counted(g, f):
+        builds.append(f)
+        return chain(g, f)
+
+    monkeypatch.setattr(poly, "_tarski_chain", counted)
+    assert orbit_count_real(X5_SKEW, ADJOINT)[0] == 2
+    assert len(builds) == 1
+    del builds[:]
+    with pytest.raises(MaximalRankHypothesisFails,
+                       match="^1 of 3 roots are real$"):
+        orbit_count_real(Poly([-2, 0, 0, 1]), SYM2)
+    assert len(builds) == 1
 
 
 def test_real_count_precondition_failures():

@@ -168,28 +168,29 @@ def _count_splits(monkeypatch):
 
 
 def test_is_square_factors_only_the_lift_prime(monkeypatch):
-    # a square passes all ten probes, each splitting f mod q once; only
-    # the parts of the first, where its square root is lifted, are
-    # factored, and f is not split there again
-    splits, factored = _count_splits(monkeypatch)
-    b = L2.beta() + 2
-    d = is_square(b * b)
-    assert d.status == "true" and d.witness in (b, -b)
-    assert len(splits) == len(set(splits)) == 10
+    # a square is decided by one split: f is split at the first probe
+    # prime, the parts of that split are factored for the lift, and the
+    # lifted root settles it before any other probe runs
     from orbitforge import poly
-    p = splits[0]
+    b = L2.beta() + 2
+    a = b * b
+    p = etale._exact_tests(a)[1][0]
     parts = poly.fp_distinct_degree([x % p for x in L2.F], p)
+    splits, factored = _count_splits(monkeypatch)
+    d = is_square(a)
+    assert d.status == "true" and d.witness in (b, -b)
+    assert splits == [p]
     assert factored == [(p, e, h) for e, h in parts]
 
 
 def test_is_square_names_a_nonresidue_in_a_degree_two_part(monkeypatch):
     # f = g(x) g(x - 1) with g = x^2 - 2, so L = Q(sqrt 2) x Q(sqrt 2), and
     # a = (3 + sqrt 2, 3 + sqrt 2): norm 7^2, positive at every real root
-    # and not a square.  Mod 3 each component is a square; mod 5 both
-    # factors are quadratic with norm 7 a non-residue, so the second probe
-    # factors its degree-2 part, and only that, to name the smaller
-    # factor; nothing is split twice, and f is never factored at the
-    # lift prime 3
+    # and not a square.  Mod 3 each component is a square, so the lift
+    # from 3 runs first and factors f's one part there (two quadratics);
+    # it finds no root, and mod 5 both factors are quadratic with norm 7 a
+    # non-residue, so the second probe factors its degree-2 part, and only
+    # that, to name the smaller factor; nothing is split twice
     splits, factored = _count_splits(monkeypatch)
     g = Poly([-2, 0, 1])
     g1 = g.compose(Poly([-1, 1]))
@@ -201,18 +202,19 @@ def test_is_square_names_a_nonresidue_in_a_degree_two_part(monkeypatch):
     d = is_square(a)
     assert d.certificate == "non-residue in the factor x^2 + 3 mod 5"
     assert splits == [3, 5]
-    assert [(q, e) for q, e, _ in factored] == [(5, 2)]
-    assert len(factored[0][2]) - 1 == 4
+    assert [(q, e, len(h) - 1) for q, e, h in factored] == [(3, 2, 4),
+                                                            (5, 2, 4)]
+    assert factored[0][2] == [x % 3 for x in L.F]
 
 
-def test_probe_certificates_match_full_factoring():
-    # the first non-residue factor, over the factors of f mod q sorted by
-    # (degree, coefficients) at each probe q in turn, names the certificate
+def _split_value_corpus():
+    """Seeded units over split moduli of degree 3 to 5 with values v and
+    v k^2 at two roots and squares at the others: square norms, positive
+    at every root, and non-squares that a later probe often names."""
     import random
     from orbitforge import poly
-    from orbitforge.arith import legendre
     rng = random.Random(40121)
-    later = 0
+    out = []
     for _ in range(40):
         deg = rng.choice((3, 4, 5))
         roots = rng.sample(range(-12, 13), deg)
@@ -224,8 +226,19 @@ def test_probe_certificates_match_full_factoring():
         rng.shuffle(vals)
         b = L.element([rng.randint(-3, 3) for _ in range(deg)])
         a = L.from_poly(poly.interpolate(zip(roots, vals))) * b * b
-        if not a.is_unit():
-            continue
+        if a.is_unit():
+            out.append(a)
+    return out
+
+
+def test_probe_certificates_match_full_factoring():
+    # the first non-residue factor, over the factors of f mod q sorted by
+    # (degree, coefficients) at each probe q in turn, names the certificate
+    from orbitforge import poly
+    from orbitforge.arith import legendre
+    later = 0
+    for a in _split_value_corpus():
+        L, deg = a.alg, a.alg.deg
         A = [x * a.den for x in a.num]
         avoid = (a.norm() * a.den ** (2 * deg)).numerator
         probes = etale._good_primes(L, avoid, 10)
@@ -579,6 +592,80 @@ def test_tau_norm_outcomes_pinned():
 
 
 # ---------------------------------------------------------------------------
+# the lift at the first probe against all ten probes before the lift
+
+
+def _probes_then_lift(a):
+    """Reference: is_square with every probe before the lift. Each probe
+    splits f mod q and factors only a part that fails; the lift then runs
+    from the first probe prime on the parts of its split."""
+    from orbitforge import poly
+    from orbitforge.arith import legendre, rng_for
+    v, probes = etale._exact_tests(a)
+    if v is not None:
+        return v
+    alg, t = a.alg, a.den
+    A = [x * t for x in a.num]
+    for q in probes:
+        Aq = [x % q for x in A]
+        parts = poly.fp_distinct_degree([x % q for x in alg.F], q)
+        if q == probes[0]:
+            lift_parts = parts
+        factors = next((poly.fp_equal_degree(h, e, q) for e, h in parts
+                        if not etale._part_is_residue(Aq, e, h, q)), [])
+        for h in factors:
+            if legendre(poly.fp_resultant(h, A, q), q) == -1:
+                return Verdict(
+                    "false", certificate="non-residue in the factor %s mod %d"
+                    % (Poly(h).pretty(), q))
+    p = probes[0]
+    first = [h for e, part in lift_parts
+             for h in poly.fp_equal_degree(part, e, p)]
+    rng = rng_for("is_square:%s:%s:ts" % (alg.f.c, a.c))
+    roots = [poly.fpx_sqrt([x % p for x in A], h, p, rng) for h in first]
+    return etale._lift_decision(a, t, alg.F, p, first, roots)
+
+
+def _first_probe_passing_nonsquares():
+    """Seeded square-norm units of degree 3 to 7, positive at every real
+    root, that pass the first probe: u N(u) in odd degree, u^2 v in even
+    degree. The lift runs on each before the probe that refutes it."""
+    import random
+    rng = random.Random(19019)
+    out = []
+    while len(out) < 40:
+        L = _random_modulus(rng, rng.randint(3, 7))
+        u = _random_unit(rng, L, rng.choice((10, 10**3)))
+        a = u * u.norm() if L.deg % 2 else u * u * rng.choice((2, 3, 5, 7))
+        v, probes = etale._exact_tests(a)
+        if v is None and etale._probe(a, probes[0])[1] is None:
+            out.append(a)
+    return out
+
+
+def test_lift_first_matches_probes_then_lift():
+    # a square passes every probe, so the lift may run at the first one:
+    # statuses, certificates and witnesses are those of the parent order
+    # on every square corpus here, and on non-squares the first probe
+    # passes, which the lift refutes before a later probe names them
+    passing = _first_probe_passing_nonsquares()
+    cases = (_pinned_square_inputs() + [a for a, _ in _square_corpus()]
+             + _euler_corpus() + _split_value_corpus() + passing)
+    got = [is_square(a) for a in cases]
+    kinds = {}
+    for a, d in zip(cases, got):
+        want = _probes_then_lift(a)
+        assert (d.status, d.certificate, d.witness) == (
+            want.status, want.certificate, want.witness)
+        k = d.status if d.certificate is None else d.certificate.split()[0]
+        kinds[k] = kinds.get(k, 0) + 1
+    assert kinds["true"] >= 300 and kinds["non-residue"] >= 500
+    assert kinds["no"] >= 6 and kinds["norm"] >= 3 and kinds["negative"] >= 3
+    assert sum(d.certificate.startswith("non-residue")
+               for d in got[-len(passing):]) >= 30
+
+
+# ---------------------------------------------------------------------------
 # resultant norms and nonzero-norm units against the definitions they replace
 
 
@@ -789,48 +876,57 @@ def _euler_power_is_residue(A, e, h, q):
     return poly.fp_powmod(A, (q ** e - 1) // 2, h, q) == [1]
 
 
+def _euler_input(rng, kind):
+    """One seeded input of the given kind (see _euler_corpus), or None
+    when the draw is rejected."""
+    deg = rng.randint(2, 6)
+    try:
+        if kind <= 1:
+            L = EtaleAlgebra(Poly(
+                [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+                 for _ in range(deg)] + [1]))
+        elif kind == 2:
+            roots = rng.sample(range(-12, 13), deg)
+            L = EtaleAlgebra(Poly.from_roots(roots))
+        else:
+            g = Poly([rng.randint(-5, 5) for _ in range(rng.choice((2, 3)))]
+                     + [1])
+            L = EtaleAlgebra(g * g.compose(Poly([-rng.randint(1, 4), 1])))
+    except NonSeparable:
+        return None
+    u = L.random_element(rng, rng.choice((3, 30, 300)))
+    if not u.is_unit():
+        return None
+    if kind == 0:
+        return u * u
+    if kind == 2:
+        v = rng.choice((2, 3, 5, 7, 11, 13))
+        vals = [v, v * rng.randint(1, 3) ** 2] + [
+            rng.randint(1, 4) ** 2 for _ in range(deg - 2)]
+        rng.shuffle(vals)
+        return L.from_poly(_interpolate(roots, vals)) * u * u
+    if L.deg % 2:
+        return u * u.norm()  # norm N(u)^(deg + 1)
+    return u * u * rng.choice((2, 3, 5, 7))
+
+
 def _euler_corpus():
-    """Seeded is_square inputs over moduli of degree 2 to 6: squares,
-    units of square norm (u N(u), or u^2 v for v a prime in even degree;
-    mostly non-squares), values v and v k^2 at two roots of a split
-    modulus (certificates often from a later probe), and square-norm units
-    over g(x) g(x - s) (distinct-degree parts of several factors)."""
+    """Seeded is_square inputs over moduli of degree 2 to 6: squares
+    (kind 0), units of square norm (kind 1: u N(u), or u^2 v for v a prime
+    in even degree; mostly non-squares), values v and v k^2 at two roots
+    of a split modulus (kind 2: certificates often from a later probe),
+    and square-norm units over g(x) g(x - s) (kind 3: distinct-degree
+    parts of several factors). The last 360 inputs are of kinds 0 and 1
+    only: a square is decided at its first probe, so these keep many
+    parts of one factor tested."""
     import random
     rng = random.Random(13013)
     out = []
-    while len(out) < 520:
-        kind = rng.randrange(4)
-        deg = rng.randint(2, 6)
-        try:
-            if kind <= 1:
-                L = EtaleAlgebra(Poly(
-                    [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
-                     for _ in range(deg)] + [1]))
-            elif kind == 2:
-                roots = rng.sample(range(-12, 13), deg)
-                L = EtaleAlgebra(Poly.from_roots(roots))
-            else:
-                g = Poly([rng.randint(-5, 5) for _ in range(rng.choice((2, 3)))]
-                         + [1])
-                L = EtaleAlgebra(g * g.compose(Poly([-rng.randint(1, 4), 1])))
-        except NonSeparable:
-            continue
-        u = L.random_element(rng, rng.choice((3, 30, 300)))
-        if not u.is_unit():
-            continue
-        if kind == 0:
-            out.append(u * u)
-        elif kind == 2:
-            v = rng.choice((2, 3, 5, 7, 11, 13))
-            vals = [v, v * rng.randint(1, 3) ** 2] + [
-                rng.randint(1, 4) ** 2 for _ in range(deg - 2)]
-            rng.shuffle(vals)
-            a = L.from_poly(_interpolate(roots, vals)) * u * u
-            out.append(a)
-        elif L.deg % 2:
-            out.append(u * u.norm())  # norm N(u)^(deg + 1)
-        else:
-            out.append(u * u * rng.choice((2, 3, 5, 7)))
+    for size, kinds in ((520, 4), (880, 2)):
+        while len(out) < size:
+            a = _euler_input(rng, rng.randrange(kinds))
+            if a is not None:
+                out.append(a)
     return out
 
 
@@ -876,9 +972,9 @@ def test_is_square_of_a_square_isolates_no_roots(monkeypatch):
     calls = []
     signs_at_roots = poly.signs_at_roots
 
-    def counted(g, f):
+    def counted(gs, f):
         calls.append(f)
-        return signs_at_roots(g, f)
+        return signs_at_roots(gs, f)
 
     monkeypatch.setattr(poly, "signs_at_roots", counted)
     b = LX.beta() + 2  # 2, 3, 1 at the three real roots of x^3 - x
@@ -956,8 +1052,8 @@ def test_solve_tau_norm_matches_the_full_box(monkeypatch):
 def test_complex_place_obstruction_matches_root_signs(monkeypatch):
     # the obstruction is counted by Tarski queries: it fires exactly when
     # pi_K is negative at a negative root of g, names the first such root,
-    # and isolates the roots of g only then (the search after it is
-    # emptied, so that its is_square calls isolate nothing)
+    # and isolates the roots of g only then, and once (the search after it
+    # is emptied, so that its is_square calls isolate nothing)
     import random
     from orbitforge import poly
     rng = random.Random(13015)
@@ -983,18 +1079,16 @@ def test_complex_place_obstruction_matches_root_signs(monkeypatch):
         except NonSeparable:
             continue
         kappa = _random_unit(rng, sk.K, 6)
-        want = next((iv for (iv, s), (_, sy) in zip(
-            poly.signs_at_roots(kappa.lift(), sk.g),
-            poly.signs_at_roots(Poly([0, 1]), sk.g)) if s < 0 and sy < 0),
-            None)
+        want = next((iv for iv, (s, sy) in poly.signs_at_roots(
+            [kappa.lift(), Poly([0, 1])], sk.g) if s < 0 and sy < 0), None)
         del isolated[:]
         out = etale.solve_tau_norm(sk, etale.embed_pair(sk, kappa, c_k=1))
         if want is None:
             assert out.status == "unknown" and not isolated
             seen["unknown"] += 1
         else:
-            # one signs_at_roots call for the sign of y, one for pi_K
-            assert out.status == "obstructed" and len(isolated) == 2
+            # one isolation serves the signs of y and of pi_K
+            assert out.status == "obstructed" and len(isolated) == 1
             assert out.certificate.startswith(
                 "negative at a real root of g in (%s, %s] " % want)
             seen["obstructed"] += 1

@@ -430,6 +430,96 @@ def test_corpus_of_squares(dim):
         assert is_square(recover_alpha(o)).status == "true"
 
 
+def _recover_alpha_deciding_each(orep):
+    """Reference: recover_alpha as it was before the screen, asking
+    is_square for a decision on each of the first eight candidates."""
+    from orbitforge import orbits
+    f = orep.f
+    alg = EtaleAlgebra(f)
+    base_gram = orbits._pairing_gram(alg, alg.one(), SYM2)
+    first, tested = None, 0
+    for w in orbits._cyclic_candidates(orep.space.dim, "cyclic:%s" % (f.c,)):
+        got = orbits._alpha_from_vector(orep, alg, base_gram, w)
+        if got is None:
+            continue
+        alpha = got[0]
+        if orep.rep == SYM2:
+            return alpha
+        if first is None:
+            first = alpha
+        if tested < 8:
+            tested += 1
+            if is_square(alpha).status == "false":
+                continue
+        return alpha
+    return first
+
+
+def _seeded_operators(rep, dim, rng):
+    """Operators with charpoly over random f: the distinguished one, and
+    the representatives of split classes (values at the roots of a split
+    f) and of (1, kappa) for a rational kappa (adjoint)."""
+    while True:
+        f = Poly([0 if rep == ADJOINT and k % 2 == 0 else rng.randint(-3, 3)
+                  for k in range(dim)] + [1])
+        if is_separable(f):
+            break
+    out = [construct_representative(f, rep)]
+    make = _split_sym2_class if rep == SYM2 else _split_adjoint_class
+    for height in (2, 10):
+        roots, vals = make(rng, dim, height)
+        out.append(representative_from_alpha(*_from_values(roots, vals)[:2],
+                                              rep))
+    if rep == ADJOINT:
+        for kappa in (-1, 2, -3):
+            f = Poly([0] + [v for c in _ADJ_G[dim] for v in (c, 0)][:-1])
+            sk = skew_data(EtaleAlgebra(f))
+            alpha = embed_pair(sk, sk.K.const(kappa), c_k=1)
+            if in_kernel_gamma(f, alpha, ADJOINT):
+                out.append(representative_from_alpha(f, alpha, ADJOINT))
+    return out
+
+
+# even parts g with negative real roots, f = x g(x^2)
+_ADJ_G = {3: (2, 1), 5: (4, 5, 1), 7: (6, 11, 6, 1)}
+
+
+@pytest.mark.parametrize("dim", (3, 5, 7))
+@pytest.mark.parametrize("rep", (SYM2, ADJOINT))
+def test_recover_alpha_matches_deciding_each_candidate(rep, dim,
+                                                       monkeypatch):
+    # the screen refutes exactly the candidates is_square calls "false",
+    # and is_square decides the ones it passes, so the alpha chosen is the
+    # one the parent loop chose
+    from orbitforge import etale, orbits
+    rng = random.Random("recover:%s:%d" % (rep, dim))
+    screened, decided = [], []
+    screen = etale.square_screen
+
+    def counted_screen(a):
+        v = screen(a)
+        screened.append(None if v is None else v.status)
+        return v
+
+    def counted_is_square(a):
+        decided.append(a)
+        return is_square(a)
+
+    monkeypatch.setattr(orbits, "square_screen", counted_screen)
+    monkeypatch.setattr(orbits, "is_square", counted_is_square)
+    for o in _seeded_operators(rep, dim, rng):
+        assert recover_alpha(o) == _recover_alpha_deciding_each(o)
+    assert len(decided) == screened.count(None)
+    # a symmetric alpha is returned unscreened; the skew candidates of
+    # dimension 3 here are constants of L, decided by their value
+    if rep == SYM2:
+        assert screened == []
+    elif dim > 3:
+        assert screened.count("false") >= 10
+    if (rep, dim) == (ADJOINT, 5):
+        assert screened.count(None) >= 1
+
+
 # ---------------------------------------------------------------------------
 # vector orbits
 

@@ -135,11 +135,29 @@ def test_isolate_real_roots():
     assert poly.isolate_real_roots(P(1, 0, 1)) == []
 
 
+def test_isolate_real_roots_evaluates_each_point_once(monkeypatch):
+    # each interval carries the variation counts at its two ends, so the
+    # bisection evaluates the chain once at each point it visits
+    points = []
+    variations = poly._variations
+
+    def counted(chain, x):
+        points.append(x)
+        return variations(chain, x)
+
+    monkeypatch.setattr(poly, "_variations", counted)
+    roots = range(1, 8)
+    ivs = poly.isolate_real_roots(Poly.from_roots(roots))
+    assert all(lo < r <= hi for (lo, hi), r in zip(ivs, roots))
+    assert len(ivs) == 7
+    assert len(points) == len(set(points)) == 19
+
+
 def test_sign_at_root():
     f = P(-3, 0, 1)  # x^2 - 3: roots -sqrt(3), sqrt(3)
 
     def signs(g):
-        return [s for _, s in poly.signs_at_roots(g, f)]
+        return [s for _, (s,) in poly.signs_at_roots([g], f)]
 
     assert signs(X) == [-1, 1]
     # g(+-sqrt(3)) = 3 - 2 = 1 > 0 on both roots
@@ -149,7 +167,7 @@ def test_sign_at_root():
     # roots shared with g read 0
     assert signs(f * P(1, 1)) == [0, 0]
     assert signs(P(0, 3, 0, -1)) == [0, 0]  # 3x - x^3 = -x f
-    assert poly.signs_at_roots(X, P(1, 0, 1)) == []
+    assert poly.signs_at_roots([X], P(1, 0, 1)) == []
 
 
 def test_fp_factor_degrees():
@@ -160,8 +178,27 @@ def test_fp_factor_degrees():
     # x (x^2 + 1) mod 3: a linear part, then a quadratic one
     assert poly.fp_distinct_degree([0, 1, 0, 1], 3) == [(1, [0, 1]),
                                                         (2, [1, 0, 1])]
-    with pytest.raises(NonSeparableModP):
-        poly.fp_distinct_degree([0, 0, 0, 1], 3)
+    # the split trusts its caller to pass a separable f; the functions
+    # that take any f mod p check it
+    for check in (poly.fp_count_factors, poly.fp_factor):
+        with pytest.raises(NonSeparableModP):
+            check([0, 0, 0, 1], 3)
+
+
+def test_the_split_does_not_check_separability(monkeypatch):
+    calls = []
+    separable = poly.fp_is_separable
+
+    def counted(f, p):
+        calls.append(p)
+        return separable(f, p)
+
+    monkeypatch.setattr(poly, "fp_is_separable", counted)
+    assert poly.fp_distinct_degree([0, 1, 0, 1], 3) == [(1, [0, 1]),
+                                                        (2, [1, 0, 1])]
+    assert calls == []
+    assert poly.fp_count_factors([0, 1, 0, 1], 3) == 2
+    assert calls == [3]
 
 
 def test_fp_count_and_irreducible():
@@ -324,15 +361,16 @@ def test_signs_at_roots_match_sign_at_root_and_rational_roots():
         g = _rational_poly(rng, rng.randint(0, 5), den=3)
         if rng.random() < 0.3:
             g = g * P(-roots[0], 1)  # g vanishes at a root of f
-        got = poly.signs_at_roots(g, f)
+        got = poly.signs_at_roots([g], f)
         assert [iv for iv, _ in got] == poly.isolate_real_roots(f)
-        for (iv, s), r in zip(got, roots):
+        for (iv, (s,)), r in zip(got, roots):
             v = g(r)
             assert iv[0] < r <= iv[1]
             assert s == (v > 0) - (v < 0)
     # against the gcd-and-refinement reference: rational roots, which
     # bisection often puts at an interval end, repeated roots of f, roots
-    # shared with g and negative leading coefficients
+    # shared with g and negative leading coefficients; each call reads g
+    # and -g from one isolation
     ends = {"lo": 0, "hi": 0, "shared": 0}
     for _ in range(300):
         if rng.random() < 0.5:
@@ -347,13 +385,14 @@ def test_signs_at_roots_match_sign_at_root_and_rational_roots():
         if rng.random() < 0.3:
             shared = _rational_poly(rng, 1, den=3)
             f, g = f * shared, g * shared
-        got = poly.signs_at_roots(g, f)
+        got = poly.signs_at_roots([g, -g], f)
         ivs = [iv for iv, _ in got]
         assert ivs == poly.isolate_real_roots(f)
-        assert [s for _, s in got] == _root_signs(g, f, ivs)
+        assert [s for _, (s, _) in got] == _root_signs(g, f, ivs)
+        assert all(t == -s for _, (s, t) in got)
         ends["lo"] += sum(f(lo) == 0 for lo, _ in ivs)
         ends["hi"] += sum(f(hi) == 0 for _, hi in ivs)
-        ends["shared"] += sum(s == 0 for _, s in got)
+        ends["shared"] += sum(s == 0 for _, (s, _) in got)
     assert min(ends.values()) >= 10, ends
 
 
@@ -372,7 +411,7 @@ def test_tarski_query_sums_the_signs_at_roots():
         if rng.random() < 0.2:
             shared = _rational_poly(rng, 1, den=3)
             f, g = f * shared, g * shared
-        want = sum(s for _, s in poly.signs_at_roots(g, f))
+        want = sum(s for _, (s,) in poly.signs_at_roots([g], f))
         assert poly.tarski_query(g, f) == want
         assert poly.tarski_query(P(1), f) == poly.count_real_roots(f)
         seen.add(want)
