@@ -29,12 +29,15 @@ Q x E with E = Q[x]/(g(x^2)), and K = Q[y]/(g) sits inside E as the
 tau-fixed part. SkewData packages all of that with no second algebra for
 E: the idempotent of the Q factor is g(x^2) / g(0), and E-components are
 read in L. A bounded solver for the twisted norm equation r * tau(r) =
-pi, used by orbit comparison, tries each c of its box once up to sign
-and filters the candidates by integer resultants.
+pi, used by orbit comparison, tries each c of its box once up to sign.
+It sieves the candidates by their residues at a few degree-one places
+of K, where a nonzero non-residue refutes a square, and filters the
+survivors by integer resultants.
 """
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from . import poly as P
@@ -58,6 +61,8 @@ from .poly import Poly
 
 # largest coefficient of the c in K that solve_tau_norm tries
 TAU_NORM_HEIGHT = 3
+# number of degree-one places of K that sieve solve_tau_norm's candidates
+SIEVE_ROOTS = 6
 
 
 class EtaleAlgebra:
@@ -603,27 +608,69 @@ def embed_pair(skew, kappa, c_k=1):
     return assemble(skew, c_k, skew.L._reduce(num, kappa.den))
 
 
-def _tau_candidates(K, piK):
+def _degree_one_places(K):
+    """Up to SIEVE_ROOTS pairs (q, y), y a root of G = K.F mod q, for the
+    primes 11 <= q < 100 prime to 2 lc(G) disc(g), in increasing order,
+    found by evaluating G at every y mod q.
+
+    Such a q makes g integral and separable mod q, so each root is simple
+    and theta -> y is the residue map of a degree-one place of K: an
+    element r(theta), r an integer list, that is a square in K has r(y) a
+    square mod q, or zero."""
+    disc = K.disc
+    bad = 2 * K.cf * disc.numerator * disc.denominator
+    out = []
+    for q in range(11, 100, 2):
+        if not is_prime(q) or bad % q == 0:
+            continue
+        vals = [K.F[-1] % q] * q
+        for a in reversed(K.F[:-1]):
+            vals = [(v * y + a) % q for y, v in enumerate(vals)]
+        out += [(q, y) for y, v in enumerate(vals) if v == 0]
+        if len(out) >= SIEVE_ROOTS:
+            break
+    return out[:SIEVE_ROOTS]
+
+
+def _tau_candidates(K, piK, places):
     """(c, r, N) for the c in K with coefficients at most TAU_NORM_HEIGHT
-    in absolute value, c = 0 first, then by height, one of each pair +-c:
-    the one whose first nonzero coefficient is negative, which is the one
-    the lexicographic order of the box reaches first. c and -c give the
-    same y c^2, so the same r and N.
+    in absolute value that no place of `places` refutes: c = 0 first,
+    then by height, one of each pair +-c: the one whose first nonzero
+    coefficient is negative, which is the one the lexicographic order of
+    the box reaches first. c and -c give the same y c^2, so the same r
+    and N.
 
     c is an integer tuple, r = t^2 (piK + y c^2) an integer list over t^2
     (t = piK.den) and N = Res(G, r) / cg^deg(r) = t^(2n) N(piK + y c^2),
     where G = cg g is g cleared to integers: a nonzero rational square
     exactly when the norm of piK + y c^2 is. r = [] and N = 0 when
     piK + y c^2 is zero.
+
+    A place (q, y) refutes c when r(y) is a nonzero non-residue mod q, so
+    that piK + y c^2 is not a square. r(y) is read as t^2 piK(y) + t^2 y
+    c(y)^2 mod q for the c of one height at a time, before any r is
+    built. A zero refutes nothing.
     """
     G, cg, n = K.F, K.cf, K.deg
     t = piK.den
     tA = [t * x for x in piK.num] + [0] * n  # t^2 piK; y c^2 has 2n terms
     tt = t * t
+    # per place: the powers of y, t^2 piK(y) and t^2 y mod q, and the
+    # squares mod q, 0 among them
+    sieve = []
+    for q, y in places:
+        ys = [pow(y, k, q) for k in range(n)]
+        sieve.append((q, ys, t * sum(map(operator.mul, piK.num, ys)) % q,
+                      tt * y % q, {v * v % q for v in range(q // 2 + 1)}))
+    zero = (0,) * n
     for h in range(TAU_NORM_HEIGHT + 1):
-        for c in itertools.product(range(-h, h + 1), repeat=n):
-            if max(map(abs, c)) != h or next((x for x in c if x), -1) > 0:
-                continue
+        # c <= zero: c is 0 or its first nonzero coefficient is negative
+        cs = [c for c in itertools.product(range(-h, h + 1), repeat=n)
+              if c <= zero and max(map(abs, c)) == h]
+        for q, ys, a, b, squares in sieve:
+            cs = [c for c in cs if (a + b * sum(map(operator.mul, c, ys)) ** 2)
+                  % q in squares]
+        for c in cs:
             r = tA[:]
             for k, v in enumerate(P._conv(c, c)):
                 r[k + 1] += tt * v
@@ -643,10 +690,16 @@ def solve_tau_norm(skew, pi):
     to sign, and testing squareness of pi_K + y*c^2. The sign adds
     nothing: a + beta c and a - beta c have the same r tau(r), and the c
     kept comes first in the box, so the first solution found is the one
-    the whole box gives. Each candidate stays an integer list, and its
-    norm is one integer resultant against g cleared (_tau_candidates); an
-    element of K is built, and is_square called, only when that norm is a
-    nonzero rational square. Sound obstructions: pi(0) not a rational
+    the whole box gives. Each candidate is first sieved at the degree-one
+    places of K above a few small primes (_degree_one_places): a nonzero
+    non-residue there means pi_K + y*c^2 is not a square, so is_square
+    would answer "false", and the candidate is skipped before its norm is
+    computed. Skipping only candidates that can never be solved keeps
+    every verdict, witness and certificate of the unsieved box. A
+    surviving candidate stays an integer list, and its norm is one
+    integer resultant against g cleared (_tau_candidates); an element of
+    K is built, and is_square called, only when that norm is a nonzero
+    rational square. Sound obstructions: pi(0) not a rational
     square, or pi_K negative at a real root y0 < 0 of g (there E is
     locally C and norms are positive), counted by Tarski queries.
 
@@ -682,7 +735,8 @@ def solve_tau_norm(skew, pi):
         )
     rk = Fraction(math.isqrt(pk.numerator), math.isqrt(pk.denominator))
     tt = piK.den ** 2
-    for c, r, N in _tau_candidates(skew.K, piK):
+    places = _degree_one_places(skew.K)
+    for c, r, N in _tau_candidates(skew.K, piK, places):
         # is_square answers "false" unless N(piK + y c^2) is a nonzero
         # square
         if N == 0 or not is_rational_square(N):

@@ -530,21 +530,27 @@ def signs_at_roots(gs, f):
     over (lo, hi] is the sign of g at the root when f(lo) != 0. A root at
     an end is read directly: when f(hi) = 0 the sign is that of g(hi),
     and when f(lo) = 0 the count at lo has counted that root only if
-    g(lo) > 0, so 1 is added back when g(lo) < 0."""
+    g(lo) > 0, so 1 is added back when g(lo) < 0. Adjacent intervals may
+    share an end, so each chain is evaluated once at each distinct end
+    it needs."""
     intervals = isolate_real_roots(f)
     if not intervals:
         return []
-    chains = [_tarski_chain(g, f) for g in gs]
+    roots = {x for iv in intervals for x in iv if _sign_at(f.num, x) == 0}
+    ends = {x for lo, hi in intervals if hi not in roots for x in (lo, hi)}
+    counts = []
+    for g in gs:
+        chain = _tarski_chain(g, f)
+        counts.append({x: _variations(chain, x) for x in ends})
     out = []
     for lo, hi in intervals:
-        at_hi, at_lo = _sign_at(f.num, hi) == 0, _sign_at(f.num, lo) == 0
         signs = []
-        for g, chain in zip(gs, chains):
-            if at_hi:
+        for g, v in zip(gs, counts):
+            if hi in roots:
                 s = _sign_at(g.num, hi)
             else:
-                s = _variations(chain, lo) - _variations(chain, hi)
-                if at_lo and _sign_at(g.num, lo) < 0:
+                s = v[lo] - v[hi]
+                if lo in roots and _sign_at(g.num, lo) < 0:
                     s += 1
             signs.append(s)
         out.append(((lo, hi), tuple(signs)))

@@ -858,7 +858,7 @@ def test_tau_candidate_norms_match_resultants():
             c0 = Poly([rng.randint(1, 3)])
             piK = K.from_poly(-X * c0 * c0)
         t = piK.den
-        for c, r, N in etale._tau_candidates(K, piK):
+        for c, r, N in etale._tau_candidates(K, piK, ()):
             rhs = piK.lift() + X * Poly(c) * Poly(c)
             assert r == [x * t * t for x in rhs.c]
             assert N == t ** (2 * n) * resultant(g, rhs)
@@ -986,8 +986,9 @@ def test_is_square_of_a_square_isolates_no_roots(monkeypatch):
     assert len(calls) == 1
 
 
-def _tau_candidates_full_box(K, piK):
-    """Reference: every c of the box, c and -c both, in box order."""
+def _tau_candidates_full_box(K, piK, places=()):
+    """Reference: every c of the box, c and -c both, in box order, with no
+    place sieving them."""
     import itertools
     from orbitforge import poly
     G, cg, n = K.F, K.cf, K.deg
@@ -1013,7 +1014,7 @@ def test_tau_candidates_take_one_of_each_sign_pair():
     for g in (Poly([-2, 1]), Poly([3, -1, 1]), Poly([-1, 2, 0, 1])):
         K = EtaleAlgebra(g)
         full = list(_tau_candidates_full_box(K, K.const(2)))
-        got = list(etale._tau_candidates(K, K.const(2)))
+        got = list(etale._tau_candidates(K, K.const(2), ()))
         cs = [c for c, _, _ in got]
         box = set(itertools.product(range(-H, H + 1), repeat=K.deg))
         assert len(cs) == (len(box) + 1) // 2
@@ -1049,6 +1050,126 @@ def test_solve_tau_norm_matches_the_full_box(monkeypatch):
     assert sum(s == "solved" for s, _, _ in got) >= 10
 
 
+def _sieve_cases():
+    """Seeded (K, piK, c0, zero) with piK = a^2 - y c0^2 for units a and
+    piK, so that c0 gives the square a^2, in four kinds:
+    - g of degree 1 to 4, with integer coefficients or not, a random;
+    - the same with a vanishing at one sieve place (q, y), named in
+      `zero`, so that a^2 has a zero residue there;
+    - g = (y - 1/11)((y - s)^2 - 11^4 d), d a non-residue mod 11: 11
+      divides lc(G) but not disc(g), and the double root s of G mod 11
+      lies under a place of residue field F_121, where a = (y - s)(11 y
+      - 1)/121 + 11 ((y - s)^2 - 11^4 d) is a unit with a^2 = d (11 y -
+      1)^2 + ((1 - 11 s)^2 - 11^6 d)((y - s)^2 - 11^4 d), integral and
+      reading d at y = s, a non-residue mod 11 (c0 is constant, so that
+      piK is integral too);
+    - g = (y^2 - 121 d) h, d = 2, h monic of degree 0 to 2: 11 divides
+      disc(g), and a = y h / 11 + e (y^2 - 242) has a^2 = d h^2 +
+      e^2 (y^2 - 242)^2, reading d h(0)^2 at the double root 0 of G mod
+      11, a non-residue unless 11 divides h(0).
+    """
+    import random
+    rng = random.Random(20020)
+    Y = Poly([0, 1])
+    out = []
+    i = 0
+    while len(out) < 64:
+        kind, n = len(out) % 4, 1 + (len(out) // 4) % 4
+        i += 1
+        try:
+            if kind < 2:
+                den = (1, 1, 2, 3, 5, 11)[i % 6]
+                K = EtaleAlgebra(Poly(
+                    [Fraction(rng.randint(-9, 9), den) for _ in range(n)]
+                    + [1]))
+            elif kind == 2:
+                s, d = rng.randint(-5, 5), rng.choice((2, 6, 7, 8, 10))
+                E = (Y - s) * (Y - s) - 11 ** 4 * d
+                K = EtaleAlgebra((Y - Fraction(1, 11)) * E)
+            else:
+                h = Poly([rng.randint(-4, 4) for _ in range(max(n, 2) - 2)]
+                         + [1])
+                K = EtaleAlgebra(Poly([-242, 0, 1]) * h)
+        except NonSeparable:
+            continue
+        zero = None
+        if kind == 1:
+            zero = rng.choice(etale._degree_one_places(K))
+            b = Poly([rng.randint(-3, 3) for _ in range(K.deg)])
+            a = K.from_poly(Poly([-zero[1], 1]) * b)
+        elif kind == 2:
+            a = K.from_poly((Y - s) * (Y * 11 - 1) * Fraction(1, 121)
+                            + E * 11)
+        elif kind == 3:
+            a = K.from_poly(Y * h * Fraction(1, 11)
+                            + (Y * Y - 242) * rng.randint(1, 3))
+        else:
+            a = K.element([Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                           for _ in range(K.deg)])
+        c0 = tuple(rng.randint(-3, 3) for _ in range(K.deg))
+        if kind == 2:  # y c0^2 then needs no reduction, and piK is integral
+            c0 = c0[:1] + (0, 0)
+        piK = a * a - K.beta() * K.element(c0) ** 2
+        if a.is_unit() and piK.is_unit():
+            out.append((K, piK, c0, zero))
+    return out
+
+
+def test_tau_sieve_skips_only_non_squares():
+    # the sieve at degree-one places skips a candidate only when
+    # piK + y c^2 is not a square unit: the constructed square a^2 at c0
+    # is always kept, also when a vanishes at a sieve place (a zero
+    # residue refutes nothing), and when a prime dividing lc(G) disc(g)
+    # would read a^2 as a non-residue at a root of G mod that prime
+    from orbitforge.arith import is_rational_square
+    from orbitforge.poly import _horner
+    kept_total = full_total = zeros = 0
+    for K, piK, c0, zero in _sieve_cases():
+        places = etale._degree_one_places(K)
+        assert 1 <= len(places) <= etale.SIEVE_ROOTS
+        kept = {c for c, _, _ in etale._tau_candidates(K, piK, places)}
+        c0 = min(c0, tuple(-x for x in c0))
+        assert c0 in kept
+        t2 = piK.den ** 2
+        for c, r, N in etale._tau_candidates(K, piK, ()):
+            full_total += 1
+            if c in kept:
+                kept_total += 1
+            else:
+                assert (N == 0 or not is_rational_square(N)
+                        or is_square(K._reduce(r, t2)).status == "false")
+            if c == c0 and zero is not None:
+                q, y = zero
+                assert _horner(r, y, 1)[0] % q == 0
+                zeros += 1
+    assert zeros == 16
+    assert kept_total < full_total / 4
+
+
+def test_tau_sieve_computes_few_resultants(monkeypatch):
+    # a degree-7 "random" input of the square-heights benchmark: the box
+    # holds 172 candidates, and the parent computed a resultant for each
+    # (173 with the norm of pi); the sieve leaves three
+    from orbitforge import poly
+    L = EtaleAlgebra(Poly([0, -8, 0, -8, 0, 2, 0, 1]))
+    pi = L.element([1, 0, -4, 0, -7, 0, -4])
+    sk = skew_data(L)
+    piK = etale.K_component(sk, pi)
+    assert len(list(etale._tau_candidates(sk.K, piK, ()))) == 172
+    calls = []
+    resultant = poly._int_resultant
+
+    def counted(A, B):
+        calls.append(1)
+        return resultant(A, B)
+
+    monkeypatch.setattr(poly, "_int_resultant", counted)
+    out = etale.solve_tau_norm(sk, pi)
+    assert (out.status, out.witness, out.certificate) == (
+        "unknown", None, None)
+    assert len(calls) <= 10
+
+
 def test_complex_place_obstruction_matches_root_signs(monkeypatch):
     # the obstruction is counted by Tarski queries: it fires exactly when
     # pi_K is negative at a negative root of g, names the first such root,
@@ -1065,7 +1186,7 @@ def test_complex_place_obstruction_matches_root_signs(monkeypatch):
         return isolate(f)
 
     monkeypatch.setattr(poly, "isolate_real_roots", counted)
-    monkeypatch.setattr(etale, "_tau_candidates", lambda K, piK: ())
+    monkeypatch.setattr(etale, "_tau_candidates", lambda K, piK, places: ())
     seen = {"obstructed": 0, "unknown": 0}
     while min(seen.values()) < 40:
         ys = [Fraction(rng.randint(-9, 9), rng.randint(1, 3))

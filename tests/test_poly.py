@@ -153,6 +153,31 @@ def test_isolate_real_roots_evaluates_each_point_once(monkeypatch):
     assert len(points) == len(set(points)) == 19
 
 
+def test_signs_at_roots_evaluates_each_end_once(monkeypatch):
+    # adjacent isolating intervals share an end, and each g chain is
+    # evaluated once there: one _variations call per distinct end per
+    # chain, besides the isolation's own chain of g = 1
+    f = Poly.from_roots(range(1, 8))
+    one = poly._tarski_chain(Poly.const(1), f)
+    points = {}
+    variations = poly._variations
+
+    def counted(chain, x):
+        if chain != one:
+            points.setdefault(id(chain), []).append(x)
+        return variations(chain, x)
+
+    monkeypatch.setattr(poly, "_variations", counted)
+    got = poly.signs_at_roots([X, X - 4], f)
+    ends = {x for iv, _ in got for x in iv}
+    assert len(got) == 7 and len(ends) == 8
+    assert [s for _, s in got] == [(1, -1), (1, -1), (1, -1), (1, 0),
+                                   (1, 1), (1, 1), (1, 1)]
+    assert len(points) == 2
+    for xs in points.values():
+        assert len(xs) == len(set(xs)) == 8 and set(xs) == ends
+
+
 def test_sign_at_root():
     f = P(-3, 0, 1)  # x^2 - 3: roots -sqrt(3), sqrt(3)
 
