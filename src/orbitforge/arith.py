@@ -104,7 +104,7 @@ def factorize(n):
     d = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while d * d <= n and d < 10**6:
+    while d * d <= n and d < 1 << 12:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d

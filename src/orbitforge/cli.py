@@ -6,13 +6,19 @@ lattice-verify, bqf (reduce | classgroup | census), stab-info.
 
 Exit codes: 0 on success, 1 on a domain failure (bad polynomial, bad
 prime, obstructed class, ...), 2 on a usage failure (unparsable input,
-unknown flags).  With --json each run prints exactly one object
-{"schema": "1", "command": ..., "inputs": ..., "result": ..., "checks":
-...} with a fixed key order and rationals rendered as "p/q" strings, so
-identical invocations produce identical bytes.
+unknown flags).
+
+Each handler computes (inputs, result, checks) and prints nothing; one
+function, _emit, prints every answer.  With --json it prints exactly one
+object {"schema": "1", "command": ..., "inputs": ..., "result": ...,
+"checks": ...} with a fixed key order and rationals rendered as "p/q"
+strings, so identical invocations produce identical bytes.  Without it,
+it prints the same rendered fields of result and then checks, one
+"key: value" line each, a list of rows one row per line.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -289,27 +295,34 @@ def _render(x):
     return str(x)
 
 
-def _emit(args, command, inputs, result, checks, human):
-    if getattr(args, "json", False):
-        obj = {"schema": "1", "command": command,
-               "inputs": _render(inputs), "result": _render(result),
-               "checks": _render(checks)}
-        print(json.dumps(obj))
-    else:
-        for line in human:
-            print(line)
+def _emit(args, inputs, result, checks):
+    """Print one answer, in either view, from the same rendered fields.
+
+    --json prints the one object of the schema.  The text view prints a
+    "key: value" line per key of result, then of checks: a string as it
+    is, anything else as compact JSON, and a list of rows as "key:" and
+    one indented JSON line per row."""
+    result, checks = _render(result), _render(checks)
+    if args.json:
+        print(json.dumps({"schema": "1", "command": args.command,
+                          "inputs": _render(inputs), "result": result,
+                          "checks": checks}))
+        return 0
+    compact = functools.partial(json.dumps, separators=(",", ":"))
+    for key, value in [*result.items(), *checks.items()]:
+        if isinstance(value, list) and value and all(
+                isinstance(row, (list, dict)) for row in value):
+            print(key + ":")
+            for row in value:
+                print("  " + compact(row))
+        else:
+            print("%s: %s" % (key, value if isinstance(value, str)
+                              else compact(value)))
     return 0
 
 
-def _fmt(x):
-    r = _render(x)
-    if isinstance(r, list):
-        return json.dumps(r)
-    return str(r)
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (inputs, result, checks) for _emit
 
 
 def _cmd_construct(args):
@@ -317,16 +330,10 @@ def _cmd_construct(args):
     orep = construct_representative(f, args.rep)
     star = adjoint_op(orep.op, orep.space)
     adj_ok = star == orep.op if args.rep == SYM2 else star == -orep.op
-    checks = {"charpoly_matches": orep.op.charpoly() == f,
-              "adjointness": adj_ok}
-    result = {"n": orep.n, "dim": orep.space.dim, "operator": orep.op}
-    human = ["n = %d, dim = %d" % (orep.n, orep.space.dim)]
-    human += ["operator rows:"]
-    human += ["  " + " ".join(str(v) for v in row) for row in orep.op.rows]
-    human += ["charpoly check: %s, adjointness check: %s"
-              % (checks["charpoly_matches"], adj_ok)]
-    return _emit(args, "construct",
-                 {"rep": args.rep, "poly": f}, result, checks, human)
+    return ({"rep": args.rep, "poly": f},
+            {"n": orep.n, "dim": orep.space.dim, "operator": orep.op},
+            {"charpoly_matches": orep.op.charpoly() == f,
+             "adjointness": adj_ok})
 
 
 def _cmd_classify(args):
@@ -334,22 +341,15 @@ def _cmd_classify(args):
     if len(w) % 2 == 0 or len(w) < 3:
         raise ParseError("vector length must be odd and at least 3")
     space = standard_space((len(w) - 1) // 2)
-    label = classify_vector(w, space)
-    result = {"label": label if isinstance(label, str) else str(label)}
-    return _emit(args, "classify", {"vector": list(w)}, result, {},
-                 ["label: %s" % result["label"]])
+    return {"vector": list(w)}, {"label": classify_vector(w, space)}, {}
 
 
 def _cmd_kernel(args):
     f = parse_poly(args.poly)
-    alg = EtaleAlgebra(f)
-    alpha = parse_alpha(args.alpha, alg)
-    verdict = in_kernel_gamma(f, alpha, args.rep)
-    checks = {"norm": alpha.norm(), "is_unit": alpha.is_unit()}
-    return _emit(args, "kernel",
-                 {"rep": args.rep, "poly": f, "alpha": alpha},
-                 {"in_kernel": verdict}, checks,
-                 ["in kernel: %s" % verdict])
+    alpha = parse_alpha(args.alpha, EtaleAlgebra(f))
+    return ({"rep": args.rep, "poly": f, "alpha": alpha},
+            {"in_kernel": in_kernel_gamma(f, alpha, args.rep)},
+            {"norm": alpha.norm(), "is_unit": alpha.is_unit()})
 
 
 def _cmd_same_orbit(args):
@@ -357,19 +357,11 @@ def _cmd_same_orbit(args):
     alg = EtaleAlgebra(f)
     a1 = parse_alpha(args.alpha, alg)
     a2 = parse_alpha(args.alpha2, alg)
-    o1 = representative_from_alpha(f, a1, args.rep)
-    o2 = representative_from_alpha(f, a2, args.rep)
-    cmp = same_orbit(o1, o2)
-    result = {"status": cmp.status, "witness": cmp.witness,
-              "reason": cmp.certificate}
-    human = ["status: %s" % cmp.status]
-    if cmp.witness is not None:
-        human.append("witness: %s" % _fmt(cmp.witness))
-    if cmp.certificate:
-        human.append("reason: %s" % cmp.certificate)
-    return _emit(args, "same-orbit",
-                 {"rep": args.rep, "poly": f, "alpha": a1, "alpha2": a2},
-                 result, {}, human)
+    cmp = same_orbit(representative_from_alpha(f, a1, args.rep),
+                     representative_from_alpha(f, a2, args.rep))
+    return ({"rep": args.rep, "poly": f, "alpha": a1, "alpha2": a2},
+            {"status": cmp.status, "witness": cmp.witness,
+             "reason": cmp.certificate}, {})
 
 
 def _cmd_descend(args):
@@ -378,29 +370,19 @@ def _cmd_descend(args):
     curve = HyperCurve(f, d)
     pt = _parse_point(args.point)
     alpha = descent_class(curve, pt)
-    in_ker = kernel_check(curve, pt)
-    result = {"alpha": alpha,
-              "alpha_coords": [str(c) for c in alpha.c],
-              "norm": alpha.norm()}
-    checks = {"in_kernel": in_ker}
-    human = ["class: %s" % _fmt(alpha), "norm: %s" % alpha.norm(),
-             "in kernel: %s" % in_ker]
-    return _emit(args, "descend",
-                 {"poly": f, "d": d,
-                  "point": "inf" if pt is INFINITY else list(pt)},
-                 result, checks, human)
+    return ({"poly": f, "d": d,
+             "point": "inf" if pt is INFINITY else list(pt)},
+            {"alpha": alpha, "alpha_coords": alpha.c, "norm": alpha.norm()},
+            {"in_kernel": kernel_check(curve, pt)})
 
 
 def _cmd_pencil_check(args):
     f = parse_poly(args.poly)
-    alg = EtaleAlgebra(f)
-    alpha = parse_alpha(args.alpha, alg)
+    alpha = parse_alpha(args.alpha, EtaleAlgebra(f))
     d = parse_fraction(args.d)
     c, ok = pencil_discriminant_check(f, alpha, d)
-    result = {"match": ok, "proportionality": c}
-    return _emit(args, "pencil-check",
-                 {"poly": f, "alpha": alpha, "d": d}, result, {},
-                 ["match: %s (constant %s)" % (ok, c)])
+    return ({"poly": f, "alpha": alpha, "d": d},
+            {"match": ok, "proportionality": c}, {})
 
 
 def _census_row_payload(row):
@@ -422,42 +404,25 @@ def _cmd_census(args):
         rep = finite_census(args.p, args.n, args.rep, polys=polys)
     except NotOperatorRep as e:
         raise UsageError("--poly selects operator classes: %s" % e)
-    result = {"p": rep.p, "n": rep.n, "rep": rep.rep, "mode": rep.mode,
-              "group_order": rep.group_order, "space_size": rep.space_size,
-              "rows": [_census_row_payload(r) for r in rep.rows]}
-    human = ["p = %d, n = %d, rep = %s, mode = %s" % (rep.p, rep.n,
-                                                      rep.rep, rep.mode),
-             "group order: %s, space size: %d" % (rep.group_order,
-                                                  rep.space_size)]
-    for r in rep.rows:
-        human.append("  key %s  separable=%s  operators=%s  sizes=%s"
-                     "  stabilizers=%s"
-                     % (r.key, r.separable, r.operator_count,
-                        tuple(r.orbit_sizes), tuple(r.stabilizer_orders)))
-    return _emit(args, "census",
-                 {"p": args.p, "n": args.n, "rep": args.rep,
-                  "polys": polys},
-                 result, {}, human)
+    return ({"p": args.p, "n": args.n, "rep": args.rep, "polys": polys},
+            {"p": rep.p, "n": rep.n, "rep": rep.rep, "mode": rep.mode,
+             "group_order": rep.group_order, "space_size": rep.space_size,
+             "rows": [_census_row_payload(r) for r in rep.rows]}, {})
 
 
 def _cmd_local_count(args):
     f = parse_poly(args.poly)
-    count = orbit_count_local(f, args.p, args.rep)
-    checks = {"factors_mod_p": count_factors_fp(f, args.p)}
-    return _emit(args, "local-count",
-                 {"rep": args.rep, "poly": f, "p": args.p},
-                 {"count": count}, checks,
-                 ["count: %d" % count])
+    return ({"rep": args.rep, "poly": f, "p": args.p},
+            {"count": orbit_count_local(f, args.p, args.rep)},
+            {"factors_mod_p": count_factors_fp(f, args.p)})
 
 
 def _cmd_real_count(args):
     f = parse_poly(args.poly)
     total, fibers = orbit_count_real(f, args.rep)
-    fib = {str(k): fibers[k] for k in sorted(fibers)}
-    return _emit(args, "real-count",
-                 {"rep": args.rep, "poly": f},
-                 {"count": total, "fibers": fib}, {},
-                 ["count: %d" % total, "fibers: %s" % fib])
+    return ({"rep": args.rep, "poly": f},
+            {"count": total,
+             "fibers": {str(k): fibers[k] for k in sorted(fibers)}}, {})
 
 
 def _cmd_lattice_verify(args):
@@ -471,17 +436,10 @@ def _cmd_lattice_verify(args):
         ideal = unit_ideal(alg)
     n = (f.degree - 1) // 2
     chk = verify_pair(IdealPair(ideal, alpha, args.rep), n)
-    result = {"valid": chk.valid, "reason": chk.reason,
-              "gram": chk.gram, "operator": chk.operator}
-    human = ["valid: %s" % chk.valid]
-    if chk.reason:
-        human.append("reason: %s" % chk.reason)
-    if chk.gram is not None:
-        human.append("gram: %s" % _fmt(chk.gram))
-        human.append("operator: %s" % _fmt(chk.operator))
-    return _emit(args, "lattice-verify",
-                 {"rep": args.rep, "poly": f, "alpha": alpha,
-                  "ideal": args.ideal}, result, {}, human)
+    return ({"rep": args.rep, "poly": f, "alpha": alpha,
+             "ideal": args.ideal},
+            {"valid": chk.valid, "reason": chk.reason,
+             "gram": chk.gram, "operator": chk.operator}, {})
 
 
 def _parse_form(text):
@@ -500,39 +458,26 @@ def _parse_form(text):
 def _cmd_bqf_reduce(args):
     F = _parse_form(args.form)
     out = bqf_reduce(F)
-    result = {"form": list(out.as_tuple()), "disc": out.disc,
-              "content": out.content}
-    checks = {"disc_preserved": out.disc == F.disc,
-              "content_preserved": out.content == F.content}
-    return _emit(args, "bqf-reduce", {"form": list(F.as_tuple())},
-                 result, checks,
-                 ["reduced: (%d, %d, %d)" % out.as_tuple(),
-                  "disc: %d, content: %d" % (out.disc, out.content)])
+    return ({"form": F.as_tuple()},
+            {"form": out.as_tuple(), "disc": out.disc,
+             "content": out.content},
+            {"disc_preserved": out.disc == F.disc,
+             "content_preserved": out.content == F.content})
 
 
 def _cmd_bqf_classgroup(args):
     g = bqf_class_group(args.d)
-    result = {"d": g.d, "h": g.h,
-              "forms": [list(F.as_tuple()) for F in g.forms],
-              "table": [list(row) for row in g.table]}
-    human = ["d = %d, h = %d" % (g.d, g.h)]
-    human += ["  %s" % (F.as_tuple(),) for F in g.forms]
-    return _emit(args, "bqf-classgroup", {"d": args.d}, result, {}, human)
+    return ({"d": args.d},
+            {"d": g.d, "h": g.h, "forms": [F.as_tuple() for F in g.forms],
+             "table": g.table}, {})
 
 
 def _cmd_bqf_census(args):
     rep = bqf_orbit_census(args.d, args.bound)
-    result = {"d": rep.d, "bound": rep.bound,
-              "orbit_count": rep.orbit_count,
-              "class_number": rep.class_number,
-              "agreement": rep.agreement,
-              "witnesses": [list(_render(w)) for w in rep.witnesses]}
-    human = ["orbits in box: %d, class number: %d, agreement: %s"
-             % (rep.orbit_count, rep.class_number, rep.agreement)]
-    for w in rep.witnesses:
-        human.append("  witness: %s" % (w,))
-    return _emit(args, "bqf-census", {"d": args.d, "bound": args.bound},
-                 result, {}, human)
+    return ({"d": args.d, "bound": args.bound},
+            {"d": rep.d, "bound": rep.bound, "orbit_count": rep.orbit_count,
+             "class_number": rep.class_number, "agreement": rep.agreement,
+             "witnesses": rep.witnesses}, {})
 
 
 def _cmd_stab_info(args):
@@ -548,25 +493,24 @@ def _cmd_stab_info(args):
         f = parse_poly(args.poly)
         info = stabilizer_info(f, args.rep)
         inputs = {"rep": args.rep, "poly": f}
-    result = {"kind": info.kind, "order": info.order,
-              "dimension": info.dimension, "detail": info.detail}
-    human = ["kind: %s" % info.kind]
-    if info.order is not None:
-        human.append("order: %s" % info.order)
-    if info.dimension is not None:
-        human.append("dimension: %s" % info.dimension)
-    for k, v in info.detail.items():
-        human.append("%s: %s" % (k, _fmt(v)))
-    return _emit(args, "stab-info", inputs, result, {}, human)
+    return (inputs, {"kind": info.kind, "order": info.order,
+                     "dimension": info.dimension, "detail": info.detail}, {})
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
 
 
-def _add_json(sp):
+@contextlib.contextmanager
+def _command(sub, name, func, summary, command=None):
+    """A subcommand parser running func, for its arguments to be added
+    in the with-block; --json comes last, and command (default: name)
+    is the name the JSON object reports."""
+    sp = sub.add_parser(name, help=summary)
+    yield sp
     sp.add_argument("--json", action="store_true",
                     help="print one JSON object instead of text")
+    sp.set_defaults(func=func, command=command or name)
 
 
 @functools.cache
@@ -581,117 +525,94 @@ def _parser():
                     " descent, censuses, and integral structures.")
     sub = p.add_subparsers(dest="cmd", required=True, metavar="command")
 
-    sp = sub.add_parser("construct",
-                        help="distinguished operator with a given charpoly")
-    sp.add_argument("--rep", choices=[SYM2, ADJOINT], required=True)
-    sp.add_argument("--poly", required=True,
-                    help="monic polynomial, e.g. \"x^3 - 2\" or [c0,...]")
-    _add_json(sp)
-    sp.set_defaults(func=_cmd_construct)
+    with _command(sub, "construct", _cmd_construct,
+                  "distinguished operator with a given charpoly") as sp:
+        sp.add_argument("--rep", choices=[SYM2, ADJOINT], required=True)
+        sp.add_argument("--poly", required=True,
+                        help="monic polynomial, e.g. \"x^3 - 2\" or"
+                             " [c0,...]")
 
-    sp = sub.add_parser("classify", help="orbit label of a vector")
-    sp.add_argument("--vector", required=True, help="comma separated")
-    _add_json(sp)
-    sp.set_defaults(func=_cmd_classify)
+    with _command(sub, "classify", _cmd_classify,
+                  "orbit label of a vector") as sp:
+        sp.add_argument("--vector", required=True, help="comma separated")
 
-    sp = sub.add_parser("kernel",
-                        help="does a unit class give a rational orbit")
-    sp.add_argument("--rep", choices=[SYM2, ADJOINT], default=SYM2)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--alpha", required=True,
-                    help="rational, poly in b, [coords], or crt:v1,...")
-    _add_json(sp)
-    sp.set_defaults(func=_cmd_kernel)
+    with _command(sub, "kernel", _cmd_kernel,
+                  "does a unit class give a rational orbit") as sp:
+        sp.add_argument("--rep", choices=[SYM2, ADJOINT], default=SYM2)
+        sp.add_argument("--poly", required=True)
+        sp.add_argument("--alpha", required=True,
+                        help="rational, poly in b, [coords], or crt:v1,...")
 
-    sp = sub.add_parser("same-orbit",
-                        help="compare the orbits of two unit classes")
-    sp.add_argument("--rep", choices=[SYM2, ADJOINT], default=SYM2)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--alpha2", default="1")
-    _add_json(sp)
-    sp.set_defaults(func=_cmd_same_orbit)
+    with _command(sub, "same-orbit", _cmd_same_orbit,
+                  "compare the orbits of two unit classes") as sp:
+        sp.add_argument("--rep", choices=[SYM2, ADJOINT], default=SYM2)
+        sp.add_argument("--poly", required=True)
+        sp.add_argument("--alpha", required=True)
+        sp.add_argument("--alpha2", default="1")
 
-    sp = sub.add_parser("descend",
-                        help="square class of a point on d y^2 = f(x)")
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--point", required=True, help="'x,y' or 'inf'")
-    sp.add_argument("--d", default="1", help="twist (default 1)")
-    _add_json(sp)
-    sp.set_defaults(func=_cmd_descend)
+    with _command(sub, "descend", _cmd_descend,
+                  "square class of a point on d y^2 = f(x)") as sp:
+        sp.add_argument("--poly", required=True)
+        sp.add_argument("--point", required=True, help="'x,y' or 'inf'")
+        sp.add_argument("--d", default="1", help="twist (default 1)")
 
-    sp = sub.add_parser("pencil-check",
-                        help="pencil discriminant proportionality test")
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--d", default="1")
-    _add_json(sp)
-    sp.set_defaults(func=_cmd_pencil_check)
+    with _command(sub, "pencil-check", _cmd_pencil_check,
+                  "pencil discriminant proportionality test") as sp:
+        sp.add_argument("--poly", required=True)
+        sp.add_argument("--alpha", required=True)
+        sp.add_argument("--d", default="1")
 
-    sp = sub.add_parser("census",
-                        help="orbit census over a small prime field")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--rep", choices=[STANDARD, SYM2, ADJOINT],
-                    required=True)
-    sp.add_argument("--poly", action="append",
-                    help="restrict to this charpoly (repeatable)")
-    _add_json(sp)
-    sp.set_defaults(func=_cmd_census)
+    with _command(sub, "census", _cmd_census,
+                  "orbit census over a small prime field") as sp:
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--n", type=int, default=1)
+        sp.add_argument("--rep", choices=[STANDARD, SYM2, ADJOINT],
+                        required=True)
+        sp.add_argument("--poly", action="append",
+                        help="restrict to this charpoly (repeatable)")
 
-    sp = sub.add_parser("local-count",
-                        help="orbit count over the p-adics at a good prime")
-    sp.add_argument("--rep", choices=[SYM2, ADJOINT], required=True)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--p", type=int, required=True)
-    _add_json(sp)
-    sp.set_defaults(func=_cmd_local_count)
+    with _command(sub, "local-count", _cmd_local_count,
+                  "orbit count over the p-adics at a good prime") as sp:
+        sp.add_argument("--rep", choices=[SYM2, ADJOINT], required=True)
+        sp.add_argument("--poly", required=True)
+        sp.add_argument("--p", type=int, required=True)
 
-    sp = sub.add_parser("real-count",
-                        help="orbit count over the reals with fiber table")
-    sp.add_argument("--rep", choices=[SYM2, ADJOINT], required=True)
-    sp.add_argument("--poly", required=True)
-    _add_json(sp)
-    sp.set_defaults(func=_cmd_real_count)
+    with _command(sub, "real-count", _cmd_real_count,
+                  "orbit count over the reals with fiber table") as sp:
+        sp.add_argument("--rep", choices=[SYM2, ADJOINT], required=True)
+        sp.add_argument("--poly", required=True)
 
-    sp = sub.add_parser("lattice-verify",
-                        help="check an (ideal, alpha) pair for integrality")
-    sp.add_argument("--rep", choices=[SYM2, ADJOINT], required=True)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--ideal", default=None,
-                    help="semicolon separated generators (default: 1)")
-    _add_json(sp)
-    sp.set_defaults(func=_cmd_lattice_verify)
+    with _command(sub, "lattice-verify", _cmd_lattice_verify,
+                  "check an (ideal, alpha) pair for integrality") as sp:
+        sp.add_argument("--rep", choices=[SYM2, ADJOINT], required=True)
+        sp.add_argument("--poly", required=True)
+        sp.add_argument("--alpha", required=True)
+        sp.add_argument("--ideal", default=None,
+                        help="semicolon separated generators (default: 1)")
 
     sp = sub.add_parser("bqf", help="binary quadratic form tools")
     bsub = sp.add_subparsers(dest="bqfcmd", required=True,
                              metavar="subcommand")
-    bp = bsub.add_parser("reduce", help="canonical reduced form")
-    bp.add_argument("--form", required=True, help="a,b,c")
-    _add_json(bp)
-    bp.set_defaults(func=_cmd_bqf_reduce)
-    bp = bsub.add_parser("classgroup",
-                         help="reduced forms and composition table")
-    bp.add_argument("--d", type=int, required=True)
-    _add_json(bp)
-    bp.set_defaults(func=_cmd_bqf_classgroup)
-    bp = bsub.add_parser("census",
-                         help="component count of the generator graph")
-    bp.add_argument("--d", type=int, required=True)
-    bp.add_argument("--bound", type=int, default=50)
-    _add_json(bp)
-    bp.set_defaults(func=_cmd_bqf_census)
+    with _command(bsub, "reduce", _cmd_bqf_reduce, "canonical reduced form",
+                  "bqf-reduce") as bp:
+        bp.add_argument("--form", required=True, help="a,b,c")
+    with _command(bsub, "classgroup", _cmd_bqf_classgroup,
+                  "reduced forms and composition table",
+                  "bqf-classgroup") as bp:
+        bp.add_argument("--d", type=int, required=True)
+    with _command(bsub, "census", _cmd_bqf_census,
+                  "component count of the generator graph",
+                  "bqf-census") as bp:
+        bp.add_argument("--d", type=int, required=True)
+        bp.add_argument("--bound", type=int, default=50)
 
-    sp = sub.add_parser("stab-info",
-                        help="structure of an orbit stabilizer")
-    sp.add_argument("--rep", choices=[STANDARD, SYM2, ADJOINT],
-                    required=True)
-    sp.add_argument("--poly", default=None)
-    sp.add_argument("--label", default=None)
-    sp.add_argument("--n", type=int, default=None)
-    _add_json(sp)
-    sp.set_defaults(func=_cmd_stab_info)
+    with _command(sub, "stab-info", _cmd_stab_info,
+                  "structure of an orbit stabilizer") as sp:
+        sp.add_argument("--rep", choices=[STANDARD, SYM2, ADJOINT],
+                        required=True)
+        sp.add_argument("--poly", default=None)
+        sp.add_argument("--label", default=None)
+        sp.add_argument("--n", type=int, default=None)
 
     return p
 
@@ -703,7 +624,7 @@ def run(argv=None):
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        return _emit(args, *args.func(args))
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 2

@@ -690,16 +690,16 @@ def solve_tau_norm(skew, pi):
     to sign, and testing squareness of pi_K + y*c^2. The sign adds
     nothing: a + beta c and a - beta c have the same r tau(r), and the c
     kept comes first in the box, so the first solution found is the one
-    the whole box gives. Each candidate is first sieved at the degree-one
-    places of K above a few small primes (_degree_one_places): a nonzero
-    non-residue there means pi_K + y*c^2 is not a square, so is_square
-    would answer "false", and the candidate is skipped before its norm is
-    computed. Skipping only candidates that can never be solved keeps
-    every verdict, witness and certificate of the unsieved box. A
-    surviving candidate stays an integer list, and its norm is one
-    integer resultant against g cleared (_tau_candidates); an element of
-    K is built, and is_square called, only when that norm is a nonzero
-    rational square. Sound obstructions: pi(0) not a rational
+    the whole box gives. If deg K > 1, each candidate is first sieved at
+    the degree-one places of K above a few small primes
+    (_degree_one_places): a nonzero non-residue there means pi_K + y*c^2
+    is not a square, so is_square would answer "false", and the candidate
+    is skipped before its norm is computed. Skipping only candidates that
+    can never be solved keeps every verdict, witness and certificate of
+    the unsieved box. A surviving candidate stays an integer list, and
+    its norm is one integer resultant against g cleared
+    (_tau_candidates); an element of K is built, and is_square called,
+    only when that norm is a nonzero rational square. Sound obstructions: pi(0) not a rational
     square, or pi_K negative at a real root y0 < 0 of g (there E is
     locally C and norms are positive), counted by Tarski queries.
 
@@ -735,7 +735,9 @@ def solve_tau_norm(skew, pi):
         )
     rk = Fraction(math.isqrt(pk.numerator), math.isqrt(pk.denominator))
     tt = piK.den ** 2
-    places = _degree_one_places(skew.K)
+    # at deg K = 1 there is no sieve: a non-residue of piK + y c^2 at a
+    # place is one of N = t^2 (piK + y c^2), which the N filter rejects
+    places = _degree_one_places(skew.K) if skew.K.deg > 1 else ()
     for c, r, N in _tau_candidates(skew.K, piK, places):
         # is_square answers "false" unless N(piK + y c^2) is a nonzero
         # square

@@ -277,10 +277,12 @@ def invariants(space):
     minus = set()
     prod = 1
     for v in places:
-        h = 1
-        for i in range(len(dvals)):
-            for j in range(i + 1, len(dvals)):
-                h *= hilbert_symbol(dvals[i], dvals[j], v)
+        # the product over i < j of (d_i, d_j)_v, grouped by bimultiplicativity
+        # as the product over j of (d_1 ... d_(j-1), d_j)_v
+        h, head = 1, dvals[0]
+        for d in dvals[1:]:
+            h *= hilbert_symbol(head, d, v)
+            head *= d
         if h == -1:
             minus.add(v)
             prod = -prod

@@ -34,6 +34,37 @@ def test_factorize_semiprime():
     assert arith.factorize(p * q) == {p: 1, q: 1}
 
 
+def _factorize_by_trial_division(n):
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_matches_trial_division():
+    # trial division stops at 2^12; larger factors, prime powers among
+    # them, come from the primality test, the square test and rho
+    import random
+    rng = random.Random(2112)
+    mid = (4099, 4111, 65537, 524287, 999979, 999983)  # primes
+    corpus = [rng.randrange(2, 10 ** 12) for _ in range(60)]
+    corpus += [rng.randrange(2, 10 ** 6) for _ in range(60)]
+    corpus += [p * q for p in mid for q in mid]
+    corpus += [4099 ** 3, 9973 ** 3, 4099 ** 2 * 4111, 8 * 4111 ** 3,
+               3 ** 5 * 999983]
+    for n in corpus:
+        assert n < 10 ** 12
+        got = arith.factorize(n)
+        assert got == _factorize_by_trial_division(n), n
+        assert list(got) == sorted(got)
+
+
 def test_factorize_zero():
     with pytest.raises(ZeroInput):
         arith.factorize(0)

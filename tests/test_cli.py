@@ -239,8 +239,13 @@ def test_construct_json(capsys):
 
 def test_construct_human(capsys):
     assert run(["construct", "--rep", "adjoint", "--poly", "x^3 - x"]) == 0
-    out = capsys.readouterr().out
-    assert "dim = 3" in out and "operator rows:" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert "dim: 3" in lines
+    at = lines.index("operator:")
+    rows = lines[at + 1:at + 4]
+    assert all(row.startswith("  [") for row in rows)
+    assert len(json.loads(rows[0])) == 3
+    assert not lines[at + 4].startswith(" ")
 
 
 def test_classify_labels(capsys):
@@ -571,6 +576,38 @@ def test_readme_examples_run(capsys):
         assert capsys.readouterr().out
         assert run(argv + ["--json"]) == 0, argv
         assert json.loads(capsys.readouterr().out)["schema"] == "1"
+
+
+def _text_fields(text):
+    """(key, value) per top-level line of the text view: a row block
+    "key:" gives the list of its indented JSON rows, any other line its
+    string as printed."""
+    fields = []
+    for line in text.splitlines():
+        if line.startswith("  "):
+            fields[-1][1].append(json.loads(line))
+        elif line.endswith(":"):
+            fields.append((line[:-1], []))
+        else:
+            key, value = line.split(": ", 1)
+            fields.append((key, value))
+    return fields
+
+
+def test_text_view_prints_the_json_fields(capsys):
+    # one top-level line per key of result, then of checks, in the JSON
+    # order, with the value the JSON holds: a string as it is, anything
+    # else as JSON
+    for argv in _readme_commands():
+        obj = run_json(capsys, argv)
+        assert run(argv) == 0, argv
+        fields = _text_fields(capsys.readouterr().out)
+        want = [*obj["result"].items(), *obj["checks"].items()]
+        assert [k for k, _ in fields] == [k for k, _ in want], argv
+        for (key, got), (_, value) in zip(fields, want):
+            if isinstance(got, str) and not isinstance(value, str):
+                got = json.loads(got)
+            assert got == value, (argv, key)
 
 
 def test_readme_json_matches_the_golden_file(capsys):

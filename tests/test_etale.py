@@ -1170,6 +1170,29 @@ def test_tau_sieve_computes_few_resultants(monkeypatch):
     assert len(calls) <= 10
 
 
+def test_tau_sieve_is_skipped_at_degree_one(monkeypatch):
+    # at n = 1, K = Q and a candidate's norm N is the candidate itself, so
+    # a non-residue at a sieve place means a non-square N, which the N
+    # filter rejects anyway: no places are sought there, and at n = 3 once
+    calls = []
+    places = etale._degree_one_places
+
+    def counted(K):
+        calls.append(K.deg)
+        return places(K)
+
+    monkeypatch.setattr(etale, "_degree_one_places", counted)
+    sk = skew_data(LP)
+    statuses = [etale.solve_tau_norm(
+        sk, etale.embed_pair(sk, sk.K.const(k), c_k=1)).status
+        for k in (2, 3, 5, 6)]
+    assert statuses == ["solved", "unknown", "solved", "unknown"]
+    assert calls == []
+    L = EtaleAlgebra(Poly([0, -8, 0, -8, 0, 2, 0, 1]))
+    etale.solve_tau_norm(skew_data(L), L.element([1, 0, -4, 0, -7, 0, -4]))
+    assert calls == [3]
+
+
 def test_complex_place_obstruction_matches_root_signs(monkeypatch):
     # the obstruction is counted by Tarski queries: it fires exactly when
     # pi_K is negative at a negative root of g, names the first such root,

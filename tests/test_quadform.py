@@ -119,6 +119,34 @@ def test_invariants_examples():
     assert inv.signature == (2, 1)
 
 
+def test_hasse_symbol_by_prefix_products():
+    # prod_{i<j} (d_i, d_j)_v = prod_{j>=2} (d_1 ... d_(j-1), d_j)_v, at
+    # infinity, at 2 and at every prime of the entries; invariants takes
+    # the right-hand side, and must agree with the pairwise definition
+    import random
+    from orbitforge.arith import factorize
+    rng = random.Random(2113)
+    for _ in range(120):
+        dvals = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 400),
+                          rng.randint(1, 60))
+                 for _ in range(rng.randint(3, 7))]
+        primes = {2}
+        for d in dvals:
+            primes |= set(factorize(d.numerator * d.denominator))
+        minus = set()
+        for v in [INF] + sorted(primes):
+            pairwise = math.prod(qf.hilbert_symbol(a, b, v)
+                                 for i, a in enumerate(dvals)
+                                 for b in dvals[i + 1:])
+            prefix = math.prod(qf.hilbert_symbol(math.prod(dvals[:j]),
+                                                 dvals[j], v)
+                               for j in range(1, len(dvals)))
+            assert prefix == pairwise
+            if pairwise == -1:
+                minus.add(v)
+        assert qf.invariants(D(*dvals)).hasse_minus == minus
+
+
 def test_is_isometric_examples():
     assert qf.is_isometric(D(1, -2), D(2, -1))
     assert not qf.is_isometric(D(1, 1), D(1, -1))
