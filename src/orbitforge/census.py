@@ -178,15 +178,15 @@ def _charpolys(T, p):
     return [c % p for c in _berkowitz(cols)]
 
 
-def _digits_array(count, width, p):
-    """(count, width) array: row i holds the base-p digits of i, most
+def _digits_array(width, p):
+    """(p^width, width) array: row i holds the base-p digits of i, most
     significant first, so consecutive leading digits give contiguous rows.
 
     Digits are held in the smallest unsigned type that holds p - 1 (uint8
     at every admitted p); a caller that does arithmetic on them widens
     its rows first."""
     grid = np.indices((p,) * width, dtype=np.min_scalar_type(p - 1))
-    return grid.reshape(width, -1).T[:count]
+    return grid.reshape(width, -1).T
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def _so3_elements(p):
     proper half.  Elements come in the order of (g1, g2) as base-p digit
     rows.
     """
-    vecs = _digits_array(p ** 3, 3, p).astype(np.int64)
+    vecs = _digits_array(3, p).astype(np.int64)
     qv = (2 * vecs[:, 0] * vecs[:, 2] + vecs[:, 1] ** 2) % p
     iso = vecs[(qv == 0) & np.any(vecs != 0, axis=1)]
     unit = vecs[qv == 1]
@@ -545,7 +545,7 @@ def _stab_order5(T, p):
     for _ in range(4):
         pows.append(pows[-1] @ T % p)
     P = np.stack(pows)
-    coeffs = _digits_array(p ** 5, 5, p)
+    coeffs = _digits_array(5, p)
     cands = np.tensordot(coeffs, P, axes=(1, 0)) % p
     E = np.matmul(np.matmul(cands.transpose(0, 2, 1), J), cands) % p
     good = cands[np.all(E == J, axis=(1, 2))]
@@ -645,7 +645,7 @@ def _full_census(p, n, rep, polys):
                 raise NotOddPolynomial("skew rows need odd quintics")
             wanted.append(sum(c * p ** i for i, c in enumerate(k[:-1])))
     width = len(_free_positions(d, rep))
-    digits = _digits_array(p ** width, width, p)
+    digits = _digits_array(width, p)
     hi, lo = _digit_tables(_actions(_so_generators(d, p), d, rep, p), p)
     if rep == STANDARD:
         x = digits.astype(np.int64)

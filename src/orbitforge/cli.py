@@ -27,8 +27,6 @@ from fractions import Fraction
 from math import floor
 
 from .bqf import BQForm, bqf_class_group, bqf_orbit_census, bqf_reduce
-from .census import (count_factors_fp, finite_census, orbit_count_local,
-                     orbit_count_real)
 from .descent import (INFINITY, HyperCurve, descent_class, kernel_check,
                       pencil_discriminant_check)
 from .errors import (BudgetExceeded, DomainError, NotOperatorRep, NotSplit,
@@ -397,6 +395,8 @@ def _census_row_payload(row):
 
 
 def _cmd_census(args):
+    # census imports numpy, so only the three commands that count load it
+    from .census import finite_census
     polys = None
     if args.poly:
         polys = [parse_poly(t) for t in args.poly]
@@ -411,6 +411,7 @@ def _cmd_census(args):
 
 
 def _cmd_local_count(args):
+    from .census import count_factors_fp, orbit_count_local
     f = parse_poly(args.poly)
     return ({"rep": args.rep, "poly": f, "p": args.p},
             {"count": orbit_count_local(f, args.p, args.rep)},
@@ -418,6 +419,7 @@ def _cmd_local_count(args):
 
 
 def _cmd_real_count(args):
+    from .census import orbit_count_real
     f = parse_poly(args.poly)
     total, fibers = orbit_count_real(f, args.rep)
     return ({"rep": args.rep, "poly": f},
@@ -434,12 +436,12 @@ def _cmd_lattice_verify(args):
         ideal = ideal_from_gens(alg, gens)
     else:
         ideal = unit_ideal(alg)
-    n = (f.degree - 1) // 2
-    chk = verify_pair(IdealPair(ideal, alpha, args.rep), n)
+    v = verify_pair(IdealPair(ideal, alpha, args.rep))
+    gram, operator = v.witness or (None, None)
     return ({"rep": args.rep, "poly": f, "alpha": alpha,
              "ideal": args.ideal},
-            {"valid": chk.valid, "reason": chk.reason,
-             "gram": chk.gram, "operator": chk.operator}, {})
+            {"valid": v.status == "true", "reason": v.certificate,
+             "gram": gram, "operator": operator}, {})
 
 
 def _parse_form(text):

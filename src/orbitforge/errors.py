@@ -182,8 +182,4 @@ class InvalidDiscriminant(DomainError):
 
 # CLI
 class ParseError(UsageError):
-    def __init__(self, message, position=None):
-        if position is not None:
-            message = "%s (at position %d)" % (message, position)
-        super().__init__(message)
-        self.position = position
+    pass

@@ -465,16 +465,16 @@ def is_square(a):
     A = [x * a.den % p for x in a.num]
     rng = rng_for("is_square:%s:%s:ts" % (a.alg.f.c, a.c))
     roots = [P.fpx_sqrt(A, h, p, rng) for h in first]
-    v = _lift_decision(a, a.den, a.alg.F, p, first, roots)
+    v = _lift_decision(a, p, first, roots)
     if v.status == "true":
         return v
     return _first_refutation(a, probes[1:]) or v
 
 
-def _lift_decision(a, t, fI, p, factors, roots):
+def _lift_decision(a, p, factors, roots):
     """Decide a, a square at the first probe p, by one p-adic lift from
-    p, where `roots` are the square roots of t^2 a (theta basis) in the
-    factors of f mod p.
+    p, where `roots` are the square roots of t^2 a (theta basis, t the
+    denominator of a) in the factors of f mod p.
 
     Integral model: with c the denominator of f, the monic integral
     F(x) = c^d f(x/c) (poly.integral_model) has the root theta' = c theta,
@@ -497,7 +497,7 @@ def _lift_decision(a, t, fI, p, factors, roots):
     F'(theta') passes the check w^2 == A. No branch passing certifies
     that a is not a square.
     """
-    alg, d = a.alg, a.alg.deg
+    alg, d, t = a.alg, a.alg.deg, a.den
     c = alg.cf
     M = alg if c == 1 else EtaleAlgebra(P.integral_model(alg.f))
     F = M.F
@@ -517,7 +517,7 @@ def _lift_decision(a, t, fI, p, factors, roots):
     dF = P._derivative(F)
     dF_inv = M.element(dF).inverse()
     # CRT basis: u_i = 1 mod h_i, 0 mod h_j (j != i), computed mod (p, f)
-    fbar = [x % p for x in fI]
+    fbar = [x % p for x in alg.F]
     crt_units = []
     for h in factors:
         rest = P.fp_divmod(fbar, h, p)[0]

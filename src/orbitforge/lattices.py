@@ -2,7 +2,8 @@
 
 The ambient integer lattice carries the anti-diagonal unimodular pairing of
 signature (n+1, n); the orthogonal complement of a vector is the integer
-kernel matrix.lattice_kernel takes from one Hermite form.  Fractional
+kernel matrix.lattice_kernel takes from one Hermite form, returned as the
+quadform.QuadSpace of its Gram with an even flag.  Fractional
 ideals of Z[x]/(f) are stored as integer column lattices in Hermite form
 over a scalar denominator: every ideal, whether from generators, a product
 or the involution, is the Hermite span of a list of elements, norms are
@@ -11,74 +12,41 @@ and multiplication by x on I is the integer matrix M_I^-1 C_f M_I.
 verify_pair takes the Gram of the form attached to a pair (I, alpha) as
 B^T P B, with P the twisted pairing of alpha^-1 on the power basis and B
 the ideal's basis, and checks it is an odd unimodular form of the right
-signature; success hands back the multiplication-by-beta matrix, which is
-the integral orbit representative.
+signature.  It answers with an etale.Verdict: "true" carries that Gram
+and the multiplication-by-beta matrix, which is the integral orbit
+representative, and "false" names the first failed condition.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import (Degenerate, DimensionMismatch, Inconsistent, NonIntegral,
+from .errors import (DimensionMismatch, Inconsistent, NonIntegral,
                      NotOddPolynomial, NotPrimitive, NotTauFixed, NullVector,
                      RingMismatch, ZeroDivisor)
-from .etale import EtaleElement, apply_tau, is_tau_fixed
+from .etale import EtaleElement, Verdict, apply_tau, is_tau_fixed
 from .matrix import Mat, hnf_columns, lattice_kernel, solve
 from .orbits import ADJOINT, SYM2, _check_tensor_rep, _pairing_gram
 from .poly import _clear
 from .quadform import QuadSpace, diagonalize, standard_gram
 
 
-class ZLattice:
-    """An integral symmetric bilinear lattice, described by its Gram matrix."""
+def complement_lattice(w):
+    """Orthogonal complement of a primitive non-null integer vector w in
+    the odd unimodular lattice of rank d = len(w) = 2n+1, as (QuadSpace,
+    even flag).
 
-    __slots__ = ("gram",)
-
-    def __init__(self, gram):
-        if not isinstance(gram, Mat):
-            gram = Mat(gram)
-        if not gram.is_square():
-            raise Degenerate("Gram matrix must be square")
-        if gram.transpose() != gram:
-            raise Degenerate("Gram matrix must be symmetric")
-        if gram.den != 1:
-            raise NonIntegral("Gram entries must be integers")
-        self.gram = gram
-
-    @property
-    def rank(self):
-        return self.gram.nrows
-
-    def det(self):
-        return self.gram.det()
-
-    def is_even(self):
-        """True when every vector has even self-pairing, i.e. the diagonal
-        of the Gram matrix is even."""
-        return all(self.gram[i, i] % 2 == 0 for i in range(self.rank))
-
-    def __eq__(self, other):
-        if isinstance(other, ZLattice):
-            return self.gram == other.gram
-        return NotImplemented
-
-    def __repr__(self):
-        return "ZLattice(%r)" % (self.gram,)
-
-
-def complement_lattice(w, n):
-    """Orthogonal complement of a primitive non-null integer vector in the
-    odd unimodular lattice of rank 2n+1, as (ZLattice, even flag).
-
-    The basis is the Hermite basis of the rank-2n kernel sublattice; the
-    complement's Gram determinant works out to (-1)^n q(w), which the
-    tests check through the index formula on Zw + complement.
+    The basis B is the Hermite basis of the rank-2n kernel sublattice and
+    the Gram is B^T J B, nondegenerate since its determinant works out to
+    (-1)^n q(w) (the tests check this through the index formula on
+    Zw + complement); the lattice is even when that Gram's diagonal is.
     """
-    d = 2 * n + 1
     wi, c = _clear(w)
     if c != 1:
         raise NonIntegral("need an integer vector")
-    if len(wi) != d:
-        raise DimensionMismatch("vector length %d in rank %d" % (len(wi), d))
+    d = len(wi)
+    if d < 3 or d % 2 == 0:
+        raise DimensionMismatch("vector length %d; need rank 2n+1, n >= 1"
+                                % d)
     g = gcd(*wi)
     if g != 1:
         raise NotPrimitive("vector has content %d" % g)
@@ -88,8 +56,8 @@ def complement_lattice(w, n):
     # the pairing with w is the row w reversed
     B = Mat.from_cols(lattice_kernel([wi[::-1]]))
     assert B.ncols == d - 1
-    lat = ZLattice(B.transpose() * standard_gram(n) * B)
-    return lat, lat.is_even()
+    gram = B.transpose() * standard_gram(d // 2) * B
+    return QuadSpace(gram), all(gram[i, i] % 2 == 0 for i in range(d - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -253,43 +221,25 @@ class IdealPair:
         self.rep = rep
 
 
-class PairCheck:
-    """Outcome of verify_pair.  Truthy iff valid; an invalid outcome
-    carries the first failed condition in `reason`; a valid one carries
-    the Gram matrix of the integral form and the multiplication-by-beta
-    operator matrix (the integral orbit representative)."""
+def verify_pair(P):
+    """Check whether (I, alpha) carries the odd unimodular integral form,
+    over an algebra of degree 2n+1.
 
-    __slots__ = ("valid", "reason", "gram", "operator")
-
-    def __init__(self, valid, reason=None, gram=None, operator=None):
-        self.valid = valid
-        self.reason = reason
-        self.gram = gram
-        self.operator = operator
-
-    def __bool__(self):
-        return self.valid
-
-    def __repr__(self):
-        if self.valid:
-            return "PairCheck(valid)"
-        return "PairCheck(invalid: %s)" % (self.reason,)
-
-
-def verify_pair(P, n):
-    """Check whether (I, alpha) carries the odd unimodular integral form.
-
-    Conditions, in check order: the norm identity (N(I)^2 = N(alpha), or
-    N(I) N(I^tau) = N(alpha) in the skew case), integrality of the Gram
-    matrix of the form on I's basis, determinant exactly (-1)^n,
-    signature (n+1, n), and the containment I*I (resp. I*I^tau) inside
-    (alpha).  The form's value on (x, y) is the top power-basis
+    Returns a Verdict: "true" with the witness (G, T), the Gram matrix of
+    the integral form on I's basis and the multiplication-by-beta
+    operator matrix (the integral orbit representative), or "false" with
+    the first failed condition as its certificate.  Conditions, in check
+    order: the norm identity (N(I)^2 = N(alpha), or N(I) N(I^tau) =
+    N(alpha) in the skew case), integrality of G, determinant exactly
+    (-1)^n, signature (n+1, n), and the containment I*I (resp. I*I^tau)
+    inside (alpha).  The form's value on (x, y) is the top power-basis
     coefficient of x y / alpha, with an extra (-1)^n and an involution on
     y in the skew case."""
     alg = P.ideal.alg
     deg = alg.deg
-    if deg != 2 * n + 1:
-        raise DimensionMismatch("algebra degree %d but n = %d" % (deg, n))
+    if deg % 2 == 0:
+        raise DimensionMismatch("algebra degree %d is even; need 2n+1" % deg)
+    n = deg // 2
     sign = (-1) ** n
     I = P.ideal
     n_alpha = P.alpha.norm()
@@ -301,21 +251,24 @@ def verify_pair(P, n):
         partner = tau_ideal(I)
         norm_lhs = n_ideal * ideal_norm(partner)
     if norm_lhs != n_alpha:
-        return PairCheck(False, "norm: N-condition gives %s, N(alpha) = %s"
-                         % (norm_lhs, n_alpha))
+        return Verdict("false", certificate="norm: N-condition gives %s, "
+                       "N(alpha) = %s" % (norm_lhs, n_alpha))
     B = I.mat * Fraction(1, I.den)
-    G = B.transpose() * _pairing_gram(alg, P.alpha.inverse(), P.rep) * B
+    G = B.transpose() * _pairing_gram(P.alpha.inverse(), P.rep) * B
     if G.den != 1:
-        return PairCheck(False, "integrality: form takes non-integral values")
+        return Verdict("false", certificate="integrality: form takes "
+                       "non-integral values")
     if G.det() != sign:
-        return PairCheck(False, "determinant: %s, need %d" % (G.det(), sign))
+        return Verdict("false", certificate="determinant: %s, need %d"
+                       % (G.det(), sign))
     dvals, _ = diagonalize(QuadSpace(G))
     pos = sum(1 for v in dvals if v > 0)
     if (pos, deg - pos) != (n + 1, n):
-        return PairCheck(False, "signature: (%d, %d), need (%d, %d)"
-                         % (pos, deg - pos, n + 1, n))
+        return Verdict("false", certificate="signature: (%d, %d), need "
+                       "(%d, %d)" % (pos, deg - pos, n + 1, n))
     if not principal_ideal(alg, P.alpha).contains(ideal_mul(I, partner)):
-        return PairCheck(False, "containment: I * partner escapes (alpha)")
+        return Verdict("false", certificate="containment: I * partner "
+                       "escapes (alpha)")
     T = _x_matrix(I)
     assert T.den == 1
     assert T.charpoly() == alg.f
@@ -324,7 +277,7 @@ def verify_pair(P, n):
         assert GT.transpose() == GT
     else:
         assert GT.transpose() == -GT
-    return PairCheck(True, None, G, T)
+    return Verdict("true", witness=(G, T))
 
 
 def pair_equivalence_check(P, Q, c):

@@ -80,12 +80,14 @@ def _validate_charpoly(f, rep):
                 "skew operators need f(-x) = -f(x); got %s" % f.pretty())
 
 
-def _pairing_gram(alg, alpha, rep):
-    """Gram of <lambda, mu>_alpha on the power basis 1, beta, ..., beta^2n.
+def _pairing_gram(alpha, rep):
+    """Gram of <lambda, mu>_alpha on the power basis 1, beta, ..., beta^2n
+    of alpha's algebra.
 
     Sym2 entry (i,j) is the top coefficient of alpha*beta^(i+j); the skew
     pairing multiplies by (-1)^n (-1)^j since tau(beta^j) = (-beta)^j.
     """
+    alg = alpha.alg
     d = alg.deg
     n = (d - 1) // 2
     # f = x^d + low / cf and alpha = cur / ca; step k keeps cur over
@@ -168,7 +170,7 @@ def construct_representative(f, rep):
     d = f.degree
     n = (d - 1) // 2
     alg = EtaleAlgebra(f)
-    base = QuadSpace(_pairing_gram(alg, alg.one(), rep))
+    base = QuadSpace(_pairing_gram(alg.one(), rep))
     m_cols = []
     for i in range(n):
         col = [Fraction(0)] * d
@@ -206,7 +208,7 @@ def gram_alpha(f, alpha, rep):
     if not is_rational_square(alpha.norm()):
         raise NormNotSquare("N(alpha) = %s is not a rational square"
                             % alpha.norm())
-    return QuadSpace(_pairing_gram(alg, alpha, rep))
+    return QuadSpace(_pairing_gram(alpha, rep))
 
 
 def in_kernel_gamma(f, alpha, rep):
@@ -270,7 +272,7 @@ def recover_alpha(orep):
     if not is_separable(f):
         raise NonSeparable("charpoly %s is not separable" % f.pretty())
     alg = EtaleAlgebra(f)
-    base_gram = _pairing_gram(alg, alg.one(), SYM2)
+    base_gram = _pairing_gram(alg.one(), SYM2)
     first = None
     tested = 0
     for w in _cyclic_candidates(orep.space.dim, "cyclic:%s" % (f.c,)):
@@ -281,7 +283,7 @@ def recover_alpha(orep):
         if not alpha.is_unit():
             raise NoCyclicVector("pulled-back pairing degenerate at a cyclic"
                                  " vector; charpoly %s" % f.pretty())
-        twisted = _pairing_gram(alg, alpha, orep.rep)
+        twisted = _pairing_gram(alpha, orep.rep)
         assert pulled == twisted, "pulled-back form disagrees with pairing"
         if orep.rep == SYM2:
             return alpha

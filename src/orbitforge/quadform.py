@@ -138,22 +138,12 @@ def _diagonalize(G, gd):
             if piv is not None:
                 col_swap(k, piv)
             else:
-                # all remaining diagonal entries vanish; use an off-diagonal
-                pair = next(
-                    (
-                        (i, j)
-                        for i in range(k, n)
-                        for j in range(i + 1, n)
-                        if g[i][j] != 0
-                    ),
-                    None,
-                )
-                if pair is None:
+                # all remaining diagonal entries vanish; the later block
+                # is nondegenerate, so row k has a nonzero entry in it
+                j = next((j for j in range(k + 1, n) if g[k][j] != 0), None)
+                if j is None:
                     raise Degenerate("form is degenerate")
-                i, j = pair
-                col_op(i, j)  # now g[i][i] = 2*g[i][j] != 0
-                if i != k:
-                    col_swap(k, i)
+                col_op(k, j)  # now g[k][k] = 2*g[k][j] != 0
         d = g[k][k]
         rest = [0] * (k + 1) + g[k][k + 1:]
         if not any(rest):
@@ -696,8 +686,11 @@ def _unimodular_isotropic(g):
     dimension <= 7 its shortest vector has P < 2 (Hermite constant) and
     g-value 0 or +-1. A norm s = +-1 vector b splits off; in the
     unimodular complement an isotropic vector, or one of norm -s, gives
-    the answer. Beyond dimension 7 the bound grows until such a vector
-    appears, as it does in every indefinite unimodular lattice.
+    the answer. From rank 9 on, a complement can be definite with no
+    vector of norm -s (E8 beside <-1>); the search then goes on to the
+    next unit. Beyond dimension 7 the bound grows until a usable vector
+    appears, as an isotropic one does in every indefinite unimodular
+    lattice.
 
     A vector with P < 1 is isotropic, so the reduced basis is tried
     first; past it, every Gram-Schmidt norm is at least 0.74^(m-1) and
@@ -718,17 +711,25 @@ def _unimodular_isotropic(g):
     for x in reduced[0]:
         if _qval(g, x) == 0:
             return x
-    bound = 2
+    bound, tried = 2, set()
     while True:
         vecs = _short_vectors(reduced, bound)
         vals = [_qval(g, x) for x in vecs]
         if 0 in vals:
             return vecs[vals.index(0)]
-        units = [(x, val) for x, val in zip(vecs, vals) if abs(val) == 1]
-        if units:
-            break
+        for b, s in zip(vecs, vals):
+            if abs(s) == 1 and tuple(b) not in tried:
+                tried.add(tuple(b))
+                x = _split_off_unit(g, b, s)
+                if x is not None:
+                    return x
         bound *= 2
-    b, s = units[0]
+
+
+def _split_off_unit(g, b, s):
+    """An isotropic vector of the indefinite unimodular g from b with
+    g(b, b) = s = +-1, or None when b's complement is definite without a
+    vector of norm -s (from rank 9 on: -s E8 beside <s>)."""
     comp = lattice_kernel([[sum(map(mul, row, b)) for row in g]])
     gc = _congruent(g, comp)
     y = _unimodular_isotropic(gc)

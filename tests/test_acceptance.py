@@ -315,10 +315,10 @@ def test_criterion_11():
                 f = _random_separable_odd(rng, deg, height=9)
             alg = EtaleAlgebra(f)
             n = (deg - 1) // 2
-            chk = verify_pair(IdealPair(unit_ideal(alg), alg.one(),
-                                        rep_kind), n)
-            assert chk.valid, (rep_kind, f.pretty(), chk.reason)
-            G = chk.gram
+            chk = verify_pair(IdealPair(unit_ideal(alg), alg.one(), rep_kind))
+            assert chk.status == "true", (rep_kind, f.pretty(),
+                                          chk.certificate)
+            G, _ = chk.witness
             for a in range(deg):
                 for b in range(deg):
                     if a + b < deg - 1:
@@ -326,19 +326,20 @@ def test_criterion_11():
             assert G.det() == (-1) ** n
     # norm mismatch: N(beta) = 2 cannot be N(R)^2 = 1
     alg = EtaleAlgebra(Poly([-2, 0, 0, 1]))
-    chk = verify_pair(IdealPair(unit_ideal(alg), alg.beta(), SYM2), 1)
-    assert not chk.valid and chk.reason.startswith("norm")
+    chk = verify_pair(IdealPair(unit_ideal(alg), alg.beta(), SYM2))
+    assert chk.status == "false" and chk.certificate.startswith("norm")
     # non-integral Gram on the index-5 ideal (5, beta - 2)
     alg = EtaleAlgebra(Poly([-1, -1, 0, 1]))
     ideal = ideal_from_gens(alg, [alg.const(5), alg.beta() - alg.const(2)])
     alpha = alg.from_poly(Poly([-3, -2, 4]))
-    chk = verify_pair(IdealPair(ideal, alpha, SYM2), 1)
-    assert not chk.valid and chk.reason.startswith("integrality")
+    chk = verify_pair(IdealPair(ideal, alpha, SYM2))
+    assert (chk.status == "false"
+            and chk.certificate.startswith("integrality"))
     # wrong signature: unit with negated archimedean pattern
     alg = EtaleAlgebra(Poly([1, -3, 0, 1]))
     alpha = alg.const(2) - alg.beta() * alg.beta()
-    chk = verify_pair(IdealPair(unit_ideal(alg), alpha, SYM2), 1)
-    assert not chk.valid and chk.reason.startswith("signature")
+    chk = verify_pair(IdealPair(unit_ideal(alg), alpha, SYM2))
+    assert chk.status == "false" and chk.certificate.startswith("signature")
 
 
 @criterion(12, "class numbers and the reduction-graph census agree")
@@ -364,7 +365,7 @@ def test_criterion_13():
         q = b * b + 2 * a * c
         if q == 0:
             continue
-        _, even = complement_lattice((a, b, c), 1)
+        _, even = complement_lattice((a, b, c))
         parity = a % 2 == 0 and c % 2 == 0 and b % 2 == 1
         assert even == parity
         if even:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbitforge import arith
-from orbitforge.errors import Inconsistent, NotSquare, ZeroInput
+from orbitforge.errors import (FactorizationTimeout, Inconsistent, NotSquare,
+                               ZeroInput)
 
 
 def test_is_prime_small_table():
@@ -32,6 +33,25 @@ def test_factorize_known():
 def test_factorize_semiprime():
     p, q = 1000003, 1000033
     assert arith.factorize(p * q) == {p: 1, q: 1}
+
+
+def test_factorize_budget_counts_rho_steps(monkeypatch):
+    # two 40-bit primes: rho needs about 2^20 steps, far past 10^4
+    p, q = 2 ** 40 - 87, 2 ** 40 + 15
+    assert arith.is_prime(p) and arith.is_prime(q)
+    monkeypatch.setattr(arith, "FACTOR_RHO_BUDGET", 10 ** 4)
+    msgs = []
+    for _ in range(2):
+        with pytest.raises(FactorizationTimeout) as e:
+            arith.factorize(p * q)
+        msgs.append(str(e.value))
+    # a step count, not a clock: the same input stops at the same step
+    assert msgs[0] == msgs[1]
+    assert msgs[0] == ("factoring %d: 8190 of FACTOR_RHO_BUDGET = 10000 rho"
+                       " iterations spent, the next round needs 8192"
+                       % (p * q))
+    monkeypatch.undo()
+    assert arith.factorize(999983 * 1000003) == {999983: 1, 1000003: 1}
 
 
 def _factorize_by_trial_division(n):

@@ -623,7 +623,7 @@ def _probes_then_lift(a):
              for h in poly.fp_equal_degree(part, e, p)]
     rng = rng_for("is_square:%s:%s:ts" % (alg.f.c, a.c))
     roots = [poly.fpx_sqrt([x % p for x in A], h, p, rng) for h in first]
-    return etale._lift_decision(a, t, alg.F, p, first, roots)
+    return etale._lift_decision(a, p, first, roots)
 
 
 def _first_probe_passing_nonsquares():

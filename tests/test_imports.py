@@ -1,7 +1,11 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+only a census loads numpy."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import orbitforge
 
@@ -26,3 +30,19 @@ def test_no_unused_imports():
     assert len(paths) >= 10
     unused = [u for p in paths for u in _unused_imports(p)]
     assert unused == []
+
+
+def test_cli_leaves_numpy_out_until_a_census():
+    # a fresh interpreter: this process may have imported numpy already
+    code = "\n".join([
+        "import sys",
+        "from orbitforge import cli",
+        "assert 'numpy' not in sys.modules, 'import orbitforge.cli'",
+        "assert cli.run(['classify', '--vector', '1,0,1']) == 0",
+        "assert 'numpy' not in sys.modules, 'orbit classify'",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "label: 1\n"

@@ -6,16 +6,15 @@ from itertools import product
 import pytest
 
 from orbitforge.arith import rng_for
-from orbitforge.errors import (Degenerate, DimensionMismatch, Inconsistent,
+from orbitforge.errors import (DimensionMismatch, Inconsistent,
                                NonIntegral, NotOddPolynomial, NotPrimitive,
                                NotTauFixed, NullVector, RingMismatch,
                                ZeroDivisor)
 from orbitforge.etale import EtaleAlgebra, apply_tau
-from orbitforge.lattices import (FracIdeal, IdealPair, ZLattice,
-                                 complement_lattice, ideal_from_gens,
-                                 ideal_mul, ideal_norm, pair_equivalence_check,
-                                 principal_ideal, tau_ideal, unit_ideal,
-                                 verify_pair)
+from orbitforge.lattices import (FracIdeal, IdealPair, complement_lattice,
+                                 ideal_from_gens, ideal_mul, ideal_norm,
+                                 pair_equivalence_check, principal_ideal,
+                                 tau_ideal, unit_ideal, verify_pair)
 from orbitforge.matrix import Mat, hnf_columns, lattice_kernel
 from orbitforge.orbits import ADJOINT, SYM2
 from orbitforge.poly import Poly, is_separable
@@ -32,56 +31,39 @@ def frac_rows(rows):
 
 
 # ---------------------------------------------------------------------------
-# ZLattice
-
-
-def test_zlattice_validation():
-    with pytest.raises(Degenerate):
-        ZLattice([[1, 0, 0], [0, 1, 0]])
-    with pytest.raises(Degenerate):
-        ZLattice([[1, 2], [3, 4]])
-    with pytest.raises(NonIntegral):
-        ZLattice([[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
-    lat = ZLattice([[2, 1], [1, 4]])
-    assert lat.rank == 2
-    assert lat.det() == 7
-    assert lat.is_even() is True
-    assert not ZLattice([[1, 0], [0, 2]]).is_even()
-    assert lat == ZLattice([[2, 1], [1, 4]])
-
-
-# ---------------------------------------------------------------------------
 # orthogonal complements in the odd unimodular lattice
 
 
 def test_complement_even_example():
     # w = 2e + u + 2f: self-pairing b^2 + 2ac = 9, even complement, 9 = 1 mod 8
-    lat, even = complement_lattice((2, 1, 2), 1)
+    lat, even = complement_lattice((2, 1, 2))
     assert even is True
     assert lat.gram == frac_rows([[-2, -1], [-1, 4]])
-    assert lat.det() == -9
+    assert lat.gram.det() == -9
     q = 1 + 2 * 2 * 2
     assert q == 9 and q % 8 == 1
 
 
 def test_complement_odd_example():
-    lat, even = complement_lattice((1, 0, 1), 1)
+    lat, even = complement_lattice((1, 0, 1))
     assert even is False
     assert lat.gram == frac_rows([[-2, 0], [0, 1]])
-    assert lat.det() == -2
+    assert lat.gram.det() == -2
 
 
 def test_complement_input_errors():
     with pytest.raises(NullVector):
-        complement_lattice((1, 0, 0), 1)
+        complement_lattice((1, 0, 0))
     with pytest.raises(NotPrimitive):
-        complement_lattice((2, 0, 2), 1)
+        complement_lattice((2, 0, 2))
     with pytest.raises(NotPrimitive):
-        complement_lattice((0, 0, 0), 1)
+        complement_lattice((0, 0, 0))
     with pytest.raises(DimensionMismatch):
-        complement_lattice((1, 0, 0, 1), 1)
+        complement_lattice((1, 0, 0, 1))
+    with pytest.raises(DimensionMismatch):
+        complement_lattice((1,))
     with pytest.raises(NonIntegral):
-        complement_lattice((Fraction(1, 2), 0, 1), 1)
+        complement_lattice((Fraction(1, 2), 0, 1))
 
 
 def _index_in_ambient(w, basis):
@@ -104,11 +86,11 @@ def test_complement_rank3_box():
         q = b * b + 2 * a * c
         if q == 0:
             continue
-        lat, even = complement_lattice(w, 1)
+        lat, even = complement_lattice(w)
         basis = hnf_columns(lattice_kernel([[c, b, a]]))
         idx = _index_in_ambient(w, basis)
         assert idx == abs(q)
-        assert q * lat.det() == idx * idx * (-1)
+        assert q * lat.gram.det() == idx * idx * (-1)
         assert even == (a % 2 == 0 and c % 2 == 0 and b % 2 == 1)
         if even:
             assert q % 8 == 1
@@ -118,14 +100,14 @@ def test_complement_rank3_box():
 
 def test_complement_rank5_samples():
     for w, qval in (((1, 1, 1, 1, 1), 5), ((3, 1, 4, 1, 2), 30)):
-        lat, even = complement_lattice(w, 2)
-        assert lat.rank == 4
+        lat, even = complement_lattice(w)
+        assert lat.dim == 4
         assert even is False
-        assert lat.det() == qval
+        assert lat.gram.det() == qval
         basis = hnf_columns(lattice_kernel([list(w)[::-1]]))
         idx = _index_in_ambient(w, basis)
         assert idx == abs(qval)
-        assert qval * lat.det() == idx * idx
+        assert qval * lat.gram.det() == idx * idx
 
 
 # ---------------------------------------------------------------------------
@@ -252,22 +234,23 @@ def test_idealpair_validation():
 
 def test_verify_pair_selfadjoint_example():
     R = unit_ideal(CUBE2)
-    chk = verify_pair(IdealPair(R, CUBE2.one(), SYM2), 1)
-    assert chk
-    assert repr(chk) == "PairCheck(valid)"
-    assert chk.gram == frac_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-    assert chk.operator == Mat.companion(CUBE2.f)
-    assert chk.operator.charpoly() == CUBE2.f
+    chk = verify_pair(IdealPair(R, CUBE2.one(), SYM2))
+    assert chk.status == "true" and chk.certificate is None
+    gram, operator = chk.witness
+    assert gram == frac_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    assert operator == Mat.companion(CUBE2.f)
+    assert operator.charpoly() == CUBE2.f
 
 
 def test_verify_pair_skewadjoint_example():
     R = unit_ideal(ODD3)
-    chk = verify_pair(IdealPair(R, ODD3.one(), ADJOINT), 1)
-    assert chk
-    assert chk.gram == frac_rows([[0, 0, -1], [0, 1, 0], [-1, 0, -1]])
-    assert chk.gram.det() == -1
-    assert chk.operator.charpoly() == ODD3.f
-    gt = chk.gram * chk.operator
+    chk = verify_pair(IdealPair(R, ODD3.one(), ADJOINT))
+    assert chk.status == "true"
+    gram, operator = chk.witness
+    assert gram == frac_rows([[0, 0, -1], [0, 1, 0], [-1, 0, -1]])
+    assert gram.det() == -1
+    assert operator.charpoly() == ODD3.f
+    gt = gram * operator
     assert gt.transpose() == -gt
 
 
@@ -279,23 +262,25 @@ def test_trivial_pair_valid_across_degrees():
             (3, Poly([-1, -1, 0, 0, 0, 0, 0, 1]))]
     for n, f in sym2:
         A = EtaleAlgebra(f)
-        chk = verify_pair(IdealPair(unit_ideal(A), A.one(), SYM2), n)
-        assert chk, (f, chk.reason)
+        assert A.deg == 2 * n + 1
+        chk = verify_pair(IdealPair(unit_ideal(A), A.one(), SYM2))
+        assert chk.status == "true", (f, chk.certificate)
     adj = [(1, Poly([0, -1, 0, 1])), (1, Poly([0, -4, 0, 1])),
            (1, Poly([0, 2, 0, 1])), (2, Poly([0, -1, 0, 0, 0, 1])),
            (2, Poly([0, 2, 0, 3, 0, 1])), (2, Poly([0, -5, 0, 4, 0, 1]))]
     for n, f in adj:
         A = EtaleAlgebra(f)
-        chk = verify_pair(IdealPair(unit_ideal(A), A.one(), ADJOINT), n)
-        assert chk, (f, chk.reason)
+        assert A.deg == 2 * n + 1
+        chk = verify_pair(IdealPair(unit_ideal(A), A.one(), ADJOINT))
+        assert chk.status == "true", (f, chk.certificate)
 
 
 def test_verify_pair_norm_failure():
     R = unit_ideal(CUBE2)
-    chk = verify_pair(IdealPair(R, CUBE2.beta(), SYM2), 1)
-    assert not chk
-    assert chk.reason.startswith("norm")
-    assert chk.gram is None and chk.operator is None
+    chk = verify_pair(IdealPair(R, CUBE2.beta(), SYM2))
+    assert chk.status == "false"
+    assert chk.certificate.startswith("norm")
+    assert chk.witness is None
 
 
 def test_verify_pair_integrality_failure():
@@ -303,29 +288,30 @@ def test_verify_pair_integrality_failure():
                                  DISC23.beta() - DISC23.const(2)])
     alpha = DISC23.element([-3, -2, 4])
     assert alpha.norm() == 25
-    chk = verify_pair(IdealPair(I, alpha, SYM2), 1)
-    assert not chk
-    assert chk.reason.startswith("integrality")
+    chk = verify_pair(IdealPair(I, alpha, SYM2))
+    assert chk.status == "false"
+    assert chk.certificate.startswith("integrality")
 
 
 def test_verify_pair_signature_failure():
     # all three embeddings of 2 - beta^2 weighted by f' come out negative
     alpha = CYC9.const(2) - CYC9.beta() * CYC9.beta()
     assert alpha.norm() == 1
-    chk = verify_pair(IdealPair(unit_ideal(CYC9), alpha, SYM2), 1)
-    assert not chk
-    assert chk.reason.startswith("signature")
-    assert "(0, 3)" in chk.reason
+    chk = verify_pair(IdealPair(unit_ideal(CYC9), alpha, SYM2))
+    assert chk.status == "false"
+    assert chk.certificate.startswith("signature")
+    assert "(0, 3)" in chk.certificate
 
 
 def test_verify_pair_suborder_valid():
     I = FracIdeal(ODD4, [[4, 0, 0], [0, 2, 0], [0, 0, 1]], 4)
     alpha = ODD4.element([Fraction(1, 4), 0, 0])
-    chk = verify_pair(IdealPair(I, alpha, ADJOINT), 1)
-    assert chk
-    assert chk.gram == frac_rows([[0, 0, -1], [0, 1, 0], [-1, 0, -1]])
-    assert chk.operator == frac_rows([[0, 0, 0], [2, 0, 2], [0, 2, 0]])
-    assert chk.operator.charpoly() == ODD4.f
+    chk = verify_pair(IdealPair(I, alpha, ADJOINT))
+    assert chk.status == "true"
+    gram, operator = chk.witness
+    assert gram == frac_rows([[0, 0, -1], [0, 1, 0], [-1, 0, -1]])
+    assert operator == frac_rows([[0, 0, 0], [2, 0, 2], [0, 2, 0]])
+    assert operator.charpoly() == ODD4.f
 
 
 def _element_product_gram(P, n):
@@ -359,16 +345,18 @@ def test_pair_gram_is_the_element_product_gram():
                 alpha = u * u if rep == SYM2 else u * apply_tau(u)
                 P = IdealPair(principal_ideal(A, u), alpha, rep)
                 n = (deg - 1) // 2
-                chk = verify_pair(P, n)
-                assert chk, chk.reason
-                assert chk.gram == _element_product_gram(P, n)
+                chk = verify_pair(P)
+                assert chk.status == "true", chk.certificate
+                assert chk.witness[0] == _element_product_gram(P, n)
                 hits += 1
 
 
 def test_verify_pair_degree_mismatch():
-    R = unit_ideal(CUBE2)
-    with pytest.raises(DimensionMismatch):
-        verify_pair(IdealPair(R, CUBE2.one(), SYM2), 2)
+    # an even degree is no 2n + 1
+    for f in (Poly([-2, 0, 1]), Poly([-2, 0, 0, 0, 1])):
+        A = EtaleAlgebra(f)
+        with pytest.raises(DimensionMismatch):
+            verify_pair(IdealPair(unit_ideal(A), A.one(), SYM2))
 
 
 # ---------------------------------------------------------------------------
@@ -425,15 +413,15 @@ def test_pair_equivalence_errors():
 def test_scaling_preserves_validity():
     rng = rng_for("lattice-scaling")
     R = unit_ideal(CUBE2)
-    base = verify_pair(IdealPair(R, CUBE2.one(), SYM2), 1)
-    assert base
+    base = verify_pair(IdealPair(R, CUBE2.one(), SYM2))
+    assert base.status == "true"
     hits = 0
     while hits < 4:
         c = CUBE2.element([rng.randrange(-5, 6) for _ in range(3)])
         if not c or c.norm() == 0:
             continue
         Q = IdealPair(principal_ideal(CUBE2, c), c * c, SYM2)
-        chk = verify_pair(Q, 1)
-        assert chk, chk.reason
+        chk = verify_pair(Q)
+        assert chk.status == "true", chk.certificate
         assert pair_equivalence_check(IdealPair(R, CUBE2.one(), SYM2), Q, c)
         hits += 1

@@ -12,7 +12,8 @@ from orbitforge.errors import (DimensionMismatch, NonSeparable, NonUnit,
                                NormNotSquare, NotOddPolynomial, NotSplit,
                                NotTauFixed, RingMismatch, WrongDegree,
                                WrongDimension, ZeroDiscriminant)
-from orbitforge.etale import EtaleAlgebra, embed_pair, is_square, skew_data
+from orbitforge.etale import (EtaleAlgebra, apply_tau, embed_pair, is_square,
+                             skew_data)
 from orbitforge.matrix import Mat
 from orbitforge.orbits import (ADJOINT, NULL_LABEL, STANDARD, SYM2, ZERO_LABEL,
                                OrbitRepresentative, adjoint_op, classify_vector,
@@ -281,6 +282,20 @@ def test_same_orbit_adjoint_real_certificate():
     assert "real root" in out.certificate
 
 
+def test_same_orbit_unknown_when_the_norm_search_runs_out():
+    # alpha = c tau(c) puts o2 in o1's orbit, but the tau-norm search box
+    # holds no witness for the recovered class: the answer is "unknown",
+    # an honest one, never "distinct"
+    f = Poly([0, 1, 0, -1, 0, 1])  # x^5 - x^3 + x
+    L = EtaleAlgebra(f)
+    c = L.element([2, -1, -5, 1, 3])
+    o1 = construct_representative(f, ADJOINT)
+    o2 = representative_from_alpha(f, c * apply_tau(c), ADJOINT)
+    out = same_orbit(o1, o2)
+    assert out.status == "unknown"
+    assert out.certificate == "norm equation search exhausted"
+
+
 def test_skew_data_builds_K_only(monkeypatch):
     # E's idempotent has a closed form in L, and stabilizer_info reads
     # the moduli of K and E off f without building any algebra
@@ -436,7 +451,7 @@ def _recover_alpha_deciding_each(orep):
     from orbitforge import orbits
     f = orep.f
     alg = EtaleAlgebra(f)
-    base_gram = orbits._pairing_gram(alg, alg.one(), SYM2)
+    base_gram = orbits._pairing_gram(alg.one(), SYM2)
     first, tested = None, 0
     for w in orbits._cyclic_candidates(orep.space.dim, "cyclic:%s" % (f.c,)):
         got = orbits._alpha_from_vector(orep, alg, base_gram, w)

@@ -282,6 +282,19 @@ def _majorant_reference(g):
                     for j in range(m)] for i in range(m)]
 
 
+def _moved(rng, base):
+    """U^T base U as integer rows, U a product of 3m seeded integer
+    elementary matrices."""
+    m = base.nrows
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(3 * m):
+        i, j = rng.sample(range(m), 2)
+        c = rng.randint(-3, 3)
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    u = Mat(u)
+    return [list(r) for r in (u.transpose() * base * u).num]
+
+
 def test_majorant_matches_the_fraction_sums():
     # seeded unimodular Grams: a +-1 diagonal or a split form, moved by a
     # product of integer elementary matrices
@@ -293,13 +306,7 @@ def test_majorant_matches_the_fraction_sums():
         m = 2 * n + 1
         base = (qf.standard_gram(n) if rng.random() < 0.5 else
                 Mat.diag([rng.choice((1, -1)) for _ in range(m)]))
-        u = [[int(i == j) for j in range(m)] for i in range(m)]
-        for _ in range(3 * m):
-            i, j = rng.sample(range(m), 2)
-            c = rng.randint(-3, 3)
-            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
-        u = Mat(u)
-        g = [list(r) for r in (u.transpose() * base * u).num]
+        g = _moved(rng, base)
         dvals, maj = qf._majorant(g)
         want_d, want = _majorant_reference(g)
         assert dvals == want_d
@@ -312,6 +319,87 @@ def test_maximal_isotropic_subspace_needs_split():
     # isotropic (Witt index 1) but not split
     with pytest.raises(NotSplit):
         qf.maximal_isotropic_subspace(D(1, 1, 1, 1, -1))
+
+
+def _not_reached(*args):
+    raise AssertionError("this path should not run")
+
+
+def test_unimodular_isotropic_binary(monkeypatch):
+    # b^2 - ac = 1 factors an indefinite unimodular binary: no reduction
+    monkeypatch.setattr(qf, "_lll", _not_reached)
+    for g in ([[1, 0], [0, -1]], [[1, 2], [2, 3]], [[-3, 5], [5, -8]]):
+        x = qf._unimodular_isotropic(g)
+        assert any(x) and qf._qval(g, x) == 0
+
+
+def test_unimodular_isotropic_from_the_reduced_basis(monkeypatch):
+    # U^T diag(+-1) U for seeded unimodular U: a reduced basis vector
+    # with majorant below 1 is isotropic, and no enumeration runs
+    import random
+
+    monkeypatch.setattr(qf, "_short_vectors", _not_reached)
+    rng = random.Random(22)
+    hits = 0
+    for _ in range(40):
+        m = rng.randint(3, 7)
+        g = _moved(rng, Mat.diag([1, -1] + [rng.choice((1, -1))
+                                            for _ in range(m - 2)]))
+        if any(g[i][i] == 0 for i in range(m)):
+            continue  # a basis vector is isotropic: no reduction runs
+        try:
+            x = qf._unimodular_isotropic(g)
+        except AssertionError:
+            continue
+        assert any(x) and qf._qval(g, x) == 0
+        hits += 1
+    assert hits >= 20
+
+
+def test_unimodular_isotropic_splits_off_a_unit(monkeypatch):
+    # with the isotropic vectors at bound 2 withheld, a unit b splits off:
+    # its complement is indefinite (recursion) or definite (b + w)
+    real = qf._short_vectors
+    for entries in ((1, 1, -1), (1, -1, -1), (1, 1, 1, -1), (1, -1, -1, -1),
+                    (1, 1, -1, -1, -1)):
+        g = [[e if i == j else 0 for j, _ in enumerate(entries)]
+             for i, e in enumerate(entries)]
+
+        def withheld(reduced, bound, g=g):
+            vecs = real(reduced, bound)
+            if bound == 2 and len(reduced[0]) == len(g):
+                vecs = [x for x in vecs if qf._qval(g, x) != 0]
+            return vecs
+
+        monkeypatch.setattr(qf, "_short_vectors", withheld)
+        x = qf._unimodular_isotropic(g)
+        assert any(x) and qf._qval(g, x) == 0, entries
+
+
+def test_isotropic_vector_past_a_unit_with_an_e8_complement(monkeypatch):
+    # <-1> + E8 is odd, indefinite and unimodular; the unit e0 has the
+    # definite complement E8, which has no vector of norm 1
+    e8 = [[2 * (i == j) for j in range(8)] for i in range(8)]
+    for a, b in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)):
+        e8[a][b] = e8[b][a] = -1
+    g = [[-1] + [0] * 8] + [[0] + r for r in e8]
+    assert Mat(g).det() == -1
+    assert qf._split_off_unit(g, [1] + [0] * 8, -1) is None
+    split = []
+    real = qf._split_off_unit
+
+    def recorded(g, b, s):
+        split.append(tuple(b))
+        return real(g, b, s)
+
+    monkeypatch.setattr(qf, "_split_off_unit", recorded)
+    x = qf._unimodular_isotropic(g)
+    assert any(x) and qf._qval(g, x) == 0
+    # a unit that failed at one bound is not split again at the next
+    assert split[0] == (1,) + (0,) * 8 and len(set(split)) == len(split)
+    s = QuadSpace(g)
+    v = qf.find_isotropic_vector(s)
+    assert any(v) and s.q(v) == 0
 
 
 def test_solver_names_the_factoring_budget(monkeypatch):
