@@ -304,7 +304,7 @@ def bqf_orbit_census(d, bound):
     comps = {}
     for f in nodes:
         comps.setdefault(find(pos[f]), []).append(f)
-    group = bqf_class_group(d)
+    forms = reduced_forms(d)
     witnesses = []
     seen_reduced = set()
     for root, members in sorted(comps.items()):
@@ -313,12 +313,12 @@ def bqf_orbit_census(d, bound):
         seen_reduced.update(red)
         if len(red) != 1:
             witnesses.append(("component", min(members), tuple(sorted(red))))
-    for F in group.forms:
+    for F in forms:
         if max(F.as_tuple()) <= bound and abs(F.b) <= bound:
             continue
         witnesses.append(("outside-box", F.as_tuple(), ()))
-    for F in group.forms:
+    for F in forms:
         t = F.as_tuple()
         if max(t) <= bound and t not in seen_reduced:
             witnesses.append(("unreached", t, ()))
-    return FormCensus(d, bound, len(comps), group.h, witnesses)
+    return FormCensus(d, bound, len(comps), len(forms), witnesses)

@@ -33,13 +33,12 @@ from .errors import (BudgetExceeded, DomainError, NotOperatorRep, NotSplit,
                      ParseError, UsageError)
 from .etale import EtaleAlgebra, EtaleElement
 from .lattices import IdealPair, ideal_from_gens, unit_ideal, verify_pair
-from .matrix import Mat
+from .matrix import Mat, interpolate
 from .orbits import (ADJOINT, STANDARD, SYM2, adjoint_op, classify_vector,
                      construct_representative, in_kernel_gamma,
                      representative_from_alpha, same_orbit, standard_space,
                      stabilizer_info)
-from .poly import (Poly, _sign_at, integral_model, interpolate,
-                   isolate_real_roots)
+from .poly import Poly, _sign_at, integral_model, isolate_real_roots
 
 # the largest exponent parse_poly accepts: terms become dense coefficient
 # lists, and construct already takes 3 s at degree 81 and 36 s at 161

@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from .errors import (NotGenusOne, NotOnCurve, WeierstrassPoint, ZeroArgument)
 from .etale import EtaleAlgebra
-from .matrix import Mat
+from .matrix import Mat, interpolate
 from .orbits import SYM2, gram_alpha, in_kernel_gamma, _validate_charpoly
-from .poly import Poly, interpolate
+from .poly import Poly
 
 INFINITY = None
 

@@ -5,9 +5,10 @@ in lowest terms and reduced mod f; the Fraction coordinates are a view
 built on first use. The modulus is read as f's own integer numerators F
 over its denominator, so a product is an integer convolution and one
 integer pseudo-division by F, the norm of a is the integer resultant
-Res(f, a), a is a unit exactly when that norm is nonzero (f is
-separable), and inverses and traces go through the integer multiplication
-matrix. Every decision here is a Verdict, a status with its evidence.
+Res(f, a), computed once and kept by a, a is a unit exactly when that
+norm is nonzero (f is separable), and inverses and traces go through the
+integer multiplication matrix. Every decision here is a Verdict, a status
+with its evidence.
 Squareness in L* is decided: "true" carries an exactly verified witness,
 "false" a norm, real-embedding or mod-p certificate, or the bound
 certificate of one p-adic lift to a modulus computed from the input. The
@@ -32,7 +33,7 @@ read in L. A bounded solver for the twisted norm equation r * tau(r) =
 pi, used by orbit comparison, tries each c of its box once up to sign.
 It sieves the candidates by their residues at a few degree-one places
 of K, where a nonzero non-residue refutes a square, and filters the
-survivors by integer resultants.
+survivors by their norms, which is_square then reads from the element.
 """
 
 import itertools
@@ -135,9 +136,9 @@ class EtaleElement:
     """An element of L: integer numerators `num`, one per power of beta
     (reduced mod f), over one positive denominator `den`, in lowest terms.
     The pair is canonical, so equality and hashing compare it; `c` is the
-    Fraction view, built on first use."""
+    Fraction view and `norm()` the norm, each computed on first use."""
 
-    __slots__ = ("alg", "num", "den", "_c")
+    __slots__ = ("alg", "num", "den", "_c", "_norm")
 
     def __init__(self, alg, num, den):
         g = math.gcd(den, *num)
@@ -148,6 +149,7 @@ class EtaleElement:
         self.num = tuple(num)
         self.den = den
         self._c = None
+        self._norm = None
 
     @property
     def c(self):
@@ -259,7 +261,9 @@ class EtaleElement:
 
     def norm(self):
         """N(a) = Res(f, a), since f is monic."""
-        return P.resultant(self.alg.f, self.lift())
+        if self._norm is None:
+            self._norm = P.resultant(self.alg.f, self.lift())
+        return self._norm
 
     def trace(self):
         return self.mult_matrix().trace()
@@ -633,25 +637,21 @@ def _degree_one_places(K):
 
 
 def _tau_candidates(K, piK, places):
-    """(c, r, N) for the c in K with coefficients at most TAU_NORM_HEIGHT
+    """(c, r) for the c in K with coefficients at most TAU_NORM_HEIGHT
     in absolute value that no place of `places` refutes: c = 0 first,
     then by height, one of each pair +-c: the one whose first nonzero
     coefficient is negative, which is the one the lexicographic order of
-    the box reaches first. c and -c give the same y c^2, so the same r
-    and N.
+    the box reaches first. c and -c give the same y c^2, so the same r.
 
-    c is an integer tuple, r = t^2 (piK + y c^2) an integer list over t^2
-    (t = piK.den) and N = Res(G, r) / cg^deg(r) = t^(2n) N(piK + y c^2),
-    where G = cg g is g cleared to integers: a nonzero rational square
-    exactly when the norm of piK + y c^2 is. r = [] and N = 0 when
-    piK + y c^2 is zero.
+    c is an integer tuple and r = t^2 (piK + y c^2) an integer list over
+    t^2 (t = piK.den), [] when piK + y c^2 is zero.
 
     A place (q, y) refutes c when r(y) is a nonzero non-residue mod q, so
     that piK + y c^2 is not a square. r(y) is read as t^2 piK(y) + t^2 y
     c(y)^2 mod q for the c of one height at a time, before any r is
     built. A zero refutes nothing.
     """
-    G, cg, n = K.F, K.cf, K.deg
+    n = K.deg
     t = piK.den
     tA = [t * x for x in piK.num] + [0] * n  # t^2 piK; y c^2 has 2n terms
     tt = t * t
@@ -676,9 +676,7 @@ def _tau_candidates(K, piK, places):
                 r[k + 1] += tt * v
             while r and r[-1] == 0:
                 r.pop()
-            N = (Fraction(P._int_resultant(G, r), cg ** (len(r) - 1))
-                 if r else 0)
-            yield c, r, N
+            yield c, r
 
 
 def solve_tau_norm(skew, pi):
@@ -696,12 +694,12 @@ def solve_tau_norm(skew, pi):
     is not a square, so is_square would answer "false", and the candidate
     is skipped before its norm is computed. Skipping only candidates that
     can never be solved keeps every verdict, witness and certificate of
-    the unsieved box. A surviving candidate stays an integer list, and
-    its norm is one integer resultant against g cleared
-    (_tau_candidates); an element of K is built, and is_square called,
-    only when that norm is a nonzero rational square. Sound obstructions: pi(0) not a rational
-    square, or pi_K negative at a real root y0 < 0 of g (there E is
-    locally C and norms are positive), counted by Tarski queries.
+    the unsieved box. A surviving candidate becomes an element of K, and
+    is_square, which reads the norm the element keeps, is called only
+    when that norm is a nonzero rational square. Sound obstructions:
+    pi(0) not a rational square, or pi_K negative at a real root y0 < 0
+    of g (there E is locally C and norms are positive), counted by Tarski
+    queries.
 
     Returns a Verdict: "solved" with the witness r, "obstructed" with a
     certificate, or "unknown" when the box is exhausted.
@@ -736,14 +734,16 @@ def solve_tau_norm(skew, pi):
     rk = Fraction(math.isqrt(pk.numerator), math.isqrt(pk.denominator))
     tt = piK.den ** 2
     # at deg K = 1 there is no sieve: a non-residue of piK + y c^2 at a
-    # place is one of N = t^2 (piK + y c^2), which the N filter rejects
+    # place is one of its norm, piK + y c^2 itself, which the filter rejects
     places = _degree_one_places(skew.K) if skew.K.deg > 1 else ()
-    for c, r, N in _tau_candidates(skew.K, piK, places):
+    for c, r in _tau_candidates(skew.K, piK, places):
         # is_square answers "false" unless N(piK + y c^2) is a nonzero
         # square
+        a = skew.K._reduce(r, tt)
+        N = a.norm()
         if N == 0 or not is_rational_square(N):
             continue
-        dec = is_square(skew.K._reduce(r, tt))
+        dec = is_square(a)
         if dec.status == "true":
             # root = a(beta^2) + beta*c(beta^2) on E, sqrt(pk) on k
             aK = dec.witness

@@ -4,11 +4,12 @@ A Mat holds integer rows `num` over one positive denominator `den`,
 reduced so that gcd(den, every entry) = 1; that pair is canonical, so
 equality and hashing compare it directly. Every kernel runs on the
 integers: products and `apply` are integer dot products over the product
-of the denominators, `det` is Bareiss elimination, `solve`, `kernel` and
-`inv` share one fraction-free Gauss-Jordan that divides by each pivot
-once, at the end, and `charpoly` is Berkowitz's division-free algorithm
-(Cohen, GTM 138, ch. 2). `rows` is the read-only Fraction view, built on
-first use. Vectors are tuples of Fractions; inputs may hold ints.
+of the denominators, and one fraction-free Gauss-Jordan (`_rref`,
+Bareiss's elimination run to the reduced form) serves every linear
+system over Q: `det`, `inv`, `solve`, `kernel`, and `interpolate`, the
+solve of a Vandermonde system. `charpoly` is Berkowitz's division-free
+algorithm (Cohen, GTM 138, ch. 2). `rows` is the read-only Fraction view,
+built on first use. Vectors are tuples of Fractions; inputs may hold ints.
 
 Integer lattices are lists of integer columns: `hnf_columns` puts one in
 Hermite form, and `lattice_kernel` takes the integer kernel of a matrix
@@ -157,7 +158,9 @@ class Mat:
     def det(self):
         if not self.is_square():
             raise NotSquare("determinant of a non-square matrix")
-        return Fraction(_bareiss(self.num), self.den ** self.nrows)
+        n = self.nrows
+        pivots, sign, D = _rref([list(r) for r in self.num], n)
+        return Fraction(sign * D if len(pivots) == n else 0, self.den ** n)
 
     def inv(self):
         if not self.is_square():
@@ -165,12 +168,12 @@ class Mat:
         n = self.nrows
         a = [list(r) + [int(i == j) for j in range(n)]
              for i, r in enumerate(self.num)]
-        if len(_rref(a, n)) < n:
+        pivots, _, D = _rref(a, n)
+        if len(pivots) < n:
             raise Inconsistent("matrix is singular")
-        # (num / den)^-1 = den num^-1; row i of num^-1 is a[i][n:] / a[i][i]
-        den = lcm(*[a[i][i] for i in range(n)])
-        return Mat([[x * (den // a[i][i]) * self.den for x in a[i][n:]]
-                    for i in range(n)], den)
+        # a is now [D I | D num^-1], and (num / den)^-1 = den num^-1
+        s = self.den if D > 0 else -self.den
+        return Mat([[s * x for x in r[n:]] for r in a], abs(D))
 
     def charpoly(self):
         """Monic characteristic polynomial det(xI - M), exact.
@@ -187,31 +190,6 @@ class Mat:
 
     def __repr__(self):
         return "Mat(%r)" % ([[str(x) for x in r] for r in self.rows],)
-
-
-def _bareiss(rows):
-    """Determinant of a square integer matrix by Bareiss's fraction-free
-    elimination: after step k every entry is a minor of the input, so each
-    division by the previous pivot is exact."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        ak = a[k]
-        p = ak[k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            t = ai[k]
-            ai[k + 1:] = [(p * x - t * y) // prev
-                          for x, y in zip(ai[k + 1:], ak[k + 1:])]
-        prev = p
-    return sign * a[n - 1][n - 1]
 
 
 def _berkowitz(a):
@@ -245,32 +223,39 @@ def _berkowitz(a):
 
 def _rref(a, ncols):
     """Fraction-free Gauss-Jordan on the integer rows a (lists, changed in
-    place) over the first ncols columns; returns the pivot columns. Pivot
-    rows come first, every pivot column is cleared in the other rows, and
-    each changed row is divided by its content; dividing row i by its
-    pivot a[i][pivots[i]] gives the reduced row echelon form."""
+    place) over the first ncols columns; returns (pivots, sign, D).
+
+    Each pivot p, found in column j, sets every other row to
+    (p row - t pivot row) / prev, t the row's entry in column j and prev
+    the pivot before p (1 at first), which leaves a row with t = 0 as it
+    is when p = prev. No division leaves a remainder, since every entry is
+    then a minor of the input (Bareiss, Math. Comp. 22, 1968). Pivot rows
+    come first, every pivot column is cleared in the other rows, and every
+    pivot entry ends equal to D, the last pivot (1 if there is none), so
+    a / D is the reduced row echelon form. sign is the sign of the row
+    swaps: a square input of full rank has determinant sign D."""
     n = len(a)
     pivots = []
+    sign, prev = 1, 1
     for j in range(ncols):
         row = len(pivots)
         piv = next((i for i in range(row, n) if a[i][j]), None)
         if piv is None:
             continue
-        a[row], a[piv] = a[piv], a[row]
+        if piv != row:
+            a[row], a[piv] = a[piv], a[row]
+            sign = -sign
         pr = a[row]
         p = pr[j]
         for i in range(n):
             t = a[i][j]
-            if i != row and t:
-                g = gcd(p, t)
-                s, t = p // g, t // g
-                r = [s * x - t * y for x, y in zip(a[i], pr)]
-                g = gcd(*r)
-                a[i] = [x // g for x in r] if g > 1 else r
+            if i != row and (t or p != prev):
+                a[i] = [(p * x - t * y) // prev for x, y in zip(a[i], pr)]
         pivots.append(j)
+        prev = p
         if len(pivots) == n:
             break
-    return pivots
+    return pivots, sign, prev
 
 
 def solve(M, b):
@@ -281,13 +266,13 @@ def solve(M, b):
     # M = num / den and b = bi / c: num y = bi gives x = den y / c
     bi, c = _clear(b)
     a = [list(r) + [x] for r, x in zip(M.num, bi)]
-    pivots = _rref(a, m)
+    pivots, _, D = _rref(a, m)
     for i in range(len(pivots), n):
         if a[i][m] != 0:
             raise Inconsistent("linear system has no solution")
     x = [Fraction(0)] * m
     for i, j in enumerate(pivots):
-        x[j] = Fraction(M.den * a[i][m], c * a[i][j])
+        x[j] = Fraction(M.den * a[i][m], c * D)
     return tuple(x)
 
 
@@ -295,15 +280,26 @@ def kernel(M):
     """Basis of the right null space of M, as a list of tuples."""
     m = M.ncols
     a = [list(r) for r in M.num]
-    pivots = _rref(a, m)
+    pivots, _, D = _rref(a, m)
     basis = []
     for j in sorted(set(range(m)) - set(pivots)):
         v = [Fraction(0)] * m
         v[j] = Fraction(1)
         for i, pj in enumerate(pivots):
-            v[pj] = Fraction(-a[i][j], a[i][pj])
+            v[pj] = Fraction(-a[i][j], D)
         basis.append(tuple(v))
     return basis
+
+
+def interpolate(samples):
+    """The polynomial of degree < len(samples) through the (u, value)
+    pairs, at distinct nodes u: the solution of its Vandermonde system.
+    No samples give the zero polynomial."""
+    samples = list(samples)
+    if not samples:
+        return Poly()
+    V = Mat([[u ** k for k in range(len(samples))] for u, _ in samples])
+    return Poly(solve(V, [v for _, v in samples]))
 
 
 def hnf_columns(gens):

@@ -4,19 +4,18 @@ A Poly holds integer coefficients `num`, ascending with no trailing zeros,
 over one positive denominator `den`, in lowest terms; that pair is
 canonical, so equality and hashing compare it, and `c` is the read-only
 Fraction view, built on first use. Every kernel runs on the integers: a
-product is an integer convolution, division is the integer
-pseudo-division that also gives pseudo-remainders (one loop for monic,
-non-monic and rational divisors), gcds follow the primitive
-pseudo-remainder sequence, resultants the fraction-free subresultant one,
-and Lagrange interpolation runs over the common denominator of its nodes
-and values. Real-root work is exact and runs on one chain: the Tarski
-chain of (g, f) is the signed remainder sequence of (f, f'g mod f) as
-integer coefficient lists, each a positive multiple of the rational one
-(primitive pseudo-remainders with the sign fixed), divided by its last
-entry when f and f'g share roots, and evaluated by integer Horner at
-rational points. Its variation count over (a, b] is the Tarski query
-TaQ(g, f) there, the sum of the signs of g at the distinct real roots of
-f (Sylvester). With g = 1 it counts and isolates the real roots of f in
+product is an integer convolution, division is the integer pseudo-division
+that also gives pseudo-remainders (one loop for monic, non-monic and
+rational divisors), gcds follow the primitive pseudo-remainder sequence,
+and resultants the fraction-free subresultant one; interpolation, a linear
+system, is `matrix.interpolate`. Real-root work is exact and runs on one
+chain: the Tarski chain of (g, f) is the signed remainder sequence of (f,
+f'g mod f) as integer coefficient lists, each a positive multiple of the
+rational one (primitive pseudo-remainders with the sign fixed), divided by
+its last entry when f and f'g share roots, and evaluated by integer Horner
+at rational points. Its variation count over (a, b] is the Tarski query
+TaQ(g, f) there, the sum of the signs of g at the distinct real roots of f
+(Sylvester). With g = 1 it counts and isolates the real roots of f in
 intervals with rational endpoints; with any g, read at the two ends of
 each isolating interval, it gives the sign of g at each root, never by
 floating point.
@@ -362,25 +361,6 @@ def integral_model(f):
     c, d = f.den, f.degree
     return Poly.over([a * c ** (d - 1 - i) for i, a in enumerate(f.num[:-1])]
                      + [1], 1)
-
-
-def interpolate(samples):
-    """The polynomial of degree < len(samples) through the (u, value)
-    pairs, by Lagrange on integers. Over one common denominator D, u_i =
-    U_i / D and value_i = V_i / D; with w_i = prod_{j != i} (U_i - U_j)
-    and W = lcm(w_i), the answer P has P(y / D) = Q(y) / (W D) for the
-    integer Q = sum_i V_i (W / w_i) prod_{j != i} (y - U_j)."""
-    ints, D = _clear([x for pair in samples for x in pair])
-    U, V = ints[0::2], ints[1::2]
-    N = [1]
-    for u in U:
-        N = _conv(N, [-u, 1])
-    Ns = [_pdivmod(N, [-u, 1])[0] for u in U]  # prod_{j != i} (y - U_j)
-    w = [_horner(Ni, u, 1)[0] for Ni, u in zip(Ns, U)]
-    W = math.lcm(*w)
-    Q = [sum(v * (W // wi) * Ni[k] for Ni, v, wi in zip(Ns, V, w))
-         for k in range(len(U))]
-    return Poly.over([q * D ** k for k, q in enumerate(Q)], W * D)
 
 
 # ---------------------------------------------------------------------------

@@ -347,13 +347,11 @@ def hyperbolic_completion(space, m_cols):
     return u
 
 
-def _is_local_square(d, place):
-    """Whether the squarefree integer d is a square in Q_v."""
-    if place == INF:
-        return d > 0
-    if place == 2:
+def _is_local_square(d, p):
+    """Whether the squarefree integer d is a square in Q_p, p a prime."""
+    if p == 2:
         return d % 8 == 1
-    return d % place != 0 and legendre(d, place) == 1
+    return d % p != 0 and legendre(d, p) == 1
 
 
 def anisotropic_places(space):

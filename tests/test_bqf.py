@@ -150,6 +150,27 @@ def test_census_agreement_sweep():
         assert rep.orbit_count == rep.class_number
 
 
+def test_census_composes_no_forms(monkeypatch):
+    # the census reads the reduced forms; it needs no composition table
+    from orbitforge import bqf
+
+    def report(d, bound):
+        rep = bqf_orbit_census(d, bound)
+        return (rep.d, rep.bound, rep.orbit_count, rep.class_number,
+                rep.agreement, rep.witnesses)
+
+    boxes = [(-3, 20), (-23, 2), (-23, 50), (-47, 3), (-71, 8), (-84, 30)]
+    want = [report(d, bound) for d, bound in boxes]
+
+    def refuse(F, G):
+        raise AssertionError("the census composed two forms")
+
+    monkeypatch.setattr(bqf, "compose_forms", refuse)
+    assert [report(d, bound) for d, bound in boxes] == want
+    # both outcomes: boxes that agree and boxes that report witnesses
+    assert any(r[4] for r in want) and any(r[5] for r in want)
+
+
 def test_census_small_box_reports_honestly():
     rep = bqf_orbit_census(-23, 2)
     assert rep.orbit_count == 0

@@ -212,7 +212,7 @@ def _split_value_corpus():
     v k^2 at two roots and squares at the others: square norms, positive
     at every root, and non-squares that a later probe often names."""
     import random
-    from orbitforge import poly
+    from orbitforge import matrix
     rng = random.Random(40121)
     out = []
     for _ in range(40):
@@ -225,7 +225,7 @@ def _split_value_corpus():
             rng.randint(1, 4) ** 2 for _ in range(deg - 2)]
         rng.shuffle(vals)
         b = L.element([rng.randint(-3, 3) for _ in range(deg)])
-        a = L.from_poly(poly.interpolate(zip(roots, vals))) * b * b
+        a = L.from_poly(matrix.interpolate(zip(roots, vals))) * b * b
         if a.is_unit():
             out.append(a)
     return out
@@ -858,10 +858,11 @@ def test_tau_candidate_norms_match_resultants():
             c0 = Poly([rng.randint(1, 3)])
             piK = K.from_poly(-X * c0 * c0)
         t = piK.den
-        for c, r, N in etale._tau_candidates(K, piK, ()):
+        for c, r in etale._tau_candidates(K, piK, ()):
             rhs = piK.lift() + X * Poly(c) * Poly(c)
             assert r == [x * t * t for x in rhs.c]
-            assert N == t ** (2 * n) * resultant(g, rhs)
+            N = K._reduce(list(r), t * t).norm()
+            assert N == resultant(g, rhs)
             seen.add("empty" if not r else "zero" if N == 0 else "nonzero")
     assert seen == {"empty", "zero", "nonzero"}
 
@@ -991,7 +992,7 @@ def _tau_candidates_full_box(K, piK, places=()):
     place sieving them."""
     import itertools
     from orbitforge import poly
-    G, cg, n = K.F, K.cf, K.deg
+    n = K.deg
     t = piK.den
     tA = [t * x for x in piK.num] + [0] * n
     for h in range(etale.TAU_NORM_HEIGHT + 1):
@@ -1003,9 +1004,7 @@ def _tau_candidates_full_box(K, piK, places=()):
                 r[k + 1] += t * t * v
             while r and r[-1] == 0:
                 r.pop()
-            N = (Fraction(poly._int_resultant(G, r), cg ** (len(r) - 1))
-                 if r else 0)
-            yield c, r, N
+            yield c, r
 
 
 def test_tau_candidates_take_one_of_each_sign_pair():
@@ -1015,19 +1014,21 @@ def test_tau_candidates_take_one_of_each_sign_pair():
         K = EtaleAlgebra(g)
         full = list(_tau_candidates_full_box(K, K.const(2)))
         got = list(etale._tau_candidates(K, K.const(2), ()))
-        cs = [c for c, _, _ in got]
+        cs = [c for c, _ in got]
         box = set(itertools.product(range(-H, H + 1), repeat=K.deg))
         assert len(cs) == (len(box) + 1) // 2
         assert set(cs) | {tuple(-x for x in c) for c in cs} == box
-        # each kept c comes before -c in the box, with the same r and N
-        order = [c for c, _, _ in full]
-        for c, r, N in got:
+        # each kept c comes before -c in the box, with the same r
+        order = [c for c, _ in full]
+        for c, r in got:
             neg = tuple(-x for x in c)
             assert order.index(c) <= order.index(neg)
-            assert full[order.index(neg)][1:] == (r, N)
+            assert full[order.index(neg)][1] == r
 
 
-def test_solve_tau_norm_matches_the_full_box(monkeypatch):
+def _tau_norm_cases():
+    """The pinned tau-norm inputs, and seeded ones of degree 3 to 7: norms
+    r tau(r) of random units, and random (1, kappa)."""
     import random
     rng = random.Random(13014)
     cases = list(_pinned_tau_inputs())
@@ -1039,6 +1040,11 @@ def test_solve_tau_norm_matches_the_full_box(monkeypatch):
             cases.append((sk, r * apply_tau(r)))
         kappa = _random_unit(rng, sk.K, 3)
         cases.append((sk, etale.embed_pair(sk, kappa, c_k=1)))
+    return cases
+
+
+def test_solve_tau_norm_matches_the_full_box(monkeypatch):
+    cases = _tau_norm_cases()
 
     def solve_all():
         return [(o.status, o.certificate, o.witness)
@@ -1127,17 +1133,19 @@ def test_tau_sieve_skips_only_non_squares():
     for K, piK, c0, zero in _sieve_cases():
         places = etale._degree_one_places(K)
         assert 1 <= len(places) <= etale.SIEVE_ROOTS
-        kept = {c for c, _, _ in etale._tau_candidates(K, piK, places)}
+        kept = {c for c, _ in etale._tau_candidates(K, piK, places)}
         c0 = min(c0, tuple(-x for x in c0))
         assert c0 in kept
         t2 = piK.den ** 2
-        for c, r, N in etale._tau_candidates(K, piK, ()):
+        for c, r in etale._tau_candidates(K, piK, ()):
             full_total += 1
             if c in kept:
                 kept_total += 1
             else:
+                a = K._reduce(list(r), t2)
+                N = a.norm()
                 assert (N == 0 or not is_rational_square(N)
-                        or is_square(K._reduce(r, t2)).status == "false")
+                        or is_square(a).status == "false")
             if c == c0 and zero is not None:
                 q, y = zero
                 assert _horner(r, y, 1)[0] % q == 0
@@ -1168,6 +1176,49 @@ def test_tau_sieve_computes_few_resultants(monkeypatch):
     assert (out.status, out.witness, out.certificate) == (
         "unknown", None, None)
     assert len(calls) <= 10
+
+
+def test_tau_norm_computes_one_resultant_per_candidate(monkeypatch):
+    # each candidate's norm is one resultant; is_square reads it from the
+    # element instead of computing it again
+    from orbitforge import poly
+    calls = []
+    resultant = poly._int_resultant
+
+    def counted(A, B):
+        calls.append(1)
+        return resultant(A, B)
+
+    loop = {}
+    candidates = etale._tau_candidates
+
+    def listed(K, piK, places):
+        loop.update(start=len(calls), nonzero=0)
+        for c, r in candidates(K, piK, places):
+            loop["nonzero"] += bool(K._reduce(list(r), piK.den ** 2))
+            yield c, r
+
+    inside = []
+    square = etale.is_square
+
+    def watched(a):
+        before = len(calls)
+        out = square(a)
+        inside.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(poly, "_int_resultant", counted)
+    monkeypatch.setattr(etale, "_tau_candidates", listed)
+    monkeypatch.setattr(etale, "is_square", watched)
+    searched = 0
+    for sk, pi in _tau_norm_cases():
+        loop.clear()
+        etale.solve_tau_norm(sk, pi)
+        if loop:
+            searched += 1
+            assert len(calls) - loop["start"] == loop["nonzero"]
+    assert searched >= 20 and len(inside) >= 15
+    assert inside == [0] * len(inside)
 
 
 def test_tau_sieve_is_skipped_at_degree_one(monkeypatch):

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module, and
+"""Every name a module of the package imports is used in that module,
+every private function and class is used somewhere in the package, and
 only a census loads numpy."""
 
 import ast
@@ -29,6 +30,35 @@ def test_no_unused_imports():
     paths = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert len(paths) >= 10
     unused = [u for p in paths for u in _unused_imports(p)]
+    assert unused == []
+
+
+def _names(node):
+    """Each name read in node, as a variable or as an attribute."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def test_no_unused_private_definitions():
+    # a private function or class that only its own body refers to is dead
+    # code, such as a kernel left behind when another replaced it
+    trees = {p.name: ast.parse(p.read_text(), str(p))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    used = {}
+    for tree in trees.values():
+        for name in _names(tree):
+            used[name] = used.get(name, 0) + 1
+    defs = [(path, node) for path, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+    assert len(defs) >= 50
+    unused = ["%s:%d %s" % (path, node.lineno, node.name)
+              for path, node in defs
+              if used.get(node.name, 0) == list(_names(node)).count(node.name)]
     assert unused == []
 
 

@@ -334,6 +334,65 @@ def test_storage_is_canonical():
     assert Mat([[Fraction(7, 3)]]).inv() == Mat([[Fraction(3, 7)]])
 
 
+def _ref_polymul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _ref_polyadd(a, b):
+    out = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+           for i in range(max(len(a), len(b)))]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _ref_interpolate(samples):
+    total = []
+    for i, (ui, vi) in enumerate(samples):
+        term = [vi]
+        for j, (uj, _) in enumerate(samples):
+            if j != i:
+                term = _ref_polymul(term, [-uj / (ui - uj), 1 / (ui - uj)])
+        total = _ref_polyadd(total, term)
+    return total
+
+
+def test_interpolate_matches_lagrange():
+    import math
+    import random
+
+    rng = random.Random("interpolate")
+
+    def coeff(den):
+        if rng.random() < 0.25:
+            return Fraction(0)
+        return Fraction(rng.randint(-20, 20), rng.choice(den))
+
+    round_trips = 0
+    for _ in range(400):
+        f = Poly([coeff([1, 1, 2, 3, 7]) for _ in range(rng.randint(0, 9))])
+        nodes = rng.sample([Fraction(n, rng.choice([1, 2, 3]))
+                            for n in range(-9, 10)], rng.randint(0, 6))
+        samples = [(u, coeff([1, 2, 5])) for u in sorted(set(nodes))]
+        p = matrix.interpolate(samples)
+        assert list(p.c) == _ref_interpolate(samples)
+        assert p.num == tuple(x * p.den for x in p.c)
+        assert p.den > 0 and math.gcd(p.den, *p.num) == 1
+        if len(samples) > f.degree:
+            round_trips += 1
+            values = iter([(u, f(u)) for u, _ in samples])  # one pass
+            assert matrix.interpolate(values) == f
+    assert round_trips > 50
+
+
 # ---------------------------------------------------------------------------
 # integer lattice kernels
 

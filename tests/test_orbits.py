@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitforge.arith import is_rational_square
-from orbitforge.errors import (DimensionMismatch, NonSeparable, NonUnit,
-                               NormNotSquare, NotOddPolynomial, NotSplit,
-                               NotTauFixed, RingMismatch, WrongDegree,
-                               WrongDimension, ZeroDiscriminant)
+from orbitforge.errors import (DimensionMismatch, NoCyclicVector,
+                               NonSeparable, NonUnit, NormNotSquare,
+                               NotOddPolynomial, NotSplit, NotTauFixed,
+                               RingMismatch, WrongDegree, WrongDimension,
+                               ZeroDiscriminant)
 from orbitforge.etale import (EtaleAlgebra, apply_tau, embed_pair, is_square,
                              skew_data)
 from orbitforge.matrix import Mat
@@ -235,6 +236,29 @@ def test_recover_conjugation_invariant():
     a1 = recover_alpha(o)
     a2 = recover_alpha(o2)
     assert is_square(a1 * a2).status == "true"
+
+
+def test_recover_alpha_fallbacks(monkeypatch):
+    # with the candidates limited, recover_alpha keeps the first alpha when
+    # the screen refutes every one, and raises when none is cyclic
+    from orbitforge import orbits
+    f = Poly([0, 2, 0, 1])  # x(x^2 + 2)
+    sk = skew_data(EtaleAlgebra(f))
+    o = representative_from_alpha(
+        f, embed_pair(sk, sk.K.const(2), c_k=1), ADJOINT)
+    zero = (Fraction(0),) * 3
+    refuted = [zero, (0, 1, 0), (3, 1, -3), (-2, -2, 0)]
+    alg = EtaleAlgebra(f)
+    first = orbits._alpha_from_vector(
+        o, alg, orbits._pairing_gram(alg.one(), SYM2), refuted[1])[0]
+    monkeypatch.setattr(orbits, "_cyclic_candidates",
+                        lambda d, tag: iter(refuted))
+    assert recover_alpha(o) == first
+    assert is_square(first).status == "false"
+    monkeypatch.setattr(orbits, "_cyclic_candidates",
+                        lambda d, tag: iter([zero, (1, 1, 1)]))
+    with pytest.raises(NoCyclicVector):
+        recover_alpha(o)
 
 
 def test_recover_rejects_repeated_roots():

@@ -530,17 +530,6 @@ def _ref_resultant(a, b):
     return (-1) ** (m * n) * b[-1] ** (m - len(r) + 1) * _ref_resultant(b, r)
 
 
-def _ref_interpolate(samples):
-    total = []
-    for i, (ui, vi) in enumerate(samples):
-        term = [vi]
-        for j, (uj, _) in enumerate(samples):
-            if j != i:
-                term = _ref_mul(term, [-uj / (ui - uj), 1 / (ui - uj)])
-        total = _ref_add(total, term)
-    return total
-
-
 def _assert_canonical(p, want):
     """p is the polynomial with Fraction coefficients want, stored as
     integer numerators over one positive denominator in lowest terms."""
@@ -597,12 +586,6 @@ def test_mul_divmod_match_fraction_definitions():
             d = f.degree
             assert poly.discriminant(m) == (-1) ** (d * (d - 1) // 2) * \
                 _ref_resultant(list(m.c), list(m.derivative().c))
-        nodes = rng.sample([Fraction(n, rng.choice([1, 2, 3]))
-                            for n in range(-9, 10)], rng.randint(0, 6))
-        samples = [(u, coeff([1, 2, 5])) for u in sorted(set(nodes))]
-        _assert_canonical(poly.interpolate(samples), _ref_interpolate(samples))
-        if len(samples) > f.degree:
-            assert poly.interpolate([(u, f(u)) for u, _ in samples]) == f
     assert min(kinds.values()) > 100
 
 

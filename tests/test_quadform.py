@@ -208,6 +208,9 @@ def test_find_isotropic_vector():
         qf.find_isotropic_vector(D(1, 1, 1))
     with pytest.raises(Anisotropic, match="7"):
         qf.find_isotropic_vector(D(1, 1, -7))  # anisotropic at 7
+    # the kernel mod 3 is 2-dimensional, so the minimization at 3 refuses
+    with pytest.raises(Anisotropic, match="at 2, 3$"):
+        qf.find_isotropic_vector(D(1, 3, -6))
 
 
 def test_split_implies_isotropic_dim3():
