@@ -25,6 +25,14 @@ most KEY_BLOCK digit rows, so each operator stack and its Berkowitz
 temporaries exist for one block at a time, and orbit labels take the
 dtype of the images (int32 below 2^31 elements).
 
+The group data depends on (d, p) alone: the verified generators, their
+digit tables for each representation and, in dimension three, the
+enumerated group and its actions are built once per process, by the
+first census that passes the budget check and needs them, and kept as
+read-only arrays: about 1 MB for every census at p <= 13 and in
+dimension five, and 2.1 MB for the group at p = 31, the largest admitted
+prime.  Nothing that depends on the counted elements is kept.
+
 A closure test proves generation; each orbit whose stabilizer is
 measured directly (over the enumerated group in dimension three, over
 the commutant in dimension five) must also satisfy orbit size times
@@ -39,6 +47,7 @@ the enumeration censuses.  Everything is integer arithmetic throughout;
 floats never enter.
 """
 
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -193,6 +202,7 @@ def _digits_array(width, p):
 # the three-dimensional group, fully enumerated
 
 
+@cache
 def _so3_elements(p):
     """Every proper isometry of the split three-dimensional form over F_p,
     as an (N, 3, 3) array.
@@ -204,7 +214,7 @@ def _so3_elements(p):
     B(g1, h) = 1, B(g2, h) = 0 cut out a line h + t g1, and the isotropic
     point on it is g3 = h - B(h, h)/2 g1.  The determinant filter keeps the
     proper half.  Elements come in the order of (g1, g2) as base-p digit
-    rows.
+    rows.  Built once per p and kept, read-only.
     """
     vecs = _digits_array(3, p).astype(np.int64)
     qv = (2 * vecs[:, 0] * vecs[:, 2] + vecs[:, 1] ** 2) % p
@@ -223,7 +233,9 @@ def _so3_elements(p):
     qh = (2 * h[:, 0] * h[:, 2] + h[:, 1] ** 2) * inv[2] % p
     g3 = (h - qh[:, None] * g1) % p
     G = np.stack([g1, g2, g3], axis=2)
-    return G[-_charpolys(G, p)[3] % p == 1]
+    G = G[-_charpolys(G, p)[3] % p == 1]
+    G.setflags(write=False)
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +372,7 @@ def _op_digits(T, d, rep):
     return T[..., list(rows), list(cols)]
 
 
+@cache
 def _so_generators(d, p):
     """Fixed generators of the proper isometries of the split form in
     dimension d = 2n + 1, as a (2n + 1, d, d) array verified against the
@@ -374,7 +387,7 @@ def _so_generators(d, p):
     scaling, of non-square spinor norm, adds the other coset (Steinberg,
     Lectures on Chevalley Groups, section 3).  test_root_generators_generate
     in tests/test_census.py closes the set at every admitted (d, p) and
-    finds the whole group.
+    finds the whole group.  Built once per (d, p) and kept, read-only.
     """
     J = _gram_np(d)
     eye = np.eye(d, dtype=np.int64)
@@ -386,6 +399,7 @@ def _so_generators(d, p):
                     + [np.diag([c] + [1] * (d - 2) + [pow(c, -1, p)])])
     assert (np.all(gens.transpose(0, 2, 1) @ J @ gens % p == J)
             and np.all(-_charpolys(gens, p)[d] % p == 1))
+    gens.setflags(write=False)
     return gens
 
 
@@ -431,6 +445,28 @@ def _digit_tables(mats, p):
             np.minimum(t, t - wrap, out=t)
         return np.ascontiguousarray(t.transpose(1, 2, 0))
     return table(mats[:, :w // 2]), table(mats[:, w // 2:])
+
+
+@cache
+def _generator_tables(d, p, rep):
+    """The digit tables (hi, lo) of _so_generators(d, p) acting on the
+    free coordinates of rep: group constants, built once per (d, p, rep)
+    and kept, read-only."""
+    tables = _digit_tables(_actions(_so_generators(d, p), d, rep, p), p)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+@cache
+def _so3_actions(p, rep):
+    """The digit actions (G, w, w) of every element of _so3_elements(p) on
+    the free coordinates of rep, in the smallest unsigned type that holds
+    p - 1: group constants, built once per (p, rep) and kept, read-only."""
+    acts = _actions(_so3_elements(p), 3, rep, p).astype(
+        np.min_scalar_type(p - 1))
+    acts.setflags(write=False)
+    return acts
 
 
 def _images(hi, lo, a, b, p):
@@ -562,7 +598,7 @@ def _census5_sym2(p, polys):
             "enumerating p^15 self-adjoint operators is out of budget; "
             "pass explicit polynomials for orbit generation")
     width = len(_free_positions(5, SYM2))
-    hi, lo = _digit_tables(_actions(_so_generators(5, p), 5, SYM2, p), p)
+    hi, lo = _generator_tables(5, p, SYM2)
     rows, seen = [], set()
     for f in polys:
         fc = charpoly_key(f, p)
@@ -646,7 +682,7 @@ def _full_census(p, n, rep, polys):
             wanted.append(sum(c * p ** i for i, c in enumerate(k[:-1])))
     width = len(_free_positions(d, rep))
     digits = _digits_array(width, p)
-    hi, lo = _digit_tables(_actions(_so_generators(d, p), d, rep, p), p)
+    hi, lo = _generator_tables(d, p, rep)
     if rep == STANDARD:
         x = digits.astype(np.int64)
         qv = np.einsum("ni,ij,nj->n", x, _gram_np(d), x) % p
@@ -665,7 +701,7 @@ def _full_census(p, n, rep, polys):
         keep = np.isin(keys[reps], wanted)
         reps, sizes = reps[keep], sizes[keep]
     if n == 1:
-        acts = _actions(_so3_elements(p), d, rep, p)
+        acts = _so3_actions(p, rep)
         group_order = order = len(acts)
         stabs = _stabilizer_counts(digits[reps], acts, p).tolist()
     else:

@@ -293,13 +293,17 @@ def kernel(M):
 
 def interpolate(samples):
     """The polynomial of degree < len(samples) through the (u, value)
-    pairs, at distinct nodes u: the solution of its Vandermonde system.
-    No samples give the zero polynomial."""
+    pairs, at distinct nodes u: the solution of its Vandermonde system,
+    built from integers. With the nodes written u = a / b over their
+    common denominator b, the coefficients are c_k = d_k b^k for the
+    solution d of [a^k] d = value. No samples give the zero polynomial."""
     samples = list(samples)
     if not samples:
         return Poly()
-    V = Mat([[u ** k for k in range(len(samples))] for u, _ in samples])
-    return Poly(solve(V, [v for _, v in samples]))
+    nodes, b = _clear(u for u, _ in samples)
+    V = Mat([[a ** k for k in range(len(nodes))] for a in nodes], 1)
+    d = solve(V, [v for _, v in samples])
+    return Poly([x * b ** k for k, x in enumerate(d)])
 
 
 def hnf_columns(gens):

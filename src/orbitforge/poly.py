@@ -569,6 +569,9 @@ def fp_mul(a, b, p):
 
 
 def fp_divmod(a, b, p):
+    """(q, r) with a = q b + r over F_p and deg r < deg b, both reduced
+    mod p and normalized for any integer lists a and b; b must have a
+    leading coefficient prime to p."""
     if not b:
         raise ZeroDivisionError("mod-p division by zero polynomial")
     a = a[:]
@@ -584,7 +587,9 @@ def fp_divmod(a, b, p):
         a.pop()
         while a and a[-1] == 0:
             a.pop()
-    return q, a
+    while q and q[-1] == 0:
+        q.pop()
+    return q, fp_normalize(a, p)
 
 
 def fp_mod(a, b, p):
@@ -696,38 +701,48 @@ def fp_invmod(a, f, p):
 
 def fpx_sqrt(a, h, p, rng):
     """Square root of a in the field F_p[x]/(h), h irreducible; None if
-    a is a non-residue. Tonelli-Shanks with field arithmetic."""
+    a is a non-residue. Tonelli-Shanks with field arithmetic.
+
+    With q - 1 = qq 2^s, qq odd, one exponentiation r = a^((qq + 1)/2)
+    serves three ends: t = r^2 / a is a^qq, Euler's criterion
+    a^((q - 1)/2) = 1 reads t^(2^(s - 1)) = 1 after s - 1 squarings, and
+    r is the root itself when s = 1. A drawn z is a non-residue when
+    c = z^qq has c^(2^(s - 1)) != 1, and that c starts the loop.
+    """
     a = fp_mod(a, h, p)
     if not a:
         return []
+
+    def squared(x, k):
+        for _ in range(k):
+            x = fp_mod(fp_mul(x, x, p), h, p)
+        return x
     d = len(h) - 1
-    q = p**d
-    e = fp_powmod(a, (q - 1) // 2, h, p)
-    if e != [1]:
-        return None
-    if q % 4 == 3:
-        return fp_powmod(a, (q + 1) // 4, h, p)
-    qq, s = q - 1, 0
+    qq, s = p**d - 1, 0
     while qq % 2 == 0:
         qq //= 2
         s += 1
+    r = fp_powmod(a, (qq + 1) // 2, h, p)
+    t = fp_mod(fp_mul(squared(r, 1), fp_invmod(a, h, p), p), h, p)
+    if squared(t, s - 1) != [1]:
+        return None
+    if s == 1:
+        return r
     while True:
         z = fp_normalize([rng.randrange(p) for _ in range(d)], p)
-        if z and fp_powmod(z, (q - 1) // 2, h, p) != [1]:
-            break
-    m, c = s, fp_powmod(z, qq, h, p)
-    t = fp_powmod(a, qq, h, p)
-    r = fp_powmod(a, (qq + 1) // 2, h, p)
+        if z:
+            c = fp_powmod(z, qq, h, p)
+            if squared(c, s - 1) != [1]:
+                break
+    m = s
     while t != [1]:
         t2, i = t, 0
         while t2 != [1]:
-            t2 = fp_mod(fp_mul(t2, t2, p), h, p)
+            t2 = squared(t2, 1)
             i += 1
-        b = c
-        for _ in range(m - i - 1):
-            b = fp_mod(fp_mul(b, b, p), h, p)
+        b = squared(c, m - i - 1)
         m = i
-        c = fp_mod(fp_mul(b, b, p), h, p)
+        c = squared(b, 1)
         t = fp_mod(fp_mul(t, c, p), h, p)
         r = fp_mod(fp_mul(r, b, p), h, p)
     return r

@@ -4,6 +4,7 @@ import hashlib
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -619,9 +620,64 @@ def test_census_certificate_refuses_too_few_generators(n, rep, keep,
     full = census._so_generators
     monkeypatch.setattr(census, "_so_generators",
                         lambda d, p: full(d, p)[:keep])
+    # the kept tables were built from the full set: a fresh, empty table
+    # cache builds them from the truncated one, and leaves with the patch
+    monkeypatch.setattr(census, "_generator_tables",
+                        cache(census._generator_tables.__wrapped__))
     polys = [X5_MINUS_X] if (n, rep) == (2, SYM2) else None
     with pytest.raises(AssertionError):
         finite_census(5 if n == 1 else 3, n, rep, polys=polys)
+
+
+# ---------------------------------------------------------------------------
+# the group data, built once per process
+
+
+def _group_caches():
+    from orbitforge import census
+    return (census._so_generators, census._so3_elements,
+            census._generator_tables, census._so3_actions)
+
+
+def _clear_group_caches():
+    for f in _group_caches():
+        f.cache_clear()
+
+
+@pytest.mark.parametrize("d, p, rep", [(3, 3, SYM2), (3, 7, ADJOINT),
+                                       (3, 13, STANDARD), (5, 3, SYM2),
+                                       (5, 3, ADJOINT)])
+def test_cached_group_data_refuses_writes(d, p, rep):
+    from orbitforge import census
+    arrays = [census._so_generators(d, p),
+              *census._generator_tables(d, p, rep)]
+    if d == 3:
+        arrays += [census._so3_elements(p), census._so3_actions(p, rep)]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1
+
+
+@pytest.mark.parametrize("p, n, rep, polys", [
+    (p, 1, rep, None) for rep in (SYM2, ADJOINT, STANDARD) for p in (3, 5, 7)
+] + [(3, 2, SYM2, [X5_TYPE_2_3]), (3, 2, SYM2, [X5_TYPE_1_1_3])])
+def test_census_equal_with_cleared_and_warm_cache(p, n, rep, polys):
+    _clear_group_caches()
+    cold = finite_census(p, n, rep, polys=polys)
+    built = [f.cache_info().misses for f in _group_caches()]
+    warm = finite_census(p, n, rep, polys=polys)
+    assert [f.cache_info().misses for f in _group_caches()] == built
+    assert cold == warm
+    assert _fingerprint(cold) == _fingerprint(warm)
+
+
+def test_refused_census_builds_no_group_data():
+    _clear_group_caches()
+    for p, n, rep in [(11, 1, SYM2), (5, 2, ADJOINT), (3, 3, STANDARD)]:
+        with pytest.raises(BudgetExceeded):
+            finite_census(p, n, rep)
+    assert all(f.cache_info().currsize == 0 for f in _group_caches())
 
 
 # ---------------------------------------------------------------------------

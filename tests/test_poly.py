@@ -465,6 +465,107 @@ def test_fp_resultant_residuosity_matches_fpx_sqrt():
             assert residue == (root is not None)
 
 
+def test_fp_divmod_reduces_and_normalizes_the_remainder():
+    # deg a < deg b leaves the loop unrun: the remainder is still reduced
+    assert poly.fp_mod([7, 0], [1, 0, 1], 7) == []
+    assert poly.fp_mod([1, 0], [1, 0, 1], 7) == [1]
+    assert poly.fp_divmod([-1, 9, 0], [1, 0, 1], 7) == ([], [6, 2])
+    assert poly.fp_divmod([], [3], 7) == ([], [])
+    # untouched low coefficients and a leading coefficient divisible by p
+    assert poly.fp_divmod([10, 3, 15], [1, 1], 7) == ([2, 1], [1])
+    assert poly.fp_divmod([9, 0, 7, 7], [0, 1], 7) == ([], [2])
+    import random
+    rng = random.Random(5719)
+    for _ in range(300):
+        p = rng.choice((3, 5, 7, 31))
+        a = [rng.randrange(-3 * p, 3 * p) for _ in range(rng.randint(0, 8))]
+        b = [rng.randrange(-p, p) for _ in range(rng.randint(0, 4))]
+        b.append(rng.randrange(1, p) + p * rng.randint(-2, 2))
+        q, r = poly.fp_divmod(a, b, p)
+        assert r == poly.fp_normalize(r, p) and len(r) < len(b)
+        assert poly.fp_add(poly.fp_mul(q, b, p), r, p) == \
+            poly.fp_normalize(a, p)
+
+
+def test_fp_invmod_of_a_non_unit_is_none():
+    f = [1, 0, 1]  # x^2 + 1, irreducible mod 3 and mod 7
+    assert poly.fp_invmod([3], f, 3) is None
+    assert poly.fp_invmod([0], f, 3) is None
+    assert poly.fp_invmod([], f, 3) is None
+    assert poly.fp_invmod([7, 0], f, 7) is None
+    assert poly.fp_invmod([4], f, 3) == [1]
+    assert poly.fp_invmod([0, 8], f, 7) == [0, 6]
+    assert poly.fp_invmod([1, 1], [0, 1, 1], 5) is None  # x + 1 | x^2 + x
+
+
+def _fpx_sqrt_by_euler_power(a, h, p, rng):
+    """Reference: Tonelli-Shanks with Euler's criterion and the
+    non-residue test each a full exponentiation."""
+    a = poly.fp_mod(a, h, p)
+    if not a:
+        return []
+    d = len(h) - 1
+    q = p**d
+    if poly.fp_powmod(a, (q - 1) // 2, h, p) != [1]:
+        return None
+    if q % 4 == 3:
+        return poly.fp_powmod(a, (q + 1) // 4, h, p)
+    qq, s = q - 1, 0
+    while qq % 2 == 0:
+        qq //= 2
+        s += 1
+    while True:
+        z = poly.fp_normalize([rng.randrange(p) for _ in range(d)], p)
+        if z and poly.fp_powmod(z, (q - 1) // 2, h, p) != [1]:
+            break
+    m, c = s, poly.fp_powmod(z, qq, h, p)
+    t = poly.fp_powmod(a, qq, h, p)
+    r = poly.fp_powmod(a, (qq + 1) // 2, h, p)
+
+    def sq(x):
+        return poly.fp_mod(poly.fp_mul(x, x, p), h, p)
+    while t != [1]:
+        t2, i = t, 0
+        while t2 != [1]:
+            t2 = sq(t2)
+            i += 1
+        b = c
+        for _ in range(m - i - 1):
+            b = sq(b)
+        m = i
+        c = sq(b)
+        t = poly.fp_mod(poly.fp_mul(t, c, p), h, p)
+        r = poly.fp_mod(poly.fp_mul(r, b, p), h, p)
+    return r
+
+
+def test_fpx_sqrt_matches_the_euler_power_reference():
+    # the same root and the same draws, residues and non-residues, at
+    # every 2-adic depth s of p^d - 1 the primes below 100 give
+    import random
+    rng = random.Random(2450)
+    primes = (3, 5, 7, 13, 17, 29, 41, 73, 97)
+    outcomes = set()
+    for _ in range(400):
+        p, d = rng.choice(primes), rng.randint(1, 5)
+        while True:
+            h = [rng.randrange(p) for _ in range(d)] + [1]
+            if poly.fp_is_separable(h, p) and poly.fp_count_factors(h, p) == 1:
+                break
+        a = poly.fp_normalize([rng.randrange(p) for _ in range(d)], p)
+        if rng.random() < 0.5:
+            a = poly.fp_mod(poly.fp_mul(a, a, p), h, p)
+        seed = rng.random()
+        ours, ref = random.Random(seed), random.Random(seed)
+        root = poly.fpx_sqrt(a, h, p, ours)
+        assert root == _fpx_sqrt_by_euler_power(a, h, p, ref)
+        assert ours.random() == ref.random()
+        if root is not None:
+            assert poly.fp_mod(poly.fp_mul(root, root, p), h, p) == a
+        outcomes.add(root is None)
+    assert outcomes == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # integer products and division against the Fraction definitions they
 # replaced
