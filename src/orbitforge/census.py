@@ -1,22 +1,22 @@
-"""Orbit counting: finite-field censuses, local counts, real counts.
+"""Finite-field orbit censuses.
 
-Three independent counting routes live here.  finite_census enumerates
-actual operators over F_p and partitions them into orbits with one
-engine: every census is the isometry group acting linearly on the free
-coordinates of its space, so each of its 2n + 1 fixed generators (the
-short-root elements and a non-square torus element) permutes the
-encoded element indices.  Two small digit tables per generator, one for
-the high and one for the low half of the digits, give the image of any
-index in O(w) work, and of the whole space as one outer sum.  Orbits are
-then labelled in a few whole-array passes: every element takes the
-smallest label along its images, pointers are jumped until stable, and
-each orbit ends labelled by its smallest index.  The dimension-five
-self-adjoint space is too large to label whole; it is sampled one orbit
-per requested polynomial, by breadth-first closure over the same tables
-from the rational representative of the polynomial's lifted key reduced
-mod p, marking the visited indices in a bitset of p^w / 8 bytes.
-Characteristic polynomials and determinants of whole stacks of
-operators come from matrix._berkowitz run on int32 entry columns.
+finite_census enumerates actual operators over F_p and partitions them
+into orbits with one engine: every census is the isometry group acting
+linearly on the free coordinates of its space, so each of its 2n + 1
+fixed generators (the short-root elements and a non-square torus
+element) permutes the encoded element indices.  Two small digit tables
+per generator, one for the high and one for the low half of the digits,
+give the image of any index in O(w) work, and of the whole space as one
+outer sum.  Orbits are then labelled in a few whole-array passes: every
+element takes the smallest label along its images, pointers are jumped
+until stable, and each orbit ends labelled by its smallest index.  The
+dimension-five self-adjoint space is too large to label whole; it is
+sampled one orbit per requested polynomial, by breadth-first closure
+over the same tables from the rational representative of the
+polynomial's lifted key reduced mod p, marking the visited indices in a
+bitset of p^w / 8 bytes.  Characteristic polynomials and determinants
+of whole stacks of operators come from matrix._berkowitz run on int32
+entry columns.
 
 Working memory follows what a census keeps, not the arithmetic it
 does: digit rows are held in the smallest unsigned type (one byte per
@@ -27,20 +27,20 @@ dtype of the images (int32 below 2^31 elements).
 
 The group data depends on (d, p) alone: the verified generators, their
 digit tables for each representation and, in dimension three, the
-enumerated group and its actions are built once per process, by the
-first census that passes the budget check and needs them, and kept as
-read-only arrays: about 1 MB for every census at p <= 13 and in
-dimension five, and 2.1 MB for the group at p = 31, the largest admitted
-prime.  Nothing that depends on the counted elements is kept.
+actions of the enumerated group are built once per process, by the
+first census that passes the budget gate and needs them, and kept as
+read-only arrays of bytes: under 1 MB for every census at p <= 13 and
+in dimension five, and 0.27 MB per representation for the group's
+actions at p = 31, the largest admitted prime.  The enumerated group
+itself (int64) is rebuilt for each set of actions rather than kept.
+Nothing that depends on the counted elements is kept.
 
 A closure test proves generation; each orbit whose stabilizer is
 measured directly (over the enumerated group in dimension three, over
 the commutant in dimension five) must also satisfy orbit size times
 stabilizer order equals the group order, so the census depends on no
-closed formula.  orbit_count_local evaluates the closed-form count at a
-good odd prime from the factorization type of the invariant polynomial.
-orbit_count_real evaluates the archimedean count, which only applies
-when the relevant polynomial has the maximal number of real roots.
+closed formula.  The closed-form local and real orbit counts live in
+orbits.
 
 numpy appears in this module only, for the bulk mod-p linear algebra of
 the enumeration censuses.  Everything is integer arithmetic throughout;
@@ -48,20 +48,17 @@ floats never enter.
 """
 
 from functools import cache
-from math import comb
 
 import numpy as np
 
 from .arith import is_prime
 from .errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
-                     MaximalRankHypothesisFails, NonSeparableModP, NotMonic,
-                     NotOddPolynomial, NotOperatorRep, WrongDegree,
-                     WrongDimension)
+                     NonSeparableModP, NotMonic, NotOddPolynomial,
+                     NotOperatorRep, WrongDegree, WrongDimension)
 from .matrix import _berkowitz
-from .orbits import (STANDARD, SYM2, _check_rep, _check_tensor_rep,
-                     _validate_charpoly, construct_representative)
-from .poly import (Poly, count_real_roots, discriminant, even_part,
-                   fp_count_factors, fp_from_poly, fp_is_separable)
+from .orbits import (STANDARD, SYM2, _check_rep, _reduce_mod,
+                     construct_representative)
+from .poly import Poly, fp_is_separable
 
 # estimated conjugations (space size times group order) a census may run
 CONJUGATION_BUDGET = 2 ** 31
@@ -87,88 +84,6 @@ def so_order(n, q):
     for i in range(1, n + 1):
         out *= q ** (2 * i) - 1
     return out
-
-
-def _reduce_mod(f, p):
-    """f mod p as a coefficient list of the same degree, or BadPrime."""
-    try:
-        fc = fp_from_poly(f, p)
-    except ZeroDivisionError:
-        raise BadPrime("coefficient denominator divisible by %d" % p)
-    if len(fc) - 1 != f.degree:
-        raise BadPrime("leading coefficient vanishes mod %d" % p)
-    return fc
-
-
-def count_factors_fp(f, p):
-    """Number of irreducible factors of f mod p, by distinct-degree splitting.
-
-    Raises NonSeparableModP when the reduction is inseparable and BadPrime
-    when p kills a denominator or the leading coefficient.
-    """
-    if p < 2 or not is_prime(p):
-        raise BadPrime("%d is not prime" % p)
-    return fp_count_factors(_reduce_mod(f, p), p)
-
-
-def orbit_count_local(f, p, rep):
-    """Orbit count over the p-adic field at a good odd prime.
-
-    Good means p does not divide 2 disc(f) (nor any coefficient
-    denominator); otherwise BadPrime.  With m + 1 irreducible factors of
-    f mod p the self-adjoint count is 2^(2m-1) + 2^(m-1), read as 1 when
-    m = 0.  For skew-adjoint operators, writing f = x g(x^2), m instead
-    counts the factors of g mod p that stay irreducible under x -> x^2,
-    and the count is 2^(m-1), again 1 when m = 0.
-    """
-    _check_tensor_rep(rep)
-    _validate_charpoly(f, rep)
-    if p == 2:
-        raise BadPrime("p = 2 is never a good prime here")
-    if not is_prime(p):
-        raise BadPrime("%d is not prime" % p)
-    d = discriminant(f)
-    if d.numerator % p == 0:
-        raise BadPrime("%d divides the discriminant" % p)
-    # count_factors_fp checks the denominators: g's are f's odd ones
-    if rep == SYM2:
-        m = count_factors_fp(f, p) - 1
-        return 1 if m == 0 else (1 << (2 * m - 1)) + (1 << (m - 1))
-    g = even_part(f)
-    m = 2 * count_factors_fp(g, p) - count_factors_fp(g(Poly([0, 0, 1])), p)
-    return 1 if m == 0 else 1 << (m - 1)
-
-
-def orbit_count_real(f, rep):
-    """Orbit count over the reals, with its fiber table, as (total, fibers).
-
-    Self-adjoint case: needs f totally real (2n+1 real roots), else
-    MaximalRankHypothesisFails.  The count is C(2n+1, n) and the fiber
-    table maps each k = n mod 2 to C(2n+1, k).  Skew case: writing
-    f = x g(x^2), needs g totally real with all roots negative; the count
-    is C(n, floor(n/2)) and the fibers are C(n, k) for k = 0..n.  Root
-    counts are Tarski queries of g = 1 (count_real_roots), so the
-    precondition check is exact, and each case counts once: at most n
-    roots of g are real, so all are real and negative exactly when n are
-    negative.
-    """
-    _check_tensor_rep(rep)
-    _validate_charpoly(f, rep)
-    deg = f.degree
-    nn = (deg - 1) // 2
-    if rep == SYM2:
-        real = count_real_roots(f)
-        if real != deg:
-            raise MaximalRankHypothesisFails(
-                "%d of %d roots are real" % (real, deg))
-        fibers = {k: comb(deg, k) for k in range(nn % 2, deg + 1, 2)}
-        return comb(deg, nn), fibers
-    g = even_part(f)
-    if count_real_roots(g, None, 0) != nn:
-        raise MaximalRankHypothesisFails(
-            "need all %d roots of the even part real and negative" % nn)
-    fibers = {k: comb(nn, k) for k in range(nn + 1)}
-    return comb(nn, nn // 2), fibers
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +117,6 @@ def _digits_array(width, p):
 # the three-dimensional group, fully enumerated
 
 
-@cache
 def _so3_elements(p):
     """Every proper isometry of the split three-dimensional form over F_p,
     as an (N, 3, 3) array.
@@ -214,7 +128,7 @@ def _so3_elements(p):
     B(g1, h) = 1, B(g2, h) = 0 cut out a line h + t g1, and the isotropic
     point on it is g3 = h - B(h, h)/2 g1.  The determinant filter keeps the
     proper half.  Elements come in the order of (g1, g2) as base-p digit
-    rows.  Built once per p and kept, read-only.
+    rows.
     """
     vecs = _digits_array(3, p).astype(np.int64)
     qv = (2 * vecs[:, 0] * vecs[:, 2] + vecs[:, 1] ** 2) % p
@@ -233,9 +147,7 @@ def _so3_elements(p):
     qh = (2 * h[:, 0] * h[:, 2] + h[:, 1] ** 2) * inv[2] % p
     g3 = (h - qh[:, None] * g1) % p
     G = np.stack([g1, g2, g3], axis=2)
-    G = G[-_charpolys(G, p)[3] % p == 1]
-    G.setflags(write=False)
-    return G
+    return G[-_charpolys(G, p)[3] % p == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +374,8 @@ def _generator_tables(d, p, rep):
 def _so3_actions(p, rep):
     """The digit actions (G, w, w) of every element of _so3_elements(p) on
     the free coordinates of rep, in the smallest unsigned type that holds
-    p - 1: group constants, built once per (p, rep) and kept, read-only."""
+    p - 1: group constants, built once per (p, rep) and kept, read-only;
+    the int64 group they come from is not kept."""
     acts = _actions(_so3_elements(p), 3, rep, p).astype(
         np.min_scalar_type(p - 1))
     acts.setflags(write=False)
@@ -593,10 +506,6 @@ def _census5_sym2(p, polys):
     one orbit per requested class mod p, in first-seen order, closed
     under the generating set and certified by orbit-stabilizer with a
     directly measured stabilizer."""
-    if polys is None:
-        raise BudgetExceeded(
-            "enumerating p^15 self-adjoint operators is out of budget; "
-            "pass explicit polynomials for orbit generation")
     width = len(_free_positions(5, SYM2))
     hi, lo = _generator_tables(5, p, SYM2)
     rows, seen = [], set()
@@ -764,7 +673,8 @@ def finite_census(p, n, rep, polys=None):
 
     Raises EvenPrime at p = 2, BadPrime for composite p, WrongDimension
     for n < 1, BudgetExceeded when the estimated conjugation work passes
-    CONJUGATION_BUDGET or no census mode covers (p, n, rep).
+    CONJUGATION_BUDGET or no census mode covers (p, n, rep, polys); every
+    refusal comes before any work.
     """
     _check_rep(rep)
     if p == 2:
@@ -773,16 +683,21 @@ def finite_census(p, n, rep, polys=None):
         raise BadPrime("%d is not prime" % p)
     if n < 1:
         raise WrongDimension("need n >= 1, got %d" % n)
+    if n > 2:
+        raise BudgetExceeded("no census mode for n = %d" % n)
     if n == 1:
-        width = len(_free_positions(3, rep))
-        if p ** width * so_order(1, p) > CONJUGATION_BUDGET:
-            raise BudgetExceeded("about %d conjugations needed"
-                                 % (p ** width * so_order(1, p)))
-        return _full_census(p, n, rep, polys)
-    if n == 2:
-        if p != 3:
-            raise BudgetExceeded("dimension five runs at p = 3 only")
-        if rep == SYM2:
-            return _census5_sym2(p, polys)
-        return _full_census(p, n, rep, polys)
-    raise BudgetExceeded("no census mode for n = %d" % n)
+        need = p ** len(_free_positions(3, rep)) * so_order(1, p)
+        if need > CONJUGATION_BUDGET:
+            raise BudgetExceeded(
+                "about %d conjugations needed, past CONJUGATION_BUDGET = %d"
+                % (need, CONJUGATION_BUDGET))
+    elif p != 3:
+        raise BudgetExceeded("dimension five runs at p = 3 only")
+    elif rep == SYM2:
+        if polys is None:
+            raise BudgetExceeded(
+                "the 3^15 self-adjoint operators of dimension five are "
+                "sampled, not enumerated; pass explicit polynomials for "
+                "orbit generation")
+        return _census5_sym2(p, polys)
+    return _full_census(p, n, rep, polys)

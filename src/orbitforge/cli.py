@@ -35,7 +35,8 @@ from .etale import EtaleAlgebra, EtaleElement
 from .lattices import IdealPair, ideal_from_gens, unit_ideal, verify_pair
 from .matrix import Mat, interpolate
 from .orbits import (ADJOINT, STANDARD, SYM2, adjoint_op, classify_vector,
-                     construct_representative, in_kernel_gamma,
+                     construct_representative, count_factors_fp,
+                     in_kernel_gamma, orbit_count_local, orbit_count_real,
                      representative_from_alpha, same_orbit, standard_space,
                      stabilizer_info)
 from .poly import Poly, _sign_at, integral_model, isolate_real_roots
@@ -394,7 +395,7 @@ def _census_row_payload(row):
 
 
 def _cmd_census(args):
-    # census imports numpy, so only the three commands that count load it
+    # census imports numpy, so only the census command loads it
     from .census import finite_census
     polys = None
     if args.poly:
@@ -410,7 +411,6 @@ def _cmd_census(args):
 
 
 def _cmd_local_count(args):
-    from .census import count_factors_fp, orbit_count_local
     f = parse_poly(args.poly)
     return ({"rep": args.rep, "poly": f, "p": args.p},
             {"count": orbit_count_local(f, args.p, args.rep)},
@@ -418,7 +418,6 @@ def _cmd_local_count(args):
 
 
 def _cmd_real_count(args):
-    from .census import orbit_count_real
     f = parse_poly(args.poly)
     total, fibers = orbit_count_real(f, args.rep)
     return ({"rep": args.rep, "poly": f},

@@ -2,6 +2,8 @@
 
 DomainError subclasses signal violated mathematical preconditions; the CLI
 maps them to exit code 1. UsageError (bad input text) maps to exit code 2.
+Every bounded search that runs out raises a BudgetExceeded whose message
+names its budget constant and the amount needed or spent.
 """
 
 
@@ -10,6 +12,10 @@ class DomainError(Exception):
 
 
 class UsageError(Exception):
+    pass
+
+
+class BudgetExceeded(DomainError):
     pass
 
 
@@ -34,8 +40,8 @@ class NonIntegral(DomainError):
     pass
 
 
-class FactorizationTimeout(DomainError):
-    pass
+class FactorizationTimeout(BudgetExceeded):
+    """Factoring ran past arith.FACTOR_RHO_BUDGET rho iterations."""
 
 
 # etale algebra
@@ -82,10 +88,6 @@ class WrongDimension(DomainError):
 
 class NonSquareComplement(DomainError):
     pass
-
-
-class IsotropicSearchFailed(DomainError):
-    """Factoring the determinant ran out of its budget."""
 
 
 class Anisotropic(DomainError):
@@ -136,10 +138,6 @@ class EvenPrime(DomainError):
 
 
 class NonSeparableModP(DomainError):
-    pass
-
-
-class BudgetExceeded(DomainError):
     pass
 
 

@@ -30,7 +30,8 @@ Q x E with E = Q[x]/(g(x^2)), and K = Q[y]/(g) sits inside E as the
 tau-fixed part. SkewData packages all of that with no second algebra for
 E: the idempotent of the Q factor is g(x^2) / g(0), and E-components are
 read in L. A bounded solver for the twisted norm equation r * tau(r) =
-pi, used by orbit comparison, tries each c of its box once up to sign.
+pi, used by orbit comparison, tries each c of its box once up to sign,
+and answers "unknown", naming TAU_NORM_HEIGHT, when the box is exhausted.
 It sieves the candidates by their residues at a few degree-one places
 of K, where a nonzero non-residue refutes a square, and filters the
 survivors by their norms, which is_square then reads from the element.
@@ -290,20 +291,20 @@ def is_tau_fixed(a):
 
 class Verdict:
     """A decision with its evidence: "true", "solved" and "equal" carry
-    a witness, "false", "obstructed" and "distinct" a non-empty
-    certificate string, and "unknown" may carry one naming what ran out.
-    Constructing a verdict without its evidence, or with any other
-    status, raises ValueError."""
+    a witness, and every other status a non-empty certificate string:
+    "false", "obstructed" and "distinct" the reason, "unknown" the budget
+    that ran out. Constructing a verdict without its evidence, or with a
+    status outside these seven, raises ValueError."""
 
     __slots__ = ("status", "witness", "certificate")
 
     def __init__(self, status, witness=None, certificate=None):
-        if status not in ("true", "solved", "equal", "false", "obstructed",
-                          "distinct", "unknown"):
+        if status in ("true", "solved", "equal"):
+            if witness is None:
+                raise ValueError("verdict %r needs a witness" % status)
+        elif status not in ("false", "obstructed", "distinct", "unknown"):
             raise ValueError("unknown verdict status %r" % (status,))
-        if status in ("true", "solved", "equal") and witness is None:
-            raise ValueError("verdict %r needs a witness" % status)
-        if status in ("false", "obstructed", "distinct") and not certificate:
+        elif not certificate:
             raise ValueError("verdict %r needs a certificate" % status)
         self.status = status
         self.witness = witness
@@ -702,7 +703,8 @@ def solve_tau_norm(skew, pi):
     queries.
 
     Returns a Verdict: "solved" with the witness r, "obstructed" with a
-    certificate, or "unknown" when the box is exhausted.
+    certificate, or "unknown" when the box is exhausted, with a
+    certificate naming TAU_NORM_HEIGHT.
     """
     if not pi.is_unit():
         raise NonUnit("pi must be a unit")
@@ -753,4 +755,5 @@ def solve_tau_norm(skew, pi):
             root = assemble(skew, rk, skew.L._reduce(num, aK.den))
             if root * apply_tau(root) == pi:
                 return Verdict("solved", witness=root)
-    return Verdict("unknown")
+    return Verdict("unknown", certificate="no solution with the coefficients"
+                   " of c at most TAU_NORM_HEIGHT = %d" % TAU_NORM_HEIGHT)

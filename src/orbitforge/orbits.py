@@ -7,20 +7,26 @@ L = Q[x]/(f) that pins down its rational orbit: pulling the form on W
 back along lambda -> lambda(T)w for a cyclic vector w gives the twisted
 pairing <lambda, mu>_alpha on L.  Construction of the distinguished
 representative, recovery of alpha, the kernel test, and orbit comparison
-(an etale.Verdict with its witness or certificate) all live here.
+(an etale.Verdict with its witness or certificate) all live here, with
+the closed-form orbit facts: stabilizers, and the orbit counts over Q_p
+at a good odd prime (from the factorization type of f mod p) and over R
+(when the relevant polynomial has the maximal number of real roots).
 """
 
 from fractions import Fraction
+from math import comb
 
-from .arith import is_rational_square, rng_for, squarefree_part
-from .errors import (DimensionMismatch, NoCyclicVector, NonSeparable, NonUnit,
-                     NormNotSquare, NotMonic, NotOddPolynomial, NotSplit,
-                     NotTauFixed, RingMismatch, WrongDegree, WrongDimension,
+from .arith import is_prime, is_rational_square, rng_for, squarefree_part
+from .errors import (BadPrime, DimensionMismatch, MaximalRankHypothesisFails,
+                     NoCyclicVector, NonSeparable, NonUnit, NormNotSquare,
+                     NotMonic, NotOddPolynomial, NotSplit, NotTauFixed,
+                     RingMismatch, WrongDegree, WrongDimension,
                      ZeroDiscriminant)
 from .etale import (EtaleAlgebra, EtaleElement, Verdict, is_square,
                     is_tau_fixed, skew_data, solve_tau_norm, square_screen)
 from .matrix import Mat, solve
-from .poly import Poly, even_part, is_separable
+from .poly import (Poly, count_real_roots, discriminant, even_part,
+                   fp_count_factors, fp_from_poly, is_separable)
 from .quadform import (QuadSpace, hyperbolic_completion, is_split_odd,
                        maximal_isotropic_subspace, standard_gram)
 
@@ -304,7 +310,7 @@ def recover_alpha(orep):
 
 # the orbit verdict for each decided square or twisted-norm verdict
 _ORBIT_STATUS = {"true": "equal", "solved": "equal", "false": "distinct",
-                 "obstructed": "distinct"}
+                 "obstructed": "distinct", "unknown": "unknown"}
 
 
 def same_orbit(o1, o2):
@@ -316,8 +322,8 @@ def same_orbit(o1, o2):
     skew one.  The answer is a Verdict, "equal", "distinct" or
     "unknown", passing on the witness or certificate of the square /
     norm-equation test.  The square test always decides; only the bounded
-    twisted-norm search can answer Unknown, an honest answer, never a
-    guess.
+    twisted-norm search can answer "unknown", an honest answer, never a
+    guess, and its certificate names the budget that ran out.
     """
     if o1.rep != o2.rep:
         raise RingMismatch("cannot compare %s against %s" % (o1.rep, o2.rep))
@@ -334,8 +340,6 @@ def same_orbit(o1, o2):
         v = is_square(prod)
     else:
         v = solve_tau_norm(skew_data(prod.alg), prod)
-    if v.status == "unknown":
-        return Verdict("unknown", certificate="norm equation search exhausted")
     return Verdict(_ORBIT_STATUS[v.status], v.witness, v.certificate)
 
 
@@ -413,6 +417,88 @@ def stabilizer_info(arg, rep, n=None):
     g = even_part(f)
     return StabilizerInfo(rep, "torus", dimension=nn,
                           detail={"K": g, "E": g.compose(Poly([0, 0, 1]))})
+
+
+def _reduce_mod(f, p):
+    """f mod p as a coefficient list of the same degree, or BadPrime."""
+    try:
+        fc = fp_from_poly(f, p)
+    except ZeroDivisionError:
+        raise BadPrime("coefficient denominator divisible by %d" % p)
+    if len(fc) - 1 != f.degree:
+        raise BadPrime("leading coefficient vanishes mod %d" % p)
+    return fc
+
+
+def count_factors_fp(f, p):
+    """Number of irreducible factors of f mod p, by distinct-degree splitting.
+
+    Raises NonSeparableModP when the reduction is inseparable and BadPrime
+    when p kills a denominator or the leading coefficient.
+    """
+    if p < 2 or not is_prime(p):
+        raise BadPrime("%d is not prime" % p)
+    return fp_count_factors(_reduce_mod(f, p), p)
+
+
+def orbit_count_local(f, p, rep):
+    """Orbit count over the p-adic field at a good odd prime.
+
+    Good means p does not divide 2 disc(f) (nor any coefficient
+    denominator); otherwise BadPrime.  With m + 1 irreducible factors of
+    f mod p the self-adjoint count is 2^(2m-1) + 2^(m-1), read as 1 when
+    m = 0.  For skew-adjoint operators, writing f = x g(x^2), m instead
+    counts the factors of g mod p that stay irreducible under x -> x^2,
+    and the count is 2^(m-1), again 1 when m = 0.
+    """
+    _check_tensor_rep(rep)
+    _validate_charpoly(f, rep)
+    if p == 2:
+        raise BadPrime("p = 2 is never a good prime here")
+    if not is_prime(p):
+        raise BadPrime("%d is not prime" % p)
+    d = discriminant(f)
+    if d.numerator % p == 0:
+        raise BadPrime("%d divides the discriminant" % p)
+    # count_factors_fp checks the denominators: g's are f's odd ones
+    if rep == SYM2:
+        m = count_factors_fp(f, p) - 1
+        return 1 if m == 0 else (1 << (2 * m - 1)) + (1 << (m - 1))
+    g = even_part(f)
+    m = 2 * count_factors_fp(g, p) - count_factors_fp(g(Poly([0, 0, 1])), p)
+    return 1 if m == 0 else 1 << (m - 1)
+
+
+def orbit_count_real(f, rep):
+    """Orbit count over the reals, with its fiber table, as (total, fibers).
+
+    Self-adjoint case: needs f totally real (2n+1 real roots), else
+    MaximalRankHypothesisFails.  The count is C(2n+1, n) and the fiber
+    table maps each k = n mod 2 to C(2n+1, k).  Skew case: writing
+    f = x g(x^2), needs g totally real with all roots negative; the count
+    is C(n, floor(n/2)) and the fibers are C(n, k) for k = 0..n.  Root
+    counts are Tarski queries of g = 1 (count_real_roots), so the
+    precondition check is exact, and each case counts once: at most n
+    roots of g are real, so all are real and negative exactly when n are
+    negative.
+    """
+    _check_tensor_rep(rep)
+    _validate_charpoly(f, rep)
+    deg = f.degree
+    nn = (deg - 1) // 2
+    if rep == SYM2:
+        real = count_real_roots(f)
+        if real != deg:
+            raise MaximalRankHypothesisFails(
+                "%d of %d roots are real" % (real, deg))
+        fibers = {k: comb(deg, k) for k in range(nn % 2, deg + 1, 2)}
+        return comb(deg, nn), fibers
+    g = even_part(f)
+    if count_real_roots(g, None, 0) != nn:
+        raise MaximalRankHypothesisFails(
+            "need all %d roots of the even part real and negative" % nn)
+    fibers = {k: comb(nn, k) for k in range(nn + 1)}
+    return comb(nn, nn // 2), fibers
 
 
 def representative_from_alpha(f, alpha, rep):

@@ -569,9 +569,11 @@ def fp_mul(a, b, p):
 
 
 def fp_divmod(a, b, p):
-    """(q, r) with a = q b + r over F_p and deg r < deg b, both reduced
-    mod p and normalized for any integer lists a and b; b must have a
-    leading coefficient prime to p."""
+    """(q, r) with a = q b + r over F_p and deg r < deg(b mod p), both
+    reduced mod p and normalized for any integer lists a and b; b must be
+    nonzero mod p, else ZeroDivisionError."""
+    if b and b[-1] % p == 0:
+        b = fp_normalize(b, p)
     if not b:
         raise ZeroDivisionError("mod-p division by zero polynomial")
     a = a[:]

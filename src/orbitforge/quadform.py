@@ -32,8 +32,6 @@ from .arith import (factorize, is_rational_square, legendre, sqrt_mod,
 from .errors import (
     Anisotropic,
     Degenerate,
-    FactorizationTimeout,
-    IsotropicSearchFailed,
     NonSquareComplement,
     NotIsotropic,
     NotSplit,
@@ -536,12 +534,7 @@ def _minimized(space):
     c = space.gram.den
     g = [[x * c for x in row] for row in space.gram.num]
     basis = [tuple(Fraction(c * (i == j)) for i in range(m)) for j in range(m)]
-    try:
-        primes = _factors(space)[2]
-    except FactorizationTimeout as e:
-        raise IsotropicSearchFailed("factoring the determinant %s ran out of"
-                                    " its budget" % space.gram.det()) from e
-    for p in sorted(primes):
+    for p in sorted(_factors(space)[2]):
         if not _minimize_at(g, basis, p):
             raise _no_isotropic(space)
     return _reduce(g, basis)
@@ -767,8 +760,8 @@ def find_isotropic_vector(space):
     a lattice of determinant +-1, split spaces included. Raises
     Anisotropic naming the places when there is no isotropic vector,
     NotSplit for an isotropic form of dimension >= 4 without such a
-    lattice, and IsotropicSearchFailed only when factoring the
-    determinant ran out of its budget.
+    lattice, and FactorizationTimeout (a BudgetExceeded) only when
+    factoring the determinant ran out of arith.FACTOR_RHO_BUDGET.
     """
     if space.dim < 3:
         raise WrongDimension("isotropic vectors are solved in dimension >= 3")

@@ -14,9 +14,7 @@ from math import comb, gcd
 
 from orbitforge.arith import rng_for
 from orbitforge.bqf import bqf_class_group, bqf_orbit_census
-from orbitforge.census import (count_factors_fp, discriminant,
-                               finite_census, orbit_count_local,
-                               orbit_count_real, so_order)
+from orbitforge.census import finite_census, so_order
 from orbitforge.descent import (INFINITY, HyperCurve, descent_class,
                                 ec_add, kernel_check,
                                 pencil_discriminant_check)
@@ -25,8 +23,10 @@ from orbitforge.etale import EtaleAlgebra, is_square
 from orbitforge.lattices import (FracIdeal, IdealPair, complement_lattice,
                                  ideal_from_gens, unit_ideal, verify_pair)
 from orbitforge.matrix import Mat
-from orbitforge.orbits import (ADJOINT, SYM2, construct_representative)
-from orbitforge.poly import Poly
+from orbitforge.orbits import (ADJOINT, SYM2, construct_representative,
+                               count_factors_fp, orbit_count_local,
+                               orbit_count_real)
+from orbitforge.poly import Poly, discriminant
 from orbitforge.quadform import (INF, QuadSpace, factorize, hilbert_symbol,
                                  invariants, is_isometric, is_split_odd,
                                  standard_gram)

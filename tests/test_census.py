@@ -12,12 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitforge.census import (CensusRow, charpoly_key, count_factors_fp,
-                               finite_census, orbit_count_local,
-                               orbit_count_real, so_order, _charpolys,
-                               _actions, _closure, _digit_tables,
-                               _digits_array, _gram_np, _images,
-                               _ops_from_digits, _orbit_labels,
+from orbitforge.census import (CensusRow, charpoly_key, finite_census,
+                               so_order, _charpolys, _actions, _closure,
+                               _digit_tables, _digits_array, _gram_np,
+                               _images, _ops_from_digits, _orbit_labels,
                                _separable_keys, _so3_elements,
                                _so_generators, _stabilizer_counts)
 from orbitforge.errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
@@ -25,7 +23,8 @@ from orbitforge.errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
                                NotOperatorRep, WrongDimension)
 from orbitforge.matrix import Mat
 from orbitforge.orbits import (ADJOINT, STANDARD, SYM2,
-                              construct_representative)
+                              construct_representative, count_factors_fp,
+                              orbit_count_local, orbit_count_real)
 from orbitforge.poly import Poly, fp_count_factors
 
 X3_MINUS_X = Poly([0, -1, 0, 1])
@@ -635,8 +634,8 @@ def test_census_certificate_refuses_too_few_generators(n, rep, keep,
 
 def _group_caches():
     from orbitforge import census
-    return (census._so_generators, census._so3_elements,
-            census._generator_tables, census._so3_actions)
+    return (census._so_generators, census._generator_tables,
+            census._so3_actions)
 
 
 def _clear_group_caches():
@@ -652,7 +651,9 @@ def test_cached_group_data_refuses_writes(d, p, rep):
     arrays = [census._so_generators(d, p),
               *census._generator_tables(d, p, rep)]
     if d == 3:
-        arrays += [census._so3_elements(p), census._so3_actions(p, rep)]
+        # the int64 group is rebuilt for each set of actions, not kept
+        assert not hasattr(census._so3_elements, "cache_info")
+        arrays.append(census._so3_actions(p, rep))
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -674,7 +675,8 @@ def test_census_equal_with_cleared_and_warm_cache(p, n, rep, polys):
 
 def test_refused_census_builds_no_group_data():
     _clear_group_caches()
-    for p, n, rep in [(11, 1, SYM2), (5, 2, ADJOINT), (3, 3, STANDARD)]:
+    for p, n, rep in [(11, 1, SYM2), (5, 2, ADJOINT), (3, 3, STANDARD),
+                      (3, 2, SYM2)]:
         with pytest.raises(BudgetExceeded):
             finite_census(p, n, rep)
     assert all(f.cache_info().currsize == 0 for f in _group_caches())

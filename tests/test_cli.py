@@ -547,6 +547,21 @@ def test_domain_failures_exit_one(capsys):
     assert "NormNotSquare" in capsys.readouterr().err
 
 
+def test_factoring_budget_exits_one_and_names_itself(capsys, monkeypatch):
+    # alpha = (10029 - b)^2 over x^3 - 2: the twisted determinant needs rho,
+    # and 50 iterations are not enough
+    from orbitforge import arith
+    monkeypatch.setattr(arith, "FACTOR_RHO_BUDGET", 50)
+    for argv in (["same-orbit", "--poly", "x^3 - 2", "--alpha",
+                  "b^2 - 20058*b + 100580841"],
+                 ["kernel", "--poly", "x^3 - 2", "--alpha",
+                  "[100580841,-20058,1]"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FactorizationTimeout: ")
+        assert "FACTOR_RHO_BUDGET = 50" in err
+
+
 def test_nonpositive_n_is_a_dimension_failure(capsys):
     for argv in (["census", "--p", "3", "--n", "0", "--rep", "sym2"],
                  ["census", "--p", "3", "--n", "-1", "--rep", "adjoint"],
@@ -682,3 +697,104 @@ def test_parser_reuse_matches_fresh_processes(capsys):
         assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout,
                                             fresh.stderr)
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# a seeded fuzz corpus: valid and malformed values for every subcommand
+
+# per kind of value: valid values, then malformed or out-of-domain ones;
+# small heights only, so that no budget is approached
+_FUZZ_VALUES = {
+    "rep": (["sym2", "adjoint"], ["standard", "bogus", ""]),
+    "rep3": (["sym2", "adjoint", "standard"], ["bogus", ""]),
+    "poly": (["x^3 - 2", "x^3 - x", "x^3 + x", "x^3 + 2*x", "x^3 - 3*x + 1",
+              "x^5 - x", "x^5 + 3*x^3 + 2*x", "x^5 - 5*x^3 + 4*x",
+              "[0,2,0,3,0,1]", "x^3 - 1/2"],
+             ["2*x^3 + x", "x^2 - 2", "x^3", "x^4 + 1", "x^101", "x^^3",
+              "y^3 - 2", "", "[1,2", "1/0*x"]),
+    "alpha": (["1", "4", "-1", "2", "b + 1", "b^2", "b^2 + 2*b + 1",
+               "1 - b^2", "[1,1,0]", "crt:1,1,4", "crt:2,2,1"],
+              ["0", "[1,2]", "crt:1,2", "crt:", "x", "", "b^200", "[1,"]),
+    "vector": (["1,0,1", "1,0,-2", "0,0,0", "1,0,0", "1,0,0,0,1",
+                "1/2,0,3"], ["1,2", "a,b,c", "", "1,,1"]),
+    "point": (["inf", "1,1", "2,3", "0,0", "-1,0", "o"],
+              ["1,2,3", "x", ""]),
+    "d": (["1", "2", "-1", "1/2"], ["0", "3/0", "a", ""]),
+    "p": (["3", "5", "7", "11", "23"], ["2", "9", "0", "-3", "1", "p", ""]),
+    "n": (["1", "2"], ["3", "0", "-1", "x"]),
+    "ideal": (["2;b", "b", "1", "3;b+1", "b^2;2"], ["0", "", ";"]),
+    "form": (["1,1,1", "2,1,3", "1,0,-2", "3,5,7", "-1,1,-1"],
+             ["0,0,0", "1,2", "a,b,c", "1/2,1,1"]),
+    "D": (["-3", "-4", "-23", "-47", "-84"], ["5", "0", "1", "-2", "x"]),
+    "bound": (["10", "30"], ["0", "-5", "x"]),
+    "label": (["1", "2", "-3", "1/2"], ["0", "a"]),
+}
+
+# subcommand: its words, then its flags and the kind of value each takes
+_FUZZ_GRAMMAR = [
+    (["construct"], [("--rep", "rep"), ("--poly", "poly")]),
+    (["classify"], [("--vector", "vector")]),
+    (["kernel"], [("--rep", "rep"), ("--poly", "poly"), ("--alpha", "alpha")]),
+    (["same-orbit"], [("--rep", "rep"), ("--poly", "poly"),
+                      ("--alpha", "alpha"), ("--alpha2", "alpha")]),
+    (["descend"], [("--poly", "poly"), ("--point", "point"), ("--d", "d")]),
+    (["pencil-check"], [("--poly", "poly"), ("--alpha", "alpha"),
+                        ("--d", "d")]),
+    (["census"], [("--p", "p"), ("--n", "n"), ("--rep", "rep3"),
+                  ("--poly", "poly")]),
+    (["local-count"], [("--rep", "rep"), ("--poly", "poly"), ("--p", "p")]),
+    (["real-count"], [("--rep", "rep"), ("--poly", "poly")]),
+    (["lattice-verify"], [("--rep", "rep"), ("--poly", "poly"),
+                          ("--alpha", "alpha"), ("--ideal", "ideal")]),
+    (["bqf", "reduce"], [("--form", "form")]),
+    (["bqf", "classgroup"], [("--d", "D")]),
+    (["bqf", "census"], [("--d", "D"), ("--bound", "bound")]),
+    (["stab-info"], [("--rep", "rep3"), ("--poly", "poly"),
+                     ("--label", "label"), ("--n", "n")]),
+]
+
+
+def fuzz_corpus(seed, count):
+    """count orbit argv lists, reproducible per seed: the subcommands in
+    turn, each flag dropped with probability 0.05 and given a malformed
+    value with probability 0.1, now and then a stray word, and --json
+    half the time. A census at n = 2 runs at p = 3, where it is
+    admitted."""
+    rng = rng_for("cli-fuzz:%d" % seed)
+    out = []
+    for i in range(count):
+        words, flags = _FUZZ_GRAMMAR[i % len(_FUZZ_GRAMMAR)]
+        argv = list(words)
+        for flag, kind in flags:
+            if rng.random() < 0.05:
+                continue
+            valid, malformed = _FUZZ_VALUES[kind]
+            argv += [flag, rng.choice(malformed if rng.random() < 0.1
+                                      else valid)]
+        if words == ["census"] and dict(zip(argv[1::2],
+                                            argv[2::2])).get("--n") == "2":
+            argv += ["--p", "3"]  # argparse keeps the last --p
+        if rng.random() < 0.03:
+            argv.insert(rng.randrange(len(argv) + 1),
+                        rng.choice(["--bogus", "extra", "--p", "-"]))
+        if rng.random() < 0.5:
+            argv.append("--json")
+        out.append(argv)
+    return out
+
+
+def test_fuzz_corpus_exits_0_1_or_2(capsys):
+    # every invocation ends in an exit code of the contract, prints no
+    # traceback and raises nothing; every subcommand but classify (which
+    # has no domain failure) reaches all three codes
+    codes = {}
+    for seed in (1, 2, 3):
+        for argv in fuzz_corpus(seed, 140):
+            code = run(argv)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in capsys.readouterr().err, argv
+            codes.setdefault(" ".join(argv[:2]) if argv[0] == "bqf"
+                             else argv[0], set()).add(code)
+    assert len(codes) >= 14 and all(
+        codes[" ".join(words)] == {0, 1, 2} for words, _ in _FUZZ_GRAMMAR
+        if words != ["classify"])

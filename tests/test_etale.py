@@ -85,13 +85,14 @@ def test_verdict_needs_its_evidence():
         with pytest.raises(ValueError):
             Verdict(status, certificate="no witness")
         assert Verdict(status, witness=b).witness == b
-    for status in ("false", "obstructed", "distinct"):
+    # "unknown" too needs a certificate: the budget that ran out
+    for status in ("false", "obstructed", "distinct", "unknown"):
         for cert in (None, ""):
             with pytest.raises(ValueError):
                 Verdict(status, witness=b, certificate=cert)
         assert Verdict(status, certificate="why").certificate == "why"
-    assert Verdict("unknown").certificate is None
-    assert Verdict("unknown", certificate="budget").certificate == "budget"
+    with pytest.raises(ValueError):
+        Verdict("unknown")
     # a status outside the seven gets round no evidence rule
     for status in ("False", "yes", "", None):
         with pytest.raises(ValueError):
@@ -583,12 +584,24 @@ def test_square_outcomes_pinned():
     assert got == PINNED_SQUARE
 
 
+# the certificate of every "unknown" from solve_tau_norm
+TAU_BOX_EXHAUSTED = ("no solution with the coefficients of c at most"
+                     " TAU_NORM_HEIGHT = 3")
+
+
 def test_tau_norm_outcomes_pinned():
-    got = []
+    # the pins were recorded when an "unknown" carried no certificate: it
+    # is hashed as None, and its budget text is checked on its own
+    got, unknowns = [], 0
     for sk, pi in _pinned_tau_inputs():
         out = etale.solve_tau_norm(sk, pi)
-        got.append(_outcome_hash(out.status, out.certificate, out.witness))
+        cert = out.certificate
+        if out.status == "unknown":
+            assert cert == TAU_BOX_EXHAUSTED
+            cert, unknowns = None, unknowns + 1
+        got.append(_outcome_hash(out.status, cert, out.witness))
     assert got == PINNED_TAU
+    assert unknowns == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1174,7 +1187,7 @@ def test_tau_sieve_computes_few_resultants(monkeypatch):
     monkeypatch.setattr(poly, "_int_resultant", counted)
     out = etale.solve_tau_norm(sk, pi)
     assert (out.status, out.witness, out.certificate) == (
-        "unknown", None, None)
+        "unknown", None, TAU_BOX_EXHAUSTED)
     assert len(calls) <= 10
 
 

@@ -63,16 +63,26 @@ def test_no_unused_private_definitions():
 
 
 def test_cli_leaves_numpy_out_until_a_census():
-    # a fresh interpreter: this process may have imported numpy already
+    # a fresh interpreter: this process may have imported numpy already;
+    # the local and real counts are closed formulas, not censuses
     code = "\n".join([
         "import sys",
         "from orbitforge import cli",
         "assert 'numpy' not in sys.modules, 'import orbitforge.cli'",
         "assert cli.run(['classify', '--vector', '1,0,1']) == 0",
         "assert 'numpy' not in sys.modules, 'orbit classify'",
+        "assert cli.run(['local-count', '--rep', 'sym2', '--poly',"
+        " 'x^3 - x', '--p', '5']) == 0",
+        "assert 'numpy' not in sys.modules, 'orbit local-count'",
+        "assert cli.run(['real-count', '--rep', 'sym2', '--poly',"
+        " 'x^3 - x']) == 0",
+        "assert 'numpy' not in sys.modules, 'orbit real-count'",
+        "assert cli.run(['census', '--p', '3', '--rep', 'standard']) == 0",
+        "assert 'numpy' in sys.modules, 'orbit census'",
     ])
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "label: 1\n"
+    assert proc.stdout.startswith("label: 1\ncount: 10\n"
+                                  "factors_mod_p: 3\ncount: 3\n")

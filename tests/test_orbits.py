@@ -309,7 +309,8 @@ def test_same_orbit_adjoint_real_certificate():
 def test_same_orbit_unknown_when_the_norm_search_runs_out():
     # alpha = c tau(c) puts o2 in o1's orbit, but the tau-norm search box
     # holds no witness for the recovered class: the answer is "unknown",
-    # an honest one, never "distinct"
+    # an honest one, never "distinct", and it names the budget it ran out
+    # of
     f = Poly([0, 1, 0, -1, 0, 1])  # x^5 - x^3 + x
     L = EtaleAlgebra(f)
     c = L.element([2, -1, -5, 1, 3])
@@ -317,7 +318,8 @@ def test_same_orbit_unknown_when_the_norm_search_runs_out():
     o2 = representative_from_alpha(f, c * apply_tau(c), ADJOINT)
     out = same_orbit(o1, o2)
     assert out.status == "unknown"
-    assert out.certificate == "norm equation search exhausted"
+    assert out.certificate == ("no solution with the coefficients of c at"
+                               " most TAU_NORM_HEIGHT = 3")
 
 
 def test_skew_data_builds_K_only(monkeypatch):

@@ -487,6 +487,29 @@ def test_fp_divmod_reduces_and_normalizes_the_remainder():
             poly.fp_normalize(a, p)
 
 
+def test_fp_division_by_a_leading_coefficient_divisible_by_p():
+    # b = 3x + 1 is the constant 1 mod 3: every function reads b mod p
+    assert poly.fp_divmod([1, 2, 1], [1, 3], 3) == ([1, 2, 1], [])
+    assert poly.fp_mod([1, 2, 1], [1, 3], 3) == []
+    for b in ([0, 0, 3], [3], [-6, 9]):
+        with pytest.raises(ZeroDivisionError):
+            poly.fp_divmod([1, 2], b, 3)
+    import random
+    rng = random.Random(6127)
+    for _ in range(300):
+        p = rng.choice((3, 5, 7, 31))
+        a = [rng.randrange(-3 * p, 3 * p) for _ in range(rng.randint(0, 8))]
+        b = [rng.randrange(-p, p) for _ in range(rng.randint(0, 3))]
+        b.append(rng.randrange(1, p))
+        padded = b + [p * rng.randint(-2, 2) for _ in range(rng.randint(1, 3))]
+        padded[-1] = p * rng.choice((-2, -1, 1, 2))
+        assert poly.fp_divmod(a, padded, p) == poly.fp_divmod(a, b, p)
+        assert poly.fp_mod(a, padded, p) == poly.fp_mod(a, b, p)
+        e = rng.randrange(20)
+        assert poly.fp_powmod(a, e, padded, p) == poly.fp_powmod(a, e, b, p)
+        assert poly.fp_invmod(a, padded, p) == poly.fp_invmod(a, b, p)
+
+
 def test_fp_invmod_of_a_non_unit_is_none():
     f = [1, 0, 1]  # x^2 + 1, irreducible mod 3 and mod 7
     assert poly.fp_invmod([3], f, 3) is None

@@ -406,14 +406,35 @@ def test_isotropic_vector_past_a_unit_with_an_e8_complement(monkeypatch):
 
 
 def test_solver_names_the_factoring_budget(monkeypatch):
-    from orbitforge.errors import FactorizationTimeout, IsotropicSearchFailed
+    # the solver lets the factoring budget's own exception through
+    from orbitforge.errors import BudgetExceeded, FactorizationTimeout
 
     def broke(n):
         raise FactorizationTimeout("budget")
 
     monkeypatch.setattr(qf, "factorize", broke)
-    with pytest.raises(IsotropicSearchFailed):
+    with pytest.raises(FactorizationTimeout) as e:
         qf.find_isotropic_vector(D(1, 1, -2))
+    assert isinstance(e.value, BudgetExceeded) and str(e.value) == "budget"
+
+
+def test_factoring_budget_reaches_a_direct_solver_call(monkeypatch):
+    # f = x^3 - 2, alpha = (10029 - b)^2: N(10029 - b) = 732713 * 1376699,
+    # so factoring the twisted determinant needs rho, and 50 iterations
+    # are not enough
+    from orbitforge import arith
+    from orbitforge.errors import BudgetExceeded, FactorizationTimeout
+    from orbitforge.etale import EtaleAlgebra
+    from orbitforge.orbits import SYM2, gram_alpha
+    from orbitforge.poly import Poly
+    f = Poly([-2, 0, 0, 1])
+    c = EtaleAlgebra(f).element([10029, -1])
+    assert c.norm() == 732713 * 1376699
+    monkeypatch.setattr(arith, "FACTOR_RHO_BUDGET", 50)
+    with pytest.raises(FactorizationTimeout) as e:
+        qf.maximal_isotropic_subspace(gram_alpha(f, c * c, SYM2))
+    assert isinstance(e.value, BudgetExceeded)
+    assert "FACTOR_RHO_BUDGET = 50" in str(e.value)
 
 
 def test_representative_from_alpha_factors_each_integer_once(monkeypatch):
