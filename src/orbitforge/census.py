@@ -9,13 +9,23 @@ per generator, one for the high and one for the low half of the digits,
 give the image of any index in O(w) work, and of the whole space as one
 outer sum.  Orbits are then labelled in a few whole-array passes: every
 element takes the smallest label along its images, pointers are jumped
-until stable, and each orbit ends labelled by its smallest index.  The
-dimension-five self-adjoint space is too large to label whole; it is
-sampled one orbit per requested polynomial, by breadth-first closure
-over the same tables from the rational representative of the
-polynomial's lifted key reduced mod p, marking the visited indices in a
-bitset of p^w / 8 bytes.  Characteristic polynomials and determinants
-of whole stacks of operators come from matrix._berkowitz run on int32
+until stable, and each orbit ends labelled by its smallest index.
+
+A self-adjoint space at p ∤ d is censused modulo scalars, as Bhargava
+and Gross work with the trace-zero operators: translation by tI
+commutes with conjugation and sends the characteristic polynomial f(x)
+to f(x - t), and the trace-zero operators complement F_p·I, so every
+orbit is a trace-zero orbit plus tI.  Only the p^(w - 1) trace-zero
+operators are labelled, keyed and measured, and each of their orbits is
+translated by every tI.  At p | d the identity has trace zero, so there,
+and for the skew-adjoint and vector spaces, which hold no scalars, the
+whole space is labelled.  The dimension-five self-adjoint space is too
+large to label; it is sampled one orbit per requested polynomial, by
+breadth-first closure over the same trace-zero tables from the rational
+representative of the polynomial's lifted key reduced mod p and
+translated to trace zero, marking the visited indices in a bitset of
+p^(w - 1) / 8 bytes.  Characteristic polynomials and determinants of
+whole stacks of operators come from matrix._berkowitz run on int32
 entry columns.
 
 Working memory follows what a census keeps, not the arithmetic it
@@ -60,7 +70,11 @@ from .orbits import (STANDARD, SYM2, _check_rep, _reduce_mod,
                      construct_representative)
 from .poly import Poly, fp_is_separable
 
-# estimated conjugations (space size times group order) a census may run
+# estimated conjugations (space size times group order) a census may run.
+# The estimate counts the whole space of p^w elements on purpose, also
+# where a census labels only its p^(w - 1) trace-zero operators: the
+# budget bounds the size of the report's space, and so keeps refusing the
+# self-adjoint census at p = 11 in dimension three
 CONJUGATION_BUDGET = 2 ** 31
 # digit rows per block of class keys in a full census: every census of at
 # most this many elements (all of p = 13 and p = 31) runs as one block
@@ -284,6 +298,44 @@ def _op_digits(T, d, rep):
     return T[..., list(rows), list(cols)]
 
 
+def _scalar_split(d, p, rep):
+    """Where a census of rep splits off the scalar operators F_p·I: the
+    index of the middle anti-diagonal entry T[n][n] among the free
+    coordinates, which the labelled rows leave out, or None.
+
+    Self-adjoint operators at p ∤ d are the trace-zero ones plus F_p·I, as
+    tr I = d is a unit, and a census labels the trace-zero ones only; on
+    them T[n][n] = -2 (T[0][0] + ... + T[n-1][n-1]).  At p | d the identity
+    has trace zero and complements nothing, and skew-adjoint operators and
+    vectors hold no scalars: there nothing is split off.
+    """
+    if rep == SYM2 and d % p:
+        return _free_positions(d, rep).index((d // 2, d // 2))
+    return None
+
+
+def _lift(rows, d, p, rep):
+    """The free coordinates of labelled digit rows: the trace-zero rows of
+    a split census with T[n][n] put back, any other rows as they are."""
+    mid = _scalar_split(d, p, rep)
+    if mid is None:
+        return rows
+    diag = [_free_positions(d, rep).index((i, i)) for i in range(d // 2)]
+    upper = rows[:, diag].sum(axis=1, dtype=np.int64)
+    return np.insert(rows, mid, -2 * upper % p, axis=1)
+
+
+def _translations(d, p, rep):
+    """The free coordinates (s, w) of the scalars tI that carry labelled
+    orbits to the others: every t in F_p where the census splits off the
+    scalars, t = 0 alone where it does not."""
+    w = len(_free_positions(d, rep))
+    if _scalar_split(d, p, rep) is None:
+        return np.zeros((1, w), dtype=np.int64)
+    eye = [int(i == j) for i, j in _free_positions(d, rep)]
+    return np.outer(np.arange(p), eye)
+
+
 @cache
 def _so_generators(d, p):
     """Fixed generators of the proper isometries of the split form in
@@ -362,9 +414,20 @@ def _digit_tables(mats, p):
 @cache
 def _generator_tables(d, p, rep):
     """The digit tables (hi, lo) of _so_generators(d, p) acting on the
-    free coordinates of rep: group constants, built once per (d, p, rep)
-    and kept, read-only."""
-    tables = _digit_tables(_actions(_so_generators(d, p), d, rep, p), p)
+    labelled rows of rep: group constants, built once per (d, p, rep) and
+    kept, read-only.
+
+    Where _scalar_split splits off the scalars (self-adjoint operators at
+    p ∤ d) the labelled rows are the w - 1 free coordinates of the
+    trace-zero operators, which the action preserves: each row is lifted,
+    acted on, and its image's T[n][n] dropped again.  Elsewhere they are
+    all w free coordinates."""
+    mats = _actions(_so_generators(d, p), d, rep, p)
+    mid = _scalar_split(d, p, rep)
+    if mid is not None:
+        basis = _lift(np.eye(mats.shape[1] - 1, dtype=np.int64), d, p, rep)
+        mats = np.delete(basis @ mats % p, mid, axis=2)
+    tables = _digit_tables(mats, p)
     for t in tables:
         t.setflags(write=False)
     return tables
@@ -505,8 +568,14 @@ def _census5_sym2(p, polys):
     """Orbit-sample census for self-adjoint operators in dimension five:
     one orbit per requested class mod p, in first-seen order, closed
     under the generating set and certified by orbit-stabilizer with a
-    directly measured stabilizer."""
+    directly measured stabilizer.
+
+    p ∤ 5 at the one admitted prime, so the closure runs modulo scalars:
+    from the trace-zero T0 - (tr T0 / 5) I, over the trace-zero rows of
+    _generator_tables, whose bitset takes p^(w - 1) / 8 bytes.  The
+    translate by the scalar has the same orbit size and stabilizer."""
     width = len(_free_positions(5, SYM2))
+    mid = _scalar_split(5, p, SYM2)
     hi, lo = _generator_tables(5, p, SYM2)
     rows, seen = [], set()
     for f in polys:
@@ -523,7 +592,10 @@ def _census5_sym2(p, polys):
         inv = pow(op.den, -1, p)
         T0 = np.array([[x * inv % p for x in r] for r in op.num])
         assert [c % p for c in _berkowitz(T0.tolist())] == list(fc[::-1])
-        start = int(_op_digits(T0, 5, SYM2) @ p ** np.arange(width)[::-1])
+        t = np.trace(T0) * pow(5, -1, p) % p
+        x = np.delete(_op_digits((T0 - t * np.eye(5, dtype=np.int64)) % p,
+                                 5, SYM2), mid)
+        start = int(x @ p ** np.arange(len(x))[::-1])
         size = _closure(start, hi, lo, p)[0]
         stab = _stab_order5(T0, p)
         assert size * stab == so_order(2, p)
@@ -566,16 +638,21 @@ def _full_census(p, n, rep, polys):
     orbits of verified generators.
 
     Classes are the vector labels q(v)/2 or the characteristic polynomials
-    mod p; orbits never cross them.  Characteristic polynomials are taken
-    over blocks of KEY_BLOCK digit rows, one operator stack at a time.
-    Orbits are the labels of _orbit_labels over the generator images of
-    the whole space; polys, when given, keeps only the orbits of the
-    wanted classes.  Every orbit
-    whose stabilizer is measured directly is certified: size times
-    stabilizer must equal the group order.  Dimension three measures all
-    stabilizers at once over the enumerated group; dimension five measures
-    those of separable operator classes over the commutant and leaves the
-    rest None.
+    mod p; orbits never cross them.  The labelled space is the trace-zero
+    operators where _scalar_split splits off the scalars (self-adjoint
+    operators at p ∤ d), and the whole space elsewhere.  Its orbits are the
+    labels of _orbit_labels over the generator images of every labelled
+    row, its classes are taken over blocks of KEY_BLOCK lifted rows, one
+    operator stack at a time, and its stabilizers are measured on the
+    lifted orbit representatives.  Each labelled orbit O then gives the
+    orbits O + tI of every translation in _translations, with O's size,
+    stabilizer and class count; their classes are those of the translated
+    representatives.  polys, when given, keeps only the orbits of the
+    wanted classes.  Every orbit whose stabilizer is measured directly is
+    certified: size times stabilizer must equal the group order.
+    Dimension three measures all stabilizers at once over the enumerated
+    group; dimension five measures those of separable operator classes
+    over the commutant and leaves the rest None.
     """
     d = 2 * n + 1
     if polys is not None:
@@ -589,36 +666,46 @@ def _full_census(p, n, rep, polys):
             if n == 2 and (k[0] or k[2] or k[4]):
                 raise NotOddPolynomial("skew rows need odd quintics")
             wanted.append(sum(c * p ** i for i, c in enumerate(k[:-1])))
+
+    def classes(x):
+        if rep == STANDARD:
+            x = x.astype(np.int64)
+            qv = np.einsum("ni,ij,nj->n", x, _gram_np(d), x) % p
+            return qv * pow(2, -1, p) % p
+        return _charpoly_keys(x, d, rep, p)
+
     width = len(_free_positions(d, rep))
-    digits = _digits_array(width, p)
     hi, lo = _generator_tables(d, p, rep)
-    if rep == STANDARD:
-        x = digits.astype(np.int64)
-        qv = np.einsum("ni,ij,nj->n", x, _gram_np(d), x) % p
-        keys = qv * pow(2, -1, p) % p
-    else:
-        keys = np.empty(len(digits), dtype=np.int32)
-        for s in range(0, len(digits), KEY_BLOCK):
-            keys[s:s + KEY_BLOCK] = _charpoly_keys(digits[s:s + KEY_BLOCK],
-                                                   d, rep, p)
+    digits = _digits_array(hi.shape[1], p)
+    keys = np.empty(len(digits), dtype=np.int32)
+    for s in range(0, len(digits), KEY_BLOCK):
+        keys[s:s + KEY_BLOCK] = classes(_lift(digits[s:s + KEY_BLOCK],
+                                              d, p, rep))
     images = _images(hi, lo, np.arange(hi.shape[2])[:, None],
                      np.arange(lo.shape[2])[None], p).reshape(len(hi), -1)
     lab = _orbit_labels(images)
     assert np.array_equal(keys[lab], keys)
-    reps, sizes = np.unique(lab, return_counts=True)
+    labelled, sizes = np.unique(lab, return_counts=True)
+    lifted = _lift(digits[labelled], d, p, rep)
+    shifts = _translations(d, p, rep)
+    reps = ((lifted[:, None] + shifts) % p).reshape(-1, width)
+    source = np.repeat(np.arange(len(labelled)), len(shifts))
+    rep_keys = classes(reps) if len(shifts) > 1 else keys[labelled]
+    assert np.array_equal(rep_keys[::len(shifts)], keys[labelled])
     if polys is not None:
-        keep = np.isin(keys[reps], wanted)
-        reps, sizes = reps[keep], sizes[keep]
+        keep = np.isin(rep_keys, wanted)
+        reps, source, rep_keys = reps[keep], source[keep], rep_keys[keep]
+    sizes, counts = sizes[source], np.bincount(keys)[keys[labelled]][source]
     if n == 1:
         acts = _so3_actions(p, rep)
         group_order = order = len(acts)
-        stabs = _stabilizer_counts(digits[reps], acts, p).tolist()
+        measured, at = np.unique(source, return_inverse=True)
+        stabs = _stabilizer_counts(lifted[measured], acts, p)[at].tolist()
     else:
         group_order, order = None, so_order(n, p)
         stabs = [None] * len(reps)
-    order_by = np.lexsort((sizes, keys[reps]))
-    row_keys, starts = np.unique(keys[reps][order_by], return_index=True)
-    counts = np.bincount(keys)
+    order_by = np.lexsort((sizes, rep_keys))
+    row_keys, starts = np.unique(rep_keys[order_by], return_index=True)
     seps = ([None] * len(row_keys) if rep == STANDARD
             else _separable_keys(row_keys, n, p).tolist())
     rows = []
@@ -631,9 +718,9 @@ def _full_census(p, n, rep, polys):
         orbits = order_by[first:last].tolist()
         if n == 2 and sep:
             for o in orbits:
-                T0 = _ops_from_digits(digits[reps[o]][None], d, rep, p)[0]
+                T0 = _ops_from_digits(reps[o][None], d, rep, p)[0]
                 stabs[o] = _stab_order5(T0, p)
-        row = CensusRow(row_key, sep, int(counts[key]),
+        row = CensusRow(row_key, sep, int(counts[orbits[0]]),
                         [int(sizes[o]) for o in orbits],
                         [stabs[o] for o in orbits], True)
         assert all(t is None or s * t == order
@@ -658,18 +745,27 @@ def finite_census(p, n, rep, polys=None):
     generator of the isometry group permutes those indices; its images
     come from two digit tables of p^(w/2) rows.  An enumerated space is
     partitioned by min-label propagation over the images of every
-    element, each orbit labelled by its smallest index.  Dimension three
+    element, each orbit labelled by its smallest index.  Self-adjoint
+    spaces at p ∤ d are partitioned modulo scalars: the trace-zero
+    operators, a complement of F_p·I when d is a unit mod p, are labelled
+    on w - 1 coordinates, and each of their orbits O gives the p orbits
+    O + tI, of the same size and stabilizer, with characteristic
+    polynomial f(x - t) for f that of O.  At p | d (p = 3 in dimension
+    three) the identity has trace zero, so that space, like the
+    skew-adjoint and vector spaces, is labelled whole.  Dimension three
     (n = 1) enumerates every operator (or vector) and the whole group,
     and certifies every orbit by orbit-stabilizer against a stabilizer
     counted over the group.  Dimension five (n = 2) runs at p = 3 only:
     skew-adjoint and vector spaces are enumerated in full, with separable
     operator orbits certified against a stabilizer measured over the
     commutant, while the self-adjoint space is sampled one certified
-    orbit per requested polynomial, by breadth-first closure from the
-    exact rational representative of its key reduced mod p.  polys,
-    when given, restricts the operator rows of a full census to the
-    wanted classes after the whole space is labelled; vector censuses
-    refuse it with NotOperatorRep.
+    orbit per requested polynomial, by breadth-first closure over the
+    trace-zero operators from the exact rational representative of its
+    key reduced mod p, translated to trace zero.  polys, when given,
+    restricts the operator rows of a full census to the wanted classes
+    after the labelled space is partitioned; vector censuses refuse it
+    with NotOperatorRep.  space_size counts the whole space, p^w, in
+    every mode.
 
     Raises EvenPrime at p = 2, BadPrime for composite p, WrongDimension
     for n < 1, BudgetExceeded when the estimated conjugation work passes

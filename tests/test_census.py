@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from orbitforge.census import (CensusRow, charpoly_key, finite_census,
                                so_order, _charpolys, _actions, _closure,
-                               _digit_tables, _digits_array, _gram_np,
-                               _images, _ops_from_digits, _orbit_labels,
-                               _separable_keys, _so3_elements,
+                               _digit_tables, _digits_array,
+                               _free_positions, _generator_tables, _gram_np,
+                               _images, _op_digits, _ops_from_digits,
+                               _orbit_labels, _separable_keys, _so3_elements,
                                _so_generators, _stabilizer_counts)
 from orbitforge.errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
                                MaximalRankHypothesisFails, NonSeparableModP,
@@ -317,6 +318,86 @@ def test_closure_bitset_matches_bool_reference_dim5(f, size, monkeypatch):
     assert calls == [size]
 
 
+def _trace_zero_rows(d, p, count, seed):
+    """count seeded free-coordinate rows of trace-zero self-adjoint
+    operators: random operators less tr/d times the identity, read off
+    their entries, so no trace formula of the census is used."""
+    w = len(_free_positions(d, SYM2))
+    x = np.random.default_rng(seed).integers(0, p, size=(count, w))
+    T = _ops_from_digits(x, d, SYM2, p).astype(np.int64)
+    t = np.trace(T, axis1=1, axis2=2) * pow(d, -1, p) % p
+    T = (T - t[:, None, None] * np.eye(d, dtype=np.int64)) % p
+    assert not np.any(np.trace(T, axis1=1, axis2=2) % p)
+    return _op_digits(T, d, SYM2)
+
+
+@pytest.mark.parametrize("d, p", [(3, 5), (3, 7), (5, 3)])
+def test_trace_zero_tables_match_direct_product(d, p):
+    # the census's tables act on trace-zero rows without T[n][n]: they
+    # must agree with the whole-space action x @ M % p, whose images of
+    # trace-zero rows are trace-zero again
+    mats = _actions(_so_generators(d, p), d, SYM2, p)
+    mid = _free_positions(d, SYM2).index((d // 2, d // 2))
+    hi, lo = _generator_tables(d, p, SYM2)
+    assert hi.shape[1] == mats.shape[1] - 1
+    x = _trace_zero_rows(d, p, 3000, seed=d * p)
+    y = x @ mats % p
+    T = _ops_from_digits(y.reshape(-1, y.shape[-1]), d, SYM2, p)
+    assert not np.any(np.trace(T.astype(np.int64), axis1=1, axis2=2) % p)
+    x0, y0 = np.delete(x, mid, axis=1), np.delete(y, mid, axis=2)
+    index = x0 @ p ** np.arange(x0.shape[1])[::-1]
+    images = _images(hi, lo, index // lo.shape[2], index % lo.shape[2], p)
+    digits = images[..., None] // p ** np.arange(x0.shape[1])[::-1] % p
+    assert np.array_equal(digits, y0)
+
+
+@pytest.mark.parametrize("d, p, rep", [(3, 3, SYM2), (3, 7, ADJOINT),
+                                       (3, 5, STANDARD), (5, 3, ADJOINT)])
+def test_unsplit_tables_are_whole_space_tables(d, p, rep):
+    # at p | d, and for spaces without scalars, every coordinate is kept
+    whole = _digit_tables(_actions(_so_generators(d, p), d, rep, p), p)
+    for got, want in zip(_generator_tables(d, p, rep), whole):
+        assert np.array_equal(got, want)
+
+
+def _whole_space_census(p, wanted=None):
+    """Reference for the dimension-three self-adjoint census: all p^6
+    operators labelled over the whole-space tables, as {key: (operator
+    count, sorted orbit sizes)}, restricted to the wanted keys if given."""
+    hi, lo = _digit_tables(_actions(_so_generators(3, p), 3, SYM2, p), p)
+    images = _images(hi, lo, np.arange(hi.shape[2])[:, None],
+                     np.arange(lo.shape[2])[None], p).reshape(len(hi), -1)
+    lab = _orbit_labels(images)
+    c = _charpolys(_ops_from_digits(_digits_array(6, p), 3, SYM2, p), p)
+    keys = (c[1] * p + c[2]) * p + c[3]
+    reps, sizes = np.unique(lab, return_counts=True)
+    out = {}
+    for key, count in zip(*np.unique(keys, return_counts=True)):
+        row = (int(key) % p, int(key) // p % p, int(key) // p ** 2, 1)
+        if wanted is None or row in wanted:
+            out[row] = (int(count), sorted(sizes[keys[reps] == key].tolist()))
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("polys", [None, [X3_MINUS_X, X3_PLUS_X,
+                                          Poly([3, 3, 0, 1]),
+                                          Poly([-1, 3, -3, 1]),
+                                          Poly([2, 0, 2, 1])]],
+                         ids=["all", "polys"])
+def test_sym2_census_modulo_scalars_matches_whole_space(p, polys):
+    # every orbit of the census, labelled on the trace-zero operators and
+    # translated by the scalars, against the whole space labelled at once
+    r = finite_census(p, 1, SYM2, polys=polys)
+    wanted = None if polys is None else {charpoly_key(f, p) for f in polys}
+    want = _whole_space_census(p, wanted)
+    got = {row.key: (row.operator_count, sorted(row.orbit_sizes))
+           for row in r.rows}
+    assert got == want
+    assert len(got) == (len(wanted) if polys else p ** 3)
+    assert r.space_size == p ** 6
+
+
 # ---------------------------------------------------------------------------
 # working memory
 
@@ -331,9 +412,11 @@ MEMORY_BOUND = 8 * 2 ** 20
         "sym2-sample-1-1-3"])
 def test_census_working_memory_bounded(p, n, rep, polys):
     # peak traced allocations, numpy arrays included; the bound sits
-    # between the 2.7-6.4 MiB these censuses take and the 14-16 MiB that
-    # whole-space int64 digit rows, one charpoly pass over every operator,
-    # int64 labels or a bool per index in the closure would take
+    # between the 0.9-6.4 MiB these censuses take (1.6 MiB for sym2 at
+    # p = 7, 6.4 MiB for the dimension-five adjoint key block) and the
+    # 14-16 MiB that whole-space int64 digit rows, one charpoly pass over
+    # every operator, int64 labels or a bool per index in the closure
+    # would take
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
