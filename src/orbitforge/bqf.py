@@ -107,8 +107,8 @@ def _check_discriminant(d):
     return d
 
 
-def reduced_forms(d, primitive_only=True):
-    """All reduced forms of discriminant d < 0, ordered by (a, -b)."""
+def reduced_forms(d):
+    """The reduced primitive forms of discriminant d < 0, by (a, -b)."""
     d = _check_discriminant(d)
     out = []
     a = 1
@@ -124,9 +124,8 @@ def reduced_forms(d, primitive_only=True):
             if b < 0 and (b == -a or a == c):
                 continue
             F = BQForm(a, b, c)
-            if primitive_only and not F.is_primitive():
-                continue
-            out.append(F)
+            if F.is_primitive():
+                out.append(F)
         a += 1
     out.sort(key=lambda F: (F.a, -F.b, F.c))
     return out

@@ -57,6 +57,7 @@ the enumeration censuses.  Everything is integer arithmetic throughout;
 floats never enter.
 """
 
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -66,7 +67,7 @@ from .errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
                      NonSeparableModP, NotMonic, NotOddPolynomial,
                      NotOperatorRep, WrongDegree, WrongDimension)
 from .matrix import _berkowitz
-from .orbits import (STANDARD, SYM2, _check_rep, _reduce_mod,
+from .orbits import (ADJOINT, STANDARD, SYM2, _check_rep, _reduce_mod,
                      construct_representative)
 from .poly import Poly, fp_is_separable
 
@@ -168,6 +169,7 @@ def _so3_elements(p):
 # census report structure
 
 
+@dataclass(slots=True)
 class CensusRow:
     """One invariant-polynomial class (or vector label) of a census.
 
@@ -179,35 +181,19 @@ class CensusRow:
     holds None where no independent stabilizer measurement was made.
     """
 
-    __slots__ = ("key", "separable", "operator_count", "orbit_sizes",
-                 "stabilizer_orders", "complete")
-
-    def __init__(self, key, separable, operator_count, orbit_sizes,
-                 stabilizer_orders, complete):
-        self.key = key
-        self.separable = separable
-        self.operator_count = operator_count
-        self.orbit_sizes = tuple(orbit_sizes)
-        self.stabilizer_orders = tuple(stabilizer_orders)
-        self.complete = complete
+    key: tuple | int
+    separable: bool | None
+    operator_count: int | None
+    orbit_sizes: tuple
+    stabilizer_orders: tuple
+    complete: bool
 
     @property
     def orbit_count(self):
         return len(self.orbit_sizes) if self.complete else None
 
-    def _tup(self):
-        return (self.key, self.separable, self.operator_count,
-                self.orbit_sizes, self.stabilizer_orders, self.complete)
 
-    def __eq__(self, other):
-        return isinstance(other, CensusRow) and self._tup() == other._tup()
-
-    def __repr__(self):
-        return "CensusRow(key=%r, separable=%r, ops=%r, orbits=%r, stabs=%r)" % (
-            self.key, self.separable, self.operator_count, self.orbit_sizes,
-            self.stabilizer_orders)
-
-
+@dataclass(slots=True)
 class FiniteCensusReport:
     """Census output: per-class rows plus the global accounting.
 
@@ -218,34 +204,19 @@ class FiniteCensusReport:
     listed.
     """
 
-    __slots__ = ("p", "n", "rep", "mode", "group_order", "space_size", "rows")
-
-    def __init__(self, p, n, rep, mode, group_order, space_size, rows):
-        self.p = p
-        self.n = n
-        self.rep = rep
-        self.mode = mode
-        self.group_order = group_order
-        self.space_size = space_size
-        self.rows = list(rows)
+    p: int
+    n: int
+    rep: str
+    mode: str
+    group_order: int | None
+    space_size: int
+    rows: list = field(repr=False)
 
     def row(self, key):
         for r in self.rows:
             if r.key == key:
                 return r
         raise KeyError(key)
-
-    def __eq__(self, other):
-        return (isinstance(other, FiniteCensusReport)
-                and (self.p, self.n, self.rep, self.mode, self.group_order,
-                     self.space_size) == (other.p, other.n, other.rep,
-                                          other.mode, other.group_order,
-                                          other.space_size)
-                and self.rows == other.rows)
-
-    def __repr__(self):
-        return "FiniteCensusReport(p=%d, n=%d, rep=%r, rows=%d)" % (
-            self.p, self.n, self.rep, len(self.rows))
 
 
 def charpoly_key(f, p):
@@ -564,11 +535,11 @@ def _stab_order5(T, p):
     return int(np.sum(-_charpolys(good, p)[5] % p == 1))
 
 
-def _census5_sym2(p, polys):
+def _census5_sym2(p, keys):
     """Orbit-sample census for self-adjoint operators in dimension five:
-    one orbit per requested class mod p, in first-seen order, closed
-    under the generating set and certified by orbit-stabilizer with a
-    directly measured stabilizer.
+    one orbit per requested key, in first-seen order, closed under the
+    generating set and certified by orbit-stabilizer with a directly
+    measured stabilizer.
 
     p ∤ 5 at the one admitted prime, so the closure runs modulo scalars:
     from the trace-zero T0 - (tr T0 / 5) I, over the trace-zero rows of
@@ -577,16 +548,8 @@ def _census5_sym2(p, polys):
     width = len(_free_positions(5, SYM2))
     mid = _scalar_split(5, p, SYM2)
     hi, lo = _generator_tables(5, p, SYM2)
-    rows, seen = [], set()
-    for f in polys:
-        fc = charpoly_key(f, p)
-        if len(fc) != 6:
-            raise WrongDegree("dimension-five rows need monic quintics")
-        if fc in seen:
-            continue
-        seen.add(fc)
-        if not fp_is_separable(list(fc), p):
-            raise NonSeparableModP("polynomial not separable mod %d" % p)
+    rows = []
+    for fc in dict.fromkeys(keys):
         op = construct_representative(Poly(list(fc)), SYM2).op
         assert op.den % p
         inv = pow(op.den, -1, p)
@@ -599,7 +562,7 @@ def _census5_sym2(p, polys):
         size = _closure(start, hi, lo, p)[0]
         stab = _stab_order5(T0, p)
         assert size * stab == so_order(2, p)
-        rows.append(CensusRow(tuple(fc), True, None, [size], [stab], False))
+        rows.append(CensusRow(fc, True, None, (size,), (stab,), False))
     return FiniteCensusReport(p, 2, SYM2, "orbit-sample", None,
                               p ** width, rows)
 
@@ -633,7 +596,7 @@ def _charpoly_keys(digits, d, rep, p):
     return sum(c[d - i] * p ** i for i in range(d))
 
 
-def _full_census(p, n, rep, polys):
+def _full_census(p, n, rep, wanted):
     """Every element of the space, partitioned class by class into the
     orbits of verified generators.
 
@@ -647,25 +610,14 @@ def _full_census(p, n, rep, polys):
     lifted orbit representatives.  Each labelled orbit O then gives the
     orbits O + tI of every translation in _translations, with O's size,
     stabilizer and class count; their classes are those of the translated
-    representatives.  polys, when given, keeps only the orbits of the
-    wanted classes.  Every orbit whose stabilizer is measured directly is
-    certified: size times stabilizer must equal the group order.
+    representatives.  wanted, when given, keeps only the orbits of the
+    classes with those row keys.  Every orbit whose stabilizer is measured
+    directly is certified: size times stabilizer must equal the group order.
     Dimension three measures all stabilizers at once over the enumerated
     group; dimension five measures those of separable operator classes
     over the commutant and leaves the rest None.
     """
     d = 2 * n + 1
-    if polys is not None:
-        if rep == STANDARD:
-            raise NotOperatorRep("vector censuses have no polynomial classes")
-        wanted = []
-        for f in polys:
-            k = charpoly_key(f, p)
-            if len(k) != d + 1:
-                raise WrongDegree("census rows need degree %d" % d)
-            if n == 2 and (k[0] or k[2] or k[4]):
-                raise NotOddPolynomial("skew rows need odd quintics")
-            wanted.append(sum(c * p ** i for i, c in enumerate(k[:-1])))
 
     def classes(x):
         if rep == STANDARD:
@@ -692,15 +644,15 @@ def _full_census(p, n, rep, polys):
     source = np.repeat(np.arange(len(labelled)), len(shifts))
     rep_keys = classes(reps) if len(shifts) > 1 else keys[labelled]
     assert np.array_equal(rep_keys[::len(shifts)], keys[labelled])
-    if polys is not None:
-        keep = np.isin(rep_keys, wanted)
+    if wanted is not None:
+        keep = np.isin(rep_keys, [sum(c * p ** i for i, c in enumerate(k[:-1]))
+                                  for k in wanted])
         reps, source, rep_keys = reps[keep], source[keep], rep_keys[keep]
     sizes, counts = sizes[source], np.bincount(keys)[keys[labelled]][source]
     if n == 1:
         acts = _so3_actions(p, rep)
         group_order = order = len(acts)
-        measured, at = np.unique(source, return_inverse=True)
-        stabs = _stabilizer_counts(lifted[measured], acts, p)[at].tolist()
+        stabs = _stabilizer_counts(lifted, acts, p)[source].tolist()
     else:
         group_order, order = None, so_order(n, p)
         stabs = [None] * len(reps)
@@ -721,13 +673,13 @@ def _full_census(p, n, rep, polys):
                 T0 = _ops_from_digits(reps[o][None], d, rep, p)[0]
                 stabs[o] = _stab_order5(T0, p)
         row = CensusRow(row_key, sep, int(counts[orbits[0]]),
-                        [int(sizes[o]) for o in orbits],
-                        [stabs[o] for o in orbits], True)
+                        tuple(int(sizes[o]) for o in orbits),
+                        tuple(stabs[o] for o in orbits), True)
         assert all(t is None or s * t == order
                    for s, t in zip(row.orbit_sizes, row.stabilizer_orders))
         assert sum(row.orbit_sizes) == row.operator_count
         rows.append(row)
-    if polys is None:
+    if wanted is None:
         assert sum(r.operator_count for r in rows) == p ** width
     return FiniteCensusReport(p, n, rep, "full", group_order, p ** width,
                               rows)
@@ -763,13 +715,15 @@ def finite_census(p, n, rep, polys=None):
     trace-zero operators from the exact rational representative of its
     key reduced mod p, translated to trace zero.  polys, when given,
     restricts the operator rows of a full census to the wanted classes
-    after the labelled space is partitioned; vector censuses refuse it
-    with NotOperatorRep.  space_size counts the whole space, p^w, in
-    every mode.
+    after the labelled space is partitioned.  space_size counts the whole
+    space, p^w, in every mode.
 
     Raises EvenPrime at p = 2, BadPrime for composite p, WrongDimension
     for n < 1, BudgetExceeded when the estimated conjugation work passes
-    CONJUGATION_BUDGET or no census mode covers (p, n, rep, polys); every
+    CONJUGATION_BUDGET or no census mode covers (p, n, rep, polys).  polys
+    are then checked and keyed once: NotOperatorRep for vectors, NotMonic,
+    WrongDegree unless of degree 2n + 1, NotOddPolynomial in a skew census
+    at every n, NonSeparableModP in the dimension-five sample.  Every
     refusal comes before any work.
     """
     _check_rep(rep)
@@ -789,11 +743,27 @@ def finite_census(p, n, rep, polys=None):
                 % (need, CONJUGATION_BUDGET))
     elif p != 3:
         raise BudgetExceeded("dimension five runs at p = 3 only")
-    elif rep == SYM2:
-        if polys is None:
-            raise BudgetExceeded(
-                "the 3^15 self-adjoint operators of dimension five are "
-                "sampled, not enumerated; pass explicit polynomials for "
-                "orbit generation")
-        return _census5_sym2(p, polys)
-    return _full_census(p, n, rep, polys)
+    elif rep == SYM2 and polys is None:
+        raise BudgetExceeded(
+            "the 3^15 self-adjoint operators of dimension five are "
+            "sampled, not enumerated; pass explicit polynomials for "
+            "orbit generation")
+    keys = None
+    if polys is not None:
+        if rep == STANDARD:
+            raise NotOperatorRep("vector censuses have no polynomial classes")
+        keys = []
+        for f in polys:
+            k = charpoly_key(f, p)
+            if len(k) != 2 * n + 2:
+                raise WrongDegree("census rows need degree %d, got %s"
+                                  % (2 * n + 1, f.pretty()))
+            if rep == ADJOINT and any(k[0::2]):
+                raise NotOddPolynomial("skew census rows need odd polynomials"
+                                       " mod %d, got %s" % (p, f.pretty()))
+            if n == 2 and rep == SYM2 and not fp_is_separable(list(k), p):
+                raise NonSeparableModP("polynomial not separable mod %d" % p)
+            keys.append(k)
+    if n == 2 and rep == SYM2:
+        return _census5_sym2(p, keys)
+    return _full_census(p, n, rep, keys)

@@ -101,34 +101,10 @@ class _Scanner:
 
 
 def _parse_coeff_list(text):
-    sc = _Scanner(text)
-    sc.skip_ws()
-    if sc.peek() != "[":
-        sc.fail("expected '['")
-    sc.i += 1
-    coeffs = []
-    while True:
-        sc.skip_ws()
-        sign = 1
-        if sc.peek() == "-":
-            sign = -1
-            sc.i += 1
-            sc.skip_ws()
-        if not sc.at_digit():
-            sc.fail("expected a coefficient")
-        coeffs.append(sign * sc.take_rational())
-        sc.skip_ws()
-        if sc.peek() == ",":
-            sc.i += 1
-            continue
-        if sc.peek() == "]":
-            sc.i += 1
-            break
-        sc.fail("expected ',' or ']'")
-    sc.skip_ws()
-    if sc.peek():
-        sc.fail("trailing input")
-    return coeffs
+    s = text.strip()
+    if not (s.startswith("[") and s.endswith("]")):
+        raise ParseError("expected a bracketed list in %r" % text)
+    return [parse_fraction(part) for part in s[1:-1].split(",")]
 
 
 def parse_poly(text, var="x"):

@@ -12,7 +12,6 @@ homogenization of f.
 from fractions import Fraction
 
 from .errors import (NotGenusOne, NotOnCurve, WeierstrassPoint, ZeroArgument)
-from .etale import EtaleAlgebra
 from .matrix import Mat, interpolate
 from .orbits import SYM2, gram_alpha, in_kernel_gamma, _validate_charpoly
 from .poly import Poly
@@ -23,10 +22,10 @@ INFINITY = None
 class HyperCurve:
     """dy^2 = f(x) for monic separable f of odd degree 2n+1 >= 3."""
 
-    __slots__ = ("f", "d", "n")
+    __slots__ = ("f", "d", "n", "alg")
 
     def __init__(self, f, d=1):
-        _validate_charpoly(f, SYM2)
+        self.alg = _validate_charpoly(f, SYM2)
         d = Fraction(d)
         if d == 0:
             raise ZeroArgument("twist must be nonzero")
@@ -59,14 +58,13 @@ def descent_class(curve, pt):
     infinity carries the identity class.
     """
     curve.check_point(pt)
-    alg = EtaleAlgebra(curve.f)
     if pt is INFINITY:
-        return alg.one()
+        return curve.alg.one()
     x0, y0 = Fraction(pt[0]), Fraction(pt[1])
     if y0 == 0:
         raise WeierstrassPoint("y = 0 points need the corrected class on the"
                                " vanishing factor; unsupported")
-    alpha = alg.from_poly(Poly([curve.d * x0, -curve.d]))
+    alpha = curve.alg.from_poly(Poly([curve.d * x0, -curve.d]))
     expected = curve.d ** (2 * curve.n + 2) * y0 ** 2
     assert alpha.norm() == expected
     return alpha

@@ -83,7 +83,8 @@ class EtaleAlgebra:
             raise NonSeparable("modulus must have degree >= 1")
         d = P.discriminant(f)
         if d == 0:
-            raise NonSeparable("modulus has a repeated root")
+            raise NonSeparable("polynomial %s has a repeated root"
+                               % f.pretty())
         self.f = f
         self.disc = d
         self.deg = f.degree

@@ -18,15 +18,14 @@ from math import comb
 
 from .arith import is_prime, is_rational_square, rng_for, squarefree_part
 from .errors import (BadPrime, DimensionMismatch, MaximalRankHypothesisFails,
-                     NoCyclicVector, NonSeparable, NonUnit, NormNotSquare,
-                     NotMonic, NotOddPolynomial, NotSplit, NotTauFixed,
-                     RingMismatch, WrongDegree, WrongDimension,
-                     ZeroDiscriminant)
+                     NoCyclicVector, NonUnit, NormNotSquare, NotMonic,
+                     NotOddPolynomial, NotSplit, NotTauFixed, RingMismatch,
+                     WrongDegree, WrongDimension, ZeroDiscriminant)
 from .etale import (EtaleAlgebra, EtaleElement, Verdict, is_square,
                     is_tau_fixed, skew_data, solve_tau_norm, square_screen)
 from .matrix import Mat, solve
-from .poly import (Poly, count_real_roots, discriminant, even_part,
-                   fp_count_factors, fp_from_poly, is_separable)
+from .poly import (Poly, count_real_roots, even_part, fp_count_factors,
+                   fp_from_poly)
 from .quadform import (QuadSpace, hyperbolic_completion, is_split_odd,
                        maximal_isotropic_subspace, standard_gram)
 
@@ -74,16 +73,17 @@ def adjoint_op(t, space):
 
 
 def _validate_charpoly(f, rep):
+    """L = Q[x]/(f) for a charpoly of rep; building it checks separability."""
     if f.degree < 3 or f.degree % 2 == 0:
         raise WrongDegree("need odd degree >= 3, got %s" % f.degree)
     if not f.is_monic():
         raise NotMonic("characteristic polynomial must be monic")
-    if not is_separable(f):
-        raise NonSeparable("polynomial %s has a repeated root" % f.pretty())
+    alg = EtaleAlgebra(f)
     if rep == ADJOINT:
         if any(f.num[0::2]):
             raise NotOddPolynomial(
                 "skew operators need f(-x) = -f(x); got %s" % f.pretty())
+    return alg
 
 
 def _pairing_gram(alpha, rep):
@@ -172,10 +172,9 @@ def construct_representative(f, rep):
     standard space; the companion matrix conjugates along it.
     """
     _check_tensor_rep(rep)
-    _validate_charpoly(f, rep)
+    alg = _validate_charpoly(f, rep)
     d = f.degree
     n = (d - 1) // 2
-    alg = EtaleAlgebra(f)
     base = QuadSpace(_pairing_gram(alg.one(), rep))
     m_cols = []
     for i in range(n):
@@ -204,8 +203,7 @@ def gram_alpha(f, alpha, rep):
     tau-fixed with square norm.  Both keep det class (-1)^n.
     """
     _check_tensor_rep(rep)
-    _validate_charpoly(f, rep)
-    alg = EtaleAlgebra(f)
+    alg = _validate_charpoly(f, rep)
     alpha = _coerce_alpha(alg, alpha)
     if not alpha.is_unit():
         raise NonUnit("alpha must be a unit of L")
@@ -238,19 +236,16 @@ def _cyclic_candidates(d, tag):
 
 
 def _alpha_from_vector(orep, alg, base_gram, w):
-    """alpha with top(alpha nu) matching <nu(T)w, w>, or None if w is not cyclic.
-
-    Returns the pulled-back Gram too so the caller can cross-check it
-    against the twisted pairing.
-    """
+    """alpha with top(alpha nu) matching <nu(T)w, w>, and the pulled-back
+    Gram K^T J K, K = (w, Tw, ..., T^(d-1) w).  It and alpha's pairing Gram
+    agree on the first row and obey f's recurrence, so they are equal for
+    every w, and w is cyclic exactly when alpha is a unit."""
     d = orep.space.dim
     op = orep.op
     pows = [w]
     for _ in range(d - 1):
         pows.append(op.apply(pows[-1]))
     kr = Mat.from_cols(pows)
-    if kr.det() == 0:
-        return None
     # <T^i w, T^j w> = K^T J K
     pulled = kr.transpose() * orep.space.gram * kr
     sign = -1 if orep.rep == ADJOINT and orep.n % 2 else 1
@@ -261,34 +256,28 @@ def _alpha_from_vector(orep, alg, base_gram, w):
 def recover_alpha(orep):
     """The unit of L = Q[x]/(f) carried by the operator.
 
-    Searches for a cyclic vector w, reads off b_j = <T^j w, w>, and
-    solves the base pairing for alpha; the pulled-back Gram is checked
-    against gram_alpha exactly.  Well-defined up to c*tau(c) (skew) or
-    squares (symmetric).  The cyclic vector lambda(T)w multiplies alpha
-    by lambda^2, so for the symmetric pairing every cyclic vector gives
-    the same square class and the first one is returned.  In the skew
-    case lambda*tau(lambda) need not be a square, so among cyclic vectors
-    we prefer one whose alpha is not provably a non-square, and the
-    distinguished construction round-trips to a trivial class.  Most
-    candidates are non-squares, so each is screened by every test of
-    is_square but the lift (square_screen), and is_square decides only
-    the ones nothing refutes.
+    Searches for a cyclic vector w, reads off b_j = <T^j w, w>, and solves
+    the base pairing for alpha, which is a unit exactly when w is cyclic;
+    the pulled-back Gram is checked against gram_alpha exactly.
+    Well-defined up to c*tau(c) (skew) or squares (symmetric).  The cyclic
+    vector lambda(T)w multiplies alpha by lambda^2, so for the symmetric
+    pairing every cyclic vector gives the same square class and the first
+    one is returned.  In the skew case lambda*tau(lambda) need not be a
+    square, so among cyclic vectors we prefer one whose alpha is not
+    provably a non-square, and the distinguished construction round-trips to
+    a trivial class.  Most candidates are non-squares, so each is screened
+    by every test of is_square but the lift (square_screen), and is_square
+    decides only the ones nothing refutes.
     """
     f = orep.f
-    if not is_separable(f):
-        raise NonSeparable("charpoly %s is not separable" % f.pretty())
     alg = EtaleAlgebra(f)
     base_gram = _pairing_gram(alg.one(), SYM2)
     first = None
     tested = 0
     for w in _cyclic_candidates(orep.space.dim, "cyclic:%s" % (f.c,)):
-        got = _alpha_from_vector(orep, alg, base_gram, w)
-        if got is None:
-            continue
-        alpha, pulled = got
+        alpha, pulled = _alpha_from_vector(orep, alg, base_gram, w)
         if not alpha.is_unit():
-            raise NoCyclicVector("pulled-back pairing degenerate at a cyclic"
-                                 " vector; charpoly %s" % f.pretty())
+            continue
         twisted = _pairing_gram(alpha, orep.rep)
         assert pulled == twisted, "pulled-back form disagrees with pairing"
         if orep.rep == SYM2:
@@ -452,13 +441,12 @@ def orbit_count_local(f, p, rep):
     and the count is 2^(m-1), again 1 when m = 0.
     """
     _check_tensor_rep(rep)
-    _validate_charpoly(f, rep)
+    alg = _validate_charpoly(f, rep)
     if p == 2:
         raise BadPrime("p = 2 is never a good prime here")
     if not is_prime(p):
         raise BadPrime("%d is not prime" % p)
-    d = discriminant(f)
-    if d.numerator % p == 0:
+    if alg.disc.numerator % p == 0:
         raise BadPrime("%d divides the discriminant" % p)
     # count_factors_fp checks the denominators: g's are f's odd ones
     if rep == SYM2:

@@ -63,10 +63,8 @@ def test_reduce_is_equivalence_invariant():
 def test_reduced_forms_enumeration():
     forms = reduced_forms(-23)
     assert [F.as_tuple() for F in forms] == [(1, 1, 6), (2, 1, 3), (2, -1, 3)]
-    # imprimitive forms show up only when asked for
+    # the imprimitive (2, 0, 2) is left out
     assert [F.as_tuple() for F in reduced_forms(-16)] == [(1, 0, 4)]
-    with_imp = reduced_forms(-16, primitive_only=False)
-    assert [F.as_tuple() for F in with_imp] == [(1, 0, 4), (2, 0, 2)]
 
 
 def test_class_group_minus_23():

@@ -1,5 +1,6 @@
 """Tests for finite censuses and local/real orbit counts."""
 
+import dataclasses
 import hashlib
 import time
 import tracemalloc
@@ -21,7 +22,8 @@ from orbitforge.census import (CensusRow, charpoly_key, finite_census,
                                _so_generators, _stabilizer_counts)
 from orbitforge.errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
                                MaximalRankHypothesisFails, NonSeparableModP,
-                               NotOperatorRep, WrongDimension)
+                               NotMonic, NotOddPolynomial, NotOperatorRep,
+                               WrongDegree, WrongDimension)
 from orbitforge.matrix import Mat
 from orbitforge.orbits import (ADJOINT, STANDARD, SYM2,
                               construct_representative, count_factors_fp,
@@ -615,6 +617,28 @@ def test_census_polys_need_operator_classes():
             finite_census(3, n, STANDARD, polys=[X3_PLUS_X])
 
 
+@pytest.mark.parametrize("p, n, rep, polys, error", [
+    (5, 1, ADJOINT, [Poly([1, 0, 0, 1])], NotOddPolynomial),   # x^3 + 1
+    (3, 2, SYM2, [Poly([0, 1, 0, 0, 0, 1]), X3_PLUS_X], WrongDegree),
+    (3, 2, SYM2, [X5_MINUS_X, Poly([0, 0, 0, 1, 0, 1])], NonSeparableModP),
+    (3, 1, SYM2, [X3_MINUS_X, Poly([0, 1, 0, 2])], NotMonic),
+    (3, 2, STANDARD, [X5_MINUS_X], NotOperatorRep),
+], ids=["odd-dim3", "degree-sample", "separable-sample", "monic", "vectors"])
+def test_census_polys_refused_before_any_work(p, n, rep, polys, error,
+                                              monkeypatch):
+    # every requested polynomial is checked before the first generator
+    # table, orbit label or closure, and the oddness rule holds at n = 1
+    from orbitforge import census
+
+    def started(*args):
+        raise AssertionError("census work began before polys were checked")
+
+    for name in ("_generator_tables", "_orbit_labels", "_closure"):
+        monkeypatch.setattr(census, name, started)
+    with pytest.raises(error):
+        finite_census(p, n, rep, polys=polys)
+
+
 @pytest.mark.parametrize("rep", [ADJOINT, STANDARD])
 def test_census_p31_within_budget(rep):
     # the largest prime the default budget admits for these spaces
@@ -653,7 +677,7 @@ FINGERPRINTS = {
 
 def _fingerprint(r):
     head = (r.p, r.n, r.rep, r.mode, r.group_order, r.space_size)
-    rows = [row._tup() for row in r.rows]
+    rows = [dataclasses.astuple(row) for row in r.rows]
     return hashlib.sha256(repr((head, rows)).encode()).hexdigest()[:16]
 
 
@@ -669,7 +693,7 @@ def test_census_fingerprints_pinned(seed, monkeypatch):
         assert _fingerprint(finite_census(p, n, rep)) == want, (p, n, rep)
     r = finite_census(3, 2, SYM2, polys=[X5_MINUS_X])
     assert _fingerprint(r) == '29f0d8f6f1f01175'
-    assert [row._tup() for row in r.rows] == [
+    assert [dataclasses.astuple(row) for row in r.rows] == [
         ((0, 2, 0, 0, 0, 1), True, None, (6480,), (8,), False)]
 
 

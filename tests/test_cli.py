@@ -51,6 +51,26 @@ def test_parse_poly_coefficient_list():
     assert parse_poly(" [ 1/2 , -3 ] ") == Poly([Fraction(1, 2), -3])
 
 
+@pytest.mark.parametrize("text, want", [
+    ("[- 1]", [-1]), (" [ -1/2 ,3 ] ", [Fraction(-1, 2), 3]),
+    ("\t[0]\n", [0]), ("[-0,1]", [0, 1]),
+    ("[%s]" % ("9" * 4300), [10 ** 4300 - 1]),
+    ("[]", None), ("[ ]", None), ("[1,]", None), ("[,1]", None),
+    ("[+1]", None), ("[1 2]", None), ("[1],[2]", None), ("[[1]]", None),
+    ("[1]]", None), ("[", None), ("[1/0]", None), ("[1 /2]", None),
+    ("[1/ 2]", None), ("[--1]", None), ("[-]", None), ("[\u0663]", None),
+    ("[%s]" % ("9" * 4301), None),
+])
+def test_parse_poly_coefficient_list_edges(text, want):
+    # each item of a bracketed list is read by parse_fraction: these are
+    # the values and refusals of the list grammar it replaced
+    if want is None:
+        with pytest.raises(ParseError):
+            parse_poly(text)
+    else:
+        assert parse_poly(text) == Poly(want)
+
+
 def test_parse_poly_errors_carry_position():
     with pytest.raises(ParseError) as e:
         parse_poly("x^^3")
@@ -386,7 +406,9 @@ def test_census_poly_of_wrong_shape_is_domain_error(capsys):
              "NotOddPolynomial"),
             (["--p", "5", "--rep", "sym2", "--poly", "x^2+1"], "WrongDegree"),
             (["--p", "3", "--n", "2", "--rep", "sym2", "--poly", "x^3+1"],
-             "WrongDegree")):
+             "WrongDegree"),
+            (["--p", "5", "--rep", "adjoint", "--poly", "x^3+1"],
+             "NotOddPolynomial")):
         assert run(["census"] + argv) == 1
         assert capsys.readouterr().err.startswith("error: %s: " % name)
 
@@ -407,6 +429,32 @@ def test_census_poly_must_be_monic(capsys):
         assert run(["census", "--p", "3", "--n", n, "--rep", rep,
                     "--poly", poly]) == 1
         assert capsys.readouterr().err.startswith("error: NotMonic: ")
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["same-orbit", "--rep", "sym2", "--poly", "x^3 - x - 1",
+      "--alpha", "4"], 5),
+    (["kernel", "--poly", "x^3 - x - 1", "--alpha", "4"], 2),
+    (["construct", "--rep", "sym2", "--poly", "x^3 - x - 1"], 1),
+    (["local-count", "--rep", "sym2", "--poly", "x^3 - x - 1",
+      "--p", "5"], 1),
+    (["descend", "--poly", "x^3 - x + 1", "--point", "1,1"], 2),
+], ids=["same-orbit", "kernel", "construct", "local-count", "descend"])
+def test_separability_is_decided_once_per_algebra(argv, calls, capsys,
+                                                  monkeypatch):
+    # Res(f, f') is computed once for each EtaleAlgebra(f) an op builds,
+    # as its discriminant test, and nowhere else
+    resultant, pairs = poly.resultant, []
+
+    def counted(f, g):
+        if g == f.derivative():
+            pairs.append(f)
+        return resultant(f, g)
+
+    monkeypatch.setattr(poly, "resultant", counted)
+    assert run(argv + ["--json"]) == 0
+    capsys.readouterr()
+    assert len(pairs) == calls
 
 
 def test_local_count_command(capsys):

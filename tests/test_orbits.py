@@ -1,5 +1,6 @@
 """Tests for the operator-orbit engine."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -261,6 +262,23 @@ def test_recover_alpha_fallbacks(monkeypatch):
         recover_alpha(o)
 
 
+@pytest.mark.parametrize("f, rep", [(X3_MINUS_X, SYM2), (X5_SKEW, ADJOINT)])
+def test_recover_alpha_skips_a_zero_candidate(f, rep, monkeypatch):
+    # the zero vector pulls the form back to 0, so its alpha is 0, no
+    # unit: recover_alpha moves on to the candidates it would have tried
+    from orbitforge import orbits
+    o = construct_representative(f, rep)
+    alg = EtaleAlgebra(f)
+    zero = (Fraction(0),) * f.degree
+    assert orbits._alpha_from_vector(
+        o, alg, orbits._pairing_gram(alg.one(), SYM2), zero)[0] == alg.zero()
+    want = recover_alpha(o)
+    candidates = orbits._cyclic_candidates
+    monkeypatch.setattr(orbits, "_cyclic_candidates", lambda d, tag: (
+        itertools.chain([zero], candidates(d, tag))))
+    assert recover_alpha(o) == want
+
+
 def test_recover_rejects_repeated_roots():
     f = Poly([-1, 3, -3, 1])  # (x-1)^3
     o = OrbitRepresentative(standard_space(1), SYM2, Mat.identity(3), f)
@@ -324,7 +342,8 @@ def test_same_orbit_unknown_when_the_norm_search_runs_out():
 
 def test_skew_data_builds_K_only(monkeypatch):
     # E's idempotent has a closed form in L, and stabilizer_info reads
-    # the moduli of K and E off f without building any algebra
+    # the moduli of K and E off f: it builds L alone, as the separability
+    # check, and never K or E
     L = EtaleAlgebra(X5_SKEW)
     built = []
     init = EtaleAlgebra.__init__
@@ -338,7 +357,7 @@ def test_skew_data_builds_K_only(monkeypatch):
     assert built == [Poly([2, 3, 1])] and sk.K.f == built[0]
     del built[:]
     info = stabilizer_info(X5_SKEW, ADJOINT)
-    assert built == []
+    assert built == [X5_SKEW]
     assert info.detail == {"K": Poly([2, 3, 1]),
                            "E": Poly([2, 0, 3, 0, 1])}
 
@@ -480,10 +499,9 @@ def _recover_alpha_deciding_each(orep):
     base_gram = orbits._pairing_gram(alg.one(), SYM2)
     first, tested = None, 0
     for w in orbits._cyclic_candidates(orep.space.dim, "cyclic:%s" % (f.c,)):
-        got = orbits._alpha_from_vector(orep, alg, base_gram, w)
-        if got is None:
+        alpha = orbits._alpha_from_vector(orep, alg, base_gram, w)[0]
+        if not alpha.is_unit():
             continue
-        alpha = got[0]
         if orep.rep == SYM2:
             return alpha
         if first is None:
