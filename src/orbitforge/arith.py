@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import FactorizationTimeout, Inconsistent, NotSquare, ZeroInput
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # rho iterations (steps y -> y^2 + c mod n) one factorize call may spend:
 # 30 s at the 2.8e6 steps per second measured on an 82-bit n (shared
@@ -31,7 +31,12 @@ def rng_for(tag):
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin for n < 3.3e24 (fixed witness set)."""
+    """Miller-Rabin with the thirteen prime bases 2..41.
+
+    Deterministic for n < psi_13 = 3317044064679887385961981 (about
+    3.3e24): below it no composite is a strong pseudoprime to every one
+    of these bases.  From psi_13 up, True means only a probable prime.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

@@ -8,11 +8,19 @@ and compares component counts against the class number, reporting any
 mismatch with witnesses instead of suppressing it.
 """
 
-from math import gcd
+from math import gcd, isqrt
 
 from .arith import crt
-from .errors import (InvalidDiscriminant, NotNegativeDiscriminant,
-                     NotPositiveDefinite, NotPrimitive)
+from .errors import (BudgetExceeded, InvalidDiscriminant,
+                     NotNegativeDiscriminant, NotPositiveDefinite,
+                     NotPrimitive)
+
+# (a, b) pairs one class group or census may scan, checked before any
+# work.  The class group's time grows with the h^3 associativity check:
+# at the largest admitted |d| the largest class number found, h = 667 at
+# d = -147,671, takes 22 s (shared 2-vCPU VM); a census box admitted
+# alongside it scans in under 1 s.
+FORM_PAIR_BUDGET = 50_000
 
 
 class BQForm:
@@ -107,6 +115,18 @@ def _check_discriminant(d):
     return d
 
 
+def _check_pairs(d, box=0):
+    """Refuse, before any work, to scan more than FORM_PAIR_BUDGET pairs:
+    reduced_forms tries 2a + 1 values of b for each a with 3a^2 <= -d,
+    and a census box of bound B adds B (2B + 1) more."""
+    a = isqrt(-d // 3)
+    need = a * a + 2 * a + box
+    if need > FORM_PAIR_BUDGET:
+        raise BudgetExceeded("%d (a, b) pairs to scan, past"
+                             " FORM_PAIR_BUDGET = %d"
+                             % (need, FORM_PAIR_BUDGET))
+
+
 def reduced_forms(d):
     """The reduced primitive forms of discriminant d < 0, by (a, -b)."""
     d = _check_discriminant(d)
@@ -199,6 +219,7 @@ def bqf_class_group(d):
     Identity position, closure, commutativity, inverses (the opposite
     form), and associativity are all asserted on the finished table."""
     d = _check_discriminant(d)
+    _check_pairs(d)
     forms = reduced_forms(d)
     index = {F.as_tuple(): i for i, F in enumerate(forms)}
     h = len(forms)
@@ -276,6 +297,7 @@ def bqf_orbit_census(d, bound):
     bound = int(bound)
     if bound < 1:
         raise InvalidDiscriminant("box bound must be positive")
+    _check_pairs(d, bound * (2 * bound + 1))
     nodes = _census_nodes(d, bound)
     pos = {f: i for i, f in enumerate(nodes)}
     parent = list(range(len(nodes)))

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import floor
 
 from .bqf import BQForm, bqf_class_group, bqf_orbit_census, bqf_reduce
-from .descent import (INFINITY, HyperCurve, descent_class, kernel_check,
+from .descent import (INFINITY, HyperCurve, descent_class,
                       pencil_discriminant_check)
 from .errors import (BudgetExceeded, DomainError, NotOperatorRep, NotSplit,
                      ParseError, UsageError)
@@ -347,7 +347,7 @@ def _cmd_descend(args):
     return ({"poly": f, "d": d,
              "point": "inf" if pt is INFINITY else list(pt)},
             {"alpha": alpha, "alpha_coords": alpha.c, "norm": alpha.norm()},
-            {"in_kernel": kernel_check(curve, pt)})
+            {"in_kernel": in_kernel_gamma(f, alpha, SYM2)})
 
 
 def _cmd_pencil_check(args):

@@ -25,7 +25,7 @@ class HyperCurve:
     __slots__ = ("f", "d", "n", "alg")
 
     def __init__(self, f, d=1):
-        self.alg = _validate_charpoly(f, SYM2)
+        self.alg = _validate_charpoly(f, SYM2).alg
         d = Fraction(d)
         if d == 0:
             raise ZeroArgument("twist must be nonzero")

@@ -5,12 +5,15 @@ standard space W of dimension 2n+1 with separable characteristic
 polynomial f.  Each such operator carries a hidden unit alpha of
 L = Q[x]/(f) that pins down its rational orbit: pulling the form on W
 back along lambda -> lambda(T)w for a cyclic vector w gives the twisted
-pairing <lambda, mu>_alpha on L.  Construction of the distinguished
-representative, recovery of alpha, the kernel test, and orbit comparison
-(an etale.Verdict with its witness or certificate) all live here, with
-the closed-form orbit facts: stabilizers, and the orbit counts over Q_p
-at a good odd prime (from the factorization type of f mod p) and over R
-(when the relevant polynomial has the maximal number of real roots).
+pairing <lambda, mu>_alpha on L.  Each operation builds L once: an
+element alpha brings its own L, and a representative keeps the L it was
+built over, so every object built on f carries the same algebra.
+Construction of the distinguished representative, recovery of alpha,
+the kernel test, and orbit comparison (an etale.Verdict with its witness
+or certificate) all live here, with the closed-form orbit facts:
+stabilizers, and the orbit counts over Q_p at a good odd prime (from the
+factorization type of f mod p) and over R (when the relevant polynomial
+has the maximal number of real roots).
 """
 
 from fractions import Fraction
@@ -72,18 +75,32 @@ def adjoint_op(t, space):
                 for i in range(d)], t.den)
 
 
-def _validate_charpoly(f, rep):
-    """L = Q[x]/(f) for a charpoly of rep; building it checks separability."""
+def _validate_charpoly(f, rep, alpha=1):
+    """alpha as an element of L = Q[x]/(f), for f a charpoly of rep.
+
+    Checks, in order: rep is a tensor representation, f has odd degree
+    >= 3, is monic, is separable, and is odd when rep is skew.  An
+    element alpha brings its own L, which must have modulus f (else
+    RingMismatch); for a rational alpha, building L is the separability
+    test.  Callers that need only L read it as the result's alg.
+    """
+    _check_tensor_rep(rep)
     if f.degree < 3 or f.degree % 2 == 0:
         raise WrongDegree("need odd degree >= 3, got %s" % f.degree)
     if not f.is_monic():
         raise NotMonic("characteristic polynomial must be monic")
-    alg = EtaleAlgebra(f)
+    element = isinstance(alpha, EtaleElement)
+    alg = alpha.alg if element and alpha.alg.f == f else EtaleAlgebra(f)
     if rep == ADJOINT:
         if any(f.num[0::2]):
             raise NotOddPolynomial(
                 "skew operators need f(-x) = -f(x); got %s" % f.pretty())
-    return alg
+    if not element:
+        return alg.const(Fraction(alpha))
+    if alpha.alg is not alg:
+        raise RingMismatch("alpha lives in %r, expected %r"
+                           % (alpha.alg, alg))
+    return alpha
 
 
 def _pairing_gram(alpha, rep):
@@ -123,20 +140,23 @@ def _pairing_gram(alpha, rep):
 
 
 class OrbitRepresentative:
-    """An operator on the standard space, self- or skew-adjoint per rep.
+    """An operator on the standard space, self- or skew-adjoint per rep,
+    with the algebra L = Q[x]/(f) of its characteristic polynomial f.
 
     Checks on construction that the operator has the claimed adjointness
-    and that its characteristic polynomial is exactly f.
+    and that its characteristic polynomial is exactly alg.f.  L travels
+    with the operator, so recover_alpha and every conjugate reuse it.
     """
 
-    __slots__ = ("space", "rep", "op", "f")
+    __slots__ = ("space", "rep", "op", "alg")
 
-    def __init__(self, space, rep, op, f):
+    def __init__(self, space, rep, op, alg):
         _check_tensor_rep(rep)
         d = space.dim
         if not op.is_square() or op.nrows != d:
             raise DimensionMismatch("operator must be %d x %d" % (d, d))
-        if f.degree != d or not f.is_monic():
+        f = alg.f
+        if f.degree != d:
             raise WrongDegree("charpoly must be monic of degree %d" % d)
         star = adjoint_op(op, space)
         if rep == SYM2 and star != op:
@@ -148,7 +168,11 @@ class OrbitRepresentative:
         self.space = space
         self.rep = rep
         self.op = op
-        self.f = f
+        self.alg = alg
+
+    @property
+    def f(self):
+        return self.alg.f
 
     @property
     def n(self):
@@ -157,7 +181,7 @@ class OrbitRepresentative:
     def conjugate(self, g):
         """g T g^-1 for g in the orthogonal group of the space."""
         return OrbitRepresentative(self.space, self.rep,
-                                   g * self.op * g.inv(), self.f)
+                                   g * self.op * g.inv(), self.alg)
 
     def __repr__(self):
         return "OrbitRepresentative(%s, f=%s)" % (self.rep, self.f.pretty())
@@ -171,11 +195,10 @@ def construct_representative(f, rep):
     which a hyperbolic completion turns into an isometry with the
     standard space; the companion matrix conjugates along it.
     """
-    _check_tensor_rep(rep)
-    alg = _validate_charpoly(f, rep)
+    one = _validate_charpoly(f, rep)
     d = f.degree
     n = (d - 1) // 2
-    base = QuadSpace(_pairing_gram(alg.one(), rep))
+    base = QuadSpace(_pairing_gram(one, rep))
     m_cols = []
     for i in range(n):
         col = [Fraction(0)] * d
@@ -184,27 +207,11 @@ def construct_representative(f, rep):
     u = hyperbolic_completion(base, m_cols)
     comp = Mat.companion(f)
     op = u.inv() * comp * u
-    return OrbitRepresentative(standard_space(n), rep, op, f)
+    return OrbitRepresentative(standard_space(n), rep, op, one.alg)
 
 
-def _coerce_alpha(alg, alpha):
-    if isinstance(alpha, EtaleElement):
-        if alpha.alg != alg:
-            raise RingMismatch("alpha lives in %r, expected %r"
-                               % (alpha.alg, alg))
-        return alpha
-    return alg.const(Fraction(alpha))
-
-
-def gram_alpha(f, alpha, rep):
-    """The twisted quadratic space (L, <lambda,mu>_alpha) over Q.
-
-    Sym2 wants N(alpha) a rational square; the skew case wants alpha
-    tau-fixed with square norm.  Both keep det class (-1)^n.
-    """
-    _check_tensor_rep(rep)
-    alg = _validate_charpoly(f, rep)
-    alpha = _coerce_alpha(alg, alpha)
+def _twisted_space(alpha, rep):
+    """(L, <lambda,mu>_alpha) for alpha from _validate_charpoly."""
     if not alpha.is_unit():
         raise NonUnit("alpha must be a unit of L")
     if rep == ADJOINT and not is_tau_fixed(alpha):
@@ -213,6 +220,17 @@ def gram_alpha(f, alpha, rep):
         raise NormNotSquare("N(alpha) = %s is not a rational square"
                             % alpha.norm())
     return QuadSpace(_pairing_gram(alpha, rep))
+
+
+def gram_alpha(f, alpha, rep):
+    """The twisted quadratic space (L, <lambda,mu>_alpha) over Q.
+
+    alpha is a rational or an element of L = Q[x]/(f); an element's own
+    algebra is used, so only a rational alpha builds L.  Sym2 wants
+    N(alpha) a rational square; the skew case wants alpha tau-fixed with
+    square norm.  Both keep det class (-1)^n.
+    """
+    return _twisted_space(_validate_charpoly(f, rep, alpha), rep)
 
 
 def in_kernel_gamma(f, alpha, rep):
@@ -259,6 +277,7 @@ def recover_alpha(orep):
     Searches for a cyclic vector w, reads off b_j = <T^j w, w>, and solves
     the base pairing for alpha, which is a unit exactly when w is cyclic;
     the pulled-back Gram is checked against gram_alpha exactly.
+    Works in the representative's own L (orep.alg) and builds no algebra.
     Well-defined up to c*tau(c) (skew) or squares (symmetric).  The cyclic
     vector lambda(T)w multiplies alpha by lambda^2, so for the symmetric
     pairing every cyclic vector gives the same square class and the first
@@ -269,8 +288,8 @@ def recover_alpha(orep):
     by every test of is_square but the lift (square_screen), and is_square
     decides only the ones nothing refutes.
     """
-    f = orep.f
-    alg = EtaleAlgebra(f)
+    alg = orep.alg
+    f = alg.f
     base_gram = _pairing_gram(alg.one(), SYM2)
     first = None
     tested = 0
@@ -440,8 +459,7 @@ def orbit_count_local(f, p, rep):
     counts the factors of g mod p that stay irreducible under x -> x^2,
     and the count is 2^(m-1), again 1 when m = 0.
     """
-    _check_tensor_rep(rep)
-    alg = _validate_charpoly(f, rep)
+    alg = _validate_charpoly(f, rep).alg
     if p == 2:
         raise BadPrime("p = 2 is never a good prime here")
     if not is_prime(p):
@@ -470,7 +488,6 @@ def orbit_count_real(f, rep):
     roots of g are real, so all are real and negative exactly when n are
     negative.
     """
-    _check_tensor_rep(rep)
     _validate_charpoly(f, rep)
     deg = f.degree
     nn = (deg - 1) // 2
@@ -492,17 +509,21 @@ def orbit_count_real(f, rep):
 def representative_from_alpha(f, alpha, rep):
     """An operator realizing the orbit of a kernel class alpha.
 
+    alpha is a rational or an element of L = Q[x]/(f); the representative
+    carries alpha's own algebra, so only a rational alpha builds L.
     Needs the twisted space to be split; the exact solver in quadform
     gives a maximal isotropic subspace in every odd dimension.
     Multiplication by beta is (skew-)self-adjoint for the twisted
     pairing as well, so the hyperbolic change of basis transports it to
     the standard space.
     """
-    tw = gram_alpha(f, alpha, rep)
+    alpha = _validate_charpoly(f, rep, alpha)
+    tw = _twisted_space(alpha, rep)
     if not is_split_odd(tw):
         raise NotSplit("the twisted space of alpha is not split; the class"
                        " is not in the kernel")
     u = hyperbolic_completion(tw, maximal_isotropic_subspace(tw))
     comp = Mat.companion(f)
     op = u.inv() * comp * u
-    return OrbitRepresentative(standard_space((tw.dim - 1) // 2), rep, op, f)
+    return OrbitRepresentative(standard_space((tw.dim - 1) // 2), rep, op,
+                               alpha.alg)

@@ -22,6 +22,14 @@ def test_is_prime_carmichael_and_large():
     assert not arith.is_prime(2**67 - 1)
 
 
+def test_is_prime_strong_pseudoprime_to_bases_2_to_37():
+    # psi_12, the least composite that passes Miller-Rabin to every prime
+    # base up to 37; the base 41 exposes it
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not arith.is_prime(psi12)
+
+
 def test_factorize_known():
     # oracle: hand factorization
     assert arith.factorize(48) == {2: 4, 3: 1}

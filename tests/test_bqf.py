@@ -6,8 +6,10 @@ from orbitforge.arith import rng_for
 from orbitforge.bqf import (BQForm, ClassGroup, FormCensus, bqf_class_group,
                             bqf_orbit_census, bqf_reduce, compose_forms,
                             is_reduced, reduced_forms)
-from orbitforge.errors import (InvalidDiscriminant, NotNegativeDiscriminant,
-                               NotPositiveDefinite, NotPrimitive)
+from orbitforge import bqf
+from orbitforge.errors import (BudgetExceeded, InvalidDiscriminant,
+                               NotNegativeDiscriminant, NotPositiveDefinite,
+                               NotPrimitive)
 
 
 def test_form_basics():
@@ -167,6 +169,29 @@ def test_census_composes_no_forms(monkeypatch):
     assert [report(d, bound) for d, bound in boxes] == want
     # both outcomes: boxes that agree and boxes that report witnesses
     assert any(r[4] for r in want) and any(r[5] for r in want)
+
+
+def test_pair_budget_refuses_before_any_work(monkeypatch):
+    # reduced_forms scans a^2 + 2a pairs for a = isqrt(-d // 3), a census
+    # box of bound B another B (2B + 1); past FORM_PAIR_BUDGET = 50,000
+    # either command refuses before it enumerates a single form
+    class Enumerated(Exception):
+        pass
+
+    def refuse(*args):
+        raise Enumerated
+
+    monkeypatch.setattr(bqf, "reduced_forms", refuse)
+    monkeypatch.setattr(bqf, "_census_nodes", refuse)
+    with pytest.raises(BudgetExceeded, match="50175 .* FORM_PAIR_BUDGET"):
+        bqf_class_group(-149187)  # a = 223
+    with pytest.raises(BudgetExceeded, match="50089 .* FORM_PAIR_BUDGET"):
+        bqf_orbit_census(-3, 158)
+    # one step inside the budget the enumeration starts
+    with pytest.raises(Enumerated):
+        bqf_class_group(-149183)  # a = 222: 49,728 pairs
+    with pytest.raises(Enumerated):
+        bqf_orbit_census(-3, 157)  # 49,455 + 3 pairs
 
 
 def test_census_small_box_reports_honestly():

@@ -393,6 +393,14 @@ def test_census_command(capsys):
     assert "BadPrime" in capsys.readouterr().err
 
 
+def test_local_count_refuses_a_strong_pseudoprime(capsys):
+    # psi_12 passes Miller-Rabin to the bases 2..37; read as a prime it
+    # reached poly.fp_divmod and died with a ValueError traceback
+    assert run(["local-count", "--rep", "sym2", "--poly", "x^3 - x - 1",
+                "--p", "318665857834031151167461"]) == 1
+    assert capsys.readouterr().err.startswith("error: BadPrime: ")
+
+
 def test_census_poly_filter(capsys):
     obj = run_json(capsys, ["census", "--p", "3", "--n", "1",
                             "--rep", "adjoint", "--poly", "[0,1,0,1]"])
@@ -433,17 +441,28 @@ def test_census_poly_must_be_monic(capsys):
 
 @pytest.mark.parametrize("argv, calls", [
     (["same-orbit", "--rep", "sym2", "--poly", "x^3 - x - 1",
-      "--alpha", "4"], 5),
-    (["kernel", "--poly", "x^3 - x - 1", "--alpha", "4"], 2),
+      "--alpha", "4"], 1),
+    (["kernel", "--poly", "x^3 - x - 1", "--alpha", "4"], 1),
     (["construct", "--rep", "sym2", "--poly", "x^3 - x - 1"], 1),
     (["local-count", "--rep", "sym2", "--poly", "x^3 - x - 1",
       "--p", "5"], 1),
-    (["descend", "--poly", "x^3 - x + 1", "--point", "1,1"], 2),
-], ids=["same-orbit", "kernel", "construct", "local-count", "descend"])
+    (["descend", "--poly", "x^3 - x + 1", "--point", "1,1"], 1),
+    # L, and K = Q[y]/(g) for the twisted norm equation
+    (["same-orbit", "--rep", "adjoint", "--poly", "x^5 + 3*x^3 + x",
+      "--alpha", "1"], 2),
+    (["pencil-check", "--poly", "x^3 - x - 1", "--alpha", "4"], 1),
+    (["lattice-verify", "--rep", "sym2", "--poly", "x^3 - 2",
+      "--alpha", "1"], 1),
+    (["real-count", "--rep", "sym2", "--poly", "x^3 - x"], 1),
+    (["stab-info", "--rep", "adjoint", "--poly", "x^3 + x"], 1),
+], ids=["same-orbit", "kernel", "construct", "local-count", "descend",
+        "same-orbit-adjoint", "pencil-check", "lattice-verify", "real-count",
+        "stab-info"])
 def test_separability_is_decided_once_per_algebra(argv, calls, capsys,
                                                   monkeypatch):
     # Res(f, f') is computed once for each EtaleAlgebra(f) an op builds,
-    # as its discriminant test, and nowhere else
+    # as its discriminant test, and nowhere else; an op builds L once and
+    # passes it along with alpha and the representatives built on it
     resultant, pairs = poly.resultant, []
 
     def counted(f, g):
@@ -455,6 +474,25 @@ def test_separability_is_decided_once_per_algebra(argv, calls, capsys,
     assert run(argv + ["--json"]) == 0
     capsys.readouterr()
     assert len(pairs) == calls
+
+
+def test_descend_computes_its_class_once(capsys, monkeypatch):
+    from orbitforge import descent
+    calls = []
+
+    def spy(curve, pt):
+        calls.append(pt)
+        return descent_class(curve, pt)
+
+    descent_class = descent.descent_class
+    monkeypatch.setattr(descent, "descent_class", spy)
+    monkeypatch.setattr(cli, "descent_class", spy)
+    for point in ("1,1", "inf"):
+        calls.clear()
+        obj = run_json(capsys, ["descend", "--poly", "x^3 - x + 1",
+                                "--point", point])
+        assert obj["checks"]["in_kernel"] is True
+        assert len(calls) == 1
 
 
 def test_local_count_command(capsys):

@@ -279,11 +279,52 @@ def test_recover_alpha_skips_a_zero_candidate(f, rep, monkeypatch):
     assert recover_alpha(o) == want
 
 
-def test_recover_rejects_repeated_roots():
+def test_no_representative_over_a_repeated_root():
+    # a representative carries L = Q[x]/(f), and building L over (x-1)^3
+    # is the separability check
     f = Poly([-1, 3, -3, 1])  # (x-1)^3
-    o = OrbitRepresentative(standard_space(1), SYM2, Mat.identity(3), f)
     with pytest.raises(NonSeparable):
-        recover_alpha(o)
+        OrbitRepresentative(standard_space(1), SYM2, Mat.identity(3),
+                            EtaleAlgebra(f))
+    with pytest.raises(NonSeparable):
+        construct_representative(f, SYM2)
+
+
+def test_recover_alpha_reuses_the_representative_algebra(monkeypatch):
+    from orbitforge import orbits
+    g = frac_mat([[2, 0, 0], [0, 1, 0], [0, 0, Fraction(1, 2)]])
+    alg = EtaleAlgebra(X3_MINUS_X)
+    reps = [construct_representative(X3_MINUS_X, SYM2),
+            construct_representative(X5_SKEW, ADJOINT),
+            representative_from_alpha(X3_MINUS_X, alg.element([1, 0, 1]),
+                                      SYM2)]
+    reps.append(reps[0].conjugate(g))
+    assert reps[3].alg is reps[0].alg
+    assert reps[2].alg is alg
+    built = []
+
+    def counted(f):
+        built.append(f)
+        return EtaleAlgebra(f)
+
+    monkeypatch.setattr(orbits, "EtaleAlgebra", counted)
+    for o in reps:
+        assert recover_alpha(o).alg is o.alg
+    assert built == []
+
+
+def test_alpha_brings_its_own_algebra():
+    # an element alpha is read in its own L, whose modulus must be f; the
+    # charpoly checks still come first
+    beta = EtaleAlgebra(X3_MINUS_2).beta()
+    with pytest.raises(RingMismatch):
+        gram_alpha(X3_MINUS_X, beta, SYM2)
+    with pytest.raises(RingMismatch):
+        representative_from_alpha(X3_MINUS_X, beta, SYM2)
+    with pytest.raises(NonSeparable):
+        gram_alpha(Poly([-1, 3, -3, 1]), beta, SYM2)
+    with pytest.raises(NotOddPolynomial):
+        in_kernel_gamma(X3_MINUS_2, EtaleAlgebra(X3_PLUS_X).one(), ADJOINT)
 
 
 # ---------------------------------------------------------------------------
