@@ -9,7 +9,12 @@ per generator, one for the high and one for the low half of the digits,
 give the image of any index in O(w) work, and of the whole space as one
 outer sum.  Orbits are then labelled in a few whole-array passes: every
 element takes the smallest label along its images, pointers are jumped
-until stable, and each orbit ends labelled by its smallest index.
+until stable, and each orbit ends labelled by its smallest index.  The
+same tables packed, each half-row image as one word of digit fields,
+give the images of a list of indices: one add of two words gives every
+digit sum at once, and a lookup per chunk of fields reduces and encodes
+them.  Which form is read follows the access pattern: the whole-space
+outer sum adds narrow digit columns, a frontier gathers words.
 
 A self-adjoint space at p ∤ d is censused modulo scalars, as Bhargava
 and Gross work with the trace-zero operators: translation by tI
@@ -24,7 +29,10 @@ large to label; it is sampled one orbit per requested polynomial, by
 breadth-first closure over the same trace-zero tables from the rational
 representative of the polynomial's lifted key reduced mod p and
 translated to trace zero, marking the visited indices in a bitset of
-p^(w - 1) / 8 bytes.  Characteristic polynomials and determinants of
+p^(w - 1) / 8 bytes.  A generator permutes the indices, so each round
+keeps, generator by generator, the images whose bit is still clear and
+sets their bits before the next: the next frontier has no repeats and
+no sort runs.  Characteristic polynomials and determinants of
 whole stacks of operators come from matrix._berkowitz run on int32
 entry columns.
 
@@ -36,14 +44,15 @@ temporaries exist for one block at a time, and orbit labels take the
 dtype of the images (int32 below 2^31 elements).
 
 The group data depends on (d, p) alone: the verified generators, their
-digit tables for each representation and, in dimension three, the
-actions of the enumerated group are built once per process, by the
-first census that passes the budget gate and needs them, and kept as
-read-only arrays of bytes: under 1 MB for every census at p <= 13 and
-in dimension five, and 0.27 MB per representation for the group's
-actions at p = 31, the largest admitted prime.  The enumerated group
-itself (int64) is rebuilt for each set of actions rather than kept.
-Nothing that depends on the counted elements is kept.
+digit tables and the tables' packed words for each representation, the
+chunk decoder of each p and, in dimension three, the actions of the
+enumerated group are built once per process, by the first census that
+passes the budget gate and needs them, and kept as read-only arrays:
+under 1 MB for every census at p <= 13 and in dimension five, and 0.27
+MB per representation for the group's actions at p = 31, the largest
+admitted prime.  The enumerated group itself (int64) is rebuilt for each
+set of actions rather than kept.  Nothing that depends on the counted
+elements is kept.
 
 A closure test proves generation; each orbit whose stabilizer is
 measured directly (over the enumerated group in dimension three, over
@@ -82,6 +91,8 @@ CONJUGATION_BUDGET = 2 ** 31
 KEY_BLOCK = 2 ** 15
 # the bit of each index within its byte of a closure's visited bitset
 _BITS = (1 << np.arange(8)).astype(np.uint8)
+# the widest chunk of packed digit sums one decoder lookup reads
+_CHUNK_BITS = 15
 
 
 def so_order(n, q):
@@ -385,8 +396,9 @@ def _digit_tables(mats, p):
 @cache
 def _generator_tables(d, p, rep):
     """The digit tables (hi, lo) of _so_generators(d, p) acting on the
-    labelled rows of rep: group constants, built once per (d, p, rep) and
-    kept, read-only.
+    labelled rows of rep, and their packed words (hi_words, lo_words) of
+    _packed_words: group constants, built once per (d, p, rep) and kept,
+    read-only.
 
     Where _scalar_split splits off the scalars (self-adjoint operators at
     p ∤ d) the labelled rows are the w - 1 free coordinates of the
@@ -399,6 +411,7 @@ def _generator_tables(d, p, rep):
         basis = _lift(np.eye(mats.shape[1] - 1, dtype=np.int64), d, p, rep)
         mats = np.delete(basis @ mats % p, mid, axis=2)
     tables = _digit_tables(mats, p)
+    tables += _packed_words(*tables, p)
     for t in tables:
         t.setflags(write=False)
     return tables
@@ -437,6 +450,71 @@ def _images(hi, lo, a, b, p):
     return out
 
 
+def _field_bits(p):
+    """Bits per packed digit: enough for the sum 2p - 2 of two digits."""
+    return (2 * p - 2).bit_length()
+
+
+def _packed_words(hi, lo, p):
+    """The digit tables (hi, lo) packed: per generator and half-row, the w
+    image digits as one word, most significant digit in the top field of
+    _field_bits(p) bits (42 bits for the 14 trace-zero digits of the
+    dimension-five self-adjoint census at p = 3).
+
+    A field holds a digit below p, so the fields of hi_words[a] +
+    lo_words[b] hold the digit sums below 2p - 1, and no carry crosses a
+    field: one add gives every digit sum of the image of a p^l + b.  Words
+    are int64, numpy's index type, so the chunks cut from their sums
+    index the decoder without a conversion pass."""
+    k, w = hi.shape[:2]
+    bits = _field_bits(p)
+    assert w * bits < 64
+
+    def pack(table):
+        out = np.zeros((k, table.shape[2]), dtype=np.int64)
+        for j in range(w):
+            out <<= bits
+            out |= table[:, j]
+        return out
+    return pack(hi), pack(lo)
+
+
+@cache
+def _field_decoder(p):
+    """The base-p value, each digit reduced mod p, of every chunk of c =
+    _CHUNK_BITS // _field_bits(p) packed digit sums (5 sums at p = 3):
+    read-only, built once per p in the smallest unsigned type that holds
+    p^c - 1."""
+    bits = _field_bits(p)
+    c = _CHUNK_BITS // bits
+    chunk = np.arange(1 << (bits * c), dtype=np.uint16)
+    out = np.zeros(len(chunk), dtype=np.min_scalar_type(p ** c - 1))
+    for i in reversed(range(c)):
+        out *= p
+        out += (chunk >> (bits * i) & ((1 << bits) - 1)) % p
+    out.setflags(write=False)
+    return out
+
+
+def _packed_images(hi_words, lo_words, a, b, w, p):
+    """Encoded images, under every generator, of the indices a p^l + b of
+    w digits, from the packed words of _packed_words: per image one add
+    of two words and one _field_decoder lookup per chunk of fields, most
+    significant chunk first.  The same images as _images(hi, lo, a, b, p)
+    on 1-d a and b, as int64."""
+    decode = _field_decoder(p)
+    bits = _field_bits(p)
+    c = _CHUNK_BITS // bits
+    sums = hi_words.take(a, axis=1)
+    sums += lo_words.take(b, axis=1)
+    low = (w - 1) // c * c
+    out = decode[sums >> bits * low].astype(np.int64)
+    for i in range(low - c, -1, -c):
+        out *= p ** c
+        out += decode[sums >> bits * i & (1 << bits * c) - 1]
+    return out
+
+
 def _orbit_labels(images):
     """The smallest member of each element's orbit under the permutations
     images (k, m), by min-label propagation.
@@ -470,23 +548,34 @@ def _orbit_labels(images):
     return lab
 
 
-def _closure(start, hi, lo, p):
+def _closure(start, tables, p):
     """Orbit of the element with encoded index start under the generators
-    with digit tables (hi, lo), by breadth-first closure, as its size and
-    its bitset.
+    with tables (hi, lo, hi_words, lo_words) of _generator_tables, by
+    breadth-first closure, as its size and its bitset.
 
     The bitset marks the visited indices among all p^w encoded ones in
-    p^w / 8 bytes: index i is bit i & 7 of byte i >> 3."""
-    low = lo.shape[2]
-    visited = np.zeros(-(-p ** hi.shape[1] // 8), dtype=np.uint8)
-    frontier = np.array([start], dtype=np.int64)
+    p^w / 8 bytes: index i is bit i & 7 of byte i >> 3.  Each generator
+    permutes the indices, so its images of a frontier without repeats
+    have none either; a round keeps, generator by generator, the images
+    whose bit is still clear and sets their bits before the next
+    generator, so the kept images, concatenated, are the next frontier
+    without repeats and no sort runs.  The images come from the packed
+    words of _packed_images."""
+    hi, lo, hi_words, lo_words = tables
+    w, low = hi.shape[1], lo.shape[2]
+    visited = np.zeros(-(-p ** w // 8), dtype=np.uint8)
+    visited[start >> 3] = _BITS[start & 7]
+    frontier = np.array([start])
     size = 0
     while len(frontier):
-        np.bitwise_or.at(visited, frontier >> 3, _BITS[frontier & 7])
         size += len(frontier)
-        images = _images(hi, lo, frontier // low, frontier % low, p)
-        seen = visited[images >> 3] & _BITS[images & 7]
-        frontier = np.unique(images[seen == 0])
+        a, b = np.divmod(frontier, low)
+        kept = []
+        for img in _packed_images(hi_words, lo_words, a, b, w, p):
+            img = img[visited[img >> 3] & _BITS[img & 7] == 0]
+            np.bitwise_or.at(visited, img >> 3, _BITS[img & 7])
+            kept.append(img)
+        frontier = np.concatenate(kept)
     return size, visited
 
 
@@ -547,7 +636,7 @@ def _census5_sym2(p, keys):
     translate by the scalar has the same orbit size and stabilizer."""
     width = len(_free_positions(5, SYM2))
     mid = _scalar_split(5, p, SYM2)
-    hi, lo = _generator_tables(5, p, SYM2)
+    tables = _generator_tables(5, p, SYM2)
     rows = []
     for fc in dict.fromkeys(keys):
         op = construct_representative(Poly(list(fc)), SYM2).op
@@ -559,7 +648,7 @@ def _census5_sym2(p, keys):
         x = np.delete(_op_digits((T0 - t * np.eye(5, dtype=np.int64)) % p,
                                  5, SYM2), mid)
         start = int(x @ p ** np.arange(len(x))[::-1])
-        size = _closure(start, hi, lo, p)[0]
+        size = _closure(start, tables, p)[0]
         stab = _stab_order5(T0, p)
         assert size * stab == so_order(2, p)
         rows.append(CensusRow(fc, True, None, (size,), (stab,), False))
@@ -627,7 +716,7 @@ def _full_census(p, n, rep, wanted):
         return _charpoly_keys(x, d, rep, p)
 
     width = len(_free_positions(d, rep))
-    hi, lo = _generator_tables(d, p, rep)
+    hi, lo = _generator_tables(d, p, rep)[:2]
     digits = _digits_array(hi.shape[1], p)
     keys = np.empty(len(digits), dtype=np.int32)
     for s in range(0, len(digits), KEY_BLOCK):
@@ -713,7 +802,10 @@ def finite_census(p, n, rep, polys=None):
     commutant, while the self-adjoint space is sampled one certified
     orbit per requested polynomial, by breadth-first closure over the
     trace-zero operators from the exact rational representative of its
-    key reduced mod p, translated to trace zero.  polys, when given,
+    key reduced mod p, translated to trace zero; each round reads the
+    frontier's images from the packed words and keeps, generator by
+    generator, those not yet in the visited bitset, so no frontier is
+    sorted.  polys, when given,
     restricts the operator rows of a full census to the wanted classes
     after the labelled space is partitioned.  space_size counts the whole
     space, p^w, in every mode.

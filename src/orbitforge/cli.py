@@ -31,14 +31,14 @@ from .descent import (INFINITY, HyperCurve, descent_class,
                       pencil_discriminant_check)
 from .errors import (BudgetExceeded, DomainError, NotOperatorRep, NotSplit,
                      ParseError, UsageError)
-from .etale import EtaleAlgebra, EtaleElement
+from .etale import EtaleElement
 from .lattices import IdealPair, ideal_from_gens, unit_ideal, verify_pair
 from .matrix import Mat, interpolate
 from .orbits import (ADJOINT, STANDARD, SYM2, adjoint_op, classify_vector,
                      construct_representative, count_factors_fp,
                      in_kernel_gamma, orbit_count_local, orbit_count_real,
                      representative_from_alpha, same_orbit, standard_space,
-                     stabilizer_info)
+                     stabilizer_info, _validate_charpoly)
 from .poly import Poly, _sign_at, integral_model, isolate_real_roots
 
 # the largest exponent parse_poly accepts: terms become dense coefficient
@@ -296,7 +296,10 @@ def _emit(args, inputs, result, checks):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (inputs, result, checks) for _emit
+# subcommand handlers: each returns (inputs, result, checks) for _emit.
+# --alpha is read in the algebra _validate_charpoly returns, so f is
+# refused for its degree, leading coefficient or parity before any
+# resultant is computed
 
 
 def _cmd_construct(args):
@@ -320,7 +323,7 @@ def _cmd_classify(args):
 
 def _cmd_kernel(args):
     f = parse_poly(args.poly)
-    alpha = parse_alpha(args.alpha, EtaleAlgebra(f))
+    alpha = parse_alpha(args.alpha, _validate_charpoly(f, args.rep).alg)
     return ({"rep": args.rep, "poly": f, "alpha": alpha},
             {"in_kernel": in_kernel_gamma(f, alpha, args.rep)},
             {"norm": alpha.norm(), "is_unit": alpha.is_unit()})
@@ -328,7 +331,7 @@ def _cmd_kernel(args):
 
 def _cmd_same_orbit(args):
     f = parse_poly(args.poly)
-    alg = EtaleAlgebra(f)
+    alg = _validate_charpoly(f, args.rep).alg
     a1 = parse_alpha(args.alpha, alg)
     a2 = parse_alpha(args.alpha2, alg)
     cmp = same_orbit(representative_from_alpha(f, a1, args.rep),
@@ -352,7 +355,7 @@ def _cmd_descend(args):
 
 def _cmd_pencil_check(args):
     f = parse_poly(args.poly)
-    alpha = parse_alpha(args.alpha, EtaleAlgebra(f))
+    alpha = parse_alpha(args.alpha, _validate_charpoly(f, SYM2).alg)
     d = parse_fraction(args.d)
     c, ok = pencil_discriminant_check(f, alpha, d)
     return ({"poly": f, "alpha": alpha, "d": d},
@@ -403,7 +406,7 @@ def _cmd_real_count(args):
 
 def _cmd_lattice_verify(args):
     f = parse_poly(args.poly)
-    alg = EtaleAlgebra(f)
+    alg = _validate_charpoly(f, args.rep).alg
     alpha = parse_alpha(args.alpha, alg)
     if args.ideal is not None:
         gens = [parse_alpha(part, alg) for part in args.ideal.split(";")]

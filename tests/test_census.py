@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from orbitforge.census import (CensusRow, charpoly_key, finite_census,
                                so_order, _charpolys, _actions, _closure,
-                               _digit_tables, _digits_array,
+                               _digit_tables, _digits_array, _field_bits,
                                _free_positions, _generator_tables, _gram_np,
                                _images, _op_digits, _ops_from_digits,
-                               _orbit_labels, _separable_keys, _so3_elements,
+                               _orbit_labels, _packed_images, _packed_words,
+                               _separable_keys, _so3_elements,
                                _so_generators, _stabilizer_counts)
 from orbitforge.errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
                                MaximalRankHypothesisFails, NonSeparableModP,
@@ -39,6 +40,7 @@ X5_MINUS_X = Poly([0, -1, 0, 0, 0, 1])
 # the two factorization types mod 3 that the census-fp workload samples
 X5_TYPE_2_3 = Poly([1, 2, 1, 0, 0, 1])    # (x^2+1)(x^3+2x+1) mod 3
 X5_TYPE_1_1_3 = Poly([0, 1, 0, 2, 1, 1])  # x(x+1)(x^3+2x+1) mod 3
+X5_IRREDUCIBLE = Poly([1, -1, 0, 0, 0, 1])  # x^5 - x + 1, irreducible mod 3
 
 
 @pytest.fixture(scope="module")
@@ -281,9 +283,10 @@ def _closure_bool(start, hi, lo, visited, p):
     return size
 
 
-def _closure_matches_bool_reference(start, hi, lo, p):
+def _closure_matches_bool_reference(start, tables, p):
+    hi, lo = tables[:2]
     count = p ** hi.shape[1]
-    size, bits = _closure(start, hi, lo, p)
+    size, bits = _closure(start, tables, p)
     assert len(bits) == -(-count // 8)
     visited = np.zeros(count, dtype=bool)
     assert size == _closure_bool(start, hi, lo, visited, p)
@@ -297,27 +300,60 @@ def test_closure_bitset_matches_bool_reference_dim3():
     # 7^6 is not a multiple of 8, so the last byte of the bitset is partial
     p = 7
     hi, lo = _digit_tables(_actions(_so_generators(3, p), 3, SYM2, p), p)
+    tables = (hi, lo, *_packed_words(hi, lo, p))
     starts = np.random.default_rng(14).integers(0, p ** 6, size=20).tolist()
-    sizes = [_closure_matches_bool_reference(s, hi, lo, p)[0]
+    sizes = [_closure_matches_bool_reference(s, tables, p)[0]
              for s in starts + [0, p ** 6 - 1]]
     assert sizes[-2] == 1 and max(sizes) > 1
 
 
 @pytest.mark.parametrize("f, size", [(X5_TYPE_2_3, 25920),
-                                     (X5_TYPE_1_1_3, 12960)],
-                         ids=["2-3", "1-1-3"])
+                                     (X5_TYPE_1_1_3, 12960),
+                                     (X5_IRREDUCIBLE, 51840)],
+                         ids=["2-3", "1-1-3", "irreducible"])
 def test_closure_bitset_matches_bool_reference_dim5(f, size, monkeypatch):
-    # the closures the dimension-five sample census itself runs
+    # the closures the dimension-five sample census itself runs; an
+    # irreducible quintic has trivial stabilizer, so its orbit, the whole
+    # group, is the largest
     from orbitforge import census
     calls = []
 
-    def spy(start, hi, lo, p):
-        out = _closure_matches_bool_reference(start, hi, lo, p)
+    def spy(start, tables, p):
+        out = _closure_matches_bool_reference(start, tables, p)
         calls.append(out[0])
         return out
     monkeypatch.setattr(census, "_closure", spy)
     assert finite_census(3, 2, SYM2, polys=[f]).rows[0].orbit_sizes == (size,)
     assert calls == [size]
+
+
+@pytest.mark.parametrize("p, rep", [
+    (p, rep) for p in (3, 5, 7, 13) for rep in (SYM2, ADJOINT, STANDARD)
+] + [(31, ADJOINT), (31, STANDARD)])
+def test_packed_images_match_images_dim3(p, rep):
+    # every index of the census's dimension-three tables: two packed words
+    # and the chunk decoder give the digit-column images of _images
+    hi, lo, hi_words, lo_words = _generator_tables(3, p, rep)
+    high, low = hi.shape[2], lo.shape[2]
+    want = _images(hi, lo, np.arange(high)[:, None], np.arange(low)[None],
+                   p).reshape(len(hi), -1)
+    a, b = np.divmod(np.arange(high * low), low)
+    assert np.array_equal(_packed_images(hi_words, lo_words, a, b,
+                                         hi.shape[1], p), want)
+    assert _field_bits(p) == {3: 3, 5: 4, 7: 4, 13: 5, 31: 6}[p]
+
+
+@pytest.mark.parametrize("rep, count", [(SYM2, 20000), (ADJOINT, 3 ** 10)])
+def test_packed_images_match_images_dim5(rep, count):
+    # seeded indices of the 3^14 trace-zero self-adjoint rows the samples
+    # close over, and every row of the skew-adjoint space
+    hi, lo, hi_words, lo_words = _generator_tables(5, 3, rep)
+    w, low = hi.shape[1], lo.shape[2]
+    index = (np.arange(count) if count == 3 ** w else
+             np.random.default_rng(5).integers(0, 3 ** w, size=count))
+    a, b = np.divmod(index, low)
+    assert np.array_equal(_packed_images(hi_words, lo_words, a, b, w, 3),
+                          _images(hi, lo, a, b, 3))
 
 
 def _trace_zero_rows(d, p, count, seed):
@@ -340,7 +376,7 @@ def test_trace_zero_tables_match_direct_product(d, p):
     # trace-zero rows are trace-zero again
     mats = _actions(_so_generators(d, p), d, SYM2, p)
     mid = _free_positions(d, SYM2).index((d // 2, d // 2))
-    hi, lo = _generator_tables(d, p, SYM2)
+    hi, lo = _generator_tables(d, p, SYM2)[:2]
     assert hi.shape[1] == mats.shape[1] - 1
     x = _trace_zero_rows(d, p, 3000, seed=d * p)
     y = x @ mats % p
@@ -414,8 +450,9 @@ MEMORY_BOUND = 8 * 2 ** 20
         "sym2-sample-1-1-3"])
 def test_census_working_memory_bounded(p, n, rep, polys):
     # peak traced allocations, numpy arrays included; the bound sits
-    # between the 0.9-6.4 MiB these censuses take (1.6 MiB for sym2 at
-    # p = 7, 6.4 MiB for the dimension-five adjoint key block) and the
+    # between the 1.3-6.4 MiB these censuses take (1.6 MiB for sym2 at
+    # p = 7, 1.7 and 1.3 MiB for the samples' int64 packed sums and
+    # images, 6.4 MiB for the dimension-five adjoint key block) and the
     # 14-16 MiB that whole-space int64 digit rows, one charpoly pass over
     # every operator, int64 labels or a bool per index in the closure
     # would take
@@ -742,7 +779,7 @@ def test_census_certificate_refuses_too_few_generators(n, rep, keep,
 def _group_caches():
     from orbitforge import census
     return (census._so_generators, census._generator_tables,
-            census._so3_actions)
+            census._so3_actions, census._field_decoder)
 
 
 def _clear_group_caches():
@@ -755,8 +792,9 @@ def _clear_group_caches():
                                        (5, 3, ADJOINT)])
 def test_cached_group_data_refuses_writes(d, p, rep):
     from orbitforge import census
+    # the generator tables end with their packed words
     arrays = [census._so_generators(d, p),
-              *census._generator_tables(d, p, rep)]
+              *census._generator_tables(d, p, rep), census._field_decoder(p)]
     if d == 3:
         # the int64 group is rebuilt for each set of actions, not kept
         assert not hasattr(census._so3_elements, "cache_info")

@@ -476,6 +476,31 @@ def test_separability_is_decided_once_per_algebra(argv, calls, capsys,
     assert len(pairs) == calls
 
 
+@pytest.mark.parametrize("poly_text", ["x^4 - 2", "x^4 - 2*x^2 + 1"],
+                         ids=["separable", "repeated-root"])
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--alpha", "1"],
+    ["same-orbit", "--rep", "sym2", "--alpha", "1"],
+    ["pencil-check", "--alpha", "1"],
+    ["lattice-verify", "--rep", "sym2", "--alpha", "1"],
+], ids=["kernel", "same-orbit", "pencil-check", "lattice-verify"])
+def test_even_degree_refused_before_any_resultant(argv, poly_text, capsys,
+                                                   monkeypatch):
+    # the degree is checked before --alpha builds L, so an even-degree f
+    # is WrongDegree whether or not it is separable, and Res(f, f') is
+    # never computed
+    calls = []
+
+    def spy(f):
+        calls.append(f)
+        raise AssertionError("discriminant of %s" % f.pretty())
+
+    monkeypatch.setattr(poly, "discriminant", spy)
+    assert run(argv + ["--poly", poly_text]) == 1
+    assert capsys.readouterr().err.startswith("error: WrongDegree: ")
+    assert calls == []
+
+
 def test_descend_computes_its_class_once(capsys, monkeypatch):
     from orbitforge import descent
     calls = []
