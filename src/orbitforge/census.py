@@ -4,17 +4,16 @@ finite_census enumerates actual operators over F_p and partitions them
 into orbits with one engine: every census is the isometry group acting
 linearly on the free coordinates of its space, so each of its 2n + 1
 fixed generators (the short-root elements and a non-square torus
-element) permutes the encoded element indices.  Two small digit tables
-per generator, one for the high and one for the low half of the digits,
-give the image of any index in O(w) work, and of the whole space as one
-outer sum.  Orbits are then labelled in a few whole-array passes: every
-element takes the smallest label along its images, pointers are jumped
-until stable, and each orbit ends labelled by its smallest index.  The
-same tables packed, each half-row image as one word of digit fields,
-give the images of a list of indices: one add of two words gives every
-digit sum at once, and a lookup per chunk of fields reduces and encodes
-them.  Which form is read follows the access pattern: the whole-space
-outer sum adds narrow digit columns, a frontier gathers words.
+element) permutes the encoded element indices.  Two small tables of
+packed words per generator, one for the high and one for the low half
+of the digits, each word an image's digits in fields wide enough for
+the sum of two, give the image of any index: one add of two words gives
+every digit sum at once, and a lookup per chunk of fields reduces and
+encodes them.  The same reader gives the images of a frontier and, one
+generator at a time, of the whole space.  Orbits of a whole space are
+then labelled in a few whole-array passes: every element takes the
+smallest label along its images, pointers are jumped until stable, and
+each orbit ends labelled by its smallest index.
 
 A self-adjoint space at p ∤ d is censused modulo scalars, as Bhargava
 and Gross work with the trace-zero operators: translation by tI
@@ -40,17 +39,17 @@ Working memory follows what a census keeps, not the arithmetic it
 does: digit rows are held in the smallest unsigned type (one byte per
 digit), the class keys of a full census are computed over blocks of at
 most KEY_BLOCK digit rows, so each operator stack and its Berkowitz
-temporaries exist for one block at a time, and orbit labels take the
-dtype of the images (int32 below 2^31 elements).
+temporaries exist for one block at a time, and the whole-space images
+are read one generator at a time.  Images and orbit labels are int64,
+numpy's index type, so no gather converts its indices.
 
 The group data depends on (d, p) alone: the verified generators, their
-digit tables and the tables' packed words for each representation, the
-chunk decoder of each p and, in dimension three, the actions of the
-enumerated group are built once per process, by the first census that
-passes the budget gate and needs them, and kept as read-only arrays:
-under 1 MB for every census at p <= 13 and in dimension five, and 0.27
-MB per representation for the group's actions at p = 31, the largest
-admitted prime.  The enumerated group itself (int64) is rebuilt for each
+packed words for each representation, the chunk decoder of each p and,
+in dimension three, the actions of the enumerated group are built once
+per process, by the first census that passes the budget gate and needs
+them, and kept as read-only arrays: under 1 MB for every census at
+p <= 13 and in dimension five, and 0.27 MB per representation for the
+group's actions at p = 31, the largest admitted prime.  The enumerated group itself (int64) is rebuilt for each
 set of actions rather than kept.  Nothing that depends on the counted
 elements is kept.
 
@@ -367,37 +366,11 @@ def _actions(gs, d, rep, p):
     return _op_digits(conj, d, rep)
 
 
-def _digit_tables(mats, p):
-    """Per generator, the images of the high and the low digits of a row:
-    (hi, lo) of shapes (k, w, p^h) and (k, w, p^l), h = w // 2, l = w - h.
-
-    The action is linear, so the image of the index x = a p^l + b has the
-    digits (hi[:, :, a] + lo[:, :, b]) mod p: O(w) work per element in
-    place of a w x w product.  Entries are stored in the smallest
-    unsigned type that holds the sum of two of them.
-    """
-    k, w = mats.shape[:2]
-    small = np.min_scalar_type(2 * p - 2)
-    wrap = small.type(p)
-
-    def table(rows):
-        # built digit axis outermost, so every add runs over contiguous
-        # (k, w) blocks, then laid out (k, w, p^m) for the lookups
-        t = np.zeros((1, k, w), dtype=small)
-        for r in rows.transpose(1, 0, 2):
-            step = (np.arange(p)[:, None, None] * r % p).astype(small)
-            t = (t[:, None] + step).reshape(-1, k, w)
-            # t < 2p - 1, and the unsigned t - p wraps past t when t < p
-            np.minimum(t, t - wrap, out=t)
-        return np.ascontiguousarray(t.transpose(1, 2, 0))
-    return table(mats[:, :w // 2]), table(mats[:, w // 2:])
-
-
 @cache
 def _generator_tables(d, p, rep):
-    """The digit tables (hi, lo) of _so_generators(d, p) acting on the
-    labelled rows of rep, and their packed words (hi_words, lo_words) of
-    _packed_words: group constants, built once per (d, p, rep) and kept,
+    """The packed words (hi_words, lo_words) of _packed_words for
+    _so_generators(d, p) acting on the labelled rows of rep, and the
+    rows' width w: group constants, built once per (d, p, rep) and kept,
     read-only.
 
     Where _scalar_split splits off the scalars (self-adjoint operators at
@@ -410,11 +383,10 @@ def _generator_tables(d, p, rep):
     if mid is not None:
         basis = _lift(np.eye(mats.shape[1] - 1, dtype=np.int64), d, p, rep)
         mats = np.delete(basis @ mats % p, mid, axis=2)
-    tables = _digit_tables(mats, p)
-    tables += _packed_words(*tables, p)
-    for t in tables:
+    words = _packed_words(mats, p)
+    for t in words:
         t.setflags(write=False)
-    return tables
+    return words + (mats.shape[1],)
 
 
 @cache
@@ -429,54 +401,45 @@ def _so3_actions(p, rep):
     return acts
 
 
-def _images(hi, lo, a, b, p):
-    """Encoded images, under every generator, of the indices a p^l + b.
-
-    a and b broadcast: 1-d arrays give the images of a list of indices;
-    a column of every high half against a row of every low half gives
-    the whole space as one outer sum, encoded a digit column at a time.
-    """
-    w = hi.shape[1]
-    shape = (len(hi),) + np.broadcast_shapes(np.shape(a), np.shape(b))
-    out = np.zeros(shape, dtype=np.int32 if p ** w < 2 ** 31 else np.int64)
-    col = np.empty(shape, dtype=hi.dtype)
-    wrap = hi.dtype.type(p)
-    for j in range(w):
-        np.add(hi[:, j].take(a, axis=1), lo[:, j].take(b, axis=1), out=col)
-        # col < 2p, and the unsigned col - p wraps past col when col < p
-        np.minimum(col, col - wrap, out=col)
-        out *= p
-        out += col
-    return out
-
-
 def _field_bits(p):
     """Bits per packed digit: enough for the sum 2p - 2 of two digits."""
     return (2 * p - 2).bit_length()
 
 
-def _packed_words(hi, lo, p):
-    """The digit tables (hi, lo) packed: per generator and half-row, the w
-    image digits as one word, most significant digit in the top field of
-    _field_bits(p) bits (42 bits for the 14 trace-zero digits of the
+def _packed_words(mats, p):
+    """Per generator, the images of the high and the low digits of a row
+    under the actions mats (k, w, w), packed: (hi_words, lo_words) of
+    shapes (k, p^h) and (k, p^l), h = w // 2, l = w - h, each word the w
+    image digits of a half-row, most significant digit in the top field
+    of _field_bits(p) bits (42 bits for the 14 trace-zero digits of the
     dimension-five self-adjoint census at p = 3).
 
-    A field holds a digit below p, so the fields of hi_words[a] +
-    lo_words[b] hold the digit sums below 2p - 1, and no carry crosses a
-    field: one add gives every digit sum of the image of a p^l + b.  Words
-    are int64, numpy's index type, so the chunks cut from their sums
-    index the decoder without a conversion pass."""
-    k, w = hi.shape[:2]
+    The action is linear, so the image of the index x = a p^l + b has the
+    digits of hi_words[a] + lo_words[b] reduced mod p: a field holds a
+    digit below p, so the fields of the sum hold the digit sums below
+    2p - 1, and no carry crosses a field.  Each half's digit images are
+    built one digit at a time in the smallest unsigned type that holds
+    the sum of two of them, then packed by one product with the field
+    weights.  Words are int64, numpy's index type, so the chunks cut from
+    their sums index the decoder without a conversion pass."""
+    k, w = mats.shape[:2]
     bits = _field_bits(p)
     assert w * bits < 64
+    small = np.min_scalar_type(2 * p - 2)
+    wrap = small.type(p)
+    weights = 1 << bits * np.arange(w - 1, -1, -1, dtype=np.int64)
 
-    def pack(table):
-        out = np.zeros((k, table.shape[2]), dtype=np.int64)
-        for j in range(w):
-            out <<= bits
-            out |= table[:, j]
-        return out
-    return pack(hi), pack(lo)
+    def pack(rows):
+        # built digit axis outermost, so every add runs over contiguous
+        # (k, w) blocks
+        t = np.zeros((1, k, w), dtype=small)
+        for r in rows.transpose(1, 0, 2):
+            step = (np.arange(p)[:, None, None] * r % p).astype(small)
+            t = (t[:, None] + step).reshape(-1, k, w)
+            # t < 2p - 1, and the unsigned t - p wraps past t when t < p
+            np.minimum(t, t - wrap, out=t)
+        return np.ascontiguousarray((t @ weights).T)
+    return pack(mats[:, :w // 2]), pack(mats[:, w // 2:])
 
 
 @cache
@@ -496,17 +459,20 @@ def _field_decoder(p):
     return out
 
 
-def _packed_images(hi_words, lo_words, a, b, w, p):
-    """Encoded images, under every generator, of the indices a p^l + b of
-    w digits, from the packed words of _packed_words: per image one add
-    of two words and one _field_decoder lookup per chunk of fields, most
-    significant chunk first.  The same images as _images(hi, lo, a, b, p)
-    on 1-d a and b, as int64."""
+def _packed_images(hi_words, lo_words, w, a, b, p):
+    """Encoded images of the indices a p^l + b of w digits, as int64, from
+    the packed words of _packed_words: per image one add of two words and
+    one _field_decoder lookup per chunk of fields, most significant chunk
+    first.
+
+    The words may be every generator's rows (k, p^m), giving images along
+    a new first axis, or one generator's row.  a and b broadcast: 1-d
+    arrays give the images of a list of indices, a column of every high
+    half against a row of every low half gives the whole space."""
     decode = _field_decoder(p)
     bits = _field_bits(p)
     c = _CHUNK_BITS // bits
-    sums = hi_words.take(a, axis=1)
-    sums += lo_words.take(b, axis=1)
+    sums = hi_words.take(a, axis=-1) + lo_words.take(b, axis=-1)
     low = (w - 1) // c * c
     out = decode[sums >> bits * low].astype(np.int64)
     for i in range(low - c, -1, -c):
@@ -528,8 +494,8 @@ def _orbit_labels(images):
     lowers some label, so passes end; the final labels are constant on
     orbits, so each is its orbit's minimum.  Propagation alone can need a
     pass per element on one long cycle; hooking brings that to a few.
-    Labels take the dtype of images (int32 below 2^31 elements), so every
-    working array is as narrow as the indices it holds.
+    Labels take the dtype of images: int64, numpy's index type, in every
+    census.
     """
     lab = np.arange(images.shape[1], dtype=images.dtype)
     while not all(np.array_equal(lab[img], lab) for img in images):
@@ -550,7 +516,7 @@ def _orbit_labels(images):
 
 def _closure(start, tables, p):
     """Orbit of the element with encoded index start under the generators
-    with tables (hi, lo, hi_words, lo_words) of _generator_tables, by
+    with tables (hi_words, lo_words, w) of _generator_tables, by
     breadth-first closure, as its size and its bitset.
 
     The bitset marks the visited indices among all p^w encoded ones in
@@ -559,10 +525,9 @@ def _closure(start, tables, p):
     have none either; a round keeps, generator by generator, the images
     whose bit is still clear and sets their bits before the next
     generator, so the kept images, concatenated, are the next frontier
-    without repeats and no sort runs.  The images come from the packed
-    words of _packed_images."""
-    hi, lo, hi_words, lo_words = tables
-    w, low = hi.shape[1], lo.shape[2]
+    without repeats and no sort runs.  Each round reads every generator's
+    images of the frontier in one call of _packed_images."""
+    w, low = tables[2], tables[1].shape[1]
     visited = np.zeros(-(-p ** w // 8), dtype=np.uint8)
     visited[start >> 3] = _BITS[start & 7]
     frontier = np.array([start])
@@ -571,7 +536,7 @@ def _closure(start, tables, p):
         size += len(frontier)
         a, b = np.divmod(frontier, low)
         kept = []
-        for img in _packed_images(hi_words, lo_words, a, b, w, p):
+        for img in _packed_images(*tables, a, b, p):
             img = img[visited[img >> 3] & _BITS[img & 7] == 0]
             np.bitwise_or.at(visited, img >> 3, _BITS[img & 7])
             kept.append(img)
@@ -693,8 +658,9 @@ def _full_census(p, n, rep, wanted):
     mod p; orbits never cross them.  The labelled space is the trace-zero
     operators where _scalar_split splits off the scalars (self-adjoint
     operators at p ∤ d), and the whole space elsewhere.  Its orbits are the
-    labels of _orbit_labels over the generator images of every labelled
-    row, its classes are taken over blocks of KEY_BLOCK lifted rows, one
+    labels of _orbit_labels over the int64 images of every labelled row,
+    read from the packed words one generator at a time into a (k, p^w)
+    array, its classes are taken over blocks of KEY_BLOCK lifted rows, one
     operator stack at a time, and its stabilizers are measured on the
     lifted orbit representatives.  Each labelled orbit O then gives the
     orbits O + tI of every translation in _translations, with O's size,
@@ -716,14 +682,17 @@ def _full_census(p, n, rep, wanted):
         return _charpoly_keys(x, d, rep, p)
 
     width = len(_free_positions(d, rep))
-    hi, lo = _generator_tables(d, p, rep)[:2]
-    digits = _digits_array(hi.shape[1], p)
+    hi_words, lo_words, w = _generator_tables(d, p, rep)
+    digits = _digits_array(w, p)
     keys = np.empty(len(digits), dtype=np.int32)
     for s in range(0, len(digits), KEY_BLOCK):
         keys[s:s + KEY_BLOCK] = classes(_lift(digits[s:s + KEY_BLOCK],
                                               d, p, rep))
-    images = _images(hi, lo, np.arange(hi.shape[2])[:, None],
-                     np.arange(lo.shape[2])[None], p).reshape(len(hi), -1)
+    high, low = hi_words.shape[1], lo_words.shape[1]
+    images = np.empty((len(hi_words), high * low), dtype=np.int64)
+    for img, hw, lw in zip(images, hi_words, lo_words):
+        img.reshape(high, low)[:] = _packed_images(
+            hw, lw, w, np.arange(high)[:, None], np.arange(low), p)
     lab = _orbit_labels(images)
     assert np.array_equal(keys[lab], keys)
     labelled, sizes = np.unique(lab, return_counts=True)
@@ -784,7 +753,7 @@ def finite_census(p, n, rep, polys=None):
     One engine serves every census.  Each element is a row of w free
     coordinates with an encoded index below p^w, and each verified
     generator of the isometry group permutes those indices; its images
-    come from two digit tables of p^(w/2) rows.  An enumerated space is
+    come from two tables of p^(w/2) packed words.  An enumerated space is
     partitioned by min-label propagation over the images of every
     element, each orbit labelled by its smallest index.  Self-adjoint
     spaces at p ∤ d are partitioned modulo scalars: the trace-zero
@@ -803,9 +772,8 @@ def finite_census(p, n, rep, polys=None):
     orbit per requested polynomial, by breadth-first closure over the
     trace-zero operators from the exact rational representative of its
     key reduced mod p, translated to trace zero; each round reads the
-    frontier's images from the packed words and keeps, generator by
-    generator, those not yet in the visited bitset, so no frontier is
-    sorted.  polys, when given,
+    frontier's images and keeps, generator by generator, those not yet in
+    the visited bitset, so no frontier is sorted.  polys, when given,
     restricts the operator rows of a full census to the wanted classes
     after the labelled space is partitioned.  space_size counts the whole
     space, p^w, in every mode.

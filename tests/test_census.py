@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from orbitforge.census import (CensusRow, charpoly_key, finite_census,
                                so_order, _charpolys, _actions, _closure,
-                               _digit_tables, _digits_array, _field_bits,
+                               _digits_array, _field_bits,
                                _free_positions, _generator_tables, _gram_np,
-                               _images, _op_digits, _ops_from_digits,
+                               _op_digits, _ops_from_digits,
                                _orbit_labels, _packed_images, _packed_words,
                                _separable_keys, _so3_elements,
                                _so_generators, _stabilizer_counts)
@@ -212,7 +212,7 @@ N_CYCLE = 10 ** 5
     np.concatenate([np.arange(0, N_CYCLE, 4), np.arange(1, N_CYCLE, 4)[::-1],
                     np.arange(2, N_CYCLE, 4), np.arange(3, N_CYCLE, 4)[::-1]]),
     np.random.default_rng(5).permutation(N_CYCLE),
-    # the census's images are int32 below 2^31 elements, and so its labels
+    # labels take the dtype of the images they are given
     np.random.default_rng(5).permutation(N_CYCLE).astype(np.int32),
 ], ids=["ascending", "descending", "two-basins", "random", "random-int32"])
 def test_orbit_labels_one_long_cycle(order):
@@ -252,44 +252,80 @@ def test_orbit_labels_random_permutation_groups(seed):
 
 
 # ---------------------------------------------------------------------------
-# digit tables and the bitset closure against direct references
+# packed words, their images and the bitset closure against direct references
+
+
+def _encode(x, p):
+    """Encoded indices of digit rows x (..., w), most significant first."""
+    return x @ p ** np.arange(x.shape[-1])[::-1]
+
+
+def _direct_images(index, d, rep, p):
+    """Reference images, under every generator, of encoded indices of the
+    rows a census of rep labels: their digits times _actions(...) mod p,
+    re-encoded, as (k, len(index)) int64; the census's tables are not
+    read.  Where the census labels the trace-zero self-adjoint operators
+    (p ∤ d), each row gets back the T[n][n] that makes its trace zero and
+    its image loses it again."""
+    mats = _actions(_so_generators(d, p), d, rep, p)
+    mid = (_free_positions(d, SYM2).index((d // 2, d // 2))
+           if rep == SYM2 and d % p else None)
+    w = mats.shape[1] - (mid is not None)
+    x = np.asarray(index)[:, None] // p ** np.arange(w)[::-1] % p
+    if mid is not None:
+        x = np.insert(x, mid, 0, axis=1)
+        T = _ops_from_digits(x, d, SYM2, p).astype(np.int64)
+        x[:, mid] = -np.trace(T, axis1=1, axis2=2) % p
+    out = np.empty((len(mats), len(x)), dtype=np.int64)
+    for img, M in zip(out, mats):
+        y = x @ M % p
+        img[:] = _encode(y if mid is None else np.delete(y, mid, axis=1), p)
+    return out
+
+
+def _every_image(d, p, rep):
+    """The census's images of every labelled index, from its tables."""
+    tables = _generator_tables(d, p, rep)
+    a, b = np.divmod(np.arange(p ** tables[2]), tables[1].shape[1])
+    return _packed_images(*tables, a, b, p)
 
 
 @pytest.mark.parametrize("d, rep, p", [(3, SYM2, 7), (3, ADJOINT, 31),
                                        (5, ADJOINT, 3), (5, SYM2, 3)])
 def test_digit_tables_match_direct_product(d, rep, p):
-    # each table column holds the digits of a half-row's image, x @ M % p
+    # each word packs the digits of a half-row's image, x @ M % p, in
+    # fields of _field_bits(p) bits
     mats = _actions(_so_generators(d, p), d, rep, p)
     w = mats.shape[1]
-    for table, rows in zip(_digit_tables(mats, p),
+    weights = 1 << _field_bits(p) * np.arange(w)[::-1]
+    for words, rows in zip(_packed_words(mats, p),
                            (mats[:, :w // 2], mats[:, w // 2:])):
-        x = _digits_array(rows.shape[1], p)
-        want = (x.astype(np.int64) @ rows % p).transpose(0, 2, 1)
-        assert np.array_equal(table, want)
+        x = _digits_array(rows.shape[1], p).astype(np.int64)
+        assert words.dtype == np.int64
+        assert np.array_equal(words, x @ rows % p @ weights)
 
 
-def _closure_bool(start, hi, lo, visited, p):
-    """Reference closure: the orbit of start marked in visited, one bool
-    per encoded index, and its size."""
-    low = lo.shape[2]
+def _closure_bool(start, d, p, visited):
+    """Reference closure of the self-adjoint census in dimension d: the
+    orbit of start marked in visited, one bool per encoded index, and its
+    size, over the direct images."""
     frontier = np.array([start], dtype=np.int64)
     visited[start] = True
     size = 0
     while len(frontier):
         size += len(frontier)
-        images = _images(hi, lo, frontier // low, frontier % low, p)
+        images = _direct_images(frontier, d, SYM2, p)
         frontier = np.unique(images[~visited[images]])
         visited[frontier] = True
     return size
 
 
-def _closure_matches_bool_reference(start, tables, p):
-    hi, lo = tables[:2]
-    count = p ** hi.shape[1]
+def _closure_matches_bool_reference(start, tables, p, d):
+    count = p ** tables[2]
     size, bits = _closure(start, tables, p)
     assert len(bits) == -(-count // 8)
     visited = np.zeros(count, dtype=bool)
-    assert size == _closure_bool(start, hi, lo, visited, p)
+    assert size == _closure_bool(start, d, p, visited)
     marked = np.unpackbits(bits, bitorder="little")
     assert not marked[count:].any()
     assert np.array_equal(marked[:count].astype(bool), visited)
@@ -297,13 +333,12 @@ def _closure_matches_bool_reference(start, tables, p):
 
 
 def test_closure_bitset_matches_bool_reference_dim3():
-    # 7^6 is not a multiple of 8, so the last byte of the bitset is partial
+    # 7^5 is not a multiple of 8, so the last byte of the bitset is partial
     p = 7
-    hi, lo = _digit_tables(_actions(_so_generators(3, p), 3, SYM2, p), p)
-    tables = (hi, lo, *_packed_words(hi, lo, p))
-    starts = np.random.default_rng(14).integers(0, p ** 6, size=20).tolist()
-    sizes = [_closure_matches_bool_reference(s, tables, p)[0]
-             for s in starts + [0, p ** 6 - 1]]
+    tables = _generator_tables(3, p, SYM2)
+    starts = np.random.default_rng(14).integers(0, p ** 5, size=20).tolist()
+    sizes = [_closure_matches_bool_reference(s, tables, p, 3)[0]
+             for s in starts + [0, p ** 5 - 1]]
     assert sizes[-2] == 1 and max(sizes) > 1
 
 
@@ -319,7 +354,7 @@ def test_closure_bitset_matches_bool_reference_dim5(f, size, monkeypatch):
     calls = []
 
     def spy(start, tables, p):
-        out = _closure_matches_bool_reference(start, tables, p)
+        out = _closure_matches_bool_reference(start, tables, p, 5)
         calls.append(out[0])
         return out
     monkeypatch.setattr(census, "_closure", spy)
@@ -332,28 +367,25 @@ def test_closure_bitset_matches_bool_reference_dim5(f, size, monkeypatch):
 ] + [(31, ADJOINT), (31, STANDARD)])
 def test_packed_images_match_images_dim3(p, rep):
     # every index of the census's dimension-three tables: two packed words
-    # and the chunk decoder give the digit-column images of _images
-    hi, lo, hi_words, lo_words = _generator_tables(3, p, rep)
-    high, low = hi.shape[2], lo.shape[2]
-    want = _images(hi, lo, np.arange(high)[:, None], np.arange(low)[None],
-                   p).reshape(len(hi), -1)
-    a, b = np.divmod(np.arange(high * low), low)
-    assert np.array_equal(_packed_images(hi_words, lo_words, a, b,
-                                         hi.shape[1], p), want)
+    # and the chunk decoder give the images of the direct product
+    w = _generator_tables(3, p, rep)[2]
+    assert np.array_equal(_every_image(3, p, rep),
+                          _direct_images(np.arange(p ** w), 3, rep, p))
     assert _field_bits(p) == {3: 3, 5: 4, 7: 4, 13: 5, 31: 6}[p]
 
 
 @pytest.mark.parametrize("rep, count", [(SYM2, 20000), (ADJOINT, 3 ** 10)])
 def test_packed_images_match_images_dim5(rep, count):
     # seeded indices of the 3^14 trace-zero self-adjoint rows the samples
-    # close over, and every row of the skew-adjoint space
-    hi, lo, hi_words, lo_words = _generator_tables(5, 3, rep)
-    w, low = hi.shape[1], lo.shape[2]
+    # close over, and every row of the skew-adjoint space, against the
+    # images of the direct product
+    tables = _generator_tables(5, 3, rep)
+    w = tables[2]
     index = (np.arange(count) if count == 3 ** w else
              np.random.default_rng(5).integers(0, 3 ** w, size=count))
-    a, b = np.divmod(index, low)
-    assert np.array_equal(_packed_images(hi_words, lo_words, a, b, w, 3),
-                          _images(hi, lo, a, b, 3))
+    a, b = np.divmod(index, tables[1].shape[1])
+    assert np.array_equal(_packed_images(*tables, a, b, 3),
+                          _direct_images(index, 5, rep, 3))
 
 
 def _trace_zero_rows(d, p, count, seed):
@@ -376,36 +408,39 @@ def test_trace_zero_tables_match_direct_product(d, p):
     # trace-zero rows are trace-zero again
     mats = _actions(_so_generators(d, p), d, SYM2, p)
     mid = _free_positions(d, SYM2).index((d // 2, d // 2))
-    hi, lo = _generator_tables(d, p, SYM2)[:2]
-    assert hi.shape[1] == mats.shape[1] - 1
+    tables = _generator_tables(d, p, SYM2)
+    assert tables[2] == mats.shape[1] - 1
     x = _trace_zero_rows(d, p, 3000, seed=d * p)
     y = x @ mats % p
     T = _ops_from_digits(y.reshape(-1, y.shape[-1]), d, SYM2, p)
     assert not np.any(np.trace(T.astype(np.int64), axis1=1, axis2=2) % p)
     x0, y0 = np.delete(x, mid, axis=1), np.delete(y, mid, axis=2)
-    index = x0 @ p ** np.arange(x0.shape[1])[::-1]
-    images = _images(hi, lo, index // lo.shape[2], index % lo.shape[2], p)
-    digits = images[..., None] // p ** np.arange(x0.shape[1])[::-1] % p
-    assert np.array_equal(digits, y0)
+    a, b = np.divmod(_encode(x0, p), tables[1].shape[1])
+    assert np.array_equal(_packed_images(*tables, a, b, p), _encode(y0, p))
 
 
 @pytest.mark.parametrize("d, p, rep", [(3, 3, SYM2), (3, 7, ADJOINT),
                                        (3, 5, STANDARD), (5, 3, ADJOINT)])
 def test_unsplit_tables_are_whole_space_tables(d, p, rep):
-    # at p | d, and for spaces without scalars, every coordinate is kept
-    whole = _digit_tables(_actions(_so_generators(d, p), d, rep, p), p)
-    for got, want in zip(_generator_tables(d, p, rep), whole):
-        assert np.array_equal(got, want)
+    # at p | d, and for spaces without scalars, every coordinate is kept,
+    # and every index maps as the whole-space direct product says
+    w = len(_free_positions(d, rep))
+    assert _generator_tables(d, p, rep)[2] == w
+    x = _digits_array(w, p).astype(np.int64)
+    want = np.stack([_encode(x @ M % p, p)
+                     for M in _actions(_so_generators(d, p), d, rep, p)])
+    assert np.array_equal(_every_image(d, p, rep), want)
 
 
 def _whole_space_census(p, wanted=None):
     """Reference for the dimension-three self-adjoint census: all p^6
-    operators labelled over the whole-space tables, as {key: (operator
-    count, sorted orbit sizes)}, restricted to the wanted keys if given."""
-    hi, lo = _digit_tables(_actions(_so_generators(3, p), 3, SYM2, p), p)
-    images = _images(hi, lo, np.arange(hi.shape[2])[:, None],
-                     np.arange(lo.shape[2])[None], p).reshape(len(hi), -1)
-    lab = _orbit_labels(images)
+    operators labelled over the whole-space direct product, as {key:
+    (operator count, sorted orbit sizes)}, restricted to the wanted keys
+    if given."""
+    x = _digits_array(6, p).astype(np.int64)
+    lab = _orbit_labels(np.stack([
+        _encode(x @ M % p, p)
+        for M in _actions(_so_generators(3, p), 3, SYM2, p)]))
     c = _charpolys(_ops_from_digits(_digits_array(6, p), 3, SYM2, p), p)
     keys = (c[1] * p + c[2]) * p + c[3]
     reps, sizes = np.unique(lab, return_counts=True)
@@ -449,13 +484,12 @@ MEMORY_BOUND = 8 * 2 ** 20
 ], ids=["sym2-dim3-p7", "adjoint-dim5-p3", "sym2-sample-2-3",
         "sym2-sample-1-1-3"])
 def test_census_working_memory_bounded(p, n, rep, polys):
-    # peak traced allocations, numpy arrays included; the bound sits
-    # between the 1.3-6.4 MiB these censuses take (1.6 MiB for sym2 at
-    # p = 7, 1.7 and 1.3 MiB for the samples' int64 packed sums and
-    # images, 6.4 MiB for the dimension-five adjoint key block) and the
-    # 14-16 MiB that whole-space int64 digit rows, one charpoly pass over
-    # every operator, int64 labels or a bool per index in the closure
-    # would take
+    # peak traced allocations, numpy arrays included, measured with the
+    # group data built: 1.6 MiB for sym2 at p = 7, 6.4 MiB for the
+    # dimension-five adjoint census (its key block; its int64 images,
+    # read one generator at a time, and labels stay below it), and 1.7
+    # and 1.3 MiB for the samples' packed sums and images (1.9 and 1.5
+    # MiB when the call also builds their tables)
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -709,6 +743,10 @@ FINGERPRINTS = {
     (13, 1, STANDARD): 'e42cd5e7e3f73e38',
     (3, 2, STANDARD): 'b5139cc10018b48e',
     (3, 2, ADJOINT): '0ca44f8f9f606a97',
+    # the widest fields, 6 bits, 2 digit sums per decoder chunk; recorded
+    # from the digit-column reader that the packed words replaced
+    (31, 1, ADJOINT): '62f192eebc4ed6f8',
+    (31, 1, STANDARD): '8fa59c221cf054d6',
 }
 
 
@@ -792,9 +830,10 @@ def _clear_group_caches():
                                        (5, 3, ADJOINT)])
 def test_cached_group_data_refuses_writes(d, p, rep):
     from orbitforge import census
-    # the generator tables end with their packed words
+    # the generator tables are two arrays of packed words and their width
     arrays = [census._so_generators(d, p),
-              *census._generator_tables(d, p, rep), census._field_decoder(p)]
+              *census._generator_tables(d, p, rep)[:2],
+              census._field_decoder(p)]
     if d == 3:
         # the int64 group is rebuilt for each set of actions, not kept
         assert not hasattr(census._so3_elements, "cache_info")
