@@ -144,35 +144,28 @@ def _digits_array(width, p):
 
 def _so3_elements(p):
     """Every proper isometry of the split three-dimensional form over F_p,
-    as an (N, 3, 3) array.
+    as an (N, 3, 3) array: the image of PGL(2, F_p) = SO(3, F_p) acting on
+    binary quadratic forms, sorted by the digit codes of columns 1 and 2.
 
-    The columns (g1, g2, g3) of an isometry pair like the basis: g1 is
-    isotropic and nonzero, g2 is a unit vector orthogonal to g1, and g3
-    pairs to 1 with g1, to 0 with g2 and to 0 with itself.  Every such
-    (g1, g2) pair is taken at once; g3 is then unique: the conditions
-    B(g1, h) = 1, B(g2, h) = 0 cut out a line h + t g1, and the isotropic
-    point on it is g3 = h - B(h, h)/2 g1.  The determinant filter keeps the
-    proper half.  Elements come in the order of (g1, g2) as base-p digit
-    rows.
+    g = (a b; c d) sends F = AX^2 + BXY + CY^2 to F(aX + cY, bX + dY) /
+    det g, keeping B^2 - 4AC, the split form in the coordinates
+    (A, B, -2C).  One g per class, the first nonzero entry of its top row
+    1, gives each of the p(p^2 - 1) elements once.  Column j is the image
+    of the j-th basis form X^2, XY, -Y^2 / 2.
     """
-    vecs = _digits_array(3, p).astype(np.int64)
-    qv = (2 * vecs[:, 0] * vecs[:, 2] + vecs[:, 1] ** 2) % p
-    iso = vecs[(qv == 0) & np.any(vecs != 0, axis=1)]
-    unit = vecs[qv == 1]
-    i, j = np.nonzero(iso[:, ::-1] @ unit.T % p == 0)
-    g1, g2 = iso[i], unit[j]
-    # B(x, y) = (J x) . y.  With n = J g1 x J g2, nonzero as g1 and g2 are
-    # independent, h = (J g2 x e_k) / n_k for any k with n_k != 0 pairs to
-    # 0 with g2 and to 1 with g1.
-    n = np.cross(g1[:, ::-1], g2[:, ::-1]) % p
-    k = np.argmax(n != 0, axis=1)
-    inv = np.array([0] + [pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
-    scale = inv[n[np.arange(len(n)), k]]
-    h = np.cross(g2[:, ::-1], np.eye(3, dtype=np.int64)[k]) * scale[:, None] % p
-    qh = (2 * h[:, 0] * h[:, 2] + h[:, 1] ** 2) * inv[2] % p
-    g3 = (h - qh[:, None] * g1) % p
-    G = np.stack([g1, g2, g3], axis=2)
-    return G[-_charpolys(G, p)[3] % p == 1]
+    a, b, c, d = np.indices((2, p, p, p), dtype=np.int64).reshape(4, -1)
+    det = (a * d - b * c) % p
+    keep = ((a == 1) | (b == 1)) & (det != 0)
+    a, b, c, d, det = a[keep], b[keep], c[keep], d[keep], det[keep]
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    G = np.stack([a * a, a * b, -b * b * inv[2],
+                  2 * a * c, a * d + b * c, -b * d,
+                  -2 * c * c, -2 * c * d, d * d], axis=1).reshape(-1, 3, 3)
+    G *= inv[det][:, None, None]
+    G %= p
+    place = p ** np.arange(2, -1, -1, dtype=np.int64)
+    codes = (G[:, :, 0] @ place) * p ** 3 + G[:, :, 1] @ place
+    return G[np.argsort(codes)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DimensionMismatch, Inconsistent, NonIntegral, NotSquare
+from .errors import (DimensionMismatch, Inconsistent, NonIntegral, NotMonic,
+                     NotSquare)
 from .poly import Poly, _clear
 
 
@@ -76,7 +77,7 @@ class Mat:
     def companion(cls, f):
         """Companion matrix of a monic polynomial (multiplication by x)."""
         if not f.is_monic():
-            raise NotSquare("companion matrix needs a monic polynomial")
+            raise NotMonic("companion matrix needs a monic polynomial")
         d, den = f.degree, f.den
         rows = [[0] * d for _ in range(d)]
         for i in range(1, d):

@@ -8,6 +8,8 @@ back along lambda -> lambda(T)w for a cyclic vector w gives the twisted
 pairing <lambda, mu>_alpha on L.  Each operation builds L once: an
 element alpha brings its own L, and a representative keeps the L it was
 built over, so every object built on f carries the same algebra.
+Every representative is built along one path, and the exact solver,
+not the local invariants, decides whether its twisted space is split.
 Construction of the distinguished representative, recovery of alpha,
 the kernel test, and orbit comparison (an etale.Verdict with its witness
 or certificate) all live here, with the closed-form orbit facts:
@@ -20,17 +22,18 @@ from fractions import Fraction
 from math import comb
 
 from .arith import is_prime, is_rational_square, rng_for, squarefree_part
-from .errors import (BadPrime, DimensionMismatch, MaximalRankHypothesisFails,
-                     NoCyclicVector, NonUnit, NormNotSquare, NotMonic,
-                     NotOddPolynomial, NotSplit, NotTauFixed, RingMismatch,
-                     WrongDegree, WrongDimension, ZeroDiscriminant)
+from .errors import (Anisotropic, BadPrime, DimensionMismatch,
+                     MaximalRankHypothesisFails, NoCyclicVector, NonUnit,
+                     NormNotSquare, NotMonic, NotOddPolynomial, NotSplit,
+                     NotTauFixed, RingMismatch, WrongDegree, WrongDimension,
+                     ZeroDiscriminant)
 from .etale import (EtaleAlgebra, EtaleElement, Verdict, is_square,
                     is_tau_fixed, skew_data, solve_tau_norm, square_screen)
 from .matrix import Mat, solve
 from .poly import (Poly, count_real_roots, even_part, fp_count_factors,
                    fp_from_poly)
 from .quadform import (QuadSpace, hyperbolic_completion, is_split_odd,
-                       maximal_isotropic_subspace, standard_gram)
+                       maximal_isotropic_subspace, standard_space)
 
 STANDARD = "standard"
 ADJOINT = "adjoint"
@@ -52,12 +55,6 @@ def _check_tensor_rep(rep):
     if rep == STANDARD:
         raise ValueError("operation applies to the adjoint and symmetric-square"
                          " representations only")
-
-
-def standard_space(n):
-    """The split space of dimension 2n+1: basis e_1..e_n, u, f_n..f_1, so
-    the Gram matrix is the anti-diagonal matrix of ones, det (-1)^n."""
-    return QuadSpace(standard_gram(n))
 
 
 def adjoint_op(t, space):
@@ -187,27 +184,39 @@ class OrbitRepresentative:
         return "OrbitRepresentative(%s, f=%s)" % (self.rep, self.f.pretty())
 
 
+def _representative(alpha, rep, isotropic):
+    """The one construction path: multiplication by beta, (skew-)adjoint
+    for <lambda,mu>_alpha, moved to the standard space along the
+    hyperbolic completion of isotropic(tw), n isotropic vectors of the
+    twisted space tw, for alpha from _validate_charpoly."""
+    tw = _twisted_space(alpha, rep)
+    u = hyperbolic_completion(tw, isotropic(tw))
+    op = u.inv() * Mat.companion(alpha.alg.f) * u
+    return OrbitRepresentative(standard_space(tw.dim // 2), rep, op,
+                               alpha.alg)
+
+
+def _split_basis(tw):
+    """The exact solver's maximal isotropic subspace.  On a refusal the
+    local invariants tell a class outside the kernel (a space that is not
+    split) from a solver fault, whose own error stands."""
+    try:
+        return maximal_isotropic_subspace(tw)
+    except (Anisotropic, NotSplit):
+        if not is_split_odd(tw):
+            raise NotSplit("the twisted space of alpha is not split; the"
+                           " class is not in the kernel") from None
+        raise
+
+
 def construct_representative(f, rep):
     """The distinguished orbit representative with charpoly f.
 
-    Realizes multiplication by beta on L = Q[x]/(f): the pairing Gram on
-    the power basis has the isotropic subspace span{1, ..., beta^(n-1)},
-    which a hyperbolic completion turns into an isometry with the
-    standard space; the companion matrix conjugates along it.
+    The class alpha = 1, whose pairing Gram on the power basis has the
+    isotropic subspace span{1, ..., beta^(n-1)}: no solver runs.
     """
-    one = _validate_charpoly(f, rep)
-    d = f.degree
-    n = (d - 1) // 2
-    base = QuadSpace(_pairing_gram(one, rep))
-    m_cols = []
-    for i in range(n):
-        col = [Fraction(0)] * d
-        col[i] = Fraction(1)
-        m_cols.append(tuple(col))
-    u = hyperbolic_completion(base, m_cols)
-    comp = Mat.companion(f)
-    op = u.inv() * comp * u
-    return OrbitRepresentative(standard_space(n), rep, op, one.alg)
+    return _representative(_validate_charpoly(f, rep), rep,
+                           lambda tw: Mat.identity(tw.dim).rows[:tw.dim // 2])
 
 
 def _twisted_space(alpha, rep):
@@ -243,10 +252,7 @@ def in_kernel_gamma(f, alpha, rep):
 
 
 def _cyclic_candidates(d, tag):
-    for i in range(d):
-        col = [Fraction(0)] * d
-        col[i] = Fraction(1)
-        yield tuple(col)
+    yield from Mat.identity(d).rows
     yield tuple(Fraction(1) for _ in range(d))
     rng = rng_for(tag)
     for _ in range(120):
@@ -511,19 +517,9 @@ def representative_from_alpha(f, alpha, rep):
 
     alpha is a rational or an element of L = Q[x]/(f); the representative
     carries alpha's own algebra, so only a rational alpha builds L.
-    Needs the twisted space to be split; the exact solver in quadform
-    gives a maximal isotropic subspace in every odd dimension.
-    Multiplication by beta is (skew-)self-adjoint for the twisted
-    pairing as well, so the hyperbolic change of basis transports it to
-    the standard space.
+    The solver decides the split: with N(alpha) a square the twisted
+    space has det class (-1)^n, so it is split exactly when the exact
+    solver finds n isotropic vectors; the invariants only name a refusal.
     """
-    alpha = _validate_charpoly(f, rep, alpha)
-    tw = _twisted_space(alpha, rep)
-    if not is_split_odd(tw):
-        raise NotSplit("the twisted space of alpha is not split; the class"
-                       " is not in the kernel")
-    u = hyperbolic_completion(tw, maximal_isotropic_subspace(tw))
-    comp = Mat.companion(f)
-    op = u.inv() * comp * u
-    return OrbitRepresentative(standard_space((tw.dim - 1) // 2), rep, op,
-                               alpha.alg)
+    return _representative(_validate_charpoly(f, rep, alpha), rep,
+                           _split_basis)

@@ -44,9 +44,10 @@ INF = "inf"
 
 
 class QuadSpace:
-    """A nondegenerate symmetric bilinear form on Q^dim."""
+    """A nondegenerate symmetric bilinear form on Q^dim, with its Gram
+    determinant det, computed once by the nondegeneracy check."""
 
-    __slots__ = ("gram", "_factors")
+    __slots__ = ("gram", "det", "_factors")
 
     def __init__(self, gram):
         if not isinstance(gram, Mat):
@@ -55,7 +56,8 @@ class QuadSpace:
             raise Degenerate("Gram matrix must be square")
         if gram.transpose() != gram:
             raise Degenerate("Gram matrix must be symmetric")
-        if gram.det() == 0:
+        self.det = gram.det()
+        if self.det == 0:
             raise Degenerate("Gram matrix is singular")
         self.gram = gram
 
@@ -85,6 +87,13 @@ def standard_gram(n):
         raise WrongDimension("need n >= 1")
     d = 2 * n + 1
     return Mat([[1 if i + j == d - 1 else 0 for j in range(d)] for i in range(d)])
+
+
+@functools.cache
+def standard_space(n):
+    """The split space of dimension 2n+1, one object per n: basis e_1..e_n,
+    u, f_n..f_1, so the Gram is standard_gram(n), det (-1)^n."""
+    return QuadSpace(standard_gram(n))
 
 
 def diagonalize(space):
@@ -230,7 +239,7 @@ class FormInvariants:
 
 
 def _factors(space):
-    """(det, the factorization of its numerator times its denominator,
+    """(the factorization of space.det's numerator times its denominator,
     those primes together with the primes of the Gram's common
     denominator), factored once per space: the split test and the
     minimization read the same primes."""
@@ -238,11 +247,11 @@ def _factors(space):
         return space._factors
     except AttributeError:
         pass
-    det = space.gram.det()
+    det = space.det
     det_fac = factorize(det.numerator * det.denominator)
     c = space.gram.den
     primes = set(det_fac) | (set(factorize(c)) if c > 1 else set())
-    space._factors = (det, det_fac, primes)
+    space._factors = (det_fac, primes)
     return space._factors
 
 
@@ -256,8 +265,8 @@ def invariants(space):
     dvals, _ = diagonalize(space)
     pos = sum(1 for d in dvals if d > 0)
     sig = (pos, len(dvals) - pos)
-    det, det_primes, primes = _factors(space)
-    disc = -1 if det < 0 else 1
+    det_primes, primes = _factors(space)
+    disc = -1 if space.det < 0 else 1
     for q, e in det_primes.items():
         if e % 2:
             disc *= q
@@ -292,7 +301,7 @@ def is_split_odd(space):
 
 @functools.cache
 def _split_invariants(n):
-    return invariants(QuadSpace(standard_gram(n)))
+    return invariants(standard_space(n))
 
 
 def hyperbolic_completion(space, m_cols):
@@ -341,7 +350,7 @@ def hyperbolic_completion(space, m_cols):
     r = Fraction(math.isqrt(c.numerator), math.isqrt(c.denominator))
     z = tuple(a / r for a in z)
     u = Mat.from_cols(ms + [z] + list(reversed(ys)))
-    assert u.transpose() * space.gram * u == standard_gram(n)
+    assert u.transpose() * space.gram * u == standard_space(n).gram
     return u
 
 
@@ -534,7 +543,7 @@ def _minimized(space):
     c = space.gram.den
     g = [[x * c for x in row] for row in space.gram.num]
     basis = [tuple(Fraction(c * (i == j)) for i in range(m)) for j in range(m)]
-    for p in sorted(_factors(space)[2]):
+    for p in sorted(_factors(space)[1]):
         if not _minimize_at(g, basis, p):
             raise _no_isotropic(space)
     return _reduce(g, basis)

@@ -490,18 +490,32 @@ def test_census_working_memory_bounded(p, n, rep, polys):
     # read one generator at a time, and labels stay below it), and 1.7
     # and 1.3 MiB for the samples' packed sums and images (1.9 and 1.5
     # MiB when the call also builds their tables)
+    peak = _traced_peak(lambda: finite_census(p, n, rep, polys=polys))
+    assert peak < MEMORY_BOUND, "%.1f MiB" % (peak / 2 ** 20)
+
+
+def test_so3_elements_memory_bounded():
+    # the dimension-three group at the largest admitted prime, built by
+    # the first census there: 5.7 MiB traced as the image of PGL(2, F_31),
+    # 18.9 MiB for a search pairing every isotropic with every unit vector
+    peak = _traced_peak(lambda: _so3_elements(31))
+    assert peak < MEMORY_BOUND, "%.1f MiB" % (peak / 2 ** 20)
+
+
+def _traced_peak(call):
+    """Peak traced allocation of call(), numpy arrays included, in bytes
+    above what was allocated before it."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        finite_census(p, n, rep, polys=polys)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
             tracemalloc.stop()
-    assert peak < MEMORY_BOUND, "%.1f MiB" % (peak / 2 ** 20)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbitforge import matrix
-from orbitforge.errors import Inconsistent, NonIntegral, NotSquare
+from orbitforge.errors import Inconsistent, NonIntegral, NotMonic, NotSquare
 from orbitforge.matrix import Mat
 from orbitforge.poly import Poly
 
@@ -34,6 +34,8 @@ def test_charpoly_companion():
     assert Mat.companion(f).charpoly() == f
     g = Poly([3, -1, 4, 0, 1])
     assert Mat.companion(g).charpoly() == g
+    with pytest.raises(NotMonic):
+        Mat.companion(Poly([1, 0, 2]))  # 2x^2 + 1
 
 
 def test_charpoly_small():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitforge.arith import is_rational_square
-from orbitforge.errors import (DimensionMismatch, NoCyclicVector,
+from orbitforge.errors import (Anisotropic, DimensionMismatch, NoCyclicVector,
                                NonSeparable, NonUnit, NormNotSquare,
                                NotOddPolynomial, NotSplit, NotTauFixed,
                                RingMismatch, WrongDegree, WrongDimension,
@@ -529,6 +529,120 @@ def test_corpus_of_squares(dim):
         o = representative_from_alpha(f, u * u, SYM2)
         assert o.op.charpoly() == f
         assert is_square(recover_alpha(o)).status == "true"
+
+
+# ---------------------------------------------------------------------------
+# one construction path: the solver decides the split
+
+NOT_IN_KERNEL = ("the twisted space of alpha is not split; the class is"
+                 " not in the kernel")
+
+
+def _square_norm_sym2_class(rng, dim):
+    """(f, alpha): a unit of Q^dim given by its values at distinct integer
+    roots, any signs and sizes, the last value making the norm a square."""
+    roots = sorted(rng.sample(range(-4, 5), dim))
+    vals = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 12))
+            for _ in range(dim - 1)]
+    norm = Fraction(1)
+    for v in vals:
+        norm *= v
+    vals.append(norm * rng.randint(1, 3) ** 2)
+    return _from_values(roots, vals)
+
+
+def _square_norm_adjoint_class(rng, dim):
+    """(f, alpha): a tau-fixed unit h(beta^2) over f = x g(x^2), g random
+    and mostly irreducible.  N(alpha) = h(0) N_K(h)^2, so a square h(0)
+    makes the norm a square."""
+    while True:
+        f = Poly([0] + [v for _ in range(dim // 2)
+                        for v in (rng.randint(-4, 4), 0)] + [1])
+        if not is_separable(f):
+            continue
+        coeffs = [0] * dim
+        coeffs[0] = rng.randint(1, 3) ** 2
+        for k in range(2, dim, 2):
+            coeffs[k] = rng.randint(-6, 6)
+        alpha = EtaleAlgebra(f).element(coeffs)
+        if alpha.is_unit():
+            return f, alpha
+
+
+@pytest.mark.parametrize("rep, dim", [(SYM2, 3), (SYM2, 5), (SYM2, 7),
+                                      (ADJOINT, 3), (ADJOINT, 5)])
+def test_representative_exactly_on_kernel_classes(rep, dim):
+    # the solver alone decides the split: an operator with charpoly f
+    # exactly when the local invariants put the class in the kernel, and
+    # otherwise the refusal the invariants name.  Random square-norm
+    # classes mostly fall outside the kernel from dimension five on, so
+    # every other class is a split one built into it
+    rng = random.Random("kernel-equivalence:%s:%d" % (rep, dim))
+    if rep == SYM2:
+        split, square_norm = _split_sym2_class, _square_norm_sym2_class
+    else:
+        split, square_norm = _split_adjoint_class, _square_norm_adjoint_class
+    seen = set()
+    for i in range(8):
+        f, alpha = (_from_values(*split(rng, dim, 10)) if i % 2
+                    else square_norm(rng, dim))
+        kernel = in_kernel_gamma(f, alpha, rep)
+        seen.add(kernel)
+        if kernel:
+            assert representative_from_alpha(f, alpha, rep).op.charpoly() == f
+        else:
+            with pytest.raises(NotSplit) as err:
+                representative_from_alpha(f, alpha, rep)
+            assert str(err.value) == NOT_IN_KERNEL
+    assert seen == {True, False}
+
+
+def test_representative_from_alpha_reads_no_invariants(monkeypatch):
+    # on the success path the solver's subspace is the split test: no
+    # local invariants, and the one determinant of the twisted space's
+    # nondegeneracy check, which its factored primes reuse
+    from orbitforge import quadform
+    rng = random.Random("one-path-spy")
+    classes = []
+    for dim in (3, 5, 7):
+        f, alpha = _from_values(*_split_sym2_class(rng, dim, 10))
+        classes.append((f, alpha, SYM2))
+        f, alpha = _from_values(*_split_adjoint_class(rng, dim, 10))
+        classes.append((f, alpha, ADJOINT))
+        standard_space(dim // 2)
+    calls = {"det": 0, "invariants": 0}
+    det, invariants = Mat.det, quadform.invariants
+
+    def counted_det(self):
+        calls["det"] += 1
+        return det(self)
+
+    def counted_invariants(space):
+        calls["invariants"] += 1
+        return invariants(space)
+
+    monkeypatch.setattr(Mat, "det", counted_det)
+    monkeypatch.setattr(quadform, "invariants", counted_invariants)
+    for f, alpha, rep in classes:
+        assert representative_from_alpha(f, alpha, rep).f == f
+    assert calls == {"det": len(classes), "invariants": 0}
+
+
+@pytest.mark.parametrize("error", (NotSplit, Anisotropic))
+def test_solver_fault_on_a_kernel_class_stays_visible(error, monkeypatch):
+    # a solver refusal on a split space is a fault in the solver, not a
+    # class outside the kernel: its own error comes out
+    from orbitforge import orbits
+    f, alpha = _from_values(*_split_sym2_class(random.Random("fault"), 5, 10))
+    assert in_kernel_gamma(f, alpha, SYM2)
+
+    def faulty(space):
+        raise error("solver fault")
+
+    monkeypatch.setattr(orbits, "maximal_isotropic_subspace", faulty)
+    with pytest.raises(error) as err:
+        representative_from_alpha(f, alpha, SYM2)
+    assert str(err.value) == "solver fault"
 
 
 def _recover_alpha_deciding_each(orep):
