@@ -31,17 +31,24 @@ translated to trace zero, marking the visited indices in a bitset of
 p^(w - 1) / 8 bytes.  A generator permutes the indices, so each round
 keeps, generator by generator, the images whose bit is still clear and
 sets their bits before the next: the next frontier has no repeats and
-no sort runs.  Characteristic polynomials and determinants of
-whole stacks of operators come from matrix._berkowitz run on int32
-entry columns.
+no sort runs.  The class keys of a skew-adjoint space are read off its
+free digits: Newton's identities give the characteristic polynomial
+x^d + e2 x^(d-2) + e4 x^(d-4) from tr T^2 and tr T^4, formed in small
+signed integers with no operator stack.  Characteristic polynomials and
+determinants of stacks of self-adjoint operators, of the generators and
+of commutant elements come from matrix._berkowitz run on int32 entry
+columns.
 
 Working memory follows what a census keeps, not the arithmetic it
 does: digit rows are held in the smallest unsigned type (one byte per
 digit), the class keys of a full census are computed over blocks of at
-most KEY_BLOCK digit rows, so each operator stack and its Berkowitz
-temporaries exist for one block at a time, and the whole-space images
-are read one generator at a time.  Images and orbit labels are int64,
-numpy's index type, so no gather converts its indices.
+most KEY_BLOCK digit rows, so each self-adjoint operator stack and its
+Berkowitz temporaries, or the power sums of each skew-adjoint block,
+exist for one block at a time, the actions of the enumerated group are
+conjugated in blocks of at most KEY_BLOCK temporary entries, and the
+whole-space images are read one generator at a time.  Images and orbit
+labels are int64, numpy's index type, so no gather converts its
+indices.
 
 The group data depends on (d, p) alone: the verified generators, their
 packed words for each representation, the chunk decoder of each p and,
@@ -49,9 +56,9 @@ in dimension three, the actions of the enumerated group are built once
 per process, by the first census that passes the budget gate and needs
 them, and kept as read-only arrays: under 1 MB for every census at
 p <= 13 and in dimension five, and 0.27 MB per representation for the
-group's actions at p = 31, the largest admitted prime.  The enumerated group itself (int64) is rebuilt for each
-set of actions rather than kept.  Nothing that depends on the counted
-elements is kept.
+group's actions at p = 31, the largest admitted prime.  The enumerated
+group itself (int64) is rebuilt for each set of actions rather than
+kept.  Nothing that depends on the counted elements is kept.
 
 A closure test proves generation; each orbit whose stabilizer is
 measured directly (over the enumerated group in dimension three, over
@@ -347,16 +354,22 @@ def _actions(gs, d, rep, p):
 
     Vectors transform by g, so M = g^T.  Operators transform by
     T -> g T g^-1, linear in T; row k of M holds the digits of the k-th
-    basis operator conjugated, with g^-1 = J g^T J for an isometry.
+    basis operator conjugated, with g^-1 = J g^T J for an isometry.  The
+    conjugation runs over blocks of the group, each block's (block, w, d,
+    d) int64 temporaries holding at most KEY_BLOCK entries.
     """
     if rep == STANDARD:
         return gs.transpose(0, 2, 1)
     J = _gram_np(d)
     w = len(_free_positions(d, rep))
     basis = _ops_from_digits(np.eye(w, dtype=np.int64), d, rep, p)
-    ginv = J @ gs.transpose(0, 2, 1) @ J
-    conj = gs[:, None] @ basis[None] % p @ ginv[:, None] % p
-    return _op_digits(conj, d, rep)
+    out = np.empty((len(gs), w, w), dtype=np.int64)
+    step = KEY_BLOCK // (w * d * d)
+    for s in range(0, len(gs), step):
+        g = gs[s:s + step, None]
+        ginv = J @ g.transpose(0, 1, 3, 2) @ J
+        out[s:s + step] = _op_digits(g @ basis % p @ ginv % p, d, rep)
+    return out
 
 
 @cache
@@ -624,12 +637,15 @@ def _separable_keys(keys, n, p):
     (c2 p + c1) p + c0 for x^3 + c2 x^2 + c1 x + c0, whose discriminant is
     c2^2 c1^2 - 4 c1^3 - 4 c2^3 c0 - 27 c0^2 + 18 c2 c1 c0; dimension five
     keys e2 p^3 + e4 p for the skew x^5 + e2 x^3 + e4 x = x (y^2 + e2 y + e4)
-    at y = x^2, separable iff e4 (e2^2 - 4 e4) != 0."""
+    at y = x^2, separable iff e4 (e2^2 - 4 e4) != 0; any other dimension-five
+    key is refused, so a self-adjoint one cannot be misread as skew."""
     if n == 1:
         c0, c1, c2 = keys % p, keys // p % p, keys // (p * p) % p
         disc = (c2 * c2 * c1 * c1 - 4 * c1 * c1 * c1 - 4 * c2 * c2 * c2 * c0
                 - 27 * c0 * c0 + 18 * c2 * c1 * c0)
     else:
+        assert not np.any(keys % p | keys // p ** 2 % p | keys // p ** 4), (
+            "dimension-five keys must be odd quintics (c0 = c2 = c4 = 0)")
         e4, e2 = keys // p % p, keys // p ** 3 % p
         disc = e4 * (e2 * e2 - 4 * e4)
     return disc % p != 0
@@ -638,9 +654,55 @@ def _separable_keys(keys, n, p):
 def _charpoly_keys(digits, d, rep, p):
     """Encoded characteristic polynomials mod p of the operators with
     these digit rows: x^d + c_(d-1) x^(d-1) + ... + c_0 encodes as the
-    base-p number with digits c_(d-1) ... c_0."""
+    base-p number with digits c_(d-1) ... c_0.
+
+    Self-adjoint keys come from _charpolys on the assembled operator
+    stack; skew-adjoint keys from _skew_keys, on the digit rows alone."""
+    if rep == ADJOINT:
+        return _skew_keys(digits, d, p)
     c = _charpolys(_ops_from_digits(digits, d, rep, p), p)
     return sum(c[d - i] * p ** i for i in range(d))
+
+
+def _skew_keys(digits, d, p):
+    """Encoded characteristic polynomials mod p of the skew-adjoint
+    operators T with these digit rows, d = 3 or 5, by Newton's identities.
+
+    det(xI - T) = x^d + e2 x^(d-2) + e4 x^(d-4) (e4 only at d = 5): tr T
+    and tr T^3 vanish, and with s2 = tr T^2 and s4 = tr T^4 the integer
+    lift T, each entry a digit or the negated digit at its mirror
+    position, has e2 = -s2/2 and e4 = (s2^2/2 - s4)/4.  Both divisions are
+    exact over the integers (e2 and e4 are sums of principal minors), so
+    they are shifts.  S = T^2 is self-adjoint, S_ji = S_(d-1-i)(d-1-j), so
+    its entries on and above the anti-diagonal give s2 = sum S_ii and s4 =
+    sum S_ij S_ji, an entry off the anti-diagonal counted twice, once for
+    its mirror.  With m = p - 1, at most d - 1 nonzero entries in a row
+    of T (its anti-diagonal is zero) bound |S_ij| <= (d - 1) m^2, |s2| <=
+    b = d (d - 1) m^2 and |s4| <= b^2, so every intermediate fits the
+    smallest signed type holding b at d = 3 and 3 b^2 / 2 at d = 5 (int8
+    or int16 at every admitted (d, p)), as does the key, below p^(d - 1);
+    each coefficient is reduced mod p once, at the end."""
+    b = d * (d - 1) * (p - 1) ** 2
+    small = np.min_scalar_type(-(b if d == 3 else 3 * b * b // 2))
+    T = [[None] * d for _ in range(d)]
+    for k, (i, j) in enumerate(_free_positions(d, ADJOINT)):
+        T[i][j] = x = digits[:, k].astype(small)
+        T[d - 1 - j][d - 1 - i] = -x
+
+    def square(i, j):
+        terms = [T[i][k] * T[k][j] for k in range(d)
+                 if T[i][k] is not None and T[k][j] is not None]
+        return sum(terms[1:], terms[0])
+    # s2 reads the diagonal of S only; s4, at d = 5, every entry
+    S = {(i, j): square(i, j) for i in range(d) for j in range(d - i)
+         if d == 5 or i == j}
+    s2 = 2 * sum(S[i, i] for i in range(d // 2)) + S[d // 2, d // 2]
+    key = -(s2 >> 1) % p * p ** (d - 2)
+    if d == 5:
+        s4 = sum(S[i, j] * S[j, i] * (1 if i + j == d - 1 else 2)
+                 for i, j in S)
+        key += ((s2 * s2 >> 1) - s4 >> 2) % p * p
+    return key
 
 
 def _full_census(p, n, rep, wanted):
@@ -653,14 +715,16 @@ def _full_census(p, n, rep, wanted):
     operators at p ∤ d), and the whole space elsewhere.  Its orbits are the
     labels of _orbit_labels over the int64 images of every labelled row,
     read from the packed words one generator at a time into a (k, p^w)
-    array, its classes are taken over blocks of KEY_BLOCK lifted rows, one
-    operator stack at a time, and its stabilizers are measured on the
-    lifted orbit representatives.  Each labelled orbit O then gives the
-    orbits O + tI of every translation in _translations, with O's size,
-    stabilizer and class count; their classes are those of the translated
-    representatives.  wanted, when given, keeps only the orbits of the
-    classes with those row keys.  Every orbit whose stabilizer is measured
-    directly is certified: size times stabilizer must equal the group order.
+    array, its classes are taken by _charpoly_keys over blocks of
+    KEY_BLOCK lifted rows (one self-adjoint operator stack at a time; the
+    skew-adjoint keys come from the digits, with no stack), and its
+    stabilizers are measured on the lifted orbit representatives.  Each
+    labelled orbit O then gives the orbits O + tI of every translation in
+    _translations, with O's size, stabilizer and class count; their
+    classes are those of the translated representatives.  wanted, when
+    given, keeps only the orbits of the classes with those row keys.
+    Every orbit whose stabilizer is measured directly is certified: size
+    times stabilizer must equal the group order.
     Dimension three measures all stabilizers at once over the enumerated
     group; dimension five measures those of separable operator classes
     over the commutant and leaves the rest None.

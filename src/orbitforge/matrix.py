@@ -202,11 +202,15 @@ def _berkowitz(a):
 
     Only +, -, * and sum touch the entries, so this runs over any
     commutative ring with elementwise + and *: census._charpolys passes
-    int32 numpy columns, one entry over a whole stack of operators. With
+    int32 numpy columns, one entry over a whole stack of operators: the
+    self-adjoint key stacks of the dimension-three censuses (p <= 7 under
+    the census budget), the commutant elements of a dimension-five census
+    at p = 3 and the generators at every admitted (d, p); skew-adjoint
+    keys come from census._skew_keys, off power sums, instead.  With
     entries in [0, p) at the (d, p) the censuses admit, p <= 31 at d = 3
-    and p = 3 at d = 5, every intermediate stays below 3 * 10^5, far inside
-    int32; and as nothing is divided, arithmetic that wraps modulo 2^32
-    still returns every coefficient that fits in int32 exactly."""
+    and p = 3 at d = 5, every intermediate stays below 3 * 10^5, far
+    inside int32; and as nothing is divided, arithmetic that wraps modulo
+    2^32 still returns every coefficient that fits in int32 exactly."""
     c = [1, -a[0][0]]
     for r in range(1, len(a)):
         row = a[r][:r]

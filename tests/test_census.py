@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 
 from orbitforge.census import (CensusRow, charpoly_key, finite_census,
                                so_order, _charpolys, _actions, _closure,
-                               _digits_array, _field_bits,
+                               _digits_array, _field_bits, _skew_keys,
                                _free_positions, _generator_tables, _gram_np,
                                _op_digits, _ops_from_digits,
                                _orbit_labels, _packed_images, _packed_words,
-                               _separable_keys, _so3_elements,
-                               _so_generators, _stabilizer_counts)
+                               _separable_keys, _so3_actions,
+                               _so3_elements, _so_generators,
+                               _stabilizer_counts)
 from orbitforge.errors import (BadPrime, BudgetExceeded, EvenPrime, EvenQ,
                                MaximalRankHypothesisFails, NonSeparableModP,
                                NotMonic, NotOddPolynomial, NotOperatorRep,
@@ -485,11 +486,12 @@ MEMORY_BOUND = 8 * 2 ** 20
         "sym2-sample-1-1-3"])
 def test_census_working_memory_bounded(p, n, rep, polys):
     # peak traced allocations, numpy arrays included, measured with the
-    # group data built: 1.6 MiB for sym2 at p = 7, 6.4 MiB for the
-    # dimension-five adjoint census (its key block; its int64 images,
-    # read one generator at a time, and labels stay below it), and 1.7
-    # and 1.3 MiB for the samples' packed sums and images (1.9 and 1.5
-    # MiB when the call also builds their tables)
+    # group data built: 1.6 MiB for sym2 at p = 7, 5.8 MiB for the
+    # dimension-five adjoint census (its int64 images, read one generator
+    # at a time, and the label passes over them; its skew keys, read off
+    # the digits, stay below them), and 1.7 and 1.3 MiB for the samples'
+    # packed sums and images (1.9 and 1.5 MiB when the call also builds
+    # their tables)
     peak = _traced_peak(lambda: finite_census(p, n, rep, polys=polys))
     assert peak < MEMORY_BOUND, "%.1f MiB" % (peak / 2 ** 20)
 
@@ -499,6 +501,15 @@ def test_so3_elements_memory_bounded():
     # the first census there: 5.7 MiB traced as the image of PGL(2, F_31),
     # 18.9 MiB for a search pairing every isotropic with every unit vector
     peak = _traced_peak(lambda: _so3_elements(31))
+    assert peak < MEMORY_BOUND, "%.1f MiB" % (peak / 2 ** 20)
+
+
+def test_so3_actions_memory_bounded():
+    # the group's actions at the largest admitted prime, built uncached as
+    # the first adjoint census there builds them: 5.7 MiB traced, set by
+    # _so3_elements, with the conjugation blocked over the group; 16.3
+    # MiB when its (N, w, 3, 3) int64 temporaries span the whole group
+    peak = _traced_peak(lambda: _so3_actions.__wrapped__(31, ADJOINT))
     assert peak < MEMORY_BOUND, "%.1f MiB" % (peak / 2 ** 20)
 
 
@@ -927,6 +938,51 @@ def test_census5_standard_rows():
     assert r.row(2).orbit_count == 1
 
 
+def _berkowitz_keys(digits, d, rep, p):
+    """The census encoding of _charpolys on the assembled operators."""
+    c = _charpolys(_ops_from_digits(digits, d, rep, p), p)
+    return sum(c[d - i] * p ** i for i in range(d))
+
+
+@pytest.mark.parametrize("d, p", [(3, p) for p in (3, 5, 7, 11, 13, 17, 19,
+                                                   23, 29, 31)] + [(5, 3)])
+def test_skew_keys_match_berkowitz_on_every_row(d, p):
+    # every digit row of every admitted skew-adjoint space, the last one
+    # all p - 1, where the power sums reach their largest sizes
+    digits = _digits_array(d * (d - 1) // 2, p)
+    assert np.all(digits[-1] == p - 1)
+    want = _berkowitz_keys(digits, d, ADJOINT, p)
+    got = _skew_keys(digits, d, p)
+    assert np.array_equal(got, want)
+    assert got.dtype.itemsize <= 2
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (13, 1), (3, 2)])
+def test_adjoint_census_builds_no_key_stack(p, n, monkeypatch):
+    # with the group data built, an adjoint census assembles no operator
+    # stack but one orbit representative at a time, and Berkowitz runs in
+    # dimension five only, on the at most p^5 commutant elements of
+    # _stab_order5, never over the 3^10 digit rows
+    from orbitforge import census
+    want = finite_census(p, n, ADJOINT)
+    rows, stacks = [], []
+    ops, berkowitz = census._ops_from_digits, census._berkowitz
+
+    def ops_spy(digits, *args):
+        rows.append(len(digits))
+        return ops(digits, *args)
+
+    def berkowitz_spy(a):
+        stacks.append(np.shape(a)[2:])
+        return berkowitz(a)
+    monkeypatch.setattr(census, "_ops_from_digits", ops_spy)
+    monkeypatch.setattr(census, "_berkowitz", berkowitz_spy)
+    assert finite_census(p, n, ADJOINT) == want
+    assert set(rows) <= {1}
+    assert all(len(s) == 1 and s[0] <= p ** 5 for s in stacks)
+    assert bool(stacks) == (n == 2)
+
+
 def test_charpoly5_skew_matches_exact():
     digits = _digits_array(10, 3)[17::5003]
     T = _ops_from_digits(digits, 5, ADJOINT, 3)
@@ -1082,3 +1138,15 @@ def test_separable_keys_match_factoring_dim5_skew():
         fc = [key // p ** i % p for i in range(5)] + [1]
         assert fc[0] == fc[2] == fc[4] == 0
         assert flag == _factors_or_raises(fc, p), fc
+
+
+@pytest.mark.parametrize("place", [0, 2, 4])
+def test_separable_keys_refuse_non_odd_quintics(place):
+    # a key with c0, c2 or c4 nonzero is not skew; read as x (y^2 + e2 y
+    # + e4) it could hand _stab_order5 a non-separable operator
+    p = 3
+    skew = (1 * p * p + 2) * p   # x^5 + x^3 + 2x, separable mod 3
+    assert _separable_keys(np.array([skew]), 2, p).tolist() == [True]
+    bad = np.array([skew, skew + p ** place])
+    with pytest.raises(AssertionError, match="odd quintics"):
+        _separable_keys(bad, 2, p)
