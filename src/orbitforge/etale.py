@@ -72,9 +72,11 @@ class EtaleAlgebra:
 
     F and cf are f's integer numerators and denominator, so F = cf f is
     primitive with leading coefficient cf; every reduction mod f is a
-    pseudo-division by F."""
+    pseudo-division by F. The distinct-degree split of f mod a probe
+    prime q is kept once computed (_split_mod), since every square test on
+    the algebra probes the same primes."""
 
-    __slots__ = ("f", "disc", "deg", "F", "cf")
+    __slots__ = ("f", "disc", "deg", "F", "cf", "_splits")
 
     def __init__(self, f):
         if not f.is_monic():
@@ -89,6 +91,16 @@ class EtaleAlgebra:
         self.disc = d
         self.deg = f.degree
         self.F, self.cf = f.num, f.den
+        self._splits = {}
+
+    def _split_mod(self, q):
+        """The distinct-degree split [(e, part)] of f mod q, for q an odd
+        prime prime to cf disc(f); the parts are shared, not copied."""
+        parts = self._splits.get(q)
+        if parts is None:
+            parts = self._splits[q] = P.fp_distinct_degree(
+                [x % q for x in self.F], q)
+        return parts
 
     def _reduce(self, A, den):
         """The element A / den for A a fresh integer list of any length
@@ -328,10 +340,6 @@ def _good_primes(alg, avoid, count):
     return out
 
 
-def _mulmod(a, b, F, m):
-    return P.fp_mod(P.fp_mul(a, b, m), F, m)
-
-
 def _hensel_sqrt(r, A, F, p, m):
     """Lift a square root r of A mod (p, F) to one mod (m, F), m = p^(2^j).
 
@@ -343,10 +351,10 @@ def _hensel_sqrt(r, A, F, p, m):
     q = p
     while q < m:
         q *= q
-        err = P.fp_sub(_mulmod(r, r, F, q), A, q)
-        r = P.fp_sub(r, _mulmod(err, s, F, q), q)
-        ts = _mulmod([2 * x for x in r], s, F, q)
-        s = P.fp_sub([2 * x for x in s], _mulmod(s, ts, F, q), q)
+        err = P.fp_sub(P.fp_mulmod(r, r, F, q), A, q)
+        r = P.fp_sub(r, P.fp_mulmod(err, s, F, q), q)
+        ts = P.fp_mulmod([2 * x for x in r], s, F, q)
+        s = P.fp_sub([2 * x for x in s], P.fp_mulmod(s, ts, F, q), q)
     return r
 
 
@@ -413,7 +421,7 @@ def _probe(a, q):
     factor."""
     A = [v * a.den for v in a.num]  # t^2 a
     Aq = [x % q for x in A]
-    parts = P.fp_distinct_degree([x % q for x in a.alg.F], q)
+    parts = a.alg._split_mod(q)
     factors = next((P.fp_equal_degree(h, e, q) for e, h in parts
                     if not _part_is_residue(Aq, e, h, q)), [])
     for h in factors:
@@ -535,7 +543,7 @@ def _lift_decision(a, p, factors, roots):
         # into the theta' basis, as a root of A = (t2 / t)^2 t^2 a
         r0 = [t2 * x * pow(t * c ** i, -1, p) % p
               for i, x in enumerate(P.fp_mod(r0, fbar, p))]
-        g = _mulmod(_hensel_sqrt(r0, A_int, F, p, m), dF, F, m)
+        g = P.fp_mulmod(_hensel_sqrt(r0, A_int, F, p, m), dF, F, m)
         w = M.element([x - m if 2 * x > m else x for x in g]) * dF_inv
         if w * w == A:
             witness = EtaleElement(

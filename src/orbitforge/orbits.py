@@ -19,7 +19,8 @@ has the maximal number of real roots).
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
+from operator import mul
 
 from .arith import is_prime, is_rational_square, rng_for, squarefree_part
 from .errors import (Anisotropic, BadPrime, DimensionMismatch,
@@ -29,9 +30,9 @@ from .errors import (Anisotropic, BadPrime, DimensionMismatch,
                      ZeroDiscriminant)
 from .etale import (EtaleAlgebra, EtaleElement, Verdict, is_square,
                     is_tau_fixed, skew_data, solve_tau_norm, square_screen)
-from .matrix import Mat, solve
-from .poly import (Poly, count_real_roots, even_part, fp_count_factors,
-                   fp_from_poly)
+from .matrix import Mat
+from .poly import (Poly, _clear, count_real_roots, even_part,
+                   fp_count_factors, fp_from_poly)
 from .quadform import (QuadSpace, hyperbolic_completion, is_split_odd,
                        maximal_isotropic_subspace, standard_space)
 
@@ -188,10 +189,13 @@ def _representative(alpha, rep, isotropic):
     """The one construction path: multiplication by beta, (skew-)adjoint
     for <lambda,mu>_alpha, moved to the standard space along the
     hyperbolic completion of isotropic(tw), n isotropic vectors of the
-    twisted space tw, for alpha from _validate_charpoly."""
+    twisted space tw, for alpha from _validate_charpoly.  The completion U
+    has U^T G U = J, and J, the anti-diagonal of ones, is its own inverse,
+    so U^-1 = J U^T G: U^T with its rows reversed, times G."""
     tw = _twisted_space(alpha, rep)
     u = hyperbolic_completion(tw, isotropic(tw))
-    op = u.inv() * Mat.companion(alpha.alg.f) * u
+    u_inv = Mat(u.transpose().num[::-1], u.den) * tw.gram
+    op = u_inv * Mat.companion(alpha.alg.f) * u
     return OrbitRepresentative(standard_space(tw.dim // 2), rep, op,
                                alpha.alg)
 
@@ -252,28 +256,43 @@ def in_kernel_gamma(f, alpha, rep):
 
 
 def _cyclic_candidates(d, tag):
-    yield from Mat.identity(d).rows
-    yield tuple(Fraction(1) for _ in range(d))
+    for i in range(d):
+        yield tuple(int(i == j) for j in range(d))
+    yield (1,) * d
     rng = rng_for(tag)
     for _ in range(120):
-        yield tuple(Fraction(rng.randint(-3, 3)) for _ in range(d))
+        yield tuple(rng.randint(-3, 3) for _ in range(d))
 
 
-def _alpha_from_vector(orep, alg, base_gram, w):
+def _alpha_from_vector(orep, alg, base_inv, w):
     """alpha with top(alpha nu) matching <nu(T)w, w>, and the pulled-back
-    Gram K^T J K, K = (w, Tw, ..., T^(d-1) w).  It and alpha's pairing Gram
-    agree on the first row and obey f's recurrence, so they are equal for
-    every w, and w is cyclic exactly when alpha is a unit."""
+    Gram K^T J K, K = (w, Tw, ..., T^(d-1) w), for base_inv the inverse of
+    the pairing Gram of 1.  It and alpha's pairing Gram agree on the first
+    row and obey f's recurrence, so they are equal for every w, and w is
+    cyclic exactly when alpha is a unit.
+
+    Integer throughout: with T = N / e, each column T^k w is an integer
+    vector v_k over c_k in lowest terms, v_(k+1) = N v_k over e c_k, and
+    over C = lcm(c_k) the columns u_k = v_k C / c_k give
+    <T^i w, T^k w> = u_i^T Jn u_k / (j C^2) for J = Jn / j."""
     d = orep.space.dim
-    op = orep.op
-    pows = [w]
+    N, e = orep.op.num, orep.op.den
+    J, jd = orep.space.gram.num, orep.space.gram.den
+    pows = [_clear(w)]
     for _ in range(d - 1):
-        pows.append(op.apply(pows[-1]))
-    kr = Mat.from_cols(pows)
-    # <T^i w, T^j w> = K^T J K
-    pulled = kr.transpose() * orep.space.gram * kr
+        v, c = pows[-1]
+        v = [sum(map(mul, row, v)) for row in N]
+        c *= e
+        k = gcd(c, *v)
+        pows.append(([x // k for x in v], c // k) if k > 1 else (v, c))
+    C = lcm(*(c for _, c in pows))
+    pows = [[x * (C // c) for x in v] if c != C else v for v, c in pows]
+    jv = [[sum(map(mul, row, x)) for row in J] for x in pows]
+    b = [[sum(map(mul, x, y)) for y in pows] for x in jv]
+    pulled = Mat(b, jd * C * C)
     sign = -1 if orep.rep == ADJOINT and orep.n % 2 else 1
-    alpha = alg.element(solve(base_gram, [sign * x for x in pulled.rows[0]]))
+    alpha = alg._reduce([sign * sum(map(mul, row, b[0]))
+                         for row in base_inv.num], base_inv.den * jd * C * C)
     return alpha, pulled
 
 
@@ -281,8 +300,9 @@ def recover_alpha(orep):
     """The unit of L = Q[x]/(f) carried by the operator.
 
     Searches for a cyclic vector w, reads off b_j = <T^j w, w>, and solves
-    the base pairing for alpha, which is a unit exactly when w is cyclic;
-    the pulled-back Gram is checked against gram_alpha exactly.
+    the base pairing for alpha (its Gram inverted once per recovery),
+    which is a unit exactly when w is cyclic; the pulled-back Gram is
+    checked against gram_alpha exactly.
     Works in the representative's own L (orep.alg) and builds no algebra.
     Well-defined up to c*tau(c) (skew) or squares (symmetric).  The cyclic
     vector lambda(T)w multiplies alpha by lambda^2, so for the symmetric
@@ -296,11 +316,11 @@ def recover_alpha(orep):
     """
     alg = orep.alg
     f = alg.f
-    base_gram = _pairing_gram(alg.one(), SYM2)
+    base_inv = _pairing_gram(alg.one(), SYM2).inv()
     first = None
     tested = 0
     for w in _cyclic_candidates(orep.space.dim, "cyclic:%s" % (f.c,)):
-        alpha, pulled = _alpha_from_vector(orep, alg, base_gram, w)
+        alpha, pulled = _alpha_from_vector(orep, alg, base_inv, w)
         if not alpha.is_unit():
             continue
         twisted = _pairing_gram(alpha, orep.rep)

@@ -5,8 +5,9 @@ over one positive denominator `den`, in lowest terms; that pair is
 canonical, so equality and hashing compare it, and `c` is the read-only
 Fraction view, built on first use. Every kernel runs on the integers: a
 product is an integer convolution, division is the integer pseudo-division
-that also gives pseudo-remainders (one loop for monic, non-monic and
-rational divisors), gcds follow the primitive pseudo-remainder sequence,
+(one loop for monic, non-monic and rational divisors; pseudo-remainders
+take its steps without the quotient), gcds follow the primitive
+pseudo-remainder sequence,
 and resultants the fraction-free subresultant one; interpolation, a linear
 system, is `matrix.interpolate`. Real-root work is exact and runs on one
 chain: the Tarski chain of (g, f) is the signed remainder sequence of (f,
@@ -23,6 +24,8 @@ floating point.
 Over F_p the distinct-degree split (fp_distinct_degree) is the one source
 of factor structure; Cantor-Zassenhaus (fp_equal_degree) factors one of
 its parts, so a caller holding the split factors only the parts it needs.
+A product modulo a monic f is one fp_mulmod, and every division step
+reduces only the coefficient it takes off.
 """
 
 import math
@@ -258,20 +261,26 @@ def _conv(A, B):
 
 def _pdivmod(A, B):
     """(Q, R, e) for integer lists, B nonzero: lc(B)^e A = Q B + R with
-    deg R < deg B, e the number of reduction steps taken."""
-    dB, lb = _deg(B), B[-1]
+    deg R < deg B, e the number of reduction steps taken.
+
+    A step takes off the leading term lr x^(k + deg B) of R: the rest of R
+    is scaled by lc(B) and lr x^k B without its leading term is
+    subtracted. Q is written from the top down, so a step scales only the
+    entries of Q already written, those above k."""
+    dB, lb = len(B) - 1, B[-1]
     R = list(A)
     Q = [0] * max(len(A) - dB, 0)
     e = 0
-    while R and _deg(R) >= dB:
-        lr = R[-1]
-        k = _deg(R) - dB
+    while len(R) > dB:
+        lr = R.pop()
+        k = len(R) - dB
         if lb != 1:
             R = [lb * x for x in R]
-            Q = [lb * x for x in Q]
-        Q[k] += lr
-        for i, b in enumerate(B):
-            R[i + k] -= lr * b
+            for i in range(k + 1, len(Q)):
+                Q[i] *= lb
+        Q[k] = lr
+        for i in range(dB):
+            R[i + k] -= lr * B[i]
         while R and R[-1] == 0:
             R.pop()
         e += 1
@@ -279,11 +288,23 @@ def _pdivmod(A, B):
 
 
 def _prem(A, B):
-    """Pseudo-remainder: lc(B)^(deg A - deg B + 1) * A mod B, integer lists."""
-    _, R, e = _pdivmod(A, B)
-    e = _deg(A) - _deg(B) + 1 - e
+    """Pseudo-remainder: lc(B)^(deg A - deg B + 1) * A mod B, integer
+    lists; the steps of _pdivmod without the quotient."""
+    dB, lb = len(B) - 1, B[-1]
+    R = list(A)
+    e = len(A) - dB
+    while len(R) > dB:
+        lr = R.pop()
+        k = len(R) - dB
+        if lb != 1:
+            R = [lb * x for x in R]
+        for i in range(dB):
+            R[i + k] -= lr * B[i]
+        while R and R[-1] == 0:
+            R.pop()
+        e -= 1
     if e > 0:
-        m = B[-1] ** e
+        m = lb ** e
         R = [m * x for x in R]
     return R
 
@@ -576,19 +597,18 @@ def fp_divmod(a, b, p):
         b = fp_normalize(b, p)
     if not b:
         raise ZeroDivisionError("mod-p division by zero polynomial")
+    # a step reduces only the leading coefficient, which it takes off
     a = a[:]
     inv = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        t = a[-1] * inv % p
-        k = len(a) - len(b)
+    db = len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    while len(a) > db:
+        t = a.pop() * inv % p
         if t:
+            k = len(a) - db
             q[k] = t
-            for i, y in enumerate(b):
-                a[i + k] = (a[i + k] - t * y) % p
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
+            for i in range(db):
+                a[i + k] -= t * b[i]
     while q and q[-1] == 0:
         q.pop()
     return q, fp_normalize(a, p)
@@ -608,12 +628,32 @@ def fp_gcd(a, b, p):
     return a
 
 
+def fp_mulmod(a, b, f, p):
+    """a b mod (f, p), reduced and normalized, for f monic (last entry 1)
+    and any integer lists a and b: one integer product, then a division
+    by f that reduces only the leading coefficient of each step."""
+    if not a or not b:
+        return []
+    c = _conv(a, b)
+    df = len(f) - 1
+    for k in range(len(c) - 1 - df, -1, -1):
+        t = c[k + df] % p
+        if t:
+            for i in range(df):
+                c[i + k] -= t * f[i]
+    return fp_normalize(c[:df], p)
+
+
 def fp_powmod(base, e, f, p):
     out, b = [1], fp_mod(base, f, p)
+    f = fp_normalize(f, p)
+    if f[-1] != 1:
+        inv = pow(f[-1], -1, p)
+        f = [x * inv % p for x in f]
     while e:
         if e & 1:
-            out = fp_mod(fp_mul(out, b, p), f, p)
-        b = fp_mod(fp_mul(b, b, p), f, p)
+            out = fp_mulmod(out, b, f, p)
+        b = fp_mulmod(b, b, f, p)
         e >>= 1
     return out
 
@@ -702,7 +742,7 @@ def fp_invmod(a, f, p):
 
 
 def fpx_sqrt(a, h, p, rng):
-    """Square root of a in the field F_p[x]/(h), h irreducible; None if
+    """Square root of a in the field F_p[x]/(h), h monic irreducible; None if
     a is a non-residue. Tonelli-Shanks with field arithmetic.
 
     With q - 1 = qq 2^s, qq odd, one exponentiation r = a^((qq + 1)/2)
@@ -717,7 +757,7 @@ def fpx_sqrt(a, h, p, rng):
 
     def squared(x, k):
         for _ in range(k):
-            x = fp_mod(fp_mul(x, x, p), h, p)
+            x = fp_mulmod(x, x, h, p)
         return x
     d = len(h) - 1
     qq, s = p**d - 1, 0
@@ -725,7 +765,7 @@ def fpx_sqrt(a, h, p, rng):
         qq //= 2
         s += 1
     r = fp_powmod(a, (qq + 1) // 2, h, p)
-    t = fp_mod(fp_mul(squared(r, 1), fp_invmod(a, h, p), p), h, p)
+    t = fp_mulmod(squared(r, 1), fp_invmod(a, h, p), h, p)
     if squared(t, s - 1) != [1]:
         return None
     if s == 1:
@@ -745,8 +785,8 @@ def fpx_sqrt(a, h, p, rng):
         b = squared(c, m - i - 1)
         m = i
         c = squared(b, 1)
-        t = fp_mod(fp_mul(t, c, p), h, p)
-        r = fp_mod(fp_mul(r, b, p), h, p)
+        t = fp_mulmod(t, c, h, p)
+        r = fp_mulmod(r, b, h, p)
     return r
 
 

@@ -19,6 +19,14 @@ splitting off hyperbolic planes (Witt cancellation) extends it to a
 maximal isotropic subspace. Each complement split off is the integer
 kernel of its pairing rows (matrix.lattice_kernel), and each Gram on a
 new basis is one congruence B^T g B.
+
+The whole construction runs on integer rows over one denominator: the
+lattice basis through minimization and reduction, the Hermite majorant,
+and the vectors of the hyperbolic completion, whose linear systems go
+through matrix._rref. The reduction is the integral LLL (de Weger;
+Cohen, GTM 138, Algorithm 2.6.7), which takes the steps of the rational
+one, so every reduced basis is the same. Fractions appear only in what a
+public function returns.
 """
 
 import functools
@@ -38,16 +46,18 @@ from .errors import (
     WrongDimension,
     ZeroArgument,
 )
-from .matrix import Mat, kernel, lattice_kernel, solve
+from .matrix import Mat, _rref, lattice_kernel
+from .poly import _clear
 
 INF = "inf"
 
 
 class QuadSpace:
     """A nondegenerate symmetric bilinear form on Q^dim, with its Gram
-    determinant det, computed once by the nondegeneracy check."""
+    determinant det, computed once by the nondegeneracy check; the
+    factorization (_factors) and the invariants are kept once computed."""
 
-    __slots__ = ("gram", "det", "_factors")
+    __slots__ = ("gram", "det", "_factors", "_invariants")
 
     def __init__(self, gram):
         if not isinstance(gram, Mat):
@@ -260,8 +270,14 @@ def invariants(space):
 
     Only the determinant and the common denominator c of the Gram are
     factored: the lattice c Z^n is unimodular at every other odd prime,
-    so the Hasse symbol is +1 there.
+    so the Hasse symbol is +1 there. Computed once per space: a refused
+    space reads them to name its anisotropic places and again in the
+    split test.
     """
+    try:
+        return space._invariants
+    except AttributeError:
+        pass
     dvals, _ = diagonalize(space)
     pos = sum(1 for d in dvals if d > 0)
     sig = (pos, len(dvals) - pos)
@@ -284,7 +300,8 @@ def invariants(space):
             minus.add(v)
             prod = -prod
     assert prod == 1, "Hilbert product formula violated (internal bug)"
-    return FormInvariants(space.dim, disc, sig, minus)
+    space._invariants = FormInvariants(space.dim, disc, sig, minus)
+    return space._invariants
 
 
 def is_isometric(s1, s2):
@@ -312,6 +329,14 @@ def hyperbolic_completion(space, m_cols):
     NotIsotropic / WrongDimension on bad input, NonSquareComplement when
     the 1-dim complement scalar is not a rational square (i.e. the space
     is not split with the standard determinant class).
+
+    Every vector is integer entries over its own denominator and every
+    pairing an integer dot product with the Gram's integer rows G. The
+    dual vectors y_i solve G m_j . y = delta_ij, G y_k . y = 0 (k < i),
+    each row scaled to integers with its right-hand side, and the
+    complement z spans the kernel of the rows G m_j, G y_k; scaling rows
+    leaves the reduced row echelon form unchanged, so matrix._rref gives
+    the same y and z as the rational system would.
     """
     d = space.dim
     if d % 2 == 0 or d < 3:
@@ -319,37 +344,58 @@ def hyperbolic_completion(space, m_cols):
     n = (d - 1) // 2
     if len(m_cols) != n:
         raise WrongDimension("need exactly n isotropic basis vectors")
-    ms = [tuple(Fraction(x) for x in v) for v in m_cols]
+    G, gd = space.gram.num, space.gram.den
+
+    def pair_row(v):
+        return [sum(map(mul, row, v)) for row in G]
+
+    ms = [_clear(v) for v in m_cols]
+    gm = [pair_row(v) for v, _ in ms]
     for i in range(n):
         for j in range(i, n):
-            if space.bilinear(ms[i], ms[j]) != 0:
+            if sum(map(mul, gm[i], ms[j][0])):
                 raise NotIsotropic("<m_%d, m_%d> != 0" % (i, j))
-    if len(kernel(Mat.from_cols(ms).transpose() * space.gram)) != d - n:
+    if len(_rref([list(r) for r in gm], d)[0]) != n:
         raise WrongDimension("isotropic vectors are not independent")
-    ys = []
+    ys, gy = [], []
     for i in range(n):
-        rows = [space.gram.apply(m) for m in ms]
-        rhs = [Fraction(int(j == i)) for j in range(n)]
-        for y in ys:
-            rows.append(space.gram.apply(y))
-            rhs.append(Fraction(0))
-        yi = solve(Mat(rows), rhs)
-        # isotropize: subtract (q(y)/2) m_i, which keeps all pairings
-        c = space.q(yi) / 2
-        yi = tuple(a - c * b for a, b in zip(yi, ms[i]))
-        ys.append(yi)
-    pair_rows = [space.gram.apply(v) for v in ms + ys]
-    zs = kernel(Mat(pair_rows))
-    assert len(zs) == 1
-    z = zs[0]
-    c = space.q(z)
+        # G m_j / (gd c_j) . y = delta_ij, times gd c_j
+        a = [r + [gd * c if j == i else 0]
+             for j, (r, (_, c)) in enumerate(zip(gm, ms))]
+        a += [r + [0] for r in gy]
+        pivots, _, D = _rref(a, d)
+        assert len(pivots) == len(a)
+        y = [0] * d
+        for r, j in enumerate(pivots):
+            y[j] = a[r][d]
+        # isotropize: y / D - (q(y / D) / 2) m_i, over 2 gd D^2 c_i
+        m, c = ms[i]
+        t = sum(map(mul, pair_row(y), y))
+        y = [2 * gd * D * c * x - t * v for x, v in zip(y, m)]
+        yd = 2 * gd * D * D * c
+        k = math.gcd(yd, *y)
+        ys.append(([v // k for v in y], yd // k))
+        gy.append(pair_row(ys[-1][0]))
+    a = [list(r) for r in gm + gy]
+    pivots, _, D = _rref(a, d)
+    assert len(pivots) == d - 1
+    free = next(j for j in range(d) if j not in pivots)
+    z = [0] * d
+    z[free] = D
+    for r, j in enumerate(pivots):
+        z[j] = -a[r][free]
+    c = Fraction(sum(map(mul, pair_row(z), z)), gd * D * D)
     if not is_rational_square(c):
         raise NonSquareComplement(
             "complement scalar %s is not a rational square" % c
         )
-    r = Fraction(math.isqrt(c.numerator), math.isqrt(c.denominator))
-    z = tuple(a / r for a in z)
-    u = Mat.from_cols(ms + [z] + list(reversed(ys)))
+    # z / D over sqrt(c) = sn / sd, over a positive denominator
+    sn, sd = math.isqrt(c.numerator), math.isqrt(c.denominator)
+    s = sd if D > 0 else -sd
+    z = ([v * s for v in z], abs(D) * sn)
+    cols = ms + [z] + ys[::-1]
+    den = math.lcm(*(c for _, c in cols))
+    u = Mat([[v[i] * (den // c) for v, c in cols] for i in range(d)], den)
     assert u.transpose() * space.gram * u == standard_space(n).gram
     return u
 
@@ -475,9 +521,10 @@ def _isotropic_mod(a, p):
 def _minimize_at(g, basis, p):
     """Shrink the power of p in det g to zero, or return False.
 
-    g is the integral Gram of the lattice spanned by basis (columns in the
-    space's coordinates); both are updated in place. While p divides det g
-    the kernel K of g mod p is nonzero. A vector x of K with
+    g is the integral Gram of the lattice spanned by basis = [B, c], the
+    integer rows B over the one denominator c > 0 (the lattice vectors in
+    the space's coordinates); both are updated in place. While p divides
+    det g the kernel K of g mod p is nonzero. A vector x of K with
     g(x, x) = 0 mod p^2 makes x/p integral against the lattice, and adding
     it divides det by p^2. Without one, a ternary with p || det has a
     vector e off K with g(e, e) = 0 mod p; then g vanishes mod p on
@@ -485,6 +532,7 @@ def _minimize_at(g, basis, p):
     by p. Nothing else is left for an isotropic ternary or a split space.
     """
     m = len(g)
+    rows = basis[0]
     while True:
         ker = _kernel_mod(g, p)
         if not ker:
@@ -502,8 +550,15 @@ def _minimize_at(g, basis, p):
             for i in range(m):
                 g[i][j] = g[j][i] = gx[i] // p
             g[j][j] = xgx // (p * p)
-            basis[j] = tuple(sum(v * b[i] for v, b in zip(x, basis)) / p
-                             for i in range(m))
+            # the new row x B / (p c): the other rows move over p c,
+            # unless p divides x B
+            new = _combine(rows, x)
+            if any(v % p for v in new):
+                rows[:] = [[v * p for v in r] for r in rows]
+                basis[1] *= p
+            else:
+                new = [v // p for v in new]
+            rows[j] = new
             continue
         if m != 3 or len(ker) != 1:
             return False
@@ -530,69 +585,95 @@ def _minimize_at(g, basis, p):
         new = _congruent(g, cols)
         assert all(v % p == 0 for r in new for v in r)
         g[:] = [[v // p for v in r] for r in new]
-        basis[:] = [tuple(sum(v * b[i] for v, b in zip(c, basis))
-                          for i in range(3)) for c in cols]
+        rows[:] = [_combine(rows, c) for c in cols]
 
 
 def _minimized(space):
     """(basis, g): a lattice of the space whose integral Gram g has
-    det +-1, in a reduced basis, or raise. Starts from c Z^n with c the
-    Gram's common denominator and minimizes at every prime of
-    det(c^2 gram)."""
+    det +-1, in a reduced basis = [B, c] (integer rows B over the
+    denominator c), or raise. Starts from c Z^n with c the Gram's common
+    denominator and minimizes at every prime of det(c^2 gram)."""
     m = space.dim
     c = space.gram.den
     g = [[x * c for x in row] for row in space.gram.num]
-    basis = [tuple(Fraction(c * (i == j)) for i in range(m)) for j in range(m)]
+    basis = [[[c * (i == j) for i in range(m)] for j in range(m)], 1]
     for p in sorted(_factors(space)[1]):
         if not _minimize_at(g, basis, p):
             raise _no_isotropic(space)
-    return _reduce(g, basis)
+    rows, c = basis
+    k = math.gcd(c, *chain.from_iterable(rows))
+    if k > 1:
+        rows, c = [[v // k for v in r] for r in rows], c // k
+    return _reduce(g, rows, c)
 
 
 def _majorant(g):
-    """(D, P): the diagonal of g and its Hermite majorant P = V^T |D| V,
-    V the inverse of the diagonalizing matrix; P >= |g| and det P =
-    |det g|."""
+    """(D, P, c): the diagonal D of g and its Hermite majorant
+    V^T |D| V = P / c, integer rows P over c > 0, V the inverse of the
+    diagonalizing matrix; P / c >= |g| and det(P / c) = |det g|."""
     dvals, u = _diagonalize(g, 1)
     v = u.inv()
-    return dvals, (v.transpose() * Mat.diag([abs(d) for d in dvals])
-                   * v).rows
+    ad, c = _clear(dvals)
+    ad = [abs(x) for x in ad]
+    m, vn = len(g), v.num
+    p = [[sum(a * r[i] * r[j] for a, r in zip(ad, vn)) for j in range(m)]
+         for i in range(m)]
+    c *= v.den * v.den
+    k = math.gcd(c, *chain.from_iterable(p))
+    if k > 1:
+        p, c = [[x // k for x in r] for r in p], c // k
+    return dvals, p, c
 
 
-def _reduce(g, basis):
-    """(basis, g) for the same lattice in a basis LLL-reduced against a
-    Hermite majorant: with det g = +-1 the Gram entries come out small,
-    however large minimization left them, and so do the complements
-    split off later."""
-    h = _lll(_majorant(g)[1])[0]
-    return [tuple(_combine(basis, r)) for r in h], _congruent(g, h)
+def _reduce(g, rows, c):
+    """(basis, g) for the same lattice, the integer rows over c, in a
+    basis LLL-reduced against a Hermite majorant: with det g = +-1 the
+    Gram entries come out small, however large minimization left them,
+    and so do the complements split off later."""
+    h = _lll(*_majorant(g)[1:])[0]
+    return ([_combine(rows, r) for r in h], c), _congruent(g, h)
 
 
-def _lll(gram):
+def _lll(gram, den=1):
     """(H, mu, bstar): the rows of a unimodular integer matrix H form a
     basis (in the old coordinates) that is LLL-reduced, delta = 99/100,
-    for the positive definite gram, with its Gram-Schmidt data (Cohen,
-    Algorithm 2.6.3, on the Gram matrix; exact)."""
+    for the positive definite gram / den (integer rows gram, den > 0), with
+    its Gram-Schmidt data as Fractions.
+
+    Integral LLL on the Gram matrix (de Weger; Cohen, GTM 138, Algorithm
+    2.6.7): d[i] is the Gram determinant of the first i vectors (d[0] = 1)
+    and lam[k][j] = d[j + 1] mu[k][j], all integers, so every division is
+    exact. Row k swaps with row k - 1 when B_k < (delta - mu^2) B_(k-1),
+    B_k = d[k + 1] / d[k], that is when 100 d[k + 1] d[k - 1] <
+    99 d[k]^2 - 100 lam^2; size reduction subtracts q = round(lam / d)
+    times a row, rounding half to even. These are the steps of the
+    rational algorithm (Cohen, 2.6.3), so H and mu are the same, and
+    bstar[k] = B_k / den."""
     n = len(gram)
-    g = [[Fraction(x) for x in r] for r in gram]
+    g = [list(r) for r in gram]
     h = [[int(i == j) for j in range(n)] for i in range(n)]
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    bstar = [g[0][0]] + [Fraction(0)] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+    d = [1, g[0][0]] + [0] * (n - 1)
 
     def red(k, l):
-        q = round(mu[k][l])
+        dl = d[l + 1]
+        q, r = divmod(2 * lam[k][l] + dl, 2 * dl)
+        if r == 0 and q % 2:
+            q -= 1  # an exact tie lam / d = q - 1/2 goes to the even q - 1
         if q == 0:
             return
         h[k] = [a - q * b for a, b in zip(h[k], h[l])]
-        gkk = g[k][k] - 2 * q * g[k][l] + q * q * g[l][l]
+        gk, gl = g[k], g[l]
+        gkk = gk[k] - 2 * q * gk[l] + q * q * gl[l]
         for i in range(n):
-            g[k][i] -= q * g[l][i]
-        g[k][k] = gkk
+            gk[i] -= q * gl[i]
+        gk[k] = gkk
         for i in range(n):
-            g[i][k] = g[k][i]
-        mu[k][l] -= q
+            g[i][k] = gk[i]
+        lam[k][l] -= q * dl
+        lk, ll = lam[k], lam[l]
         for i in range(l):
-            mu[k][i] -= q * mu[l][i]
+            lk[i] -= q * ll[i]
 
     def swap(k):
         h[k], h[k - 1] = h[k - 1], h[k]
@@ -600,34 +681,39 @@ def _lll(gram):
         for r in g:
             r[k], r[k - 1] = r[k - 1], r[k]
         for j in range(k - 1):
-            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
-        m_ = mu[k][k - 1]
-        b = bstar[k] + m_ * m_ * bstar[k - 1]
-        mu[k][k - 1] = m_ * bstar[k - 1] / b
-        bstar[k] = bstar[k - 1] * bstar[k] / b
-        bstar[k - 1] = b
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        m_ = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + m_ * m_) // d[k]
         for i in range(k + 1, kmax + 1):
-            t = mu[i][k]
-            mu[i][k] = mu[i][k - 1] - m_ * t
-            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m_ * t) // d[k]
+            lam[i][k - 1] = (b * t + m_ * lam[i][k]) // d[k + 1]
+        d[k] = b
 
     k, kmax = 1, 0
     while k < n:
         if k > kmax:
             kmax = k
-            for j in range(k):
-                mu[k][j] = (g[k][j] - sum(mu[j][i] * mu[k][i] * bstar[i]
-                                          for i in range(j))) / bstar[j]
-            bstar[k] = g[k][k] - sum(mu[k][j] ** 2 * bstar[j]
-                                     for j in range(k))
+            for j in range(k + 1):
+                u = g[k][j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
         red(k, k - 1)
-        if bstar[k] < (Fraction(99, 100) - mu[k][k - 1]**2) * bstar[k - 1]:
+        t = lam[k][k - 1]
+        if 100 * d[k + 1] * d[k - 1] < 99 * d[k] * d[k] - 100 * t * t:
             swap(k)
             k = max(1, k - 1)
         else:
             for l in range(k - 2, -1, -1):
                 red(k, l)
             k += 1
+    mu = [[Fraction(lam[k][j], d[j + 1]) if j < k else Fraction(0)
+           for j in range(n)] for k in range(n)]
+    bstar = [Fraction(d[k + 1], d[k] * den) for k in range(n)]
     return h, mu, bstar
 
 
@@ -700,14 +786,14 @@ def _unimodular_isotropic(g):
     for i in range(m):
         if g[i][i] == 0:
             return [int(k == i) for k in range(m)]
-    dvals, maj = _majorant(g)
+    dvals, maj, c = _majorant(g)
     if all(d > 0 for d in dvals) or all(d < 0 for d in dvals):
         return None
     if m == 2:
         # indefinite unimodular binary: b^2 - ac = 1, so it factors
         a, b = g[0][0], g[0][1]
         return [1 - b, a]
-    reduced = _lll(maj)
+    reduced = _lll(maj, c)
     for x in reduced[0]:
         if _qval(g, x) == 0:
             return x
@@ -774,11 +860,11 @@ def find_isotropic_vector(space):
     """
     if space.dim < 3:
         raise WrongDimension("isotropic vectors are solved in dimension >= 3")
-    basis, g = _minimized(space)
+    (rows, c), g = _minimized(space)
     x = _unimodular_isotropic(g)
     if x is None:
         raise _no_isotropic(space)
-    return tuple(_combine(basis, x))
+    return tuple(Fraction(v, c) for v in _combine(rows, x))
 
 
 def maximal_isotropic_subspace(space):
@@ -792,7 +878,7 @@ def maximal_isotropic_subspace(space):
     """
     if space.dim < 3:
         raise WrongDimension("maximal isotropic subspaces need dimension >= 3")
-    basis, g = _minimized(space)
+    (rows, c), g = _minimized(space)
     out = []
     for _ in range(space.dim // 2):
         x = _unimodular_isotropic(g)
@@ -800,11 +886,11 @@ def maximal_isotropic_subspace(space):
             raise _no_isotropic(space)
         div = math.gcd(*x)
         x = [v // div for v in x]
-        out.append(tuple(_combine(basis, x)))
+        out.append(tuple(Fraction(v, c) for v in _combine(rows, x)))
         gx = [sum(r * v for r, v in zip(row, x)) for row in g]
         y = _unit_dual(gx)
         gy = [sum(r * v for r, v in zip(row, y)) for row in g]
         comp = lattice_kernel([gx, gy])
-        basis = [tuple(_combine(basis, col)) for col in comp]
+        rows = [_combine(rows, col) for col in comp]
         g = _congruent(g, comp)
     return out

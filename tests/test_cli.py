@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -20,6 +21,10 @@ from orbitforge.errors import BudgetExceeded, NotSplit, ParseError
 from orbitforge.etale import EtaleAlgebra
 from orbitforge.matrix import Mat
 from orbitforge.poly import Poly
+
+# sha256 of test_json_digest_of_the_construction_path's corpus output
+JSON_DIGEST = ("e55266cdc820239314ab921a997f55f1"
+               "e92d67caf4e525bb496243a14ed50111")
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +523,96 @@ def test_descend_computes_its_class_once(capsys, monkeypatch):
                                 "--point", point])
         assert obj["checks"]["in_kernel"] is True
         assert len(calls) == 1
+
+
+def _coeff_text(c):
+    return "[" + ",".join(str(Fraction(x)) for x in c) + "]"
+
+
+def _split_pairs(rng, roots, f):
+    """Values at the roots of a unit whose twisted form pairs adjacent
+    roots into hyperbolic planes, a_i / f'(r_i) = -a_j / f'(r_j), the last
+    value making the norm a square: a kernel class, mostly not a square."""
+    df = f.derivative()
+    vals = []
+    for i in range(0, len(roots) - 1, 2):
+        aj = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9))
+        vals += [-aj * df(roots[i]) / df(roots[i + 1]), aj]
+    norm = math.prod(vals)
+    return vals + [norm * rng.randint(1, 3) ** 2]
+
+
+def _json_digest_corpus():
+    """Seeded construct, same-orbit and lattice-verify invocations in
+    dimensions 3, 5 and 7: the distinguished operators, equal, distinct
+    and refused classes of split moduli, and valid pairs (u), u^2 or
+    u tau(u)."""
+    from orbitforge.etale import apply_tau
+    rng = random.Random("json-digest")
+    out = []
+    for dim in (3, 5, 7):
+        n = dim // 2
+        for _ in range(2):
+            f = [rng.randint(-9, 9) for _ in range(dim)] + [1]
+            out.append(["construct", "--rep", "sym2", "--poly",
+                        _coeff_text(f)])
+            g = [0] * (dim + 1)
+            g[1::2] = [rng.randint(-9, 9) for _ in range(n)] + [1]
+            out.append(["construct", "--rep", "adjoint", "--poly",
+                        _coeff_text(g)])
+        roots = sorted(rng.sample(range(-5, 6), dim))
+        f = Poly.from_roots(roots)
+        vals = _split_pairs(rng, roots, f)
+        squares = [v * rng.randint(1, 4) ** 2 for v in vals]
+        crt = "crt:" + ",".join(str(v) for v in vals)
+        out.append(["same-orbit", "--rep", "sym2", "--poly", f.pretty(),
+                    "--alpha", crt,
+                    "--alpha2", "crt:" + ",".join(str(v) for v in squares)])
+        out.append(["same-orbit", "--rep", "sym2", "--poly", f.pretty(),
+                    "--alpha", "1", "--alpha2", crt])
+        # a definite twisted form: square norm, outside the kernel
+        sign = -1 if dim % 4 == 3 else 1
+        df = f.derivative()
+        out.append(["same-orbit", "--rep", "sym2", "--poly", f.pretty(),
+                    "--alpha", "1", "--alpha2", "crt:" + ",".join(
+                        str(sign * (1 if df(r) > 0 else -1)
+                            * rng.randint(1, 3) ** 2) for r in roots)])
+        rs = rng.sample(range(1, 7), n)
+        roots = sorted([0] + rs + [-r for r in rs])
+        value = {0: rng.randint(1, 5) ** 2}
+        for r in rs:
+            value[r] = value[-r] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        out.append(["same-orbit", "--rep", "adjoint", "--poly",
+                    Poly.from_roots(roots).pretty(), "--alpha", "1",
+                    "--alpha2", "crt:" + ",".join(str(value[r])
+                                                  for r in roots)])
+        for rep in ("sym2", "adjoint"):
+            f = Poly([rng.randint(-9, 9) if rep == "sym2" or k % 2 else 0
+                      for k in range(dim)] + [1])
+            alg = EtaleAlgebra(f)
+            u = alg.element([rng.randint(-3, 3) for _ in range(dim)])
+            if not u.is_unit():
+                continue
+            alpha = u * (u if rep == "sym2" else apply_tau(u))
+            out.append(["lattice-verify", "--rep", rep, "--poly", f.pretty(),
+                        "--alpha", _coeff_text(alpha.c),
+                        "--ideal", _coeff_text(u.c)])
+    return out
+
+
+def test_json_digest_of_the_construction_path(capsys):
+    # construct, same-orbit and lattice-verify print the bytes of the
+    # rational (Fraction) construction path, where the digest was taken:
+    # the integer rows must not change one
+    import hashlib
+    h = hashlib.sha256()
+    corpus = _json_digest_corpus()
+    for argv in corpus:
+        code = run(argv + ["--json"])
+        cap = capsys.readouterr()
+        h.update(repr((argv, code, cap.out, cap.err)).encode())
+    assert len(corpus) == 30
+    assert h.hexdigest() == JSON_DIGEST
 
 
 def test_local_count_command(capsys):

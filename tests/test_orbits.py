@@ -251,7 +251,7 @@ def test_recover_alpha_fallbacks(monkeypatch):
     refuted = [zero, (0, 1, 0), (3, 1, -3), (-2, -2, 0)]
     alg = EtaleAlgebra(f)
     first = orbits._alpha_from_vector(
-        o, alg, orbits._pairing_gram(alg.one(), SYM2), refuted[1])[0]
+        o, alg, orbits._pairing_gram(alg.one(), SYM2).inv(), refuted[1])[0]
     monkeypatch.setattr(orbits, "_cyclic_candidates",
                         lambda d, tag: iter(refuted))
     assert recover_alpha(o) == first
@@ -271,7 +271,8 @@ def test_recover_alpha_skips_a_zero_candidate(f, rep, monkeypatch):
     alg = EtaleAlgebra(f)
     zero = (Fraction(0),) * f.degree
     assert orbits._alpha_from_vector(
-        o, alg, orbits._pairing_gram(alg.one(), SYM2), zero)[0] == alg.zero()
+        o, alg, orbits._pairing_gram(alg.one(), SYM2).inv(),
+        zero)[0] == alg.zero()
     want = recover_alpha(o)
     candidates = orbits._cyclic_candidates
     monkeypatch.setattr(orbits, "_cyclic_candidates", lambda d, tag: (
@@ -452,8 +453,10 @@ def _split_sym2_class(rng, dim, height):
     """Values at distinct integer roots of a unit that is in the kernel but
     is not a square: adjacent roots pair into hyperbolic planes through
     a_i / f'(r_i) = -a_j / f'(r_j), and the last value makes the norm a
-    square (the construction of perfbench/gen.isotropic_class)."""
-    roots = sorted(rng.sample(range(-4, 5), dim))
+    square (the construction of perfbench/gen.isotropic_class).  The
+    roots lie in [-4, 4], or [-5, 5] for eleven of them."""
+    top = max(4, dim // 2)
+    roots = sorted(rng.sample(range(-top, top + 1), dim))
     df = Poly.from_roots(roots).derivative()
     while True:
         vals = []
@@ -494,13 +497,15 @@ def _check_corpus_class(roots, vals, rep):
         assert is_rational_square(prod[roots.index(0)])
 
 
-@pytest.mark.parametrize("dim", (3, 5, 7))
+@pytest.mark.parametrize("dim", (3, 5, 7, 9, 11))
 @pytest.mark.parametrize("rep", (SYM2, ADJOINT))
 def test_corpus_of_split_classes(rep, dim):
+    # past dimension seven, one class at height 10 each
     rng = random.Random("corpus:%s:%d" % (rep, dim))
     make = _split_sym2_class if rep == SYM2 else _split_adjoint_class
-    for height in CORPUS_HEIGHTS:
-        for _ in range(2):
+    cases = [(h, 2) for h in CORPUS_HEIGHTS] if dim <= 7 else [(10, 1)]
+    for height, count in cases:
+        for _ in range(count):
             _check_corpus_class(*make(rng, dim, height), rep)
 
 
@@ -628,6 +633,37 @@ def test_representative_from_alpha_reads_no_invariants(monkeypatch):
     assert calls == {"det": len(classes), "invariants": 0}
 
 
+def test_refused_class_computes_its_invariants_once(monkeypatch):
+    # a class outside the kernel reads the invariants of its twisted space
+    # twice, to name the anisotropic places and in the split test; they
+    # are computed once, and each computation diagonalizes the space once
+    from orbitforge import quadform
+    rng = random.Random("one-invariants-per-refusal")
+    refused = []
+    for rep, dim, make in ((SYM2, 3, _square_norm_sym2_class),
+                           (SYM2, 5, _square_norm_sym2_class),
+                           (ADJOINT, 3, _square_norm_adjoint_class),
+                           (ADJOINT, 5, _square_norm_adjoint_class)):
+        while True:
+            f, alpha = make(rng, dim)
+            if not in_kernel_gamma(f, alpha, rep):
+                refused.append((f, alpha, rep))
+                break
+    calls = []
+    diagonalize = quadform.diagonalize
+
+    def counted(space):
+        calls.append(space)
+        return diagonalize(space)
+
+    monkeypatch.setattr(quadform, "diagonalize", counted)
+    for f, alpha, rep in refused:
+        with pytest.raises(NotSplit) as err:
+            representative_from_alpha(f, alpha, rep)
+        assert str(err.value) == NOT_IN_KERNEL
+    assert len(calls) == len(refused)
+
+
 @pytest.mark.parametrize("error", (NotSplit, Anisotropic))
 def test_solver_fault_on_a_kernel_class_stays_visible(error, monkeypatch):
     # a solver refusal on a split space is a fault in the solver, not a
@@ -651,10 +687,10 @@ def _recover_alpha_deciding_each(orep):
     from orbitforge import orbits
     f = orep.f
     alg = EtaleAlgebra(f)
-    base_gram = orbits._pairing_gram(alg.one(), SYM2)
+    base_inv = orbits._pairing_gram(alg.one(), SYM2).inv()
     first, tested = None, 0
     for w in orbits._cyclic_candidates(orep.space.dim, "cyclic:%s" % (f.c,)):
-        alpha = orbits._alpha_from_vector(orep, alg, base_gram, w)[0]
+        alpha = orbits._alpha_from_vector(orep, alg, base_inv, w)[0]
         if not alpha.is_unit():
             continue
         if orep.rep == SYM2:

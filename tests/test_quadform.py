@@ -310,10 +310,105 @@ def test_majorant_matches_the_fraction_sums():
         base = (qf.standard_gram(n) if rng.random() < 0.5 else
                 Mat.diag([rng.choice((1, -1)) for _ in range(m)]))
         g = _moved(rng, base)
-        dvals, maj = qf._majorant(g)
+        dvals, maj, c = qf._majorant(g)
         want_d, want = _majorant_reference(g)
         assert dvals == want_d
-        assert [list(r) for r in maj] == want
+        assert [[Fraction(x, c) for x in r] for r in maj] == want
+
+
+def _fraction_lll(gram):
+    """Reference: the rational LLL (Cohen, Algorithm 2.6.3, on the Gram
+    matrix, delta = 99/100) in Fractions, whose steps the integral one
+    must take; (H, mu, bstar) as qf._lll returns them."""
+    n = len(gram)
+    g = [[Fraction(x) for x in r] for r in gram]
+    h = [[int(i == j) for j in range(n)] for i in range(n)]
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bstar = [g[0][0]] + [Fraction(0)] * (n - 1)
+
+    def red(k, l):
+        q = round(mu[k][l])
+        if q == 0:
+            return
+        h[k] = [a - q * b for a, b in zip(h[k], h[l])]
+        gkk = g[k][k] - 2 * q * g[k][l] + q * q * g[l][l]
+        for i in range(n):
+            g[k][i] -= q * g[l][i]
+        g[k][k] = gkk
+        for i in range(n):
+            g[i][k] = g[k][i]
+        mu[k][l] -= q
+        for i in range(l):
+            mu[k][i] -= q * mu[l][i]
+
+    def swap(k):
+        h[k], h[k - 1] = h[k - 1], h[k]
+        g[k], g[k - 1] = g[k - 1], g[k]
+        for r in g:
+            r[k], r[k - 1] = r[k - 1], r[k]
+        for j in range(k - 1):
+            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+        m_ = mu[k][k - 1]
+        b = bstar[k] + m_ * m_ * bstar[k - 1]
+        mu[k][k - 1] = m_ * bstar[k - 1] / b
+        bstar[k] = bstar[k - 1] * bstar[k] / b
+        bstar[k - 1] = b
+        for i in range(k + 1, kmax + 1):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m_ * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k):
+                mu[k][j] = (g[k][j] - sum(mu[j][i] * mu[k][i] * bstar[i]
+                                          for i in range(j))) / bstar[j]
+            bstar[k] = g[k][k] - sum(mu[k][j] ** 2 * bstar[j]
+                                     for j in range(k))
+        red(k, k - 1)
+        if bstar[k] < (Fraction(99, 100) - mu[k][k - 1]**2) * bstar[k - 1]:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return h, mu, bstar
+
+
+# Grams where size reduction meets an exact tie mu = +-1/2 (or 5/2),
+# which rounds half to even: the tie stays unreduced (or goes to 2)
+LLL_TIES = ([[2, 1], [1, 2]], [[2, -1], [-1, 2]], [[2, 5], [5, 13]],
+            [[2, 0, 1], [0, 2, -1], [1, -1, 2]],
+            [[4, 2, 2], [2, 4, 2], [2, 2, 4]])
+
+
+def test_integral_lll_matches_the_fraction_lll():
+    # seeded positive definite Grams B^T B of dimension 2 to 9, entries of
+    # B mostly in {-1, 0, 1} so that exact ties come up, each also scaled
+    # by a denominator; and the tie Grams above
+    import random
+
+    rng = random.Random(35)
+    ties = 0
+    cases = [(g, 1) for g in LLL_TIES]
+    while len(cases) < 240:
+        n = rng.randint(2, 9)
+        top = rng.choice((1, 1, 2, 5))
+        b = [[rng.randint(-top, top) for _ in range(n)]
+             for _ in range(n + rng.randint(0, 2))]
+        g = [[sum(r[i] * r[j] for r in b) for j in range(n)]
+             for i in range(n)]
+        if Mat(g).det() != 0:
+            cases.append((g, rng.randint(1, 6)))
+    for g, den in cases:
+        want = _fraction_lll([[Fraction(x, den) for x in r] for r in g])
+        got = qf._lll(g, den) if den > 1 else qf._lll(g)
+        assert got == want, g
+        ties += any(abs(m) == Fraction(1, 2) for r in want[1] for m in r)
+    assert ties >= len(LLL_TIES)
 
 
 def test_maximal_isotropic_subspace_needs_split():
